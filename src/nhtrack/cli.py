@@ -6,14 +6,14 @@ optional [compare] section; `nhtrack presets` lists the bundled ones and
 `parse_config` documents the schema by construction.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
-convergence, 2 when the solver fails to converge (artifacts are still
-written), 1 on configuration or usage errors.
+convergence, 2 when the solver fails to converge or fails numerically
+(artifacts are still written), 1 on configuration or usage errors, among
+them an unknown section or key.
 """
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .pmp import (
     FlowDivergedError,
     RolloutReference,
     ShootingSettings,
+    SingularJacobianError,
     TrackingProblem,
     running_cost,
     solve_shooting,
@@ -44,6 +45,7 @@ from .varint import (
     DiscreteTrajectory,
     GUESS_MODES,
     PSI_VARIANTS,
+    RegularityError,
     diagnostics,
     regularity_check,
     solve_del,
@@ -51,6 +53,15 @@ from .varint import (
 
 METHODS = ("pmp-shooting", "variational")
 CONTINUATIONS = ("none", "horizon", "terminal-weight")
+
+# numerical failures of a solve: reported with exit code 2, artifacts written
+SOLVER_FAILURES = (
+    FlowDivergedError,
+    IntegrationError,
+    ArithmeticError,
+    RegularityError,
+    SingularJacobianError,
+)
 
 
 class ConfigError(ValueError):
@@ -106,7 +117,6 @@ class SolverBlock:
 class OutputBlock:
     directory: str | None = None
     precision: int = 17
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,16 @@ class ExperimentConfig:
     solver: SolverBlock
     output: OutputBlock
     compare: CompareBlock
+
+
+# config section -> the block whose field names are its keys
+SECTIONS = {
+    "system": SystemBlock,
+    "problem": ProblemBlock,
+    "solver": SolverBlock,
+    "output": OutputBlock,
+    "compare": CompareBlock,
+}
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -160,6 +180,18 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     for required in ("system", "problem", "solver"):
         if required not in parser:
             raise ConfigError(f"missing [{required}] section in {path}")
+    for section in parser.sections():
+        if section not in SECTIONS:
+            raise ConfigError(
+                f"unknown section [{section}] in {path}; "
+                f"known: {', '.join(SECTIONS)}"
+            )
+        known = {parser.optionxform(f.name) for f in fields(SECTIONS[section])}
+        unknown = sorted(set(parser[section]) - known)
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) in [{section}] of {path}: {', '.join(unknown)}"
+            )
 
     sys_sec = parser["system"]
     system = SystemBlock(
@@ -269,7 +301,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     output = OutputBlock(
         directory=_get(out_sec, "directory", str, None),
         precision=_get(out_sec, "precision", int, 17),
-        seed=_get(out_sec, "seed", int, 0),
     )
     if not 1 <= output.precision <= 17:
         raise ConfigError(f"precision must be in [1, 17], got {output.precision}")
@@ -330,7 +361,6 @@ def config_text(cfg: ExperimentConfig) -> str:
     if cfg.output.directory is not None:
         lines.append(f"directory = {cfg.output.directory}")
     lines.append(f"precision = {cfg.output.precision}")
-    lines.append(f"seed = {cfg.output.seed}")
 
     if cfg.compare.pmp or cfg.compare.pmp_steps is not None:
         lines += ["", "[compare]"]
@@ -380,6 +410,16 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
     )
 
 
+def _del_settings(cfg: ExperimentConfig) -> DelSettings:
+    return DelSettings(
+        newton_tol=cfg.solver.newton_tol,
+        max_iters=cfg.solver.max_iters,
+        psi_variant=cfg.solver.psi_variant,
+        enforce_first_interval=cfg.solver.enforce_first_interval,
+        initial_guess_mode=cfg.solver.initial_guess_mode,
+    )
+
+
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -393,6 +433,27 @@ def _write_csv(path: Path, header: list[str], rows, precision: int) -> None:
     for row in rows:
         lines.append(",".join(_fmt(x, precision) for x in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_report(out_dir: Path, report_lines: list[str]) -> None:
+    (out_dir / "report.txt").write_text(
+        "\n".join(report_lines) + "\n", encoding="utf-8"
+    )
+
+
+def _solver_failure(
+    out_dir: Path,
+    csv_headers: dict[str, list[str]],
+    report_lines: list[str],
+    exc: Exception,
+    precision: int,
+) -> int:
+    """Write header-only CSVs and a report naming the failure; exit code 2."""
+    for name, header in csv_headers.items():
+        _write_csv(out_dir / name, header, [], precision)
+    report_lines += ["[convergence]", f"solver failure: {exc}", "exit code: 2"]
+    _write_report(out_dir, report_lines)
+    return 2
 
 
 def _iteration_log(report) -> list[str]:
@@ -430,6 +491,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     v_cols = [f"v{i + 1}" for i in range(kr)]
     u_cols = [f"u{i + 1}" for i in range(kr)]
     lam_cols = [f"lam{i + 1}" for i in range(n)]
+    diag_header = ["t", "cost", "action", "energy", "constraint_residual"]
     report_lines = [
         "nhtrack run report",
         f"system: {cfg.system.preset}",
@@ -457,19 +519,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         ]
         try:
             _, traj, report = solve_shooting(model, problem, None, settings)
-        except (FlowDivergedError, IntegrationError, ArithmeticError) as exc:
-            _write_csv(out_dir / "trajectory.csv", traj_header, [], precision)
-            _write_csv(
-                out_dir / "diagnostics.csv",
-                ["t", "cost", "action", "energy", "constraint_residual"],
-                [],
-                precision,
+        except SOLVER_FAILURES as exc:
+            return _solver_failure(
+                out_dir,
+                {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
+                report_lines, exc, precision,
             )
-            report_lines += ["[convergence]", f"solver failure: {exc}", "exit code: 2"]
-            (out_dir / "report.txt").write_text(
-                "\n".join(report_lines) + "\n", encoding="utf-8"
-            )
-            return 2
 
         rows = [
             np.concatenate(
@@ -502,12 +557,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             for i in range(len(traj.times))
         ])
         diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
-        _write_csv(
-            out_dir / "diagnostics.csv",
-            ["t", "cost", "action", "energy", "constraint_residual"],
-            diag_rows,
-            precision,
-        )
+        _write_csv(out_dir / "diagnostics.csv", diag_header, diag_rows, precision)
 
         terminal = problem.reference(problem.horizon_T)
         term_err = float(
@@ -530,18 +580,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         code = 0 if report.converged else 2
 
     else:
-        settings = DelSettings(
-            newton_tol=cfg.solver.newton_tol,
-            max_iters=cfg.solver.max_iters,
-            psi_variant=cfg.solver.psi_variant,
-            enforce_first_interval=cfg.solver.enforce_first_interval,
-            initial_guess_mode=cfg.solver.initial_guess_mode,
-        )
+        settings = _del_settings(cfg)
         grid = TimeGrid(0.0, problem.horizon_T, cfg.solver.steps)
-        traj, report = solve_del(model, problem, grid, settings)
+        traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols
+        try:
+            traj, report = solve_del(model, problem, grid, settings)
+        except SOLVER_FAILURES as exc:
+            return _solver_failure(
+                out_dir,
+                {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
+                report_lines, exc, precision,
+            )
 
         steps = traj.steps
-        traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols
         rows = []
         for k in range(steps + 1):
             u_k = traj.controls[min(k, steps - 1)]
@@ -565,12 +616,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             series.times, series.cost, series.action, series.energy,
             series.constraint_residual,
         ])
-        _write_csv(
-            out_dir / "diagnostics.csv",
-            ["t", "cost", "action", "energy", "constraint_residual"],
-            diag_rows,
-            precision,
-        )
+        _write_csv(out_dir / "diagnostics.csv", diag_header, diag_rows, precision)
 
         terminal = problem.reference(problem.horizon_T)
         term_err = float(
@@ -599,9 +645,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         code = 0 if report.converged else 2
 
     report_lines.append(f"exit code: {code}")
-    (out_dir / "report.txt").write_text(
-        "\n".join(report_lines) + "\n", encoding="utf-8"
-    )
+    _write_report(out_dir, report_lines)
     return code
 
 
@@ -653,13 +697,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = build_problem(cfg, model)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
-    settings = DelSettings(
-        newton_tol=cfg.solver.newton_tol,
-        max_iters=cfg.solver.max_iters,
-        psi_variant=cfg.solver.psi_variant,
-        enforce_first_interval=cfg.solver.enforce_first_interval,
-        initial_guess_mode=cfg.solver.initial_guess_mode,
-    )
+    settings = _del_settings(cfg)
     report_lines = [
         "nhtrack compare report",
         f"system: {cfg.system.preset}",
@@ -672,12 +710,26 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         "per-interval controls",
     ]
 
+    header = (
+        ["t"]
+        + [f"q{i + 1}_solve" for i in range(n)]
+        + [f"v{i + 1}_solve" for i in range(kr)]
+        + ["energy_solve"]
+        + [f"q{i + 1}_reint" for i in range(n)]
+        + [f"v{i + 1}_reint" for i in range(kr)]
+        + ["energy_reint"]
+    )
     base_steps = cfg.solver.steps
     results = {}
     all_converged = True
     for steps in (base_steps, 2 * base_steps):
         grid = TimeGrid(0.0, problem.horizon_T, steps)
-        traj, report = solve_del(model, problem, grid, settings)
+        try:
+            traj, report = solve_del(model, problem, grid, settings)
+        except SOLVER_FAILURES as exc:
+            return _solver_failure(
+                out_dir, {"compare.csv": header}, report_lines, exc, precision
+            )
         results[steps] = traj
         all_converged = all_converged and report.converged
         report_lines.append(
@@ -688,15 +740,6 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     traj = results[base_steps]
     reint = _reintegrate_from_first_enforced(model, traj)
-    header = (
-        ["t"]
-        + [f"q{i + 1}_solve" for i in range(n)]
-        + [f"v{i + 1}_solve" for i in range(kr)]
-        + ["energy_solve"]
-        + [f"q{i + 1}_reint" for i in range(n)]
-        + [f"v{i + 1}_reint" for i in range(kr)]
-        + ["energy_reint"]
-    )
     rows = []
     for idx in range(len(reint)):
         k = idx + 1
@@ -737,7 +780,13 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 "terminal-weight" if problem.terminal_mode == "hard" else "horizon"
             ),
         )
-        _, pmp_traj, pmp_report = solve_shooting(model, problem, None, pmp_settings)
+        try:
+            _, pmp_traj, pmp_report = solve_shooting(
+                model, problem, None, pmp_settings
+            )
+        except SOLVER_FAILURES as exc:
+            # compare.csv already holds the variational series
+            return _solver_failure(out_dir, {}, report_lines, exc, precision)
         all_converged = all_converged and pmp_report.converged
         j_pmp = trajectory_cost(model, problem, pmp_traj)
         rel = abs(j_var - j_pmp) / max(abs(j_pmp), 1e-30)
@@ -753,9 +802,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     code = 0 if all_converged else 2
     report_lines.append(f"exit code: {code}")
-    (out_dir / "report.txt").write_text(
-        "\n".join(report_lines) + "\n", encoding="utf-8"
-    )
+    _write_report(out_dir, report_lines)
     return code
 
 
@@ -885,29 +932,17 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
 )
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="Artifact root (default: config's output.directory or ./out).")
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Concurrent configs (solves are independent).")
-def run(configs, out, jobs):
+def run(configs, out):
     """Solve each config and write trajectory/diagnostics/report artifacts."""
     try:
         parsed = [(path, parse_config(path)) for path in configs]
     except ConfigError as exc:
         raise click.ClickException(str(exc))
 
-    def one(item):
-        path, cfg = item
+    worst = 0
+    for path, cfg in parsed:
         target = _resolve_out(cfg, out, _config_stem(path))
         code = run_experiment(cfg, target)
-        return path, target, code
-
-    if jobs > 1 and len(parsed) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, parsed))
-    else:
-        outcomes = [one(item) for item in parsed]
-
-    worst = 0
-    for path, target, code in outcomes:
         status = "converged" if code == 0 else "did not converge"
         click.echo(f"{path}: {status}; artifacts in {target}")
         worst = max(worst, code)

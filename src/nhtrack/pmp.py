@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .geometry import (
     AdmissibleState,
     ControlVector,
     SystemModel,
+    _as_control,
     dynamics_rhs,
     state_difference,
     wrap_angle,
@@ -235,7 +236,34 @@ class Costate:
 
 
 @dataclass(frozen=True)
-class ShootingSettings:
+class NewtonSettings:
+    """Damped-Newton settings shared by the shooting and variational solves.
+
+    newton_tol bounds the residual norm at convergence, max_iters the Newton
+    steps; fd_step is the finite-difference step of the route's Jacobian;
+    a rejected trial step is scaled by damping (in (0, 1)) at most
+    max_halvings times.
+    """
+
+    newton_tol: float = 1e-8
+    max_iters: int = 50
+    fd_step: float = 1e-6
+    damping: float = 0.5
+    max_halvings: int = 30
+
+    def __post_init__(self) -> None:
+        label = type(self).__name__
+        for name in ("newton_tol", "fd_step", "damping"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{label}.{name} must be positive")
+        if self.damping >= 1:
+            raise ValueError(f"{label}.damping must shrink the step (< 1)")
+        if self.max_iters <= 0 or self.max_halvings <= 0:
+            raise ValueError("iteration limits must be positive")
+
+
+@dataclass(frozen=True)
+class ShootingSettings(NewtonSettings):
     """Newton and flow settings for the shooting solve.
 
     continuation = "horizon" globalizes hard instances: the problem is solved
@@ -252,21 +280,12 @@ class ShootingSettings:
     residual has too small a Newton basin to reach from alpha0 directly.
     """
 
-    newton_tol: float = 1e-8
-    max_iters: int = 50
-    fd_step: float = 1e-6
-    damping: float = 0.5
-    max_halvings: int = 30
     inner_grid: TimeGrid | None = None
     continuation: str = "none"
     continuation_stages: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("newton_tol", "fd_step", "damping"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ShootingSettings.{name} must be positive")
-        if self.max_iters <= 0 or self.max_halvings <= 0:
-            raise ValueError("iteration limits must be positive")
+        super().__post_init__()
         if self.continuation not in ("none", "horizon", "terminal-weight"):
             raise ValueError(
                 "continuation must be 'none', 'horizon', or 'terminal-weight', "
@@ -292,6 +311,81 @@ class ConvergenceReport:
     message: str
 
 
+def damped_newton(
+    x: Array,
+    evaluate: Callable[[Array], tuple[Array, Any]],
+    correction: Callable[[Array, Array], Array],
+    norm: Callable[[Array], float],
+    norm_name: str,
+    settings: NewtonSettings,
+    rejected: type[Exception] | tuple[type[Exception], ...],
+) -> tuple[Array, Any, ConvergenceReport]:
+    """Damped Newton with backtracking on a flat vector of unknowns.
+
+    evaluate(x) returns the residual at x and any data the caller wants back
+    for the final iterate; correction(x, r) returns the full Newton step
+    delta.  Each iteration tries x + beta delta for beta = 1, damping,
+    damping^2, ... and accepts the first trial whose residual norm
+    decreases; a trial whose evaluation raises one of the rejected errors
+    counts as no decrease.  After max_halvings rejections the smallest step
+    is taken anyway; if that one fails to evaluate as well, the solve stops
+    unconverged at the current iterate.  Returns (x, data, report).
+    """
+    x = x.copy()
+    r, data = evaluate(x)
+    r_norm = norm(r)
+    records: list[IterationRecord] = []
+
+    def result(
+        converged: bool, iterations: int, message: str
+    ) -> tuple[Array, Any, ConvergenceReport]:
+        # the current iterate, its data and the log so far
+        report = ConvergenceReport(
+            converged, iterations, r_norm, tuple(records), message
+        )
+        return x, data, report
+
+    if r_norm <= settings.newton_tol:
+        return result(True, 0, "initial guess already within tolerance")
+
+    for iteration in range(1, settings.max_iters + 1):
+        delta = correction(x, r)
+        beta = 1.0
+        for _ in range(settings.max_halvings + 1):
+            cand = x + beta * delta
+            try:
+                r_c, data_c = evaluate(cand)
+            except rejected:
+                beta *= settings.damping
+                continue
+            if norm(r_c) < r_norm:
+                break
+            beta *= settings.damping
+        else:
+            # no decrease found; take the smallest damped step
+            cand = x + beta * delta
+            try:
+                r_c, data_c = evaluate(cand)
+            except rejected as exc:
+                return result(
+                    False, iteration - 1,
+                    f"no step could be evaluated at iteration {iteration}: "
+                    f"{exc} ({norm_name} {r_norm:.3e})",
+                )
+
+        x, r, data = cand, r_c, data_c
+        r_norm = norm(r)
+        records.append(IterationRecord(iteration, r_norm, beta))
+        if r_norm <= settings.newton_tol:
+            return result(True, iteration, "converged")
+
+    return result(
+        False, settings.max_iters,
+        f"no convergence in {settings.max_iters} iterations "
+        f"({norm_name} {r_norm:.3e})",
+    )
+
+
 @dataclass(frozen=True)
 class ShootingTrajectory:
     """State, costate, and control series of one shooting flow."""
@@ -315,10 +409,6 @@ def _check_time(problem: TrackingProblem, t: float) -> None:
         )
 
 
-def _as_array(u: ControlVector | Array) -> Array:
-    return u.u if isinstance(u, ControlVector) else np.asarray(u, dtype=float)
-
-
 def running_cost(
     model: SystemModel,
     problem: TrackingProblem,
@@ -331,7 +421,7 @@ def running_cost(
     _check_time(problem, t)
     ref = problem.reference(t)
     dq, dv = state_difference(model, state, ref)
-    uu = _as_array(u)
+    uu = _as_control(u)
     sw = problem.state_weight
     return 0.5 * (
         sw * float(dq @ dq) + sw * float(dv @ dv) + problem.epsilon * float(uu @ uu)
@@ -554,90 +644,40 @@ def _trajectory_from_series(
     )
 
 
-@dataclass
-class _NewtonOutcome:
-    alpha_vec: Array
-    times: Array
-    ys: Array
-    residual_norm: float
-    records: list[IterationRecord]
-    converged: bool
-    iterations: int
-    message: str
-
-
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
     alpha_vec: Array,
     settings: ShootingSettings,
     grid: TimeGrid,
-) -> _NewtonOutcome:
-    """One damped-Newton solve of the shooting system on a fixed grid."""
+) -> tuple[Array, tuple[Array, Array], ConvergenceReport]:
+    """One damped-Newton solve of the shooting system on a fixed grid.
+
+    Returns the final costate vector, the (times, ys) series of its flow,
+    and the report.
+    """
     rhs = _make_packed_rhs(model, problem)
-    dim = model.n + model.rank  # unknowns: (lambda(0), mu(0))
     y_state = problem.initial_state.as_vector()
 
-    def flow_and_residual(vec: Array) -> tuple[Array, Array, Array]:
-        y0 = np.concatenate([y_state, vec])
-        times, ys = _flow(rhs, y0, grid)
-        return times, ys, _terminal_residual(model, problem, ys[-1])
+    def flow(vec: Array) -> tuple[Array, tuple[Array, Array]]:
+        times, ys = _flow(rhs, np.concatenate([y_state, vec]), grid)
+        return _terminal_residual(model, problem, ys[-1]), (times, ys)
 
-    alpha_vec = alpha_vec.copy()
-    times, ys, r = flow_and_residual(alpha_vec)
-    r_norm = float(np.linalg.norm(r))
-    records: list[IterationRecord] = []
-
-    if r_norm <= settings.newton_tol:
-        return _NewtonOutcome(
-            alpha_vec, times, ys, r_norm, records, True, 0,
-            "initial guess already within tolerance",
-        )
-
-    for iteration in range(1, settings.max_iters + 1):
-        jac = np.empty((r.size, dim))
-        for j in range(dim):
-            step = settings.fd_step * max(1.0, abs(alpha_vec[j]))
-            probe = alpha_vec.copy()
+    def correction(vec: Array, r: Array) -> Array:
+        jac = np.empty((r.size, vec.size))
+        for j in range(vec.size):
+            step = settings.fd_step * max(1.0, abs(vec[j]))
+            probe = vec.copy()
             probe[j] += step
-            _, _, r_probe = flow_and_residual(probe)
-            jac[:, j] = (r_probe - r) / step
-
+            jac[:, j] = (flow(probe)[0] - r) / step
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularJacobianError(cond)
+        return np.linalg.solve(jac, -r)
 
-        delta = np.linalg.solve(jac, -r)
-        beta = 1.0
-        for _ in range(settings.max_halvings + 1):
-            cand = alpha_vec + beta * delta
-            try:
-                times_c, ys_c, r_c = flow_and_residual(cand)
-            except FlowDivergedError:
-                beta *= settings.damping
-                continue
-            if np.linalg.norm(r_c) < r_norm:
-                break
-            beta *= settings.damping
-        else:
-            # no decrease found; take the smallest damped step that flowed
-            cand = alpha_vec + beta * delta
-            times_c, ys_c, r_c = flow_and_residual(cand)
-
-        alpha_vec = cand
-        times, ys, r = times_c, ys_c, r_c
-        r_norm = float(np.linalg.norm(r))
-        records.append(IterationRecord(iteration, r_norm, beta))
-        if r_norm <= settings.newton_tol:
-            return _NewtonOutcome(
-                alpha_vec, times, ys, r_norm, records, True, iteration,
-                "converged",
-            )
-
-    return _NewtonOutcome(
-        alpha_vec, times, ys, r_norm, records, False, settings.max_iters,
-        f"no convergence in {settings.max_iters} iterations "
-        f"(residual norm {r_norm:.3e})",
+    return damped_newton(
+        alpha_vec, flow, correction, lambda r: float(np.linalg.norm(r)),
+        "residual norm", settings, FlowDivergedError,
     )
 
 
@@ -654,9 +694,10 @@ def _horizon_warmup(
         steps = max(1, round(grid.steps * j / stages))
         stage_problem = replace(problem, horizon_T=t_stage)
         stage_grid = TimeGrid(0.0, t_stage, steps)
-        warmup = _newton_shoot(model, stage_problem, alpha_vec, settings, stage_grid)
         # a failed stage still leaves the best costate found so far
-        alpha_vec = warmup.alpha_vec
+        alpha_vec, _, _ = _newton_shoot(
+            model, stage_problem, alpha_vec, settings, stage_grid
+        )
     return alpha_vec
 
 
@@ -670,7 +711,8 @@ def solve_shooting(
 
     Newton steps use forward-difference Jacobians (per-component step
     fd_step * max(1, |alpha_j|)) and a backtracking line search halving the
-    step until the residual 2-norm decreases (at most max_halvings times).
+    step until the residual 2-norm decreases (at most max_halvings times);
+    a trial step whose flow diverges counts as a rejected step.
     With settings.continuation = "horizon" the unknown initial costate is
     first tracked through a family of shortened-horizon problems before the
     full-horizon solve runs; "terminal-weight" instead tracks it through
@@ -698,20 +740,14 @@ def solve_shooting(
             )
             if j == 0 and settings.continuation_stages > 1:
                 alpha_vec = _horizon_warmup(model, soft, alpha_vec, settings, grid)
-            warmup = _newton_shoot(model, soft, alpha_vec, settings, grid)
-            alpha_vec = warmup.alpha_vec
+            alpha_vec, _, _ = _newton_shoot(model, soft, alpha_vec, settings, grid)
 
-    out = _newton_shoot(model, problem, alpha_vec, settings, grid)
-    n = model.n
-    alpha = Costate(lam=out.alpha_vec[:n], mu=out.alpha_vec[n:])
-    trajectory = _trajectory_from_series(model, problem, out.times, out.ys)
-    report = ConvergenceReport(
-        converged=out.converged,
-        iterations=out.iterations,
-        residual_norm=out.residual_norm,
-        records=tuple(out.records),
-        message=out.message,
+    alpha_vec, (times, ys), report = _newton_shoot(
+        model, problem, alpha_vec, settings, grid
     )
+    n = model.n
+    alpha = Costate(lam=alpha_vec[:n], mu=alpha_vec[n:])
+    trajectory = _trajectory_from_series(model, problem, times, ys)
     return alpha, trajectory, report
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AdmissibleState, SystemModel
+from .geometry import SystemModel
 
 Array = np.ndarray
 
@@ -196,16 +196,6 @@ def sleigh_structure_constants(params: SleighParams) -> Array:
     c[0, 0, 1] = params.eta
     c[0, 1, 0] = -params.eta
     return c
-
-
-def restricted_lagrangian(model: SystemModel, state: AdmissibleState) -> float:
-    """Restricted Lagrangian l(q, v) = 1/2 v^T G_D(q) v.
-
-    Both built-in systems are purely kinetic (no potential), so this equals
-    the restricted energy.
-    """
-    g = model.metric_d(state.q)
-    return 0.5 * float(state.v @ g @ state.v)
 
 
 SLEIGH_PRESETS: dict[str, SleighParams] = {

@@ -39,7 +39,13 @@ from .geometry import (
     state_difference,
 )
 from .ode import TimeGrid
-from .pmp import ConvergenceReport, IterationRecord, TrackingProblem, running_cost
+from .pmp import (
+    ConvergenceReport,
+    NewtonSettings,
+    TrackingProblem,
+    damped_newton,
+    running_cost,
+)
 
 Array = np.ndarray
 
@@ -60,7 +66,7 @@ class RegularityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DelSettings:
+class DelSettings(NewtonSettings):
     """Newton and discretization settings for the variational solve.
 
     psi_variant selects the velocity slot of the interval constraint:
@@ -73,21 +79,12 @@ class DelSettings:
 
     newton_tol: float = 1e-10
     max_iters: int = 100
-    fd_step: float = 1e-6
-    damping: float = 0.5
-    max_halvings: int = 30
     initial_guess_mode: str = "linear-interpolation"
     enforce_first_interval: bool = False
     psi_variant: str = "midpoint"
 
     def __post_init__(self) -> None:
-        for name in ("newton_tol", "fd_step", "damping"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"DelSettings.{name} must be positive")
-        if self.damping >= 1:
-            raise ValueError("DelSettings.damping must shrink the step (< 1)")
-        if self.max_iters <= 0 or self.max_halvings <= 0:
-            raise ValueError("iteration limits must be positive")
+        super().__post_init__()
         if self.initial_guess_mode not in GUESS_MODES:
             raise ValueError(
                 f"initial_guess_mode must be one of {GUESS_MODES}, "
@@ -562,7 +559,12 @@ def _solve_block_tridiagonal(
 
 
 class _DelWorkspace:
-    """Array-level view of the unknowns for the Newton iteration."""
+    """Flat-vector view of the unknowns for the Newton iteration.
+
+    The vector holds one block (q_k, v_k, lambda^k) per interior node
+    k = 1 .. N-1, followed by lambda^0 when the first interval is enforced;
+    the boundary nodes are pinned and not part of it.
+    """
 
     def __init__(
         self,
@@ -575,7 +577,6 @@ class _DelWorkspace:
     ) -> None:
         self.model = model
         self.problem = problem
-        self.grid = grid
         self.settings = settings
         self.node_first = node_first
         self.node_last = node_last
@@ -585,7 +586,7 @@ class _DelWorkspace:
         self.times = grid.times()
         self.h = grid.h
 
-    def initial_arrays(self) -> tuple[Array, Array, Array, Array | None]:
+    def initial_guess(self) -> Array:
         n, kr, steps = self.n, self.kr, self.steps
         q = np.empty((steps + 1, n))
         v = np.empty((steps + 1, kr))
@@ -598,15 +599,30 @@ class _DelWorkspace:
                 ref = self.problem.reference(float(t))
                 q[i] = ref.q
                 v[i] = ref.v
-        q[0], v[0] = self.node_first.q, self.node_first.v
-        q[-1], v[-1] = self.node_last.q, self.node_last.v
         lam = np.zeros((steps - 1, n))
         lam0 = np.zeros(n) if self.settings.enforce_first_interval else None
+        return self.pack(q, v, lam, lam0)
+
+    def pack(self, q: Array, v: Array, lam: Array, lam0: Array | None) -> Array:
+        blocks = np.concatenate([q[1:-1], v[1:-1], lam], axis=1).ravel()
+        return blocks if lam0 is None else np.concatenate([blocks, lam0])
+
+    def unpack(self, x: Array) -> tuple[Array, Array, Array, Array | None]:
+        n, kr, steps = self.n, self.kr, self.steps
+        size = (steps - 1) * (2 * n + kr)
+        blocks = x[:size].reshape(steps - 1, 2 * n + kr)
+        q = np.empty((steps + 1, n))
+        v = np.empty((steps + 1, kr))
+        q[0], v[0] = self.node_first.q, self.node_first.v
+        q[-1], v[-1] = self.node_last.q, self.node_last.v
+        q[1:-1] = blocks[:, :n]
+        v[1:-1] = blocks[:, n : n + kr]
+        lam = blocks[:, n + kr :].copy()
+        lam0 = x[size:].copy() if self.settings.enforce_first_interval else None
         return q, v, lam, lam0
 
-    def trajectory(
-        self, q: Array, v: Array, lam: Array, lam0: Array | None
-    ) -> DiscreteTrajectory:
+    def trajectory(self, x: Array) -> DiscreteTrajectory:
+        q, v, lam, lam0 = self.unpack(x)
         controls = np.empty((self.steps, self.kr))
         for j in range(self.steps):
             nk = AdmissibleState(q=q[j], v=v[j])
@@ -616,16 +632,15 @@ class _DelWorkspace:
         return DiscreteTrajectory(
             h=self.h,
             times=self.times.copy(),
-            q=q.copy(),
-            v=v.copy(),
-            multipliers=lam.copy(),
+            q=q,
+            v=v,
+            multipliers=lam,
             controls=controls,
-            lambda_zero=None if lam0 is None else lam0.copy(),
+            lambda_zero=lam0,
         )
 
-    def residual(
-        self, q: Array, v: Array, lam: Array, lam0: Array | None
-    ) -> Array:
+    def evaluate(self, x: Array) -> tuple[Array, None]:
+        q, v, lam, lam0 = self.unpack(x)
         traj = DiscreteTrajectory(
             h=self.h,
             times=self.times,
@@ -635,36 +650,47 @@ class _DelWorkspace:
             controls=np.zeros((self.steps, self.kr)),
             lambda_zero=lam0,
         )
-        return del_residual(
+        r = del_residual(
             self.model,
             self.problem,
             traj,
             self.settings,
             boundary=(self.node_first, self.node_last),
         )
+        return r, None
 
-    def apply_step(
-        self,
-        q: Array,
-        v: Array,
-        lam: Array,
-        lam0: Array | None,
-        delta: Array,
-        dlam0: Array | None,
-        scale: float,
-    ) -> tuple[Array, Array, Array, Array | None]:
-        n, kr = self.n, self.kr
-        block = 2 * n + kr
-        q2, v2, lam2 = q.copy(), v.copy(), lam.copy()
-        lam02 = None if lam0 is None else lam0.copy()
-        for k in range(1, self.steps):
-            seg = delta[(k - 1) * block : k * block]
-            q2[k] += scale * seg[:n]
-            v2[k] += scale * seg[n : n + kr]
-            lam2[k - 1] += scale * seg[n + kr :]
-        if lam02 is not None and dlam0 is not None:
-            lam02 += scale * dlam0
-        return q2, v2, lam2, lam02
+    def correction(self, x: Array, r: Array) -> Array:
+        """Newton step: the block-tridiagonal solve, bordered by the
+        lambda^0 column and Psi(0) rows when the first interval is
+        enforced."""
+        lower, diag, upper, border = self.jacobian_blocks(*self.unpack(x))
+        n, block = self.n, 2 * self.n + self.kr
+        off = 0 if border is None else n  # the Psi(0) rows come first
+        segs = r[off:].reshape(self.steps - 1, block)
+        if border is None:
+            rhs = [-seg for seg in segs]
+            return _solve_block_tridiagonal(lower, diag, upper, rhs)[:, 0]
+        # bordered system: the lambda^0 column and Psi(0) row couple only
+        # to block 1, with a zero corner; eliminate through the n x n Schur
+        # complement of the tridiagonal part
+        col, row = border
+        rhs = []
+        for i, seg in enumerate(segs):
+            stack = np.empty((seg.size, 1 + n))
+            stack[:, 0] = -seg
+            stack[:, 1:] = col if i == 0 else 0.0
+            rhs.append(stack)
+        sol = _solve_block_tridiagonal(lower, diag, upper, rhs)
+        x_r = sol[:, 0]
+        x_b = sol[:, 1:]
+        try:
+            dlam0 = np.linalg.solve(row @ x_b[:block], row @ x_r[:block] + r[:off])
+        except np.linalg.LinAlgError as exc:
+            raise RegularityError(
+                "singular first-interval Schur complement; the "
+                "enforced Psi(0) rows are degenerate at this iterate"
+            ) from exc
+        return np.concatenate([x_r - x_b @ dlam0, dlam0])
 
     def jacobian_blocks(
         self, q: Array, v: Array, lam: Array, lam0: Array | None
@@ -796,20 +822,6 @@ class _DelWorkspace:
         return lower, diag, upper, border
 
 
-def _residual_blocks(ws: _DelWorkspace, r: Array) -> tuple[list[Array], Array]:
-    """Split the stacked residual into per-block rows and the Psi(0) rows
-    (empty unless the first interval is enforced)."""
-    n, kr = ws.n, ws.kr
-    block = 2 * n + kr
-    off = n if ws.settings.enforce_first_interval else 0
-    psi0 = r[:off]
-    out = []
-    for k in range(1, ws.steps):
-        out.append(r[off : off + block])
-        off += block
-    return out, psi0
-
-
 def solve_del(
     model: SystemModel,
     problem: TrackingProblem,
@@ -822,7 +834,9 @@ def solve_del(
     the reference at the horizon (the terminal state is matched exactly, so
     the problem must be posed with terminal_mode="hard").  The Newton
     correction solves the block-tridiagonal saddle system directly;
-    backtracking halves the step until the residual max-norm decreases.
+    backtracking halves the step until the residual max-norm decreases, and
+    a trial step whose residual fails numerically (ArithmeticError) counts
+    as a rejected step.
     Nonconvergence is reported, not raised.
     """
     if problem.terminal_mode != "hard":
@@ -840,87 +854,12 @@ def solve_del(
     node_first = problem.initial_state
     node_last = problem.reference(problem.horizon_T)
     ws = _DelWorkspace(model, problem, grid, settings, node_first, node_last)
-    q, v, lam, lam0 = ws.initial_arrays()
-
-    r = ws.residual(q, v, lam, lam0)
-    r_norm = float(np.max(np.abs(r)))
-    records: list[IterationRecord] = []
-    converged = r_norm <= settings.newton_tol
-    message = "initial guess already within tolerance" if converged else ""
-    iterations = 0
-
-    if not converged:
-        for iteration in range(1, settings.max_iters + 1):
-            lower, diag, upper, border = ws.jacobian_blocks(q, v, lam, lam0)
-            seg_list, psi0 = _residual_blocks(ws, r)
-            if border is None:
-                rhs = [-seg for seg in seg_list]
-                delta = _solve_block_tridiagonal(lower, diag, upper, rhs)[:, 0]
-                dlam0 = None
-            else:
-                # bordered system: the lambda^0 column and Psi(0) row couple
-                # only to block 1, with a zero corner; eliminate through the
-                # n x n Schur complement of the tridiagonal part
-                col, row = border
-                n = ws.n
-                rhs = []
-                for i, seg in enumerate(seg_list):
-                    stack = np.empty((seg.size, 1 + n))
-                    stack[:, 0] = -seg
-                    stack[:, 1:] = col if i == 0 else 0.0
-                    rhs.append(stack)
-                sol = _solve_block_tridiagonal(lower, diag, upper, rhs)
-                x_r = sol[:, 0]
-                x_b = sol[:, 1:]
-                block1 = slice(0, 2 * n + ws.kr)
-                try:
-                    dlam0 = np.linalg.solve(
-                        row @ x_b[block1], row @ x_r[block1] + psi0
-                    )
-                except np.linalg.LinAlgError as exc:
-                    raise RegularityError(
-                        "singular first-interval Schur complement; the "
-                        "enforced Psi(0) rows are degenerate at this iterate"
-                    ) from exc
-                delta = x_r - x_b @ dlam0
-
-            beta = 1.0
-            improved = False
-            for _ in range(settings.max_halvings + 1):
-                cand = ws.apply_step(q, v, lam, lam0, delta, dlam0, beta)
-                r_cand = ws.residual(*cand)
-                if float(np.max(np.abs(r_cand))) < r_norm:
-                    improved = True
-                    break
-                beta *= settings.damping
-            if not improved:
-                cand = ws.apply_step(q, v, lam, lam0, delta, dlam0, beta)
-                r_cand = ws.residual(*cand)
-
-            q, v, lam, lam0 = cand
-            r = r_cand
-            r_norm = float(np.max(np.abs(r)))
-            records.append(IterationRecord(iteration, r_norm, beta))
-            iterations = iteration
-            if r_norm <= settings.newton_tol:
-                converged = True
-                message = "converged"
-                break
-        else:
-            message = (
-                f"no convergence in {settings.max_iters} iterations "
-                f"(residual max-norm {r_norm:.3e})"
-            )
-
-    traj = ws.trajectory(q, v, lam, lam0)
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=iterations,
-        residual_norm=r_norm,
-        records=tuple(records),
-        message=message,
+    x, _, report = damped_newton(
+        ws.initial_guess(), ws.evaluate, ws.correction,
+        lambda r: float(np.max(np.abs(r))), "residual max-norm",
+        settings, ArithmeticError,
     )
-    return traj, report
+    return ws.trajectory(x), report
 
 
 # ---------------------------------------------------------------------------

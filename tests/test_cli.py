@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nhtrack import cli
 from nhtrack.cli import (
     ConfigError,
     compare_experiment,
@@ -19,6 +20,8 @@ from nhtrack.cli import (
     parse_config,
     run_experiment,
 )
+from nhtrack.pmp import SingularJacobianError
+from nhtrack.varint import RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
 
@@ -57,7 +60,6 @@ def equilibrium_cfg(tmp_path: Path, **extra_solver) -> Path:
 
         [output]
         precision = 17
-        seed = 0
         """,
     )
 
@@ -126,6 +128,20 @@ class TestParsing:
             """,
         )
         with pytest.raises(ConfigError, match="sleigh:custom only"):
+            parse_config(path)
+
+    def test_unknown_key_is_named(self, tmp_path):
+        text = equilibrium_cfg(tmp_path).read_text()
+        path = write_cfg(
+            tmp_path, "typo.cfg", text.replace("epsilon = 2.0", "epsilonn = 0.5")
+        )
+        with pytest.raises(ConfigError, match=r"\[problem\].*epsilonn"):
+            parse_config(path)
+
+    def test_unknown_section_is_named(self, tmp_path):
+        text = equilibrium_cfg(tmp_path).read_text()
+        path = write_cfg(tmp_path, "extra.cfg", text + "\n[plot]\nstyle = dots\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[plot\]"):
             parse_config(path)
 
     def test_variational_needs_steps(self, tmp_path):
@@ -311,11 +327,39 @@ class TestRunCommand:
         result = runner.invoke(
             main,
             ["run", "--config", str(first), "--config", str(second),
-             "--out", str(tmp_path / "multi"), "--jobs", "2"],
+             "--out", str(tmp_path / "multi")],
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "multi" / "equilibrium" / "trajectory.csv").exists()
         assert (tmp_path / "multi" / "second" / "trajectory.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "solver, error, config",
+        [
+            ("solve_del", RegularityError("singular block"), "equilibrium"),
+            ("solve_shooting", SingularJacobianError(1e15), "particle-case2"),
+        ],
+    )
+    def test_numerical_failure_exits_two_with_artifacts(
+        self, tmp_path, monkeypatch, solver, error, config
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, solver, fail)
+        if config == "equilibrium":
+            path = equilibrium_cfg(tmp_path)
+        else:
+            path = BUNDLED / f"{config}.cfg"
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        out = tmp_path / "out" / config
+        assert (out / "trajectory.csv").exists()
+        assert (out / "diagnostics.csv").exists()
+        assert f"solver failure: {error}" in (out / "report.txt").read_text()
 
 
 class TestCompareCommand:
@@ -370,6 +414,20 @@ class TestCompareCommand:
         assert "[cross-method]" in report
         assert "variational cost" in report
         assert "shooting cost" in report
+
+    def test_numerical_failure_exits_two_with_artifacts(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RegularityError("singular block")
+
+        monkeypatch.setattr(cli, "solve_del", fail)
+        path = equilibrium_cfg(tmp_path)
+        result = CliRunner().invoke(
+            main, ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        out = tmp_path / "out" / "equilibrium"
+        assert (out / "compare.csv").exists()
+        assert "solver failure: singular block" in (out / "report.txt").read_text()
 
     def test_rejects_shooting_config(self, tmp_path):
         runner = CliRunner()

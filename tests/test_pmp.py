@@ -17,11 +17,13 @@ from nhtrack.pmp import (
     AnalyticReference,
     Costate,
     FlowDivergedError,
+    NewtonSettings,
     RolloutReference,
     ShootingSettings,
     SingularJacobianError,
     TrackingProblem,
     abnormal_diagnostic,
+    damped_newton,
     hamiltonian,
     optimal_control,
     optimal_hamiltonian,
@@ -712,11 +714,72 @@ def test_costate_vector_roundtrip():
         {"max_halvings": 0},
         {"continuation": "omega"},
         {"continuation_stages": 0},
+        {"damping": 1.5},
     ],
 )
 def test_shooting_settings_validation(kwargs):
     with pytest.raises(ValueError):
         ShootingSettings(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# damped-Newton driver on a toy scalar residual r(x) = x^2 - 4
+
+
+def _square_root_problem(fails):
+    """evaluate/correction for r(x) = x^2 - 4; evaluate raises
+    ArithmeticError wherever fails(x) holds."""
+
+    def evaluate(x):
+        if fails(x[0]):
+            raise ArithmeticError(f"cannot evaluate at x = {x[0]}")
+        return np.array([x[0] ** 2 - 4.0]), x[0]
+
+    def correction(x, r):
+        return -r / (2.0 * x)
+
+    return evaluate, correction
+
+
+def _abs_norm(r):
+    return float(abs(r[0]))
+
+
+def test_damped_newton_backtracks_past_a_trial_that_fails_to_evaluate():
+    evaluate, correction = _square_root_problem(lambda x: x > 2.2)
+    x, data, report = damped_newton(
+        np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
+        NewtonSettings(newton_tol=1e-12), ArithmeticError,
+    )
+    # the full first step lands at 2.5 and fails; the halved one is taken
+    assert report.records[0].damping == 0.5
+    assert report.converged
+    assert x[0] == pytest.approx(2.0, abs=1e-12)
+    assert data == x[0]
+
+
+def test_damped_newton_reports_when_no_trial_step_evaluates():
+    evaluate, correction = _square_root_problem(lambda x: x != 1.0)
+    x, data, report = damped_newton(
+        np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
+        NewtonSettings(max_halvings=3), ArithmeticError,
+    )
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.records == ()
+    assert report.residual_norm == 3.0
+    assert "no step could be evaluated at iteration 1" in report.message
+    assert "(residual norm 3.000e+00)" in report.message
+    assert x[0] == 1.0 and data == 1.0
+
+
+def test_damped_newton_lets_other_errors_through():
+    evaluate, correction = _square_root_problem(lambda x: x > 2.2)
+    with pytest.raises(ArithmeticError):
+        damped_newton(
+            np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
+            NewtonSettings(), FlowDivergedError,
+        )
 
 
 def test_singular_jacobian_error_suggests_regularization():

@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nhtrack.geometry import AdmissibleState, admissibility_velocity, dynamics_rhs
+from nhtrack.geometry import (
+    AdmissibleState,
+    admissibility_velocity,
+    dynamics_rhs,
+    restricted_energy,
+)
 from nhtrack.ode import TimeGrid, integrate
 from nhtrack.systems import (
     SleighParams,
     available_systems,
     particle_model,
     resolve_system,
-    restricted_lagrangian,
     sleigh_model,
 )
 
@@ -37,10 +41,10 @@ def test_sleigh_params_validation(kwargs):
         SleighParams(**kwargs)
 
 
-def test_particle_restricted_lagrangian_value():
+def test_particle_restricted_energy_value():
     model = particle_model()
     state = AdmissibleState(q=[0.0, 1.0, 0.0], v=[1.0, 1.0])
-    assert restricted_lagrangian(model, state) == pytest.approx(1.5, abs=1e-15)
+    assert restricted_energy(model, state) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_particle_metric_identity_at_y_zero():
