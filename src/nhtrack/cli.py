@@ -387,6 +387,18 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
 def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
     blk = cfg.problem
     if blk.reference == "analytic":
+        vectors = ("q_base", "q_slope", "v_base", "v_slope")
+    else:
+        vectors = ("rollout_q", "rollout_v")
+    for key in vectors + ("initial_q", "initial_v"):
+        size = model.n if "q" in key else model.rank  # q or v vector
+        got = len(getattr(blk, key))
+        if got != size:
+            raise ConfigError(
+                f"{key} needs {size} entries for system {cfg.system.preset}, "
+                f"got {got}"
+            )
+    if blk.reference == "analytic":
         reference = AnalyticReference(
             q_base=blk.q_base, q_slope=blk.q_slope,
             v_base=blk.v_base, v_slope=blk.v_slope,
@@ -410,14 +422,43 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
     )
 
 
-def _del_settings(cfg: ExperimentConfig) -> DelSettings:
-    return DelSettings(
-        newton_tol=cfg.solver.newton_tol,
-        max_iters=cfg.solver.max_iters,
-        psi_variant=cfg.solver.psi_variant,
-        enforce_first_interval=cfg.solver.enforce_first_interval,
-        initial_guess_mode=cfg.solver.initial_guess_mode,
-    )
+def _build(cfg: ExperimentConfig) -> tuple[
+    SystemModel, TrackingProblem, ShootingSettings | DelSettings, TimeGrid | None
+]:
+    """Model, problem, solver settings and grid of a config.
+
+    The grid spans the horizon in `steps` intervals (None when steps is
+    unset).  A value the library rejects while building them, such as a
+    negative omega or a zero continuation_stages, becomes a ConfigError.
+    """
+    blk = cfg.solver
+    try:
+        model = build_model(cfg)
+        problem = build_problem(cfg, model)
+        grid = (
+            TimeGrid(0.0, problem.horizon_T, blk.steps)
+            if blk.steps is not None
+            else None
+        )
+        if blk.method == "pmp-shooting":
+            settings = ShootingSettings(
+                newton_tol=blk.newton_tol,
+                max_iters=blk.max_iters,
+                inner_grid=grid,
+                continuation=blk.continuation,
+                continuation_stages=blk.continuation_stages,
+            )
+        else:
+            settings = DelSettings(
+                newton_tol=blk.newton_tol,
+                max_iters=blk.max_iters,
+                psi_variant=blk.psi_variant,
+                enforce_first_interval=blk.enforce_first_interval,
+                initial_guess_mode=blk.initial_guess_mode,
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return model, problem, settings, grid
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +511,11 @@ def _iteration_log(report) -> list[str]:
     return lines
 
 
-def _fd_qdot(times: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Central differences inside, one-sided at the ends."""
-    qdot = np.empty_like(q)
-    qdot[1:-1] = (q[2:] - q[:-2]) / (times[2:, None] - times[:-2, None])
-    qdot[0] = (q[1] - q[0]) / (times[1] - times[0])
-    qdot[-1] = (q[-1] - q[-2]) / (times[-1] - times[-2])
-    return qdot
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Solve one config and write trajectory.csv, diagnostics.csv and
     report.txt into out_dir.  Returns the process exit code."""
+    model, problem, settings, grid = _build(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
-    problem = build_problem(cfg, model)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
     q_cols = [f"q{i + 1}" for i in range(n)]
@@ -503,17 +534,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     ]
 
     if cfg.solver.method == "pmp-shooting":
-        settings = ShootingSettings(
-            newton_tol=cfg.solver.newton_tol,
-            max_iters=cfg.solver.max_iters,
-            inner_grid=(
-                TimeGrid(0.0, problem.horizon_T, cfg.solver.steps)
-                if cfg.solver.steps is not None
-                else None
-            ),
-            continuation=cfg.solver.continuation,
-            continuation_stages=cfg.solver.continuation_stages,
-        )
         traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols + [
             f"mu{i + 1}" for i in range(kr)
         ]
@@ -551,7 +571,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             restricted_energy(model, AdmissibleState(q=traj.q[i], v=traj.v[i]))
             for i in range(len(traj.times))
         ])
-        qdot = _fd_qdot(traj.times, traj.q)
+        qdot = np.gradient(traj.q, traj.times, axis=0)
         cres = np.array([
             np.max(np.abs(constraint_residual(model, traj.q[i], qdot[i])))
             for i in range(len(traj.times))
@@ -580,8 +600,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         code = 0 if report.converged else 2
 
     else:
-        settings = _del_settings(cfg)
-        grid = TimeGrid(0.0, problem.horizon_T, cfg.solver.steps)
         traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols
         try:
             traj, report = solve_del(model, problem, grid, settings)
@@ -692,12 +710,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     report.txt.  Returns the process exit code."""
     if cfg.solver.method != "variational":
         raise ConfigError("compare needs a variational solver config")
+    model, problem, settings, grid = _build(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
-    problem = build_problem(cfg, model)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
-    settings = _del_settings(cfg)
     report_lines = [
         "nhtrack compare report",
         f"system: {cfg.system.preset}",
@@ -719,13 +735,14 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         + [f"v{i + 1}_reint" for i in range(kr)]
         + ["energy_reint"]
     )
-    base_steps = cfg.solver.steps
+    base_steps = grid.steps
     results = {}
     all_converged = True
     for steps in (base_steps, 2 * base_steps):
-        grid = TimeGrid(0.0, problem.horizon_T, steps)
         try:
-            traj, report = solve_del(model, problem, grid, settings)
+            traj, report = solve_del(
+                model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings
+            )
         except SOLVER_FAILURES as exc:
             return _solver_failure(
                 out_dir, {"compare.csv": header}, report_lines, exc, precision
@@ -942,7 +959,10 @@ def run(configs, out):
     worst = 0
     for path, cfg in parsed:
         target = _resolve_out(cfg, out, _config_stem(path))
-        code = run_experiment(cfg, target)
+        try:
+            code = run_experiment(cfg, target)
+        except ConfigError as exc:
+            raise click.ClickException(f"{path}: {exc}")
         status = "converged" if code == 0 else "did not converge"
         click.echo(f"{path}: {status}; artifacts in {target}")
         worst = max(worst, code)

@@ -36,9 +36,8 @@ class SystemModel:
     - potential_grad(q)[A] = (G_D)^{AB} rho^i_B dV/dq^i (zero for the
       built-in models, which carry no potential)
     - annihilator(q)[a, i] = mu^a_i
-    - christoffel_jac, when provided, returns the exact Gamma derivative
-      [A, B, C, j] = d Gamma^A_{BC} / d q^j; solvers that need it fall back
-      to finite differences when it is None.
+    - christoffel_jac(q)[A, B, C, j] = d Gamma^A_{BC} / d q^j, exact
+      (required: both solver routes differentiate the drift with it)
     """
 
     n: int
@@ -46,12 +45,12 @@ class SystemModel:
     rho: Callable[[Array], Array]
     rho_jac: Callable[[Array], Array]
     christoffel: Callable[[Array], Array]
+    christoffel_jac: Callable[[Array], Array]
     metric_d: Callable[[Array], Array]
     potential_grad: Callable[[Array], Array]
     annihilator: Callable[[Array], Array]
     angle_indices: frozenset[int] = field(default_factory=frozenset)
     name: str = "unnamed"
-    christoffel_jac: Callable[[Array], Array] | None = None
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -147,6 +146,34 @@ def dynamics_rhs(
         + uu
     )
     return qdot, vdot
+
+
+def _potential_grad_jac(model: SystemModel, q: Array, step: float = 1e-6) -> Array:
+    n, k = model.n, model.rank
+    out = np.zeros((k, n))
+    for i in range(n):
+        qp = q.copy()
+        qp[i] += step
+        qm = q.copy()
+        qm[i] -= step
+        out[:, i] = (model.potential_grad(qp) - model.potential_grad(qm)) / (2 * step)
+    return out
+
+
+def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
+    """Drift a = Gamma(q) v v + potential_grad(q) of vdot = u - a, with its
+    derivatives.
+
+    Returns (a, a_q, a_v): a_q[A, j] = d a^A / d q^j from the exact
+    Christoffel Jacobian, a_v[B, A] = d a^B / d v^A =
+    (Gamma^B_{AC} + Gamma^B_{CA}) v^C.
+    """
+    gam = model.christoffel(q)
+    a = (gam @ v) @ v + model.potential_grad(q)
+    a_q = np.einsum("abcj,b,c->aj", model.christoffel_jac(q), v, v)
+    a_q += _potential_grad_jac(model, q)
+    a_v = (gam + gam.transpose(0, 2, 1)) @ v
+    return a, a_q, a_v
 
 
 def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:

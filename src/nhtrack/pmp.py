@@ -37,6 +37,7 @@ from .geometry import (
     ControlVector,
     SystemModel,
     _as_control,
+    drift,
     dynamics_rhs,
     state_difference,
     wrap_angle,
@@ -44,10 +45,6 @@ from .geometry import (
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 
 Array = np.ndarray
-
-# finite-difference step for the q-derivatives of the Christoffel tensor and
-# the potential gradient inside the adjoint assembly
-GAMMA_FD_STEP = 1e-6
 
 
 class FlowDivergedError(RuntimeError):
@@ -253,13 +250,11 @@ class NewtonSettings:
 
     def __post_init__(self) -> None:
         label = type(self).__name__
-        for name in ("newton_tol", "fd_step", "damping"):
+        for name in ("newton_tol", "fd_step", "damping", "max_iters", "max_halvings"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{label}.{name} must be positive")
         if self.damping >= 1:
             raise ValueError(f"{label}.damping must shrink the step (< 1)")
-        if self.max_iters <= 0 or self.max_halvings <= 0:
-            raise ValueError("iteration limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -471,23 +466,20 @@ def optimal_hamiltonian(
 
 
 def _make_packed_rhs(
-    model: SystemModel, problem: TrackingProblem, gamma_fd_step: float = GAMMA_FD_STEP
+    model: SystemModel, problem: TrackingProblem
 ) -> Callable[[float, Array], Array]:
     """RHS of the coupled flow on packed vectors y = (q, v, lambda, mu).
 
-    The adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv with the
-    q-derivatives of the Christoffel tensor and the potential gradient taken
-    by central finite differences of step gamma_fd_step.
+    The adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv, with the
+    drift derivatives taken exactly from geometry.drift.
     """
     n, k = model.n, model.rank
     rho_f, rho_jac_f = model.rho, model.rho_jac
-    gamma_f, pg_f = model.christoffel, model.potential_grad
     reference = problem.reference
     lam0 = problem.lambda0
     inv_le = 1.0 / (lam0 * problem.epsilon)
     track = lam0 * problem.state_weight
     angle_idx = sorted(model.angle_indices)
-    fd = gamma_fd_step
 
     def rhs(t: float, y: Array) -> Array:
         q = y[:n]
@@ -502,30 +494,16 @@ def _make_packed_rhs(
 
         rho = rho_f(q)
         rjac = rho_jac_f(q)
-        gam = gamma_f(q)
+        a, a_q, a_v = drift(model, q, v)
         u = -inv_le * mu
 
         qdot = rho @ v
-        vdot = -((gam @ v) @ v) - pg_f(q) + u
-
-        # d(vdot)/dq by central differences of the drift -Gamma v v - pg
-        dvq = np.empty((k, n))
-        for i in range(n):
-            qp = q.copy()
-            qp[i] += fd
-            qm = q.copy()
-            qm[i] -= fd
-            drift_p = -((gamma_f(qp) @ v) @ v) - pg_f(qp)
-            drift_m = -((gamma_f(qm) @ v) @ v) - pg_f(qm)
-            dvq[:, i] = (drift_p - drift_m) / (2.0 * fd)
-
-        # d(vdot^B)/dv^A = -(Gamma^B_{AC} + Gamma^B_{CA}) v^C
-        dvv = -((gam + gam.transpose(0, 2, 1)) @ v)
+        vdot = u - a
 
         # sum_{j,A} lambda_j drho^j_A/dq^i v^A
         pull = (lam @ rjac.reshape(n, -1)).reshape(k, n)
-        lamdot = -(track * dq + v @ pull + dvq.T @ mu)
-        mudot = -(track * dv + rho.T @ lam + dvv.T @ mu)
+        lamdot = -(track * dq + v @ pull - a_q.T @ mu)
+        mudot = -(track * dv + rho.T @ lam - a_v.T @ mu)
         return np.concatenate([qdot, vdot, lamdot, mudot])
 
     return rhs
@@ -537,15 +515,14 @@ def pmp_rhs(
     t: float,
     state: AdmissibleState,
     costate: Costate,
-    fd_step: float = GAMMA_FD_STEP,
 ) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
     """Coupled state-costate derivatives at one point.
 
     The state part is the controlled dynamics at the minimizing control; the
-    costate part is the adjoint flow -lambdadot = dH*/dq, -mudot = dH*/dv.
-    Returns ((qdot, vdot), (lambdadot, mudot)).
+    costate part is the adjoint flow -lambdadot = dH*/dq, -mudot = dH*/dv
+    with exact drift derivatives.  Returns ((qdot, vdot), (lambdadot, mudot)).
     """
-    rhs = _make_packed_rhs(model, problem, gamma_fd_step=fd_step)
+    rhs = _make_packed_rhs(model, problem)
     y = np.concatenate([state.q, state.v, costate.lam, costate.mu])
     out = rhs(t, y)
     if not np.all(np.isfinite(out)):

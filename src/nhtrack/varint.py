@@ -35,6 +35,7 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
+    drift,
     restricted_energy,
     state_difference,
 )
@@ -197,18 +198,6 @@ def ocp_lagrangian(
     return problem.lambda0 * running_cost(model, problem, t, state, u)
 
 
-def _potential_grad_jac(model: SystemModel, q: Array, step: float = 1e-6) -> Array:
-    n, k = model.n, model.rank
-    out = np.zeros((k, n))
-    for i in range(n):
-        qp = q.copy()
-        qp[i] += step
-        qm = q.copy()
-        qm[i] -= step
-        out[:, i] = (model.potential_grad(qp) - model.potential_grad(qm)) / (2 * step)
-    return out
-
-
 def _lagrangian_gradients(
     model: SystemModel,
     problem: TrackingProblem,
@@ -216,41 +205,16 @@ def _lagrangian_gradients(
     q: Array,
     v: Array,
     vdot: Array,
-    fd_step: float = 1e-6,
 ) -> tuple[Array, Array, Array]:
-    """(dL/dq, dL/dv, dL/dvdot) of ocp_lagrangian.
-
-    Exact when the model carries a Christoffel Jacobian (both built-in
-    benchmarks do); otherwise central finite differences of step fd_step.
-    """
-    if model.christoffel_jac is None:
-        args = (q, v, vdot)
-        grads = []
-        for slot in range(3):
-            g = np.empty(args[slot].size)
-            for i in range(args[slot].size):
-                pert = [a.copy() for a in args]
-                pert[slot][i] += fd_step
-                up = ocp_lagrangian(model, problem, t, *pert)
-                pert[slot][i] -= 2 * fd_step
-                dn = ocp_lagrangian(model, problem, t, *pert)
-                g[i] = (up - dn) / (2 * fd_step)
-            grads.append(g)
-        return grads[0], grads[1], grads[2]
-
+    """(dL/dq, dL/dv, dL/dvdot) of ocp_lagrangian, exact through the
+    drift derivatives u = vdot + a(q, v)."""
     lam0 = problem.lambda0
     eps = problem.epsilon
     sw = problem.state_weight
     ref = problem.reference(t)
     dq, dv = state_difference(model, AdmissibleState(q=q, v=v), ref)
-    gam = model.christoffel(q)
-    u = vdot + (gam @ v) @ v + model.potential_grad(q)
-
-    # du^A/dq^i from the exact Christoffel Jacobian (plus the potential term)
-    du_dq = np.einsum("abcj,b,c->aj", model.christoffel_jac(q), v, v)
-    du_dq += _potential_grad_jac(model, q)
-    # du^B/dv^A = (Gamma^B_{AC} + Gamma^B_{CA}) v^C
-    du_dv = (gam + gam.transpose(0, 2, 1)) @ v
+    a, du_dq, du_dv = drift(model, q, v)
+    u = vdot + a
 
     grad_q = lam0 * (sw * dq + eps * (u @ du_dq))
     grad_v = lam0 * (sw * dv + eps * (du_dv.T @ u))
@@ -379,13 +343,12 @@ def _lagrangian_slots(
     node_k1: AdmissibleState,
     t_k: float,
     h: float,
-    fd_step: float,
 ) -> tuple[Array, Array, Array, Array]:
     """(D1, D2, D3, D4) of the discrete Lagrangian: derivatives with
     respect to q_k, v_k, q_{k+1}, v_{k+1} through the midpoint arguments."""
     q_mid, v_mid, v_dq = _interval_data(node_k, node_k1, h)
     gq, gv, gvd = _lagrangian_gradients(
-        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq, fd_step
+        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
     )
     d1 = 0.5 * h * gq
     d3 = d1.copy()
@@ -432,15 +395,45 @@ def _interval_gradients(
     lam: Array,
     t_k: float,
     h: float,
-    fd_step: float,
     psi_variant: str,
 ) -> tuple[Array, Array, Array, Array]:
     """Slot gradients of the augmented interval term L_d + lam . Psi_d."""
-    l1, l2, l3, l4 = _lagrangian_slots(
-        model, problem, node_k, node_k1, t_k, h, fd_step
-    )
+    l1, l2, l3, l4 = _lagrangian_slots(model, problem, node_k, node_k1, t_k, h)
     p1, p2, p3, p4 = _constraint_slots(model, node_k, node_k1, h, psi_variant)
     return l1 + lam @ p1, l2 + lam @ p2, l3 + lam @ p3, l4 + lam @ p4
+
+
+def _interval_hessian(
+    model: SystemModel,
+    problem: TrackingProblem,
+    node_k: AdmissibleState,
+    node_k1: AdmissibleState,
+    lam: Array,
+    t_k: float,
+    h: float,
+    psi_variant: str,
+    step: float,
+) -> Array:
+    """Hessian of L_d + lam . Psi_d over (q_k, v_k, q_{k+1}, v_{k+1}), by
+    central differences of step `step` of the exact slot gradients,
+    symmetrized."""
+    n, nv = model.n, model.n + model.rank
+
+    def grad(x: Array) -> Array:
+        nk = AdmissibleState(q=x[:n], v=x[n:nv])
+        nk1 = AdmissibleState(q=x[nv : nv + n], v=x[nv + n :])
+        g = _interval_gradients(model, problem, nk, nk1, lam, t_k, h, psi_variant)
+        return np.concatenate(g)
+
+    x0 = np.concatenate([node_k.q, node_k.v, node_k1.q, node_k1.v])
+    hess = np.empty((2 * nv, 2 * nv))
+    for c in range(2 * nv):
+        xp = x0.copy()
+        xp[c] += step
+        xm = x0.copy()
+        xm[c] -= step
+        hess[:, c] = (grad(xp) - grad(xm)) / (2 * step)
+    return 0.5 * (hess + hess.T)
 
 
 def del_residual(
@@ -497,12 +490,12 @@ def del_residual(
     # slot gradients of interval k-1 (reused as the loop advances)
     prev = _interval_gradients(
         model, problem, node_at(0), node_at(1), lam_at(0),
-        traj.times[0], h, settings.fd_step, settings.psi_variant,
+        traj.times[0], h, settings.psi_variant,
     )
     for k in range(1, steps):
         cur = _interval_gradients(
             model, problem, node_at(k), node_at(k + 1), lam_at(k),
-            traj.times[k], h, settings.fd_step, settings.psi_variant,
+            traj.times[k], h, settings.psi_variant,
         )
         pieces.append(cur[0] + prev[2])
         pieces.append(cur[1] + prev[3])
@@ -714,62 +707,31 @@ class _DelWorkspace:
         n, kr, steps, h = self.n, self.kr, self.steps, self.h
         nv = n + kr
         block = 2 * n + kr
-        fd = settings.fd_step
 
         def lam_at(j: int) -> Array:
             if j == 0:
                 return lam0 if lam0 is not None else np.zeros(n)
             return lam[j - 1]
 
-        def node_q(j: int) -> Array:
+        def node(j: int) -> AdmissibleState:
             if j == 0:
-                return self.node_first.q
+                return self.node_first
             if j == steps:
-                return self.node_last.q
-            return q[j]
+                return self.node_last
+            return AdmissibleState(q=q[j], v=v[j])
 
-        def node_v(j: int) -> Array:
-            if j == 0:
-                return self.node_first.v
-            if j == steps:
-                return self.node_last.v
-            return v[j]
-
-        # per-interval Hessian of L_d + lam Psi over the node variables,
-        # by central differences of the exact slot gradients
         hess = []
         psi_slots = []
         for j in range(steps):
-            lamj = lam_at(j)
-
-            def grad(x: Array, j=j, lamj=lamj) -> Array:
-                nk = AdmissibleState(q=x[:n], v=x[n:nv])
-                nk1 = AdmissibleState(q=x[nv : nv + n], v=x[nv + n :])
-                g = _interval_gradients(
-                    model, problem, nk, nk1, lamj,
-                    self.times[j], h, fd, settings.psi_variant,
+            nk, nk1 = node(j), node(j + 1)
+            hess.append(
+                _interval_hessian(
+                    model, problem, nk, nk1, lam_at(j), self.times[j], h,
+                    settings.psi_variant, settings.fd_step,
                 )
-                return np.concatenate(g)
-
-            x0 = np.concatenate(
-                [node_q(j), node_v(j), node_q(j + 1), node_v(j + 1)]
             )
-            hj = np.empty((2 * nv, 2 * nv))
-            for c in range(2 * nv):
-                xp = x0.copy()
-                xp[c] += fd
-                xm = x0.copy()
-                xm[c] -= fd
-                hj[:, c] = (grad(xp) - grad(xm)) / (2 * fd)
-            hess.append(0.5 * (hj + hj.T))
             psi_slots.append(
-                _constraint_slots(
-                    model,
-                    AdmissibleState(q=node_q(j), v=node_v(j)),
-                    AdmissibleState(q=node_q(j + 1), v=node_v(j + 1)),
-                    h,
-                    settings.psi_variant,
-                )
+                _constraint_slots(model, nk, nk1, h, settings.psi_variant)
             )
 
         lower: list[Array | None] = []
@@ -897,25 +859,13 @@ def regularity_check(
     lam = np.asarray(lam, dtype=float)
     nv = n + kr
 
-    def grad12(x: Array) -> Array:
-        nk1 = AdmissibleState(q=x[:n], v=x[n:])
-        g = _interval_gradients(
-            model, problem, node_k, nk1, lam, t_k, h, fd_step, "midpoint"
-        )
-        return np.concatenate([g[0], g[1]])
-
-    x0 = np.concatenate([node_k1.q, node_k1.v])
-    top = np.empty((nv, nv))
-    for c in range(nv):
-        xp = x0.copy()
-        xp[c] += fd_step
-        xm = x0.copy()
-        xm[c] -= fd_step
-        top[:, c] = (grad12(xp) - grad12(xm)) / (2 * fd_step)
+    hess = _interval_hessian(
+        model, problem, node_k, node_k1, lam, t_k, h, "midpoint", fd_step
+    )
 
     p1, p2, p3, p4 = _constraint_slots(model, node_k, node_k1, h, "midpoint")
     m = np.zeros((nv + n, nv + n))
-    m[:nv, :nv] = top
+    m[:nv, :nv] = hess[:nv, nv:]
     m[:n, nv:] = p1.T
     m[n:nv, nv:] = p2.T
     m[nv:, :n] = p3

@@ -283,6 +283,29 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "singular" in result.output
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("omega = -1.0", "omega"),
+            ("continuation_stages = 0", "continuation_stages"),
+            ("initial_q = 0.5 0.2", "initial_q"),
+        ],
+    )
+    def test_rejected_value_exits_one_without_artifacts(self, tmp_path, line, key):
+        text = (BUNDLED / "particle-case2.cfg").read_text()
+        lines = [
+            line if old.startswith(f"{key} =") else old
+            for old in text.splitlines()
+        ]
+        path = write_cfg(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert key in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_nonconvergence_exits_two_with_artifacts(self, tmp_path):
         cfg_path = write_cfg(
             tmp_path, "hopeless.cfg",

@@ -14,6 +14,7 @@ from nhtrack.geometry import (
     admissibility_velocity,
     christoffel_from_structure,
     constraint_residual,
+    drift,
     dynamics_rhs,
     restricted_energy,
     state_difference,
@@ -275,6 +276,36 @@ def test_christoffel_jac_matches_finite_differences(model):
                 model.christoffel(state.q + e) - model.christoffel(state.q - e)
             ) / (2 * delta)
             np.testing.assert_allclose(jac[:, :, :, j], fd, rtol=1e-6, atol=1e-9)
+
+
+def test_christoffel_jac_is_required():
+    model = particle_model()
+    with pytest.raises(TypeError):
+        SystemModel(
+            n=3, corank=1, rho=model.rho, rho_jac=model.rho_jac,
+            christoffel=model.christoffel, metric_d=model.metric_d,
+            potential_grad=model.potential_grad, annihilator=model.annihilator,
+        )
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_drift_matches_dynamics_and_finite_differences(model):
+    delta = 1e-6
+    for state in _random_states(model, 25, seed=31):
+        q, v = state.q, state.v
+        a, a_q, a_v = drift(model, q, v)
+        _, vdot = dynamics_rhs(model, state, np.zeros(model.rank))
+        np.testing.assert_allclose(a, -vdot, rtol=1e-14, atol=1e-14)
+        for j in range(model.n):
+            e = np.zeros(model.n)
+            e[j] = delta
+            fd = (drift(model, q + e, v)[0] - drift(model, q - e, v)[0]) / (2 * delta)
+            np.testing.assert_allclose(a_q[:, j], fd, rtol=1e-6, atol=1e-9)
+        for j in range(model.rank):
+            e = np.zeros(model.rank)
+            e[j] = delta
+            fd = (drift(model, q, v + e)[0] - drift(model, q, v - e)[0]) / (2 * delta)
+            np.testing.assert_allclose(a_v[:, j], fd, rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

@@ -299,7 +299,7 @@ def test_pmp_rhs_matches_hand_coded_particle_adjoints():
         (qd, vd), (ld, md) = pmp_rhs(model, prob, t, state, costate)
         got = np.concatenate([qd, vd, ld, md])
         want = hand(t, np.concatenate([state.q, state.v, costate.lam, costate.mu]))
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_pmp_rhs_matches_hand_coded_sleigh_adjoints():
@@ -321,7 +321,7 @@ def test_pmp_rhs_matches_hand_coded_sleigh_adjoints():
         (qd, vd), (ld, md) = pmp_rhs(model, prob, t, state, costate)
         got = np.concatenate([qd, vd, ld, md])
         want = hand(t, np.concatenate([state.q, state.v, costate.lam, costate.mu]))
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_pmp_rhs_zero_costate_on_reference():

@@ -995,14 +995,14 @@ def momentum_series(model, problem, traj, settings=DelSettings()):
         lam_k = traj.multipliers[k - 1]
         _, _, _, l4p = _lagrangian_slots(
             model, problem, traj.node(k - 1), traj.node(k),
-            float(traj.times[k - 1]), traj.h, settings.fd_step,
+            float(traj.times[k - 1]), traj.h,
         )
         _, _, _, p4p = _constraint_slots(
             model, traj.node(k - 1), traj.node(k), traj.h, settings.psi_variant
         )
         _, l2c, _, _ = _lagrangian_slots(
             model, problem, traj.node(k), traj.node(k + 1),
-            float(traj.times[k]), traj.h, settings.fd_step,
+            float(traj.times[k]), traj.h,
         )
         _, p2c, _, _ = _constraint_slots(
             model, traj.node(k), traj.node(k + 1), traj.h, settings.psi_variant
