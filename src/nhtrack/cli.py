@@ -2,8 +2,9 @@
 report artifacts out.
 
 A config is an INI file with [system], [problem], [solver], [output] and an
-optional [compare] section; `nhtrack presets` lists the bundled ones and
-`parse_config` documents the schema by construction.  Artifacts land in
+optional [compare] section; `nhtrack presets` lists the bundled ones.  The
+block dataclasses below are the schema: each field is a key of its
+section, with the field's type and default.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
 convergence, 2 when the solver fails to converge or fails numerically
@@ -13,6 +14,8 @@ them an unknown section or key.
 from __future__ import annotations
 
 import configparser
+import types
+import typing
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -29,12 +32,14 @@ from .geometry import (
 )
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from .pmp import (
+    CONTINUATIONS,
     AnalyticReference,
     FlowDivergedError,
     RolloutReference,
     ShootingSettings,
     SingularJacobianError,
     TrackingProblem,
+    check_shooting,
     running_cost,
     solve_shooting,
     trajectory_cost,
@@ -46,13 +51,13 @@ from .varint import (
     GUESS_MODES,
     PSI_VARIANTS,
     RegularityError,
+    check_del,
     diagnostics,
     regularity_check,
     solve_del,
 )
 
 METHODS = ("pmp-shooting", "variational")
-CONTINUATIONS = ("none", "horizon", "terminal-weight")
 
 # numerical failures of a solve: reported with exit code 2, artifacts written
 SOLVER_FAILURES = (
@@ -144,17 +149,28 @@ SECTIONS = {
 }
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"expected whitespace-separated floats, got {text!r}") from exc
+# fixed-choice keys and their allowed values; a reference kind names the
+# vector keys it needs
+REFERENCE_VECTORS = {
+    "analytic": ("q_base", "q_slope", "v_base", "v_slope"),
+    "rollout": ("rollout_q", "rollout_v"),
+}
+CHOICES = {
+    "reference": tuple(REFERENCE_VECTORS),
+    "method": METHODS,
+    "continuation": CONTINUATIONS,
+    "psi_variant": PSI_VARIANTS,
+    "initial_guess_mode": GUESS_MODES,
+}
 
 
-def _get(section, key, cast, default):
-    if key not in section:
-        return default
-    raw = section[key].strip()
+def _parse_value(key: str, raw: str, hint):
+    """Cast one config value to the type of its block field (X | None
+    casts as X)."""
+    if isinstance(hint, types.UnionType):
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    cast = typing.get_origin(hint) or hint
+    raw = raw.strip()
     if cast is bool:
         lowered = raw.lower()
         if lowered in ("yes", "true", "1", "on"):
@@ -162,12 +178,33 @@ def _get(section, key, cast, default):
         if lowered in ("no", "false", "0", "off"):
             return False
         raise ConfigError(f"{key}: expected a yes/no value, got {raw!r}")
-    if cast is tuple:
-        return _floats(raw)
     try:
-        return cast(raw)
+        value = tuple(float(tok) for tok in raw.split()) if cast is tuple else cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {cast.__name__}") from exc
+        kind = "whitespace-separated floats" if cast is tuple else cast.__name__
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from exc
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+    return value
+
+
+def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path):
+    """One section as its block: each key typed by its field, each absent
+    key left at its field default."""
+    block = SECTIONS[name]
+    section = parser[name] if name in parser else {}
+    known = {parser.optionxform(f.name) for f in fields(block)}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in [{name}] of {path}: {', '.join(unknown)}"
+        )
+    hints = typing.get_type_hints(block)
+    return block(**{
+        f.name: _parse_value(f.name, section[f.name], hints[f.name])
+        for f in fields(block)
+        if f.name in section
+    })
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -186,134 +223,41 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 f"unknown section [{section}] in {path}; "
                 f"known: {', '.join(SECTIONS)}"
             )
-        known = {parser.optionxform(f.name) for f in fields(SECTIONS[section])}
-        unknown = sorted(set(parser[section]) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) in [{section}] of {path}: {', '.join(unknown)}"
-            )
+    blocks = {name: _parse_block(parser, name, path) for name in SECTIONS}
+    cfg = ExperimentConfig(**blocks)
 
-    sys_sec = parser["system"]
-    system = SystemBlock(
-        preset=_get(sys_sec, "preset", str, "particle"),
-        mass_m=_get(sys_sec, "mass_m", float, None),
-        inertia_J=_get(sys_sec, "inertia_J", float, None),
-        offset_a=_get(sys_sec, "offset_a", float, None),
-    )
-    params_given = any(
-        value is not None
-        for value in (system.mass_m, system.inertia_J, system.offset_a)
-    )
-    if params_given and system.preset != "sleigh:custom":
+    system, problem = cfg.system, cfg.problem
+    params = (system.mass_m, system.inertia_J, system.offset_a)
+    if system.preset != "sleigh:custom" and params != (None, None, None):
         raise ConfigError(
             "mass_m/inertia_J/offset_a apply to preset sleigh:custom only; "
             f"preset {system.preset!r} carries its own parameters"
         )
     try:
-        resolve_system(
-            system.preset,
-            mass_m=system.mass_m,
-            inertia_J=system.inertia_J,
-            offset_a=system.offset_a,
-        )
+        build_model(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    prob_sec = parser["problem"]
-    problem = ProblemBlock(
-        reference=_get(prob_sec, "reference", str, "analytic"),
-        q_base=_get(prob_sec, "q_base", tuple, None),
-        q_slope=_get(prob_sec, "q_slope", tuple, None),
-        v_base=_get(prob_sec, "v_base", tuple, None),
-        v_slope=_get(prob_sec, "v_slope", tuple, None),
-        rollout_q=_get(prob_sec, "rollout_q", tuple, None),
-        rollout_v=_get(prob_sec, "rollout_v", tuple, None),
-        rollout_step=_get(prob_sec, "rollout_step", float, 1e-3),
-        initial_q=_get(prob_sec, "initial_q", tuple, ()),
-        initial_v=_get(prob_sec, "initial_v", tuple, ()),
-        horizon_T=_get(prob_sec, "horizon_T", float, 1.0),
-        epsilon=_get(prob_sec, "epsilon", float, 1.0),
-        omega=_get(prob_sec, "omega", float, 1.0),
-        lambda0=_get(prob_sec, "lambda0", float, 1.0),
-        terminal_mode=_get(prob_sec, "terminal_mode", str, "mayer"),
-        state_weight=_get(prob_sec, "state_weight", float, 1.0),
-    )
     if problem.epsilon <= 0:
         raise ConfigError(
             "epsilon must be positive: epsilon = 0 is the singular tracking "
             "problem, which this toolkit excludes (the control-effort weight "
             "is what keeps the one-step and shooting systems nonsingular)"
         )
-    if problem.reference not in ("analytic", "rollout"):
-        raise ConfigError(
-            f"reference must be 'analytic' or 'rollout', got {problem.reference!r}"
-        )
-    if problem.reference == "analytic":
-        missing = [
-            key
-            for key in ("q_base", "q_slope", "v_base", "v_slope")
-            if getattr(problem, key) is None
-        ]
-        if missing:
-            raise ConfigError(f"analytic reference needs {', '.join(missing)}")
-    else:
-        missing = [
-            key for key in ("rollout_q", "rollout_v") if getattr(problem, key) is None
-        ]
-        if missing:
-            raise ConfigError(f"rollout reference needs {', '.join(missing)}")
+    missing = [
+        key for key in REFERENCE_VECTORS[problem.reference]
+        if getattr(problem, key) is None
+    ]
+    if missing:
+        raise ConfigError(f"{problem.reference} reference needs {', '.join(missing)}")
     if not problem.initial_q or not problem.initial_v:
         raise ConfigError("problem needs initial_q and initial_v")
-
-    sol_sec = parser["solver"]
-    solver = SolverBlock(
-        method=_get(sol_sec, "method", str, "pmp-shooting"),
-        newton_tol=_get(sol_sec, "newton_tol", float, 1e-8),
-        max_iters=_get(sol_sec, "max_iters", int, 50),
-        steps=_get(sol_sec, "steps", int, None),
-        continuation=_get(sol_sec, "continuation", str, "none"),
-        continuation_stages=_get(sol_sec, "continuation_stages", int, 4),
-        psi_variant=_get(sol_sec, "psi_variant", str, "midpoint"),
-        enforce_first_interval=_get(sol_sec, "enforce_first_interval", bool, False),
-        initial_guess_mode=_get(
-            sol_sec, "initial_guess_mode", str, "linear-interpolation"
-        ),
-    )
-    if solver.method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {solver.method!r}")
-    if solver.continuation not in CONTINUATIONS:
-        raise ConfigError(
-            f"continuation must be one of {CONTINUATIONS}, got {solver.continuation!r}"
-        )
-    if solver.psi_variant not in PSI_VARIANTS:
-        raise ConfigError(
-            f"psi_variant must be one of {PSI_VARIANTS}, got {solver.psi_variant!r}"
-        )
-    if solver.initial_guess_mode not in GUESS_MODES:
-        raise ConfigError(
-            f"initial_guess_mode must be one of {GUESS_MODES}, "
-            f"got {solver.initial_guess_mode!r}"
-        )
-    if solver.method == "variational" and solver.steps is None:
+    if cfg.solver.method == "variational" and cfg.solver.steps is None:
         raise ConfigError("variational solver needs an explicit steps count")
-
-    out_sec = parser["output"] if "output" in parser else {}
-    output = OutputBlock(
-        directory=_get(out_sec, "directory", str, None),
-        precision=_get(out_sec, "precision", int, 17),
-    )
-    if not 1 <= output.precision <= 17:
-        raise ConfigError(f"precision must be in [1, 17], got {output.precision}")
-
-    cmp_sec = parser["compare"] if "compare" in parser else {}
-    compare = CompareBlock(
-        pmp=_get(cmp_sec, "pmp", bool, False),
-        pmp_steps=_get(cmp_sec, "pmp_steps", int, None),
-    )
-
-    return ExperimentConfig(
-        system=system, problem=problem, solver=solver, output=output, compare=compare
-    )
+    if not 1 <= cfg.output.precision <= 17:
+        raise ConfigError(f"precision must be in [1, 17], got {cfg.output.precision}")
+    if cfg.compare.pmp_steps is not None and cfg.compare.pmp_steps <= 0:
+        raise ConfigError(f"pmp_steps must be positive, got {cfg.compare.pmp_steps}")
+    return cfg
 
 
 def _fmt_vec(values) -> str:
@@ -330,12 +274,9 @@ def config_text(cfg: ExperimentConfig) -> str:
             lines.append(f"{key} = {value!r}")
 
     lines += ["", "[problem]", f"reference = {cfg.problem.reference}"]
-    if cfg.problem.reference == "analytic":
-        for key in ("q_base", "q_slope", "v_base", "v_slope"):
-            lines.append(f"{key} = {_fmt_vec(getattr(cfg.problem, key))}")
-    else:
-        lines.append(f"rollout_q = {_fmt_vec(cfg.problem.rollout_q)}")
-        lines.append(f"rollout_v = {_fmt_vec(cfg.problem.rollout_v)}")
+    for key in REFERENCE_VECTORS[cfg.problem.reference]:
+        lines.append(f"{key} = {_fmt_vec(getattr(cfg.problem, key))}")
+    if cfg.problem.reference == "rollout":
         lines.append(f"rollout_step = {cfg.problem.rollout_step!r}")
     lines.append(f"initial_q = {_fmt_vec(cfg.problem.initial_q)}")
     lines.append(f"initial_v = {_fmt_vec(cfg.problem.initial_v)}")
@@ -386,11 +327,7 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
 
 def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
     blk = cfg.problem
-    if blk.reference == "analytic":
-        vectors = ("q_base", "q_slope", "v_base", "v_slope")
-    else:
-        vectors = ("rollout_q", "rollout_v")
-    for key in vectors + ("initial_q", "initial_v"):
+    for key in REFERENCE_VECTORS[blk.reference] + ("initial_q", "initial_v"):
         size = model.n if "q" in key else model.rank  # q or v vector
         got = len(getattr(blk, key))
         if got != size:
@@ -428,18 +365,17 @@ def _build(cfg: ExperimentConfig) -> tuple[
     """Model, problem, solver settings and grid of a config.
 
     The grid spans the horizon in `steps` intervals (None when steps is
-    unset).  A value the library rejects while building them, such as a
-    negative omega or a zero continuation_stages, becomes a ConfigError.
+    unset).  A value the library rejects while building them or at the
+    solver's entry checks, such as a negative omega, a zero
+    continuation_stages or a Mayer problem on the variational route,
+    becomes a ConfigError.
     """
     blk = cfg.solver
     try:
         model = build_model(cfg)
         problem = build_problem(cfg, model)
-        grid = (
-            TimeGrid(0.0, problem.horizon_T, blk.steps)
-            if blk.steps is not None
-            else None
-        )
+        grid = (None if blk.steps is None
+                else TimeGrid(0.0, problem.horizon_T, blk.steps))
         if blk.method == "pmp-shooting":
             settings = ShootingSettings(
                 newton_tol=blk.newton_tol,
@@ -448,6 +384,7 @@ def _build(cfg: ExperimentConfig) -> tuple[
                 continuation=blk.continuation,
                 continuation_stages=blk.continuation_stages,
             )
+            check_shooting(problem, settings)
         else:
             settings = DelSettings(
                 newton_tol=blk.newton_tol,
@@ -456,6 +393,7 @@ def _build(cfg: ExperimentConfig) -> tuple[
                 enforce_first_interval=blk.enforce_first_interval,
                 initial_guess_mode=blk.initial_guess_mode,
             )
+            check_del(problem, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return model, problem, settings, grid
@@ -511,6 +449,72 @@ def _iteration_log(report) -> list[str]:
     return lines
 
 
+# per route: the notes under the trajectory.csv and the diagnostics.csv
+# column lines of the run report
+ARTIFACT_NOTES = {
+    "pmp-shooting": ([], [
+        "  action: cumulative trapezoid of the running cost",
+        "  constraint_residual: annihilator applied to a finite-difference qdot",
+    ]),
+    "variational": ([
+        "  u row k: control on the interval [t_k, t_k+h] (last node reuses",
+        "  the final interval); lam row k: multiplier of that interval",
+        "  (zeros where no multiplier is attached)",
+    ], []),
+}
+
+
+def _shooting_route(model, problem, settings, grid, terminal):
+    """Shooting adapter of run_experiment: solve_shooting (its grid rides in
+    settings), then (report, trajectory, trajectory rows, diagnostics rows,
+    closing report lines)."""
+    _, traj, report = solve_shooting(model, problem, None, settings)
+    states = [AdmissibleState(q=q, v=v) for q, v in zip(traj.q, traj.v)]
+    cost = np.array([
+        problem.lambda0 * running_cost(model, problem, float(t), state, u)
+        for t, state, u in zip(traj.times, states, traj.u)
+    ])
+    dt = np.diff(traj.times)
+    action = np.concatenate(([0.0], np.cumsum(0.5 * dt * (cost[:-1] + cost[1:]))))
+    energy = [restricted_energy(model, state) for state in states]
+    qdot = np.gradient(traj.q, traj.times, axis=0)
+    cres = [
+        np.max(np.abs(constraint_residual(model, q, qd)))
+        for q, qd in zip(traj.q, qdot)
+    ]
+    rows = np.column_stack([traj.times, traj.q, traj.v, traj.u, traj.lam, traj.mu])
+    diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
+    closing = [f"total cost (Simpson): {trajectory_cost(model, problem, traj):.12g}"]
+    return report, traj, rows, diag_rows, closing
+
+
+def _del_route(model, problem, settings, grid, terminal):
+    """Variational adapter of run_experiment: solve_del on grid, then the
+    same five results as _shooting_route; the closing lines say whether the
+    final node equals terminal, the reference endpoint."""
+    traj, report = solve_del(model, problem, grid, settings)
+    steps = traj.steps
+    lam = np.zeros((steps + 1, model.n))  # no multiplier at the last node
+    if traj.lambda_zero is not None:
+        lam[0] = traj.lambda_zero
+    lam[1:steps] = traj.multipliers
+    u = traj.controls[np.minimum(np.arange(steps + 1), steps - 1)]
+    rows = np.column_stack([traj.times, traj.q, traj.v, u, lam])
+    series = diagnostics(model, problem, traj, psi_variant=settings.psi_variant)
+    diag_rows = np.column_stack([
+        series.times, series.cost, series.action, series.energy,
+        series.constraint_residual,
+    ])
+    exact = np.array_equal(traj.q[-1], terminal.q) and np.array_equal(
+        traj.v[-1], terminal.v
+    )
+    closing = [
+        f"final node equals reference endpoint: {'yes' if exact else 'no'}",
+        f"discrete action: {float(series.action[-1]):.12g}",
+    ]
+    return report, traj, rows, diag_rows, closing
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Solve one config and write trajectory.csv, diagnostics.csv and
     report.txt into out_dir.  Returns the process exit code."""
@@ -518,151 +522,53 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
-    q_cols = [f"q{i + 1}" for i in range(n)]
-    v_cols = [f"v{i + 1}" for i in range(kr)]
-    u_cols = [f"u{i + 1}" for i in range(kr)]
-    lam_cols = [f"lam{i + 1}" for i in range(n)]
+    method = cfg.solver.method
+    traj_header = (
+        ["t"] + [f"q{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(kr)]
+        + [f"u{i + 1}" for i in range(kr)] + [f"lam{i + 1}" for i in range(n)]
+        + ([f"mu{i + 1}" for i in range(kr)] if method == "pmp-shooting" else [])
+    )
     diag_header = ["t", "cost", "action", "energy", "constraint_residual"]
     report_lines = [
         "nhtrack run report",
         f"system: {cfg.system.preset}",
-        f"method: {cfg.solver.method}",
+        f"method: {method}",
         "",
         "[configuration echo]",
         config_text(cfg).rstrip(),
         "",
     ]
-
-    if cfg.solver.method == "pmp-shooting":
-        traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols + [
-            f"mu{i + 1}" for i in range(kr)
-        ]
-        try:
-            _, traj, report = solve_shooting(model, problem, None, settings)
-        except SOLVER_FAILURES as exc:
-            return _solver_failure(
-                out_dir,
-                {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
-                report_lines, exc, precision,
-            )
-
-        rows = [
-            np.concatenate(
-                ([traj.times[i]], traj.q[i], traj.v[i], traj.u[i], traj.lam[i],
-                 traj.mu[i])
-            )
-            for i in range(len(traj.times))
-        ]
-        _write_csv(out_dir / "trajectory.csv", traj_header, rows, precision)
-
-        cost = np.array([
-            problem.lambda0
-            * running_cost(
-                model, problem, float(traj.times[i]),
-                AdmissibleState(q=traj.q[i], v=traj.v[i]), traj.u[i],
-            )
-            for i in range(len(traj.times))
-        ])
-        dt = np.diff(traj.times)
-        action = np.concatenate(
-            ([0.0], np.cumsum(0.5 * dt * (cost[:-1] + cost[1:])))
+    terminal = problem.reference(problem.horizon_T)
+    route = _shooting_route if method == "pmp-shooting" else _del_route
+    try:
+        report, traj, rows, diag_rows, closing = route(
+            model, problem, settings, grid, terminal
         )
-        energy = np.array([
-            restricted_energy(model, AdmissibleState(q=traj.q[i], v=traj.v[i]))
-            for i in range(len(traj.times))
-        ])
-        qdot = np.gradient(traj.q, traj.times, axis=0)
-        cres = np.array([
-            np.max(np.abs(constraint_residual(model, traj.q[i], qdot[i])))
-            for i in range(len(traj.times))
-        ])
-        diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
-        _write_csv(out_dir / "diagnostics.csv", diag_header, diag_rows, precision)
-
-        terminal = problem.reference(problem.horizon_T)
-        term_err = float(
-            np.linalg.norm(
-                np.concatenate([traj.q[-1] - terminal.q, traj.v[-1] - terminal.v])
-            )
+    except SOLVER_FAILURES as exc:
+        return _solver_failure(
+            out_dir,
+            {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
+            report_lines, exc, precision,
         )
-        report_lines += [
-            "[artifacts]",
-            f"trajectory.csv columns: {','.join(traj_header)}",
-            "diagnostics.csv columns: t,cost,action,energy,constraint_residual",
-            "  action: cumulative trapezoid of the running cost",
-            "  constraint_residual: annihilator applied to a finite-difference qdot",
-            "",
-            "[convergence]",
-            *_iteration_log(report),
-            f"terminal tracking error |gamma(T) - gamma_r(T)|: {term_err:.6e}",
-            f"total cost (Simpson): {trajectory_cost(model, problem, traj):.12g}",
-        ]
-        code = 0 if report.converged else 2
 
-    else:
-        traj_header = ["t"] + q_cols + v_cols + u_cols + lam_cols
-        try:
-            traj, report = solve_del(model, problem, grid, settings)
-        except SOLVER_FAILURES as exc:
-            return _solver_failure(
-                out_dir,
-                {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
-                report_lines, exc, precision,
-            )
-
-        steps = traj.steps
-        rows = []
-        for k in range(steps + 1):
-            u_k = traj.controls[min(k, steps - 1)]
-            if k == 0:
-                lam_k = (
-                    traj.lambda_zero
-                    if traj.lambda_zero is not None
-                    else np.zeros(n)
-                )
-            elif k < steps:
-                lam_k = traj.multipliers[k - 1]
-            else:
-                lam_k = np.zeros(n)
-            rows.append(
-                np.concatenate(([traj.times[k]], traj.q[k], traj.v[k], u_k, lam_k))
-            )
-        _write_csv(out_dir / "trajectory.csv", traj_header, rows, precision)
-
-        series = diagnostics(model, problem, traj, psi_variant=settings.psi_variant)
-        diag_rows = np.column_stack([
-            series.times, series.cost, series.action, series.energy,
-            series.constraint_residual,
-        ])
-        _write_csv(out_dir / "diagnostics.csv", diag_header, diag_rows, precision)
-
-        terminal = problem.reference(problem.horizon_T)
-        term_err = float(
-            np.linalg.norm(
-                np.concatenate([traj.q[-1] - terminal.q, traj.v[-1] - terminal.v])
-            )
-        )
-        exact = bool(
-            np.array_equal(traj.q[-1], np.asarray(terminal.q, float))
-            and np.array_equal(traj.v[-1], np.asarray(terminal.v, float))
-        )
-        report_lines += [
-            "[artifacts]",
-            f"trajectory.csv columns: {','.join(traj_header)}",
-            "  u row k: control on the interval [t_k, t_k+h] (last node reuses",
-            "  the final interval); lam row k: multiplier of that interval",
-            "  (zeros where no multiplier is attached)",
-            "diagnostics.csv columns: t,cost,action,energy,constraint_residual",
-            "",
-            "[convergence]",
-            *_iteration_log(report),
-            f"terminal tracking error |gamma(T) - gamma_r(T)|: {term_err:.6e}",
-            f"final node equals reference endpoint: {'yes' if exact else 'no'}",
-            f"discrete action: {float(series.action[-1]):.12g}",
-        ]
-        code = 0 if report.converged else 2
-
-    report_lines.append(f"exit code: {code}")
+    _write_csv(out_dir / "trajectory.csv", traj_header, rows, precision)
+    _write_csv(out_dir / "diagnostics.csv", diag_header, diag_rows, precision)
+    gap = np.concatenate([traj.q[-1] - terminal.q, traj.v[-1] - terminal.v])
+    traj_notes, diag_notes = ARTIFACT_NOTES[method]
+    code = 0 if report.converged else 2
+    report_lines += [
+        "[artifacts]",
+        f"trajectory.csv columns: {','.join(traj_header)}",
+        *traj_notes,
+        f"diagnostics.csv columns: {','.join(diag_header)}",
+        *diag_notes,
+        "",
+        "[convergence]",
+        *_iteration_log(report),
+        f"terminal tracking error |gamma(T) - gamma_r(T)|: {np.linalg.norm(gap):.6e}",
+        *closing,
+        f"exit code: {code}",
+    ]
     _write_report(out_dir, report_lines)
     return code
 
@@ -698,10 +604,30 @@ def _reintegrate_from_first_enforced(
     return np.asarray(states)
 
 
-def _endpoint_discrepancy(model: SystemModel, traj: DiscreteTrajectory) -> float:
-    reint = _reintegrate_from_first_enforced(model, traj)
+def _endpoint_discrepancy(
+    model: SystemModel, traj: DiscreteTrajectory, reint: np.ndarray | None = None
+) -> float:
+    """Max-norm gap between the solved final node and the re-integrated one;
+    reint, when given, is traj's re-integrated series."""
+    if reint is None:
+        reint = _reintegrate_from_first_enforced(model, traj)
     solved = np.concatenate([traj.q[-1], traj.v[-1]])
     return float(np.max(np.abs(reint[-1] - solved)))
+
+
+def _cross_method_settings(
+    cfg: ExperimentConfig, problem: TrackingProblem
+) -> ShootingSettings:
+    """Shooting settings of compare's cross-method check: pmp_steps
+    intervals (default h = 0.01, at least 2), and terminal-weight
+    continuation, since compare's variational problem pins its endpoint."""
+    steps = cfg.compare.pmp_steps
+    if steps is None:
+        steps = max(2, round(problem.horizon_T / 0.01))
+    return ShootingSettings(
+        inner_grid=TimeGrid(0.0, problem.horizon_T, steps),
+        continuation="terminal-weight",
+    )
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -711,6 +637,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.solver.method != "variational":
         raise ConfigError("compare needs a variational solver config")
     model, problem, settings, grid = _build(cfg)
+    pmp_settings = _cross_method_settings(cfg, problem) if cfg.compare.pmp else None
     out_dir.mkdir(parents=True, exist_ok=True)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
@@ -757,22 +684,18 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     traj = results[base_steps]
     reint = _reintegrate_from_first_enforced(model, traj)
-    rows = []
-    for idx in range(len(reint)):
-        k = idx + 1
-        solve_state = AdmissibleState(q=traj.q[k], v=traj.v[k])
-        reint_state = AdmissibleState(q=reint[idx, :n], v=reint[idx, n:])
-        rows.append(
-            np.concatenate((
-                [traj.times[k]],
-                traj.q[k], traj.v[k], [restricted_energy(model, solve_state)],
-                reint[idx, :n], reint[idx, n:],
-                [restricted_energy(model, reint_state)],
-            ))
-        )
+
+    def energy(y):
+        return restricted_energy(model, AdmissibleState(q=y[:n], v=y[n:]))
+
+    solved = np.column_stack([traj.q, traj.v])[1:]  # nodes 1..N, like reint
+    rows = [
+        np.concatenate(([t], y, [energy(y)], r, [energy(r)]))
+        for t, y, r in zip(traj.times[1:], solved, reint)
+    ]
     _write_csv(out_dir / "compare.csv", header, rows, precision)
 
-    disc_h = _endpoint_discrepancy(model, results[base_steps])
+    disc_h = _endpoint_discrepancy(model, traj, reint)
     disc_h2 = _endpoint_discrepancy(model, results[2 * base_steps])
     report_lines += [
         f"endpoint discrepancy at N = {base_steps}: {disc_h:.6e}",
@@ -785,18 +708,9 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             "h-halving discrepancy ratio: n/a (both discrepancies at rounding level)"
         )
 
-    if cfg.compare.pmp:
+    if pmp_settings is not None:
         series = diagnostics(model, problem, traj, psi_variant=settings.psi_variant)
         j_var = float(series.action[-1])
-        pmp_steps = cfg.compare.pmp_steps or max(
-            2, round(problem.horizon_T / 0.01)
-        )
-        pmp_settings = ShootingSettings(
-            inner_grid=TimeGrid(0.0, problem.horizon_T, pmp_steps),
-            continuation=(
-                "terminal-weight" if problem.terminal_mode == "hard" else "horizon"
-            ),
-        )
         try:
             _, pmp_traj, pmp_report = solve_shooting(
                 model, problem, None, pmp_settings

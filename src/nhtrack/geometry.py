@@ -35,6 +35,8 @@ class SystemModel:
     - metric_d(q)[A, B] = (G_D)_{AB}, symmetric positive definite
     - potential_grad(q)[A] = (G_D)^{AB} rho^i_B dV/dq^i (zero for the
       built-in models, which carry no potential)
+    - potential_grad_jac(q)[A, j] = d potential_grad^A / d q^j, exact
+      (required, like christoffel_jac)
     - annihilator(q)[a, i] = mu^a_i
     - christoffel_jac(q)[A, B, C, j] = d Gamma^A_{BC} / d q^j, exact
       (required: both solver routes differentiate the drift with it)
@@ -48,6 +50,7 @@ class SystemModel:
     christoffel_jac: Callable[[Array], Array]
     metric_d: Callable[[Array], Array]
     potential_grad: Callable[[Array], Array]
+    potential_grad_jac: Callable[[Array], Array]
     annihilator: Callable[[Array], Array]
     angle_indices: frozenset[int] = field(default_factory=frozenset)
     name: str = "unnamed"
@@ -148,30 +151,18 @@ def dynamics_rhs(
     return qdot, vdot
 
 
-def _potential_grad_jac(model: SystemModel, q: Array, step: float = 1e-6) -> Array:
-    n, k = model.n, model.rank
-    out = np.zeros((k, n))
-    for i in range(n):
-        qp = q.copy()
-        qp[i] += step
-        qm = q.copy()
-        qm[i] -= step
-        out[:, i] = (model.potential_grad(qp) - model.potential_grad(qm)) / (2 * step)
-    return out
-
-
 def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
     """Drift a = Gamma(q) v v + potential_grad(q) of vdot = u - a, with its
     derivatives.
 
     Returns (a, a_q, a_v): a_q[A, j] = d a^A / d q^j from the exact
-    Christoffel Jacobian, a_v[B, A] = d a^B / d v^A =
+    Christoffel and potential-gradient Jacobians, a_v[B, A] = d a^B / d v^A =
     (Gamma^B_{AC} + Gamma^B_{CA}) v^C.
     """
     gam = model.christoffel(q)
     a = (gam @ v) @ v + model.potential_grad(q)
     a_q = np.einsum("abcj,b,c->aj", model.christoffel_jac(q), v, v)
-    a_q += _potential_grad_jac(model, q)
+    a_q += model.potential_grad_jac(q)
     a_v = (gam + gam.transpose(0, 2, 1)) @ v
     return a, a_q, a_v
 

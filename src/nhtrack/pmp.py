@@ -257,6 +257,9 @@ class NewtonSettings:
             raise ValueError(f"{label}.damping must shrink the step (< 1)")
 
 
+CONTINUATIONS = ("none", "horizon", "terminal-weight")
+
+
 @dataclass(frozen=True)
 class ShootingSettings(NewtonSettings):
     """Newton and flow settings for the shooting solve.
@@ -281,9 +284,9 @@ class ShootingSettings(NewtonSettings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.continuation not in ("none", "horizon", "terminal-weight"):
+        if self.continuation not in CONTINUATIONS:
             raise ValueError(
-                "continuation must be 'none', 'horizon', or 'terminal-weight', "
+                f"continuation must be one of {CONTINUATIONS}, "
                 f"got {self.continuation!r}"
             )
         if self.continuation_stages <= 0:
@@ -551,6 +554,17 @@ def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeG
     return grid
 
 
+def check_shooting(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
+    """Entry checks of solve_shooting (ValueError); returns the flows' grid."""
+    grid = _resolve_grid(problem, settings)
+    if settings.continuation == "terminal-weight" and problem.terminal_mode != "hard":
+        raise ValueError(
+            "terminal-weight continuation relaxes a pinned endpoint; it "
+            "applies to terminal_mode='hard' problems only"
+        )
+    return grid
+
+
 def _flow(
     rhs: Callable[[float, Array], Array], y0: Array, grid: TimeGrid
 ) -> tuple[Array, Array]:
@@ -700,17 +714,12 @@ def solve_shooting(
     """
     if alpha0 is None:
         alpha0 = Costate.zero(model)
-    grid = _resolve_grid(problem, settings)
+    grid = check_shooting(problem, settings)
     alpha_vec = alpha0.as_vector().copy()
 
     if settings.continuation == "horizon" and settings.continuation_stages > 1:
         alpha_vec = _horizon_warmup(model, problem, alpha_vec, settings, grid)
     elif settings.continuation == "terminal-weight":
-        if problem.terminal_mode != "hard":
-            raise ValueError(
-                "terminal-weight continuation relaxes a pinned endpoint; it "
-                "applies to terminal_mode='hard' problems only"
-            )
         for j in range(settings.continuation_stages):
             soft = replace(
                 problem, terminal_mode="mayer", omega=problem.omega * 10.0**j

@@ -88,6 +88,9 @@ def particle_model() -> SystemModel:
     def potential_grad(q: Array) -> Array:
         return np.zeros(2)
 
+    def potential_grad_jac(q: Array) -> Array:
+        return np.zeros((2, 3))
+
     def annihilator(q: Array) -> Array:
         y = q[1]
         return np.array([[1.0, 0.0, y]])
@@ -100,6 +103,7 @@ def particle_model() -> SystemModel:
         christoffel=christoffel,
         metric_d=metric_d,
         potential_grad=potential_grad,
+        potential_grad_jac=potential_grad_jac,
         annihilator=annihilator,
         angle_indices=frozenset(),
         name="particle",
@@ -169,6 +173,9 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
     def potential_grad(q: Array) -> Array:
         return np.zeros(2)
 
+    def potential_grad_jac(q: Array) -> Array:
+        return np.zeros((2, 3))
+
     def annihilator(q: Array) -> Array:
         th = q[2]
         return np.array([[math.sin(th), -math.cos(th), 0.0]])
@@ -181,6 +188,7 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
         christoffel=christoffel,
         metric_d=metric_d,
         potential_grad=potential_grad,
+        potential_grad_jac=potential_grad_jac,
         annihilator=annihilator,
         angle_indices=frozenset({2}),
         name="sleigh",

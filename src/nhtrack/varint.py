@@ -784,6 +784,24 @@ class _DelWorkspace:
         return lower, diag, upper, border
 
 
+def check_del(problem: TrackingProblem, grid: TimeGrid) -> None:
+    """Entry checks of solve_del: ValueError on a problem/grid it cannot run."""
+    if problem.terminal_mode != "hard":
+        raise ValueError(
+            "the variational route pins the terminal node to the reference; "
+            "pose the problem with terminal_mode='hard'"
+        )
+    if grid.steps < 2:
+        raise ValueError(
+            "need at least 2 intervals for an interior node, "
+            f"got grid.steps = {grid.steps}"
+        )
+    if abs(grid.t0) > 1e-12 or abs(grid.tf - problem.horizon_T) > 1e-9:
+        raise ValueError(
+            f"grid must span [0, {problem.horizon_T}], got [{grid.t0}, {grid.tf}]"
+        )
+
+
 def solve_del(
     model: SystemModel,
     problem: TrackingProblem,
@@ -801,18 +819,7 @@ def solve_del(
     as a rejected step.
     Nonconvergence is reported, not raised.
     """
-    if problem.terminal_mode != "hard":
-        raise ValueError(
-            "the variational route pins the terminal node to the reference; "
-            "pose the problem with terminal_mode='hard'"
-        )
-    if grid.steps < 2:
-        raise ValueError("need at least 2 intervals for an interior node")
-    if abs(grid.t0) > 1e-12 or abs(grid.tf - problem.horizon_T) > 1e-9:
-        raise ValueError(
-            f"grid must span [0, {problem.horizon_T}], got [{grid.t0}, {grid.tf}]"
-        )
-
+    check_del(problem, grid)
     node_first = problem.initial_state
     node_last = problem.reference(problem.horizon_T)
     ws = _DelWorkspace(model, problem, grid, settings, node_first, node_last)

@@ -12,7 +12,13 @@ from click.testing import CliRunner
 
 from nhtrack import cli
 from nhtrack.cli import (
+    CompareBlock,
     ConfigError,
+    ExperimentConfig,
+    OutputBlock,
+    ProblemBlock,
+    SolverBlock,
+    SystemBlock,
     compare_experiment,
     config_text,
     main,
@@ -170,7 +176,7 @@ class TestParsing:
             [system]
             preset = particle
             [problem]
-            reference = analytic
+            reference = {reference}
             q_base = 0 0 0
             q_slope = 0 0 0
             v_base = 0 0
@@ -178,19 +184,47 @@ class TestParsing:
             initial_q = 0 0 0
             initial_v = 0 0
             [solver]
-            method = {method}
+            {solver}
             """
-        path = write_cfg(tmp_path, "m.cfg", base.format(method="collocation"))
-        with pytest.raises(ConfigError, match="method"):
-            parse_config(path)
+        for key, value in (
+            ("reference", "spline"),
+            ("method", "collocation"),
+            ("continuation", "arclength"),
+            ("psi_variant", "trapezoid"),
+            ("initial_guess_mode", "zeros"),
+        ):
+            text = base.format(
+                reference=value if key == "reference" else "analytic",
+                solver="" if key == "reference" else f"{key} = {value}",
+            )
+            path = write_cfg(tmp_path, f"{key}.cfg", text)
+            with pytest.raises(ConfigError, match=rf"^{key} must be one of .*{value}"):
+                parse_config(path)
+
+    def test_required_keys_only_parse_to_block_defaults(self, tmp_path):
         path = write_cfg(
-            tmp_path, "r.cfg",
-            base.format(method="pmp-shooting").replace(
-                "reference = analytic", "reference = spline"
-            ),
+            tmp_path, "minimal.cfg",
+            """\
+            [system]
+            [problem]
+            q_base = 1 2 3
+            q_slope = 0 0 1
+            v_base = 0 1
+            v_slope = 0 0
+            initial_q = 0.5 0.2 0.7
+            initial_v = 0.5 0.4
+            [solver]
+            """,
         )
-        with pytest.raises(ConfigError, match="reference"):
-            parse_config(path)
+        problem = ProblemBlock(
+            q_base=(1.0, 2.0, 3.0), q_slope=(0.0, 0.0, 1.0),
+            v_base=(0.0, 1.0), v_slope=(0.0, 0.0),
+            initial_q=(0.5, 0.2, 0.7), initial_v=(0.5, 0.4),
+        )
+        assert parse_config(path) == ExperimentConfig(
+            system=SystemBlock(), problem=problem, solver=SolverBlock(),
+            output=OutputBlock(), compare=CompareBlock(),
+        )
 
 
 class TestRunCommand:
@@ -284,19 +318,34 @@ class TestRunCommand:
         assert "singular" in result.output
 
     @pytest.mark.parametrize(
-        "line, key",
+        "config, line, key",
         [
-            ("omega = -1.0", "omega"),
-            ("continuation_stages = 0", "continuation_stages"),
-            ("initial_q = 0.5 0.2", "initial_q"),
+            pytest.param("particle-case2", "omega = -1.0", "omega",
+                         id="omega = -1.0-omega"),
+            pytest.param("particle-case2", "continuation_stages = 0",
+                         "continuation_stages",
+                         id="continuation_stages = 0-continuation_stages"),
+            pytest.param("particle-case2", "initial_q = 0.5 0.2", "initial_q",
+                         id="initial_q = 0.5 0.2-initial_q"),
+            ("particle-case2", "continuation = terminal-weight", "continuation"),
+            ("sleigh-paper51", "terminal_mode = mayer", "terminal_mode"),
+            ("sleigh-paper51", "steps = 1", "steps"),
+            pytest.param("sleigh-paper51", "[compare]\npmp = yes\npmp_steps = -3",
+                         "pmp_steps", id="sleigh-paper51-pmp_steps = -3-pmp_steps"),
+            pytest.param("sleigh-paper51", "[compare]\npmp = yes\npmp_steps = 0",
+                         "pmp_steps", id="sleigh-paper51-pmp_steps = 0-pmp_steps"),
         ],
     )
-    def test_rejected_value_exits_one_without_artifacts(self, tmp_path, line, key):
-        text = (BUNDLED / "particle-case2.cfg").read_text()
+    def test_rejected_value_exits_one_without_artifacts(
+        self, tmp_path, config, line, key
+    ):
+        text = (BUNDLED / f"{config}.cfg").read_text()
         lines = [
             line if old.startswith(f"{key} =") else old
             for old in text.splitlines()
         ]
+        if line not in lines:  # a key the bundled config leaves out
+            lines.append(line)
         path = write_cfg(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
         result = CliRunner().invoke(
             main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -451,6 +500,19 @@ class TestCompareCommand:
         out = tmp_path / "out" / "equilibrium"
         assert (out / "compare.csv").exists()
         assert "solver failure: singular block" in (out / "report.txt").read_text()
+
+    def test_reintegrates_each_grid_once(self, tmp_path, monkeypatch):
+        steps = []
+        reintegrate = cli._reintegrate_from_first_enforced
+
+        def counted(model, traj, *args):
+            steps.append(traj.steps)
+            return reintegrate(model, traj, *args)
+
+        monkeypatch.setattr(cli, "_reintegrate_from_first_enforced", counted)
+        cfg = parse_config(equilibrium_cfg(tmp_path))
+        assert compare_experiment(cfg, tmp_path / "cmp") == 0
+        assert steps == [4, 8]
 
     def test_rejects_shooting_config(self, tmp_path):
         runner = CliRunner()

@@ -278,14 +278,18 @@ def test_christoffel_jac_matches_finite_differences(model):
             np.testing.assert_allclose(jac[:, :, :, j], fd, rtol=1e-6, atol=1e-9)
 
 
-def test_christoffel_jac_is_required():
+@pytest.mark.parametrize("missing", ["christoffel_jac", "potential_grad_jac"])
+def test_model_jacobian_is_required(missing):
     model = particle_model()
-    with pytest.raises(TypeError):
-        SystemModel(
-            n=3, corank=1, rho=model.rho, rho_jac=model.rho_jac,
-            christoffel=model.christoffel, metric_d=model.metric_d,
-            potential_grad=model.potential_grad, annihilator=model.annihilator,
-        )
+    kwargs = dict(
+        n=3, corank=1, rho=model.rho, rho_jac=model.rho_jac,
+        christoffel=model.christoffel, christoffel_jac=model.christoffel_jac,
+        metric_d=model.metric_d, potential_grad=model.potential_grad,
+        potential_grad_jac=model.potential_grad_jac, annihilator=model.annihilator,
+    )
+    del kwargs[missing]
+    with pytest.raises(TypeError, match=missing):
+        SystemModel(**kwargs)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
