@@ -864,23 +864,25 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="Artifact root (default: config's output.directory or ./out).")
 def run(configs, out):
-    """Solve each config and write trajectory/diagnostics/report artifacts."""
-    try:
-        parsed = [(path, parse_config(path)) for path in configs]
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+    """Solve each config and write trajectory/diagnostics/report artifacts.
 
-    worst = 0
-    for path, cfg in parsed:
-        target = _resolve_out(cfg, out, _config_stem(path))
+    A config that fails to parse or build prints its error and the rest
+    still run; the exit code is 1 if any config failed so, else the worst
+    solver code."""
+    worst, failed = 0, False
+    for path in configs:
         try:
+            cfg = parse_config(path)
+            target = _resolve_out(cfg, out, _config_stem(path))
             code = run_experiment(cfg, target)
         except ConfigError as exc:
-            raise click.ClickException(f"{path}: {exc}")
+            click.echo(f"Error: {path}: {exc}", err=True)
+            failed = True
+            continue
         status = "converged" if code == 0 else "did not converge"
         click.echo(f"{path}: {status}; artifacts in {target}")
         worst = max(worst, code)
-    raise SystemExit(worst)
+    raise SystemExit(1 if failed else worst)
 
 
 @main.command()

@@ -326,8 +326,10 @@ def damped_newton(
     damping^2, ... and accepts the first trial whose residual norm
     decreases; a trial whose evaluation raises one of the rejected errors
     counts as no decrease.  After max_halvings rejections the smallest step
-    is taken anyway; if that one fails to evaluate as well, the solve stops
-    unconverged at the current iterate.  Returns (x, data, report).
+    is taken anyway.  If that one fails to evaluate as well, or correction
+    itself raises a rejected error (for example a diverged probe flow of a
+    finite-difference Jacobian), the solve stops unconverged at the current
+    iterate with a message naming the error.  Returns (x, data, report).
     """
     x = x.copy()
     r, data = evaluate(x)
@@ -343,11 +345,21 @@ def damped_newton(
         )
         return x, data, report
 
+    def stuck(iteration: int, exc: Exception) -> tuple[Array, Any, ConvergenceReport]:
+        return result(
+            False, iteration - 1,
+            f"no step could be evaluated at iteration {iteration}: "
+            f"{exc} ({norm_name} {r_norm:.3e})",
+        )
+
     if r_norm <= settings.newton_tol:
         return result(True, 0, "initial guess already within tolerance")
 
     for iteration in range(1, settings.max_iters + 1):
-        delta = correction(x, r)
+        try:
+            delta = correction(x, r)
+        except rejected as exc:
+            return stuck(iteration, exc)
         beta = 1.0
         for _ in range(settings.max_halvings + 1):
             cand = x + beta * delta
@@ -365,11 +377,7 @@ def damped_newton(
             try:
                 r_c, data_c = evaluate(cand)
             except rejected as exc:
-                return result(
-                    False, iteration - 1,
-                    f"no step could be evaluated at iteration {iteration}: "
-                    f"{exc} ({norm_name} {r_norm:.3e})",
-                )
+                return stuck(iteration, exc)
 
         x, r, data = cand, r_c, data_c
         r_norm = norm(r)

@@ -22,9 +22,13 @@ h L(t_{k+1/2}, midpoint q, midpoint v, difference-quotient vdot), the
 interval constraint Psi_d = (q_{k+1} - q_k)/h - rho(midpoint q) (midpoint v),
 and the constrained discrete Euler-Lagrange system over interior nodes with
 multipliers lambda^k for k = 1 .. N-1 (the first interval is unconstrained by
-default because the initial state is prescribed admissible).  solve_del is a
-damped Newton iteration on that system; its Jacobian is block-tridiagonal in
-the node index and is factored block-row by block-row.
+default because the initial state is prescribed admissible).  Every interval
+term (Psi_d, its slot derivatives and the slot gradients of
+L_d + lambda . Psi_d) comes from one function on the node arrays, _interval.
+solve_del is a damped Newton iteration on that system.  Its Jacobian is the
+Hessian of the extended discrete action (the action sum plus the
+multiplier-weighted constraints), so it is symmetric; it is block-tridiagonal
+in the node index and is factored block-row by block-row.
 """
 from __future__ import annotations
 
@@ -289,15 +293,6 @@ def continuous_optimality_residual(
 # midpoint discretization
 
 
-def _interval_data(
-    node_k: AdmissibleState, node_k1: AdmissibleState, h: float
-) -> tuple[Array, Array, Array]:
-    q_mid = 0.5 * (node_k.q + node_k1.q)
-    v_mid = 0.5 * (node_k.v + node_k1.v)
-    v_dq = (node_k1.v - node_k.v) / h
-    return q_mid, v_mid, v_dq
-
-
 def discrete_constraint(
     model: SystemModel,
     node_k: AdmissibleState,
@@ -311,8 +306,11 @@ def discrete_constraint(
         raise ValueError(f"h must be positive, got {h}")
     if psi_variant not in PSI_VARIANTS:
         raise ValueError(f"psi_variant must be one of {PSI_VARIANTS}")
-    q_mid, v_mid, v_dq = _interval_data(node_k, node_k1, h)
-    v_slot = v_mid if psi_variant == "midpoint" else v_dq
+    q_mid = 0.5 * (node_k.q + node_k1.q)
+    if psi_variant == "midpoint":
+        v_slot = 0.5 * (node_k.v + node_k1.v)
+    else:
+        v_slot = (node_k1.v - node_k.v) / h
     return (node_k1.q - node_k.q) / h - model.rho(q_mid) @ v_slot
 
 
@@ -330,102 +328,90 @@ def discrete_lagrangian(
     so exchanging the nodes while negating h reproduces it exactly."""
     if h == 0:
         raise ValueError("h must be nonzero")
-    q_mid, v_mid, v_dq = _interval_data(node_k, node_k1, h)
+    q_mid = 0.5 * (node_k.q + node_k1.q)
+    v_mid = 0.5 * (node_k.v + node_k1.v)
+    v_dq = (node_k1.v - node_k.v) / h
     return abs(h) * ocp_lagrangian(
         model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
     )
-
-
-def _lagrangian_slots(
-    model: SystemModel,
-    problem: TrackingProblem,
-    node_k: AdmissibleState,
-    node_k1: AdmissibleState,
-    t_k: float,
-    h: float,
-) -> tuple[Array, Array, Array, Array]:
-    """(D1, D2, D3, D4) of the discrete Lagrangian: derivatives with
-    respect to q_k, v_k, q_{k+1}, v_{k+1} through the midpoint arguments."""
-    q_mid, v_mid, v_dq = _interval_data(node_k, node_k1, h)
-    gq, gv, gvd = _lagrangian_gradients(
-        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
-    )
-    d1 = 0.5 * h * gq
-    d3 = d1.copy()
-    d2 = 0.5 * h * gv - gvd
-    d4 = 0.5 * h * gv + gvd
-    return d1, d2, d3, d4
-
-
-def _constraint_slots(
-    model: SystemModel,
-    node_k: AdmissibleState,
-    node_k1: AdmissibleState,
-    h: float,
-    psi_variant: str,
-) -> tuple[Array, Array, Array, Array]:
-    """(D1, D2, D3, D4) of Psi_d, exact: D1/D3 are (n, n), D2/D4 (n, n-m)."""
-    n = model.n
-    q_mid, v_mid, v_dq = _interval_data(node_k, node_k1, h)
-    v_slot = v_mid if psi_variant == "midpoint" else v_dq
-    rho = model.rho(q_mid)
-    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A
-    r_mat = np.tensordot(model.rho_jac(q_mid), v_slot, axes=([1], [0]))
-    eye_h = np.eye(n) / h
-    d1 = -eye_h - 0.5 * r_mat
-    d3 = eye_h - 0.5 * r_mat
-    if psi_variant == "midpoint":
-        d2 = -0.5 * rho
-        d4 = -0.5 * rho
-    else:
-        d2 = rho / h
-        d4 = -rho / h
-    return d1, d2, d3, d4
 
 
 # ---------------------------------------------------------------------------
 # discrete Euler-Lagrange residual
 
 
-def _interval_gradients(
+def _interval(
     model: SystemModel,
-    problem: TrackingProblem,
-    node_k: AdmissibleState,
-    node_k1: AdmissibleState,
-    lam: Array,
+    problem: TrackingProblem | None,
+    q_k: Array,
+    v_k: Array,
+    q_k1: Array,
+    v_k1: Array,
+    lam: Array | None,
     t_k: float,
     h: float,
     psi_variant: str,
-) -> tuple[Array, Array, Array, Array]:
-    """Slot gradients of the augmented interval term L_d + lam . Psi_d."""
-    l1, l2, l3, l4 = _lagrangian_slots(model, problem, node_k, node_k1, t_k, h)
-    p1, p2, p3, p4 = _constraint_slots(model, node_k, node_k1, h, psi_variant)
-    return l1 + lam @ p1, l2 + lam @ p2, l3 + lam @ p3, l4 + lam @ p4
+) -> tuple[Array, tuple[Array, Array, Array, Array], tuple[Array, ...] | None]:
+    """One interval of the extended discrete action L_d + lam . Psi_d.
+
+    Returns (Psi_d, its slot derivatives, the slot gradients of
+    L_d + lam . Psi_d); slots are (D1, D2, D3, D4), the derivatives with
+    respect to q_k, v_k, q_{k+1}, v_{k+1} through the midpoint arguments,
+    with D1/D3 of Psi_d (n, n) and D2/D4 (n, n-m).  With problem None only
+    the constraint is evaluated (lam and t_k are unused) and the gradients
+    are None.
+    """
+    q_mid = 0.5 * (q_k + q_k1)
+    v_mid = 0.5 * (v_k + v_k1)
+    v_dq = (v_k1 - v_k) / h
+    v_slot = v_mid if psi_variant == "midpoint" else v_dq
+    rho = model.rho(q_mid)
+    psi = (q_k1 - q_k) / h - rho @ v_slot
+    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A
+    r_mat = np.tensordot(model.rho_jac(q_mid), v_slot, axes=([1], [0]))
+    eye_h = np.eye(len(q_k)) / h
+    if psi_variant == "midpoint":
+        p2 = p4 = -0.5 * rho
+    else:
+        p2, p4 = rho / h, -rho / h
+    slots = (-eye_h - 0.5 * r_mat, p2, eye_h - 0.5 * r_mat, p4)
+    if problem is None:
+        return psi, slots, None
+    gq, gv, gvd = _lagrangian_gradients(
+        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
+    )
+    l13 = 0.5 * h * gq
+    grads = (
+        l13 + lam @ slots[0],
+        0.5 * h * gv - gvd + lam @ slots[1],
+        l13 + lam @ slots[2],
+        0.5 * h * gv + gvd + lam @ slots[3],
+    )
+    return psi, slots, grads
 
 
 def _interval_hessian(
     model: SystemModel,
     problem: TrackingProblem,
-    node_k: AdmissibleState,
-    node_k1: AdmissibleState,
+    x0: Array,
     lam: Array,
     t_k: float,
     h: float,
     psi_variant: str,
     step: float,
 ) -> Array:
-    """Hessian of L_d + lam . Psi_d over (q_k, v_k, q_{k+1}, v_{k+1}), by
-    central differences of step `step` of the exact slot gradients,
+    """Hessian of L_d + lam . Psi_d over x0 = (q_k, v_k, q_{k+1}, v_{k+1}),
+    by central differences of step `step` of the exact slot gradients,
     symmetrized."""
     n, nv = model.n, model.n + model.rank
 
     def grad(x: Array) -> Array:
-        nk = AdmissibleState(q=x[:n], v=x[n:nv])
-        nk1 = AdmissibleState(q=x[nv : nv + n], v=x[nv + n :])
-        g = _interval_gradients(model, problem, nk, nk1, lam, t_k, h, psi_variant)
+        g = _interval(
+            model, problem, x[:n], x[n:nv], x[nv : nv + n], x[nv + n :],
+            lam, t_k, h, psi_variant,
+        )[2]
         return np.concatenate(g)
 
-    x0 = np.concatenate([node_k.q, node_k.v, node_k1.q, node_k1.v])
     hess = np.empty((2 * nv, 2 * nv))
     for c in range(2 * nv):
         xp = x0.copy()
@@ -455,55 +441,32 @@ def del_residual(
     multiplier-weighted constraints) with respect to the interior unknowns
     in the same order.
     """
-    n, kr = model.n, model.rank
-    steps = traj.steps
-    h = traj.h
+    q, v = traj.q, traj.v
     if boundary is not None:
-        node_first, node_last = boundary
-    else:
-        node_first, node_last = traj.node(0), traj.node(steps)
-
-    def node_at(k: int) -> AdmissibleState:
-        if k == 0:
-            return node_first
-        if k == steps:
-            return node_last
-        return traj.node(k)
-
+        q, v = q.copy(), v.copy()
+        q[0], v[0] = boundary[0].q, boundary[0].v
+        q[-1], v[-1] = boundary[1].q, boundary[1].v
     if settings.enforce_first_interval:
         if traj.lambda_zero is None:
             raise ValueError(
                 "enforce_first_interval requires traj.lambda_zero to be set"
             )
-        lam0_vec = np.asarray(traj.lambda_zero, dtype=float)
+        lam0 = traj.lambda_zero
     else:
-        lam0_vec = np.zeros(n)
-
-    def lam_at(j: int) -> Array:
-        return lam0_vec if j == 0 else traj.multipliers[j - 1]
+        lam0 = np.zeros(model.n)
+    lam = np.vstack([lam0, traj.multipliers])
 
     pieces = []
-    if settings.enforce_first_interval:
-        pieces.append(
-            discrete_constraint(model, node_at(0), node_at(1), h, settings.psi_variant)
+    prev = None  # slot gradients of interval k-1
+    for k in range(traj.steps):
+        psi, _, cur = _interval(
+            model, problem, q[k], v[k], q[k + 1], v[k + 1], lam[k],
+            traj.times[k], traj.h, settings.psi_variant,
         )
-    # slot gradients of interval k-1 (reused as the loop advances)
-    prev = _interval_gradients(
-        model, problem, node_at(0), node_at(1), lam_at(0),
-        traj.times[0], h, settings.psi_variant,
-    )
-    for k in range(1, steps):
-        cur = _interval_gradients(
-            model, problem, node_at(k), node_at(k + 1), lam_at(k),
-            traj.times[k], h, settings.psi_variant,
-        )
-        pieces.append(cur[0] + prev[2])
-        pieces.append(cur[1] + prev[3])
-        pieces.append(
-            discrete_constraint(
-                model, node_at(k), node_at(k + 1), h, settings.psi_variant
-            )
-        )
+        if k > 0:
+            pieces += [cur[0] + prev[2], cur[1] + prev[3], psi]
+        elif settings.enforce_first_interval:
+            pieces.append(psi)
         prev = cur
     out = np.concatenate(pieces)
     if not np.all(np.isfinite(out)):
@@ -616,41 +579,25 @@ class _DelWorkspace:
 
     def trajectory(self, x: Array) -> DiscreteTrajectory:
         q, v, lam, lam0 = self.unpack(x)
-        controls = np.empty((self.steps, self.kr))
-        for j in range(self.steps):
-            nk = AdmissibleState(q=q[j], v=v[j])
-            nk1 = AdmissibleState(q=q[j + 1], v=v[j + 1])
-            q_mid, v_mid, v_dq = _interval_data(nk, nk1, self.h)
-            controls[j] = reconstructed_control(self.model, q_mid, v_mid, v_dq)
+        q_mid = 0.5 * (q[:-1] + q[1:])
+        v_mid = 0.5 * (v[:-1] + v[1:])
+        v_dq = (v[1:] - v[:-1]) / self.h
+        controls = np.array([
+            reconstructed_control(self.model, *mid) for mid in zip(q_mid, v_mid, v_dq)
+        ])
         return DiscreteTrajectory(
-            h=self.h,
-            times=self.times.copy(),
-            q=q,
-            v=v,
-            multipliers=lam,
-            controls=controls,
-            lambda_zero=lam0,
+            h=self.h, times=self.times.copy(), q=q, v=v, multipliers=lam,
+            controls=controls, lambda_zero=lam0,
         )
 
     def evaluate(self, x: Array) -> tuple[Array, None]:
+        # unpack pins the boundary nodes, so no boundary override is needed
         q, v, lam, lam0 = self.unpack(x)
         traj = DiscreteTrajectory(
-            h=self.h,
-            times=self.times,
-            q=q,
-            v=v,
-            multipliers=lam,
-            controls=np.zeros((self.steps, self.kr)),
-            lambda_zero=lam0,
+            h=self.h, times=self.times, q=q, v=v, multipliers=lam,
+            controls=np.zeros((self.steps, self.kr)), lambda_zero=lam0,
         )
-        r = del_residual(
-            self.model,
-            self.problem,
-            traj,
-            self.settings,
-            boundary=(self.node_first, self.node_last),
-        )
-        return r, None
+        return del_residual(self.model, self.problem, traj, self.settings), None
 
     def correction(self, x: Array, r: Array) -> Array:
         """Newton step: the block-tridiagonal solve, bordered by the
@@ -695,92 +642,62 @@ class _DelWorkspace:
     ]:
         """Assemble the block-tridiagonal Jacobian.
 
-        Unknown block k = 1 .. N-1 is (q_k, v_k, lambda^k); the equation
-        rows of block k are (q-rows, v-rows, Psi(k)).  When the first
-        interval is enforced, the extra unknown lambda^0 and the extra
-        Psi(0) rows are returned as a border (column, row) pair coupling
-        only to block 1: the border column holds dPsi(0)-transposed
-        multiplier terms in the stationarity rows, the border row holds
-        dPsi(0) over (q_1, v_1); the corner block is zero.
+        The Jacobian is the Hessian of the extended discrete action (the
+        action sum plus the multiplier-weighted constraints), so it is
+        symmetric: only the diagonal and upper blocks are built, each lower
+        block is the transpose of the upper block above it, and the border
+        row is the transpose of the border column.  Unknown block
+        k = 1 .. N-1 is (q_k, v_k, lambda^k); the equation rows of block k
+        are (q-rows, v-rows, Psi(k)).  When the first interval is enforced,
+        the extra unknown lambda^0 and the extra Psi(0) rows are returned as
+        a border (column, row) pair coupling only to block 1: the column
+        holds the dPsi(0)-transposed multiplier terms in the stationarity
+        rows, the row holds dPsi(0) over (q_1, v_1); the corner block is
+        zero.
         """
         model, problem, settings = self.model, self.problem, self.settings
-        n, kr, steps, h = self.n, self.kr, self.steps, self.h
-        nv = n + kr
-        block = 2 * n + kr
+        n, steps, h = self.n, self.steps, self.h
+        nv = n + self.kr
+        block = nv + n
+        lams = np.vstack([np.zeros(n) if lam0 is None else lam0, lam])
 
-        def lam_at(j: int) -> Array:
-            if j == 0:
-                return lam0 if lam0 is not None else np.zeros(n)
-            return lam[j - 1]
-
-        def node(j: int) -> AdmissibleState:
-            if j == 0:
-                return self.node_first
-            if j == steps:
-                return self.node_last
-            return AdmissibleState(q=q[j], v=v[j])
-
-        hess = []
-        psi_slots = []
+        hess, slots = [], []
         for j in range(steps):
-            nk, nk1 = node(j), node(j + 1)
-            hess.append(
-                _interval_hessian(
-                    model, problem, nk, nk1, lam_at(j), self.times[j], h,
-                    settings.psi_variant, settings.fd_step,
-                )
-            )
-            psi_slots.append(
-                _constraint_slots(model, nk, nk1, h, settings.psi_variant)
+            ends = (q[j], v[j], q[j + 1], v[j + 1])
+            hess.append(_interval_hessian(
+                model, problem, np.concatenate(ends), lams[j], self.times[j],
+                h, settings.psi_variant, settings.fd_step,
+            ))
+            slots.append(
+                _interval(model, None, *ends, None, 0.0, h, settings.psi_variant)[1]
             )
 
-        lower: list[Array | None] = []
+        # rows per block: q (0:n), v (n:nv), Psi(k) (nv:block);
+        # columns: q_k (0:n), v_k (n:nv), lambda^k (nv:block)
         diag: list[Array] = []
         upper: list[Array | None] = []
         for k in range(1, steps):
+            p1, p2, p3, p4 = slots[k]
             d = np.zeros((block, block))
-            hk = hess[k]
-            hk_prev = hess[k - 1]
-            p1, p2, p3, p4 = psi_slots[k]
-            pp1, pp2, pp3, pp4 = psi_slots[k - 1]
-
-            # rows per block: q (0:n), v (n:nv), Psi(k) (nv:block);
-            # columns: q_k (0:n), v_k (n:nv), lambda^k (nv:block)
-            d[:nv, :nv] = hk[:nv, :nv] + hk_prev[nv:, nv:]
-            d[:n, nv:block] = p1.T
-            d[n:nv, nv:block] = p2.T
-            d[nv:block, :n] = p1
-            d[nv:block, n:nv] = p2
+            d[:nv, :nv] = hess[k][:nv, :nv] + hess[k - 1][nv:, nv:]
+            d[nv:, :n] = p1
+            d[nv:, n:nv] = p2
+            d[:nv, nv:] = d[nv:, :nv].T
             diag.append(d)
-
-            if k == 1:
-                lower.append(None)
-            else:
-                le = np.zeros((block, block))
-                le[:nv, :nv] = hk_prev[nv:, :nv]
-                le[:n, nv:block] = pp3.T
-                le[n:nv, nv:block] = pp4.T
-                lower.append(le)
-
-            if k == steps - 1:
-                upper.append(None)
-            else:
-                ue = np.zeros((block, block))
-                ue[:nv, :nv] = hk[:nv, nv:]
-                ue[nv:block, :n] = p3
-                ue[nv:block, n:nv] = p4
-                upper.append(ue)
+            ue = np.zeros((block, block))
+            ue[:nv, :nv] = hess[k][:nv, nv:]
+            ue[nv:, :n] = p3
+            ue[nv:, n:nv] = p4
+            upper.append(ue)
+        upper[-1] = None
+        lower = [None] + [ue.T for ue in upper[:-1]]
 
         border = None
         if lam0 is not None:
-            pp1, pp2, pp3, pp4 = psi_slots[0]
             col = np.zeros((block, n))
-            col[:n, :] = pp3.T
-            col[n:nv, :] = pp4.T
-            row = np.zeros((n, block))
-            row[:, :n] = pp3
-            row[:, n:nv] = pp4
-            border = (col, row)
+            col[:n] = slots[0][2].T
+            col[n:nv] = slots[0][3].T
+            border = (col, col.T)
         return lower, diag, upper, border
 
 
@@ -843,7 +760,6 @@ def regularity_check(
     h: float,
     t_k: float = 0.0,
     lam: Array | None = None,
-    fd_step: float = 1e-6,
 ) -> RegularityReport:
     """One-step solvability test at a node pair.
 
@@ -860,17 +776,14 @@ def regularity_check(
     visible only for small h (the constraint rows scale as 1/h), so sweeps
     should fix a fine probe step rather than the solver's own coarse one.
     """
-    n, kr = model.n, model.rank
-    if lam is None:
-        lam = np.zeros(n)
-    lam = np.asarray(lam, dtype=float)
-    nv = n + kr
-
+    n, nv = model.n, model.n + model.rank
+    lam = np.zeros(n) if lam is None else np.asarray(lam, dtype=float)
+    ends = (node_k.q, node_k.v, node_k1.q, node_k1.v)
     hess = _interval_hessian(
-        model, problem, node_k, node_k1, lam, t_k, h, "midpoint", fd_step
+        model, problem, np.concatenate(ends), lam, t_k, h, "midpoint",
+        DelSettings.fd_step,
     )
-
-    p1, p2, p3, p4 = _constraint_slots(model, node_k, node_k1, h, "midpoint")
+    p1, p2, p3, p4 = _interval(model, None, *ends, None, 0.0, h, "midpoint")[1]
     m = np.zeros((nv + n, nv + n))
     m[:nv, :nv] = hess[:nv, nv:]
     m[:n, nv:] = p1.T
@@ -896,36 +809,27 @@ def diagnostics(
     constraint column to reflect the enforced residuals.
     """
     steps = traj.steps
-    cost = np.empty(steps + 1)
-    action = np.empty(steps + 1)
-    energy = np.empty(steps + 1)
-    psi = np.empty(steps + 1)
-
-    action[0] = 0.0
+    nodes = [traj.node(k) for k in range(steps + 1)]
+    action = np.zeros(steps + 1)
+    psi = np.empty(steps)
     for j in range(steps):
         action[j + 1] = action[j] + discrete_lagrangian(
-            model, problem, traj.node(j), traj.node(j + 1), float(traj.times[j]), traj.h
+            model, problem, nodes[j], nodes[j + 1], float(traj.times[j]), traj.h
         )
-    for k in range(steps + 1):
-        j = min(k, steps - 1)
-        state = traj.node(k)
-        cost[k] = running_cost(
-            model, problem, float(traj.times[k]), state, traj.controls[j]
-        )
-        energy[k] = restricted_energy(model, state)
-        psi[k] = float(
-            np.max(
-                np.abs(
-                    discrete_constraint(
-                        model, traj.node(j), traj.node(j + 1), traj.h, psi_variant
-                    )
-                )
-            )
-        )
+        psi[j] = np.max(np.abs(
+            discrete_constraint(model, nodes[j], nodes[j + 1], traj.h, psi_variant)
+        ))
+    # the last node reuses the final interval's control and constraint
+    last = np.minimum(np.arange(steps + 1), steps - 1)
+    cost = np.array([
+        running_cost(model, problem, float(t), node, traj.controls[j])
+        for t, node, j in zip(traj.times, nodes, last)
+    ])
+    energy = np.array([restricted_energy(model, node) for node in nodes])
     return DiagnosticSeries(
         times=traj.times.copy(),
         cost=cost,
         action=action,
         energy=energy,
-        constraint_residual=psi,
+        constraint_residual=psi[last],
     )

@@ -389,7 +389,7 @@ class TestRunCommand:
         assert (out / "diagnostics.csv").exists()
         assert "converged: no" in (out / "report.txt").read_text()
 
-    def test_jobs_runs_multiple_configs(self, tmp_path):
+    def test_runs_multiple_configs(self, tmp_path):
         first = equilibrium_cfg(tmp_path)
         second = write_cfg(
             tmp_path, "second.cfg",
@@ -404,6 +404,27 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "multi" / "equilibrium" / "trajectory.csv").exists()
         assert (tmp_path / "multi" / "second" / "trajectory.csv").exists()
+
+    def test_config_error_skips_only_that_config(self, tmp_path):
+        bad = write_cfg(
+            tmp_path, "bad.cfg",
+            equilibrium_cfg(tmp_path).read_text().replace(
+                "epsilon = 2.0", "epsilon = 2.0\nomega = -1.0"
+            ),
+        )
+        good = equilibrium_cfg(tmp_path)
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(bad), "--config", str(good),
+             "--out", str(tmp_path / "multi")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {bad}: " in result.output
+        assert "omega" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "multi" / "bad").exists()
+        for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
+            assert (tmp_path / "multi" / "equilibrium" / name).exists()
 
 
     @pytest.mark.parametrize(

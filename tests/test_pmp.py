@@ -773,6 +773,31 @@ def test_damped_newton_reports_when_no_trial_step_evaluates():
     assert x[0] == 1.0 and data == 1.0
 
 
+def test_damped_newton_reports_when_the_correction_fails_to_evaluate():
+    """A rejected error raised while computing the step (a diverged probe
+    flow of a finite-difference Jacobian) ends the solve unconverged at the
+    last accepted iterate, with a message naming the error."""
+    evaluate, _ = _square_root_problem(lambda x: False)
+
+    def correction(x, r):
+        if x[0] > 2.2:
+            raise FlowDivergedError(0.75)
+        return -r / (2.0 * x)
+
+    x, data, report = damped_newton(
+        np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
+        NewtonSettings(), FlowDivergedError,
+    )
+    # the first step lands at 2.5, where the next correction diverges
+    assert not report.converged
+    assert report.iterations == 1
+    assert len(report.records) == 1
+    assert report.residual_norm == 2.25
+    assert "no step could be evaluated at iteration 2" in report.message
+    assert str(FlowDivergedError(0.75)) in report.message
+    assert x[0] == 2.5 and data == 2.5
+
+
 def test_damped_newton_lets_other_errors_through():
     evaluate, correction = _square_root_problem(lambda x: x > 2.2)
     with pytest.raises(ArithmeticError):

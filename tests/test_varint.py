@@ -15,9 +15,11 @@ from nhtrack.ode import TimeGrid
 from nhtrack.pmp import AnalyticReference, RolloutReference, TrackingProblem
 from nhtrack.systems import SleighParams, particle_model, sleigh_model
 from nhtrack.varint import (
+    PSI_VARIANTS,
     DelSettings,
     DiscreteTrajectory,
     RegularityError,
+    _DelWorkspace,
     _solve_block_tridiagonal,
     continuous_optimality_residual,
     del_residual,
@@ -797,6 +799,77 @@ class TestBlockTridiagonal:
 
 
 # ---------------------------------------------------------------------------
+# the Newton Jacobian
+
+
+def dense_jacobian(ws, x):
+    """jacobian_blocks at x as one dense matrix: rows in residual order
+    (Psi(0) first when enforced), columns in unknown order (lambda^0 last)."""
+    lower, diag, upper, border = ws.jacobian_blocks(*ws.unpack(x))
+    block = diag[0].shape[0]
+    off = 0 if border is None else ws.n
+    dense = np.zeros((x.size, x.size))
+    for i, d in enumerate(diag):
+        rows = slice(off + i * block, off + (i + 1) * block)
+        dense[rows, i * block:(i + 1) * block] = d
+        if upper[i] is not None:
+            dense[rows, (i + 1) * block:(i + 2) * block] = upper[i]
+        if lower[i] is not None:
+            dense[rows, (i - 1) * block:i * block] = lower[i]
+    if border is not None:
+        col, row = border
+        dense[off:off + block, len(diag) * block:] = col
+        dense[:off, :block] = row
+    return dense, (lower, upper, border)
+
+
+class TestNewtonJacobian:
+    @pytest.mark.parametrize("psi_variant", PSI_VARIANTS)
+    @pytest.mark.parametrize("enforce", [False, True])
+    @pytest.mark.parametrize("system", ["particle", "sleigh"])
+    def test_blocks_match_central_differences_of_residual(
+        self, system, enforce, psi_variant
+    ):
+        """At a perturbed, unconverged iterate the assembled blocks (border
+        included) equal central differences of del_residual over the packed
+        unknowns, and the lower blocks and border row are exact transposes."""
+        if system == "particle":
+            model = particle_model()
+            problem = particle_case2_problem(horizon=1.0)
+        else:
+            model = sleigh_model(SLEIGH_PARAMS)
+            problem = mild_sleigh_problem(model)
+        settings = DelSettings(
+            enforce_first_interval=enforce, psi_variant=psi_variant
+        )
+        ws = _DelWorkspace(
+            model, problem, TimeGrid(0.0, 1.0, 4), settings,
+            problem.initial_state, problem.reference(1.0),
+        )
+        x0 = ws.initial_guess()
+        x = x0 + 0.1 * np.random.default_rng(43).normal(size=x0.size)
+        assert np.max(np.abs(ws.evaluate(x)[0])) > 1e-2
+
+        dense, (lower, upper, border) = dense_jacobian(ws, x)
+        step = 1e-6
+        fd = np.empty_like(dense)
+        for j in range(x.size):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += step
+            xm[j] -= step
+            fd[:, j] = (ws.evaluate(xp)[0] - ws.evaluate(xm)[0]) / (2 * step)
+        assert np.max(np.abs(dense - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+
+        for k in range(1, len(lower)):
+            assert np.array_equal(lower[k], upper[k - 1].T)
+        if enforce:
+            col, row = border
+            assert np.array_equal(row, col.T)
+        else:
+            assert border is None
+
+
+# ---------------------------------------------------------------------------
 # solve_del
 
 
@@ -986,29 +1059,21 @@ def test_order_of_accuracy_under_halving():
 def momentum_series(model, problem, traj, settings=DelSettings()):
     """Discrete Legendre momenta conjugate to v^1 at the interior nodes:
     p+ from the incoming interval, p- from the outgoing one."""
-    from nhtrack.varint import _constraint_slots, _lagrangian_slots
+    from nhtrack.varint import _interval
+
+    def slot_gradients(j, lam):
+        return _interval(
+            model, problem, traj.q[j], traj.v[j], traj.q[j + 1], traj.v[j + 1],
+            lam, float(traj.times[j]), traj.h, settings.psi_variant,
+        )[2]
 
     steps = traj.steps
     p_plus, p_minus = [], []
     for k in range(1, steps):
         lam_prev = traj.multipliers[k - 2] if k >= 2 else np.zeros(model.n)
         lam_k = traj.multipliers[k - 1]
-        _, _, _, l4p = _lagrangian_slots(
-            model, problem, traj.node(k - 1), traj.node(k),
-            float(traj.times[k - 1]), traj.h,
-        )
-        _, _, _, p4p = _constraint_slots(
-            model, traj.node(k - 1), traj.node(k), traj.h, settings.psi_variant
-        )
-        _, l2c, _, _ = _lagrangian_slots(
-            model, problem, traj.node(k), traj.node(k + 1),
-            float(traj.times[k]), traj.h,
-        )
-        _, p2c, _, _ = _constraint_slots(
-            model, traj.node(k), traj.node(k + 1), traj.h, settings.psi_variant
-        )
-        p_plus.append((l4p + lam_prev @ p4p)[0])
-        p_minus.append(-(l2c + lam_k @ p2c)[0])
+        p_plus.append(slot_gradients(k - 1, lam_prev)[3][0])
+        p_minus.append(-slot_gradients(k, lam_k)[1][0])
     return np.array(p_plus), np.array(p_minus)
 
 
