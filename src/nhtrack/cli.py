@@ -741,12 +741,48 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # model invariant suite (check subcommand)
 
 
-def model_checks(name: str, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Quick structural invariants of one system preset: frame shape and
-    rank, Christoffel index symmetry, exactness of the Christoffel Jacobian,
-    energy conservation of the uncontrolled flow, integrator order on that
-    flow, and one-step regularity at unit control weight."""
-    model = resolve_system(name)
+def _stacked_q_check(
+    model: SystemModel, rng: np.random.Generator
+) -> tuple[str, bool, str]:
+    """Each callable on a (5, n) batch of q returns its five single-point
+    results, stacked, each of the documented shape."""
+    n, m, k = model.n, model.corank, model.rank
+    shapes = {
+        "rho": (n, k), "rho_jac": (n, k, n), "christoffel": (k, k, k),
+        "christoffel_jac": (k, k, k, n), "metric_d": (k, k),
+        "potential_grad": (k,), "potential_grad_jac": (k, n),
+        "annihilator": (m, n),
+    }
+    qs = rng.normal(size=(5, n))
+    failed = []
+    for name, shape in shapes.items():
+        fn = getattr(model, name)
+        try:
+            rows = [np.asarray(fn(q), dtype=float) for q in qs]
+            batch = np.asarray(fn(qs), dtype=float)
+        except (ValueError, IndexError, TypeError):
+            failed.append(name)
+            continue
+        ok = (
+            all(row.shape == shape for row in rows)
+            and batch.shape == (5,) + shape
+            and np.allclose(batch, rows, rtol=1e-12, atol=1e-12)
+        )
+        if not ok:
+            failed.append(name)
+    detail = "5 random q" if not failed else f"fails: {', '.join(failed)}"
+    return "callables accept stacked q", not failed, detail
+
+
+def model_checks(
+    system: str | SystemModel, seed: int = 0
+) -> list[tuple[str, bool, str]]:
+    """Quick structural invariants of one system preset (or model): frame
+    shape and rank, Christoffel index symmetry, exactness of the Christoffel
+    Jacobian, energy conservation of the uncontrolled flow, integrator order
+    on that flow, one-step regularity at unit control weight, and that every
+    callable accepts a stack of configurations q of shape (..., n)."""
+    model = resolve_system(system) if isinstance(system, str) else system
     rng = np.random.default_rng(seed)
     results = []
 
@@ -834,6 +870,7 @@ def model_checks(name: str, seed: int = 0) -> list[tuple[str, bool, str]]:
     results.append(
         ("one-step matrix nonsingular at epsilon = 1", all(regular), "10 random pairs")
     )
+    results.append(_stacked_q_check(model, rng))
     return results
 
 
@@ -868,12 +905,30 @@ def run(configs, out):
 
     A config that fails to parse or build prints its error and the rest
     still run; the exit code is 1 if any config failed so, else the worst
-    solver code."""
+    solver code.  Two configs that would write to the same artifact
+    directory are rejected, exit code 1, before any of them runs."""
     worst, failed = 0, False
+    jobs, targets = [], {}
     for path in configs:
         try:
             cfg = parse_config(path)
-            target = _resolve_out(cfg, out, _config_stem(path))
+        except ConfigError as exc:
+            click.echo(f"Error: {path}: {exc}", err=True)
+            failed = True
+            continue
+        target = _resolve_out(cfg, out, _config_stem(path))
+        key = target.resolve()
+        if key in targets:
+            click.echo(
+                f"Error: {targets[key]} and {path} both write to {target}; "
+                "give them distinct file names or output directories",
+                err=True,
+            )
+            raise SystemExit(1)
+        targets[key] = path
+        jobs.append((path, cfg, target))
+    for path, cfg, target in jobs:
+        try:
             code = run_experiment(cfg, target)
         except ConfigError as exc:
             click.echo(f"Error: {path}: {exc}", err=True)

@@ -26,7 +26,12 @@ class SystemModel:
     """Immutable description of a nonholonomic system in adapted coordinates.
 
     All callables are pure functions of the configuration q and safe to call
-    concurrently.  Index conventions:
+    concurrently.  Each one takes q of shape (..., n) and returns its array
+    with the same leading axes, row by row equal to the single-point result:
+    for q of shape (N, n), rho(q) has shape (N, n, n-m) and rho(q)[i] equals
+    rho(q[i]).  The solvers rely on this to evaluate a whole grid of nodes,
+    or a stack of probe flows, in one call; `nhtrack check` verifies it.
+    Index conventions (single point, the leading axes omitted):
 
     - rho(q)[i, A] = rho^i_A
     - rho_jac(q)[i, A, j] = d rho^i_A / d q^j
@@ -111,20 +116,38 @@ def _as_control(u: ControlVector | Array) -> Array:
 
 
 def _check_state(model: SystemModel, state: AdmissibleState) -> None:
-    if state.q.shape != (model.n,):
+    """Accepts one point, q (n,) and v (n-m,), or a stack of them with
+    matching leading axes."""
+    if state.q.shape[-1:] != (model.n,):
         raise ValueError(
-            f"state.q has shape {state.q.shape}, expected ({model.n},)"
+            f"state.q has shape {state.q.shape}, expected (..., {model.n})"
         )
-    if state.v.shape != (model.rank,):
+    if state.v.shape != state.q.shape[:-1] + (model.rank,):
         raise ValueError(
-            f"state.v has shape {state.v.shape}, expected ({model.rank},)"
+            f"state.v has shape {state.v.shape}, expected "
+            f"{state.q.shape[:-1] + (model.rank,)}"
         )
+
+
+def _matvec(mat: Array, vec: Array) -> Array:
+    """mat @ vec over the last axis of vec, with leading axes broadcast."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _vecmat(vec: Array, mat: Array) -> Array:
+    """vec @ mat over the last axis of vec, with leading axes broadcast."""
+    return (vec[..., None, :] @ mat)[..., 0, :]
+
+
+def _quadratic(gamma: Array, v: Array) -> Array:
+    """Gamma^A_{BC} v^B v^C for gamma (..., k, k, k) and v (..., k)."""
+    return _matvec(_matvec(gamma, v[..., None, :]), v)
 
 
 def admissibility_velocity(model: SystemModel, state: AdmissibleState) -> Array:
     """Configuration velocity qdot = rho(q) v induced by a point of D."""
     _check_state(model, state)
-    return model.rho(state.q) @ state.v
+    return _matvec(model.rho(state.q), state.v)
 
 
 def dynamics_rhs(
@@ -135,19 +158,16 @@ def dynamics_rhs(
     """Controlled equations of motion in adapted coordinates.
 
     Returns (qdot, vdot) with qdot = rho(q) v and
-    vdot^A = -Gamma^A_{BC} v^B v^C - potential_grad^A + u^A.
+    vdot^A = -Gamma^A_{BC} v^B v^C - potential_grad^A + u^A.  The state may
+    be a stack of points (leading axes on q and v); u is broadcast over it.
     """
     _check_state(model, state)
     uu = _as_control(u)
-    if uu.shape != (model.rank,):
-        raise ValueError(f"u has shape {uu.shape}, expected ({model.rank},)")
-    gamma = model.christoffel(state.q)
-    qdot = model.rho(state.q) @ state.v
-    vdot = (
-        -np.einsum("abc,b,c->a", gamma, state.v, state.v)
-        - model.potential_grad(state.q)
-        + uu
-    )
+    if uu.shape[-1:] != (model.rank,):
+        raise ValueError(f"u has shape {uu.shape}, expected (..., {model.rank})")
+    q, v = state.q, state.v
+    qdot = _matvec(model.rho(q), v)
+    vdot = -_quadratic(model.christoffel(q), v) - model.potential_grad(q) + uu
     return qdot, vdot
 
 
@@ -157,13 +177,16 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
 
     Returns (a, a_q, a_v): a_q[A, j] = d a^A / d q^j from the exact
     Christoffel and potential-gradient Jacobians, a_v[B, A] = d a^B / d v^A =
-    (Gamma^B_{AC} + Gamma^B_{CA}) v^C.
+    (Gamma^B_{AC} + Gamma^B_{CA}) v^C.  q (..., n) and v (..., n-m) may
+    carry matching leading axes; so do the results.
     """
     gam = model.christoffel(q)
-    a = (gam @ v) @ v + model.potential_grad(q)
-    a_q = np.einsum("abcj,b,c->aj", model.christoffel_jac(q), v, v)
-    a_q += model.potential_grad_jac(q)
-    a_v = (gam + gam.transpose(0, 2, 1)) @ v
+    gam_v = _matvec(gam, v[..., None, :])  # Gamma^A_{BC} v^C
+    a = _matvec(gam_v, v) + model.potential_grad(q)
+    # contract the Christoffel Jacobian's C slot, then its B slot, with v
+    jac_v = _vecmat(v[..., None, None, :], model.christoffel_jac(q))
+    a_q = _vecmat(v[..., None, :], jac_v) + model.potential_grad_jac(q)
+    a_v = _matvec(gam + gam.swapaxes(-1, -2), v[..., None, :])
     return a, a_q, a_v
 
 
@@ -224,5 +247,5 @@ def state_difference(
     into (-pi, pi]."""
     dq = state.q - other.q
     for i in model.angle_indices:
-        dq[i] = wrap_angle(dq[i])
+        dq[..., i] = wrap_angle(dq[..., i])
     return dq, state.v - other.v

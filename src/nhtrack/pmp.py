@@ -37,6 +37,8 @@ from .geometry import (
     ControlVector,
     SystemModel,
     _as_control,
+    _matvec,
+    _vecmat,
     drift,
     dynamics_rhs,
     state_difference,
@@ -76,7 +78,11 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnalyticReference:
-    """Affine-in-time reference gamma_r(t) = (q0 + t dq, v0 + t dv)."""
+    """Affine-in-time reference gamma_r(t) = (q0 + t dq, v0 + t dv).
+
+    t may be an array of times; the sample then carries its shape as
+    leading axes of q and v.
+    """
 
     q_base: Array
     q_slope: Array
@@ -87,7 +93,8 @@ class AnalyticReference:
         for name in ("q_base", "q_slope", "v_base", "v_slope"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
 
-    def __call__(self, t: float) -> AdmissibleState:
+    def __call__(self, t: float | Array) -> AdmissibleState:
+        t = np.asarray(t, dtype=float)[..., None]
         return AdmissibleState(
             q=self.q_base + t * self.q_slope, v=self.v_base + t * self.v_slope
         )
@@ -101,7 +108,9 @@ class RolloutReference:
     are evaluated by cubic Hermite interpolation using the exact vector-field
     slopes, which preserves the integrator's order.  Samples at t <= 0 and
     t >= horizon return the stored endpoint values unchanged, so repeated
-    queries at the horizon are bit-identical.
+    queries at the horizon are bit-identical.  t may be an array of times;
+    each entry is sampled exactly as a scalar t would be, and the shape of t
+    leads the axes of q and v.
     """
 
     def __init__(
@@ -122,46 +131,44 @@ class RolloutReference:
         zero_u = np.zeros(k)
 
         def f(t: float, y: Array) -> Array:
-            state = AdmissibleState(q=y[:n], v=y[n:])
+            state = AdmissibleState(q=y[..., :n], v=y[..., n:])
             qdot, vdot = dynamics_rhs(model, state, zero_u)
-            return np.concatenate([qdot, vdot])
+            return np.concatenate([qdot, vdot], axis=-1)
 
         steps = max(1, math.ceil(self.horizon / step))
         grid = TimeGrid(0.0, self.horizon, steps)
         self._times, self._ys = integrate(f, start.as_vector(), grid)
-        self._slopes = np.array(
-            [f(t, y) for t, y in zip(self._times, self._ys)]
-        )
+        # the field is autonomous: the slopes of all nodes in one call
+        self._slopes = f(0.0, self._ys)
         self._h = grid.h
         self._n = n
 
-    def __call__(self, t: float) -> AdmissibleState:
-        if t < -1e-9 or t > self.horizon + 1e-9:
+    def __call__(self, t: float | Array) -> AdmissibleState:
+        t = np.asarray(t, dtype=float)
+        outside = (t < -1e-9) | (t > self.horizon + 1e-9)
+        if np.any(outside):
             raise ValueError(
-                f"sample time {t} outside the rollout horizon [0, {self.horizon}]"
+                f"sample time {t[outside].flat[0]} outside the rollout horizon "
+                f"[0, {self.horizon}]"
             )
-        if t <= 0.0:
-            y = self._ys[0]
-        elif t >= self.horizon:
-            y = self._ys[-1]
-        else:
-            j = min(int(t / self._h), len(self._times) - 2)
-            t0 = self._times[j]
-            s = (t - t0) / self._h
-            if s < 0.0:  # guard against floor/roundoff disagreement
-                j -= 1
-                t0 = self._times[j]
-                s = (t - t0) / self._h
-            y0, y1 = self._ys[j], self._ys[j + 1]
-            m0, m1 = self._slopes[j], self._slopes[j + 1]
-            s2, s3 = s * s, s * s * s
-            y = (
-                (2 * s3 - 3 * s2 + 1) * y0
-                + (s3 - 2 * s2 + s) * self._h * m0
-                + (-2 * s3 + 3 * s2) * y1
-                + (s3 - s2) * self._h * m1
-            )
-        return AdmissibleState(q=y[: self._n].copy(), v=y[self._n :].copy())
+        j = np.clip((t / self._h).astype(int), 0, len(self._times) - 2)
+        s = (t - self._times[j]) / self._h
+        # guard against floor/roundoff disagreement
+        j = np.where(s < 0.0, np.maximum(j - 1, 0), j)
+        s = ((t - self._times[j]) / self._h)[..., None]
+        y0, y1 = self._ys[j], self._ys[j + 1]
+        m0, m1 = self._slopes[j], self._slopes[j + 1]
+        s2, s3 = s * s, s * s * s
+        y = (
+            (2 * s3 - 3 * s2 + 1) * y0
+            + (s3 - 2 * s2 + s) * self._h * m0
+            + (-2 * s3 + 3 * s2) * y1
+            + (s3 - s2) * self._h * m1
+        )
+        # the endpoints exactly as stored
+        y = np.where((t <= 0.0)[..., None], self._ys[0], y)
+        y = np.where((t >= self.horizon)[..., None], self._ys[-1], y)
+        return AdmissibleState(q=y[..., : self._n], v=y[..., self._n :])
 
 
 ReferenceSampler = Callable[[float], AdmissibleState]
@@ -481,8 +488,11 @@ def _make_packed_rhs(
 ) -> Callable[[float, Array], Array]:
     """RHS of the coupled flow on packed vectors y = (q, v, lambda, mu).
 
-    The adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv, with the
-    drift derivatives taken exactly from geometry.drift.
+    y may be one vector of length 2n + k or a stack of them, shape
+    (m, 2n + k), which advances m flows (for example the probes of a
+    finite-difference Jacobian) in one evaluation.  The adjoint rows are
+    -lambdadot = dH*/dq and -mudot = dH*/dv, with the drift derivatives
+    taken exactly from geometry.drift.
     """
     n, k = model.n, model.rank
     rho_f, rho_jac_f = model.rho, model.rho_jac
@@ -493,14 +503,14 @@ def _make_packed_rhs(
     angle_idx = sorted(model.angle_indices)
 
     def rhs(t: float, y: Array) -> Array:
-        q = y[:n]
-        v = y[n : n + k]
-        lam = y[n + k : 2 * n + k]
-        mu = y[2 * n + k :]
+        q = y[..., :n]
+        v = y[..., n : n + k]
+        lam = y[..., n + k : 2 * n + k]
+        mu = y[..., 2 * n + k :]
         ref = reference(t)
         dq = q - ref.q
         for i in angle_idx:
-            dq[i] = wrap_angle(dq[i])
+            dq[..., i] = wrap_angle(dq[..., i])
         dv = v - ref.v
 
         rho = rho_f(q)
@@ -508,14 +518,15 @@ def _make_packed_rhs(
         a, a_q, a_v = drift(model, q, v)
         u = -inv_le * mu
 
-        qdot = rho @ v
+        qdot = _matvec(rho, v)
         vdot = u - a
 
         # sum_{j,A} lambda_j drho^j_A/dq^i v^A
-        pull = (lam @ rjac.reshape(n, -1)).reshape(k, n)
-        lamdot = -(track * dq + v @ pull - a_q.T @ mu)
-        mudot = -(track * dv + rho.T @ lam - a_v.T @ mu)
-        return np.concatenate([qdot, vdot, lamdot, mudot])
+        pull = _vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
+        pull = pull.reshape(pull.shape[:-1] + (k, n))
+        lamdot = -(track * dq + _vecmat(v, pull) - _vecmat(mu, a_q))
+        mudot = -(track * dv + _vecmat(lam, rho) - _vecmat(mu, a_v))
+        return np.concatenate([qdot, vdot, lamdot, mudot], axis=-1)
 
     return rhs
 
@@ -576,9 +587,14 @@ def check_shooting(problem: TrackingProblem, settings: ShootingSettings) -> Time
 def _flow(
     rhs: Callable[[float, Array], Array], y0: Array, grid: TimeGrid
 ) -> tuple[Array, Array]:
-    """Integrate the packed flow, failing fast (and quietly) on blow-up."""
+    """Integrate the packed flow, failing fast (and quietly) on blow-up.
+
+    y0 is one packed vector or a stack of them (m, 2n + k); the series has
+    shape (steps + 1,) + y0.shape, and any one diverging row fails the whole
+    stacked flow.
+    """
     times = grid.times()
-    ys = np.empty((grid.steps + 1, y0.size))
+    ys = np.empty((grid.steps + 1,) + y0.shape)
     ys[0] = y0
     h = grid.h
     with np.errstate(over="ignore", invalid="ignore"):
@@ -596,16 +612,18 @@ def _flow(
 def _terminal_residual(
     model: SystemModel, problem: TrackingProblem, y_final: Array
 ) -> Array:
+    """Terminal residual of one packed final state, or one row per state of
+    a stack."""
     n, k = model.n, model.rank
-    state_T = AdmissibleState(q=y_final[:n], v=y_final[n : n + k])
+    state_T = AdmissibleState(q=y_final[..., :n], v=y_final[..., n : n + k])
     ref_T = problem.reference(problem.horizon_T)
     dq, dv = state_difference(model, state_T, ref_T)
     if problem.terminal_mode == "hard":
-        return np.concatenate([dq, dv])
-    lam_T = y_final[n + k : 2 * n + k]
-    mu_T = y_final[2 * n + k :]
+        return np.concatenate([dq, dv], axis=-1)
+    lam_T = y_final[..., n + k : 2 * n + k]
+    mu_T = y_final[..., 2 * n + k :]
     return np.concatenate(
-        [lam_T - problem.omega * dq, mu_T - problem.omega * dv]
+        [lam_T - problem.omega * dq, mu_T - problem.omega * dv], axis=-1
     )
 
 
@@ -652,23 +670,23 @@ def _newton_shoot(
 ) -> tuple[Array, tuple[Array, Array], ConvergenceReport]:
     """One damped-Newton solve of the shooting system on a fixed grid.
 
-    Returns the final costate vector, the (times, ys) series of its flow,
-    and the report.
+    The forward-difference probes of a Jacobian (one per costate entry) run
+    as one stacked flow.  Returns the final costate vector, the (times, ys)
+    series of its flow, and the report.
     """
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
 
     def flow(vec: Array) -> tuple[Array, tuple[Array, Array]]:
-        times, ys = _flow(rhs, np.concatenate([y_state, vec]), grid)
+        # vec is one costate vector or a stack of them, one per row
+        state = np.broadcast_to(y_state, vec.shape[:-1] + y_state.shape)
+        times, ys = _flow(rhs, np.concatenate([state, vec], axis=-1), grid)
         return _terminal_residual(model, problem, ys[-1]), (times, ys)
 
     def correction(vec: Array, r: Array) -> Array:
-        jac = np.empty((r.size, vec.size))
-        for j in range(vec.size):
-            step = settings.fd_step * max(1.0, abs(vec[j]))
-            probe = vec.copy()
-            probe[j] += step
-            jac[:, j] = (flow(probe)[0] - r) / step
+        steps = settings.fd_step * np.maximum(1.0, np.abs(vec))
+        # probe j is vec with entry j moved by steps[j]
+        jac = ((flow(vec + np.diag(steps))[0] - r) / steps[:, None]).T
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularJacobianError(cond)
@@ -711,7 +729,10 @@ def solve_shooting(
     Newton steps use forward-difference Jacobians (per-component step
     fd_step * max(1, |alpha_j|)) and a backtracking line search halving the
     step until the residual 2-norm decreases (at most max_halvings times);
-    a trial step whose flow diverges counts as a rejected step.
+    a trial step whose flow diverges counts as a rejected step.  The n + k
+    probes of each Jacobian are integrated together, as one stacked
+    (n + k, 2n + k) flow through the packed field and rk4_step; if any
+    probe diverges, the solve ends unconverged at the current iterate.
     With settings.continuation = "horizon" the unknown initial costate is
     first tracked through a family of shortened-horizon problems before the
     full-horizon solve runs; "terminal-weight" instead tracks it through

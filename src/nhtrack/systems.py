@@ -61,39 +61,47 @@ def particle_model() -> SystemModel:
     """
 
     def rho(q: Array) -> Array:
-        y = q[1]
-        return np.array([[0.0, -y], [1.0, 0.0], [0.0, 1.0]])
+        out = np.zeros(q.shape[:-1] + (3, 2))
+        out[..., 0, 1] = -q[..., 1]
+        out[..., 1, 0] = 1.0
+        out[..., 2, 1] = 1.0
+        return out
 
     def rho_jac(q: Array) -> Array:
-        jac = np.zeros((3, 2, 3))
-        jac[0, 1, 1] = -1.0
+        jac = np.zeros(q.shape[:-1] + (3, 2, 3))
+        jac[..., 0, 1, 1] = -1.0
         return jac
 
     def christoffel(q: Array) -> Array:
-        y = q[1]
-        gamma = np.zeros((2, 2, 2))
-        gamma[1, 0, 1] = y / (1.0 + y * y)
+        y = q[..., 1]
+        gamma = np.zeros(q.shape[:-1] + (2, 2, 2))
+        gamma[..., 1, 0, 1] = y / (1.0 + y * y)
         return gamma
 
     def christoffel_jac(q: Array) -> Array:
-        y = q[1]
-        jac = np.zeros((2, 2, 2, 3))
-        jac[1, 0, 1, 1] = (1.0 - y * y) / (1.0 + y * y) ** 2
+        y = q[..., 1]
+        jac = np.zeros(q.shape[:-1] + (2, 2, 2, 3))
+        jac[..., 1, 0, 1, 1] = (1.0 - y * y) / (1.0 + y * y) ** 2
         return jac
 
     def metric_d(q: Array) -> Array:
-        y = q[1]
-        return np.array([[1.0, 0.0], [0.0, 1.0 + y * y]])
+        y = q[..., 1]
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = 1.0 + y * y
+        return g
 
     def potential_grad(q: Array) -> Array:
-        return np.zeros(2)
+        return np.zeros(q.shape[:-1] + (2,))
 
     def potential_grad_jac(q: Array) -> Array:
-        return np.zeros((2, 3))
+        return np.zeros(q.shape[:-1] + (2, 3))
 
     def annihilator(q: Array) -> Array:
-        y = q[1]
-        return np.array([[1.0, 0.0, y]])
+        mu = np.zeros(q.shape[:-1] + (1, 3))
+        mu[..., 0, 0] = 1.0
+        mu[..., 0, 2] = q[..., 1]
+        return mu
 
     return SystemModel(
         n=3,
@@ -141,20 +149,18 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
     inv_sm = 1.0 / math.sqrt(params.mass_m)
 
     def rho(q: Array) -> Array:
-        th = q[2]
-        return np.array(
-            [
-                [0.0, math.cos(th) * inv_sm],
-                [0.0, math.sin(th) * inv_sm],
-                [inv_s, 0.0],
-            ]
-        )
+        th = q[..., 2]
+        out = np.zeros(q.shape[:-1] + (3, 2))
+        out[..., 0, 1] = np.cos(th) * inv_sm
+        out[..., 1, 1] = np.sin(th) * inv_sm
+        out[..., 2, 0] = inv_s
+        return out
 
     def rho_jac(q: Array) -> Array:
-        th = q[2]
-        jac = np.zeros((3, 2, 3))
-        jac[0, 1, 2] = -math.sin(th) * inv_sm
-        jac[1, 1, 2] = math.cos(th) * inv_sm
+        th = q[..., 2]
+        jac = np.zeros(q.shape[:-1] + (3, 2, 3))
+        jac[..., 0, 1, 2] = -np.sin(th) * inv_sm
+        jac[..., 1, 1, 2] = np.cos(th) * inv_sm
         return jac
 
     gamma_const = np.zeros((2, 2, 2))
@@ -162,23 +168,26 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
     gamma_const[1, 0, 0] = -eta
 
     def christoffel(q: Array) -> Array:
-        return gamma_const.copy()
+        return np.zeros(q.shape[:-1] + (2, 2, 2)) + gamma_const
 
     def christoffel_jac(q: Array) -> Array:
-        return np.zeros((2, 2, 2, 3))
+        return np.zeros(q.shape[:-1] + (2, 2, 2, 3))
 
     def metric_d(q: Array) -> Array:
-        return np.eye(2)
+        return np.zeros(q.shape[:-1] + (2, 2)) + np.eye(2)
 
     def potential_grad(q: Array) -> Array:
-        return np.zeros(2)
+        return np.zeros(q.shape[:-1] + (2,))
 
     def potential_grad_jac(q: Array) -> Array:
-        return np.zeros((2, 3))
+        return np.zeros(q.shape[:-1] + (2, 3))
 
     def annihilator(q: Array) -> Array:
-        th = q[2]
-        return np.array([[math.sin(th), -math.cos(th), 0.0]])
+        th = q[..., 2]
+        mu = np.zeros(q.shape[:-1] + (1, 3))
+        mu[..., 0, 0] = np.sin(th)
+        mu[..., 0, 1] = -np.cos(th)
+        return mu
 
     return SystemModel(
         n=3,

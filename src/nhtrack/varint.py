@@ -24,11 +24,16 @@ and the constrained discrete Euler-Lagrange system over interior nodes with
 multipliers lambda^k for k = 1 .. N-1 (the first interval is unconstrained by
 default because the initial state is prescribed admissible).  Every interval
 term (Psi_d, its slot derivatives and the slot gradients of
-L_d + lambda . Psi_d) comes from one function on the node arrays, _interval.
-solve_del is a damped Newton iteration on that system.  Its Jacobian is the
-Hessian of the extended discrete action (the action sum plus the
-multiplier-weighted constraints), so it is symmetric; it is block-tridiagonal
-in the node index and is factored block-row by block-row.
+L_d + lambda . Psi_d) comes from one function, _interval, which evaluates all
+N intervals of a grid at once on stacked node arrays: the residual is one
+_interval call (with one reference sample per interval midpoint, taken in
+one call), and each finite-difference column of the interval Hessians moves
+that column in all N intervals together, so a Jacobian costs 4(n + k) + 1
+kernel calls whatever N is.  solve_del is a damped Newton iteration on that
+system.  Its Jacobian is the Hessian of the extended discrete action (the
+action sum plus the multiplier-weighted constraints), so it is symmetric; it
+is block-tridiagonal in the node index and is factored block-row by
+block-row.
 """
 from __future__ import annotations
 
@@ -39,6 +44,9 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
+    _matvec,
+    _quadratic,
+    _vecmat,
     drift,
     restricted_energy,
     state_difference,
@@ -180,11 +188,12 @@ class DiagnosticSeries:
 
 def reconstructed_control(model: SystemModel, q: Array, v: Array, vdot: Array) -> Array:
     """Control that produces the acceleration vdot at (q, v):
-    u = vdot + Gamma(q) v v + potential_grad(q)."""
+    u = vdot + Gamma(q) v v + potential_grad(q).  The arguments may carry
+    matching leading axes (one row per point)."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
-    return vdot + (model.christoffel(q) @ v) @ v + model.potential_grad(q)
+    return vdot + _quadratic(model.christoffel(q), v) + model.potential_grad(q)
 
 
 def ocp_lagrangian(
@@ -205,23 +214,24 @@ def ocp_lagrangian(
 def _lagrangian_gradients(
     model: SystemModel,
     problem: TrackingProblem,
-    t: float,
+    ref: AdmissibleState,
     q: Array,
     v: Array,
     vdot: Array,
 ) -> tuple[Array, Array, Array]:
     """(dL/dq, dL/dv, dL/dvdot) of ocp_lagrangian, exact through the
-    drift derivatives u = vdot + a(q, v)."""
+    drift derivatives u = vdot + a(q, v); ref is the reference sampled at
+    the time of (q, v, vdot).  All arguments may carry matching leading
+    axes, one row per point."""
     lam0 = problem.lambda0
     eps = problem.epsilon
     sw = problem.state_weight
-    ref = problem.reference(t)
     dq, dv = state_difference(model, AdmissibleState(q=q, v=v), ref)
     a, du_dq, du_dv = drift(model, q, v)
     u = vdot + a
 
-    grad_q = lam0 * (sw * dq + eps * (u @ du_dq))
-    grad_v = lam0 * (sw * dv + eps * (du_dv.T @ u))
+    grad_q = lam0 * (sw * dq + eps * _vecmat(u, du_dq))
+    grad_v = lam0 * (sw * dv + eps * _vecmat(u, du_dv))
     grad_vdot = lam0 * eps * u
     return grad_q, grad_v, grad_vdot
 
@@ -263,16 +273,9 @@ def continuous_optimality_residual(
     vdot = np.gradient(v_series, times, axis=0, edge_order=2)
     lamdot = np.gradient(lam_series, times, axis=0, edge_order=2)
 
-    p = np.empty_like(v_series)
-    grad_q = np.empty_like(q_series)
-    grad_v = np.empty_like(v_series)
-    for idx, t in enumerate(times):
-        gq, gv, gvd = _lagrangian_gradients(
-            model, problem, t, q_series[idx], v_series[idx], vdot[idx]
-        )
-        grad_q[idx] = gq
-        grad_v[idx] = gv
-        p[idx] = gvd
+    grad_q, grad_v, p = _lagrangian_gradients(
+        model, problem, problem.reference(times), q_series, v_series, vdot
+    )
     pdot = np.gradient(p, times, axis=0, edge_order=2)
 
     rows = []
@@ -348,28 +351,32 @@ def _interval(
     q_k1: Array,
     v_k1: Array,
     lam: Array | None,
-    t_k: float,
+    ref: AdmissibleState | None,
     h: float,
     psi_variant: str,
 ) -> tuple[Array, tuple[Array, Array, Array, Array], tuple[Array, ...] | None]:
-    """One interval of the extended discrete action L_d + lam . Psi_d.
+    """Intervals of the extended discrete action L_d + lam . Psi_d.
 
-    Returns (Psi_d, its slot derivatives, the slot gradients of
-    L_d + lam . Psi_d); slots are (D1, D2, D3, D4), the derivatives with
-    respect to q_k, v_k, q_{k+1}, v_{k+1} through the midpoint arguments,
-    with D1/D3 of Psi_d (n, n) and D2/D4 (n, n-m).  With problem None only
-    the constraint is evaluated (lam and t_k are unused) and the gradients
-    are None.
+    The node arguments are one interval's end nodes, or the stacked end
+    nodes of many intervals (q_k of shape (N, n), and so on, with lam
+    (N, n) and ref sampled at the N midpoint times); every result then
+    carries the same leading axes.  ref is the reference at the interval
+    midpoint t_k + h/2.  Returns (Psi_d, its slot derivatives, the slot
+    gradients of L_d + lam . Psi_d); slots are (D1, D2, D3, D4), the
+    derivatives with respect to q_k, v_k, q_{k+1}, v_{k+1} through the
+    midpoint arguments, with D1/D3 of Psi_d (n, n) and D2/D4 (n, n-m).
+    With problem None only the constraint is evaluated (lam and ref are
+    unused) and the gradients are None.
     """
     q_mid = 0.5 * (q_k + q_k1)
     v_mid = 0.5 * (v_k + v_k1)
     v_dq = (v_k1 - v_k) / h
     v_slot = v_mid if psi_variant == "midpoint" else v_dq
     rho = model.rho(q_mid)
-    psi = (q_k1 - q_k) / h - rho @ v_slot
+    psi = (q_k1 - q_k) / h - _matvec(rho, v_slot)
     # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A
-    r_mat = np.tensordot(model.rho_jac(q_mid), v_slot, axes=([1], [0]))
-    eye_h = np.eye(len(q_k)) / h
+    r_mat = _vecmat(v_slot[..., None, :], model.rho_jac(q_mid))
+    eye_h = np.eye(model.n) / h
     if psi_variant == "midpoint":
         p2 = p4 = -0.5 * rho
     else:
@@ -377,15 +384,13 @@ def _interval(
     slots = (-eye_h - 0.5 * r_mat, p2, eye_h - 0.5 * r_mat, p4)
     if problem is None:
         return psi, slots, None
-    gq, gv, gvd = _lagrangian_gradients(
-        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
-    )
+    gq, gv, gvd = _lagrangian_gradients(model, problem, ref, q_mid, v_mid, v_dq)
     l13 = 0.5 * h * gq
     grads = (
-        l13 + lam @ slots[0],
-        0.5 * h * gv - gvd + lam @ slots[1],
-        l13 + lam @ slots[2],
-        0.5 * h * gv + gvd + lam @ slots[3],
+        l13 + _vecmat(lam, slots[0]),
+        0.5 * h * gv - gvd + _vecmat(lam, slots[1]),
+        l13 + _vecmat(lam, slots[2]),
+        0.5 * h * gv + gvd + _vecmat(lam, slots[3]),
     )
     return psi, slots, grads
 
@@ -395,31 +400,33 @@ def _interval_hessian(
     problem: TrackingProblem,
     x0: Array,
     lam: Array,
-    t_k: float,
+    ref: AdmissibleState,
     h: float,
     psi_variant: str,
     step: float,
 ) -> Array:
     """Hessian of L_d + lam . Psi_d over x0 = (q_k, v_k, q_{k+1}, v_{k+1}),
     by central differences of step `step` of the exact slot gradients,
-    symmetrized."""
+    symmetrized.  x0 may stack many intervals, shape (N, 2(n + k)) with lam
+    and ref to match; each column is then moved in all of them at once, so
+    the Hessians of a whole grid take 4(n + k) _interval calls."""
     n, nv = model.n, model.n + model.rank
 
     def grad(x: Array) -> Array:
         g = _interval(
-            model, problem, x[:n], x[n:nv], x[nv : nv + n], x[nv + n :],
-            lam, t_k, h, psi_variant,
+            model, problem, x[..., :n], x[..., n:nv], x[..., nv : nv + n],
+            x[..., nv + n :], lam, ref, h, psi_variant,
         )[2]
-        return np.concatenate(g)
+        return np.concatenate(g, axis=-1)
 
-    hess = np.empty((2 * nv, 2 * nv))
+    hess = np.empty(x0.shape + (2 * nv,))
     for c in range(2 * nv):
         xp = x0.copy()
-        xp[c] += step
+        xp[..., c] += step
         xm = x0.copy()
-        xm[c] -= step
-        hess[:, c] = (grad(xp) - grad(xm)) / (2 * step)
-    return 0.5 * (hess + hess.T)
+        xm[..., c] -= step
+        hess[..., c] = (grad(xp) - grad(xm)) / (2 * step)
+    return 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def del_residual(
@@ -439,7 +446,8 @@ def del_residual(
     and the Psi_d(0) rows are prepended.  This vector is exactly the
     gradient of the extended discrete action (action sum plus the
     multiplier-weighted constraints) with respect to the interior unknowns
-    in the same order.
+    in the same order.  All intervals are evaluated in one _interval call,
+    with the reference sampled once, at the array of midpoint times.
     """
     q, v = traj.q, traj.v
     if boundary is not None:
@@ -455,20 +463,17 @@ def del_residual(
     else:
         lam0 = np.zeros(model.n)
     lam = np.vstack([lam0, traj.multipliers])
-
-    pieces = []
-    prev = None  # slot gradients of interval k-1
-    for k in range(traj.steps):
-        psi, _, cur = _interval(
-            model, problem, q[k], v[k], q[k + 1], v[k + 1], lam[k],
-            traj.times[k], traj.h, settings.psi_variant,
-        )
-        if k > 0:
-            pieces += [cur[0] + prev[2], cur[1] + prev[3], psi]
-        elif settings.enforce_first_interval:
-            pieces.append(psi)
-        prev = cur
-    out = np.concatenate(pieces)
+    ref = problem.reference(traj.times[:-1] + 0.5 * traj.h)
+    psi, _, (g1, g2, g3, g4) = _interval(
+        model, problem, q[:-1], v[:-1], q[1:], v[1:], lam, ref, traj.h,
+        settings.psi_variant,
+    )
+    # interior node k takes D1, D2 of interval k and D3, D4 of interval k-1
+    out = np.concatenate(
+        [g1[1:] + g3[:-1], g2[1:] + g4[:-1], psi[1:]], axis=1
+    ).ravel()
+    if settings.enforce_first_interval:
+        out = np.concatenate([psi[0], out])
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite discrete Euler-Lagrange residual")
     return out
@@ -541,20 +546,18 @@ class _DelWorkspace:
         self.steps = grid.steps
         self.times = grid.times()
         self.h = grid.h
+        # the reference at the interval midpoints, which the Jacobian reuses
+        self.ref_mid = problem.reference(self.times[:-1] + 0.5 * self.h)
 
     def initial_guess(self) -> Array:
-        n, kr, steps = self.n, self.kr, self.steps
-        q = np.empty((steps + 1, n))
-        v = np.empty((steps + 1, kr))
+        n, steps = self.n, self.steps
         if self.settings.initial_guess_mode == "linear-interpolation":
-            for i, s in enumerate(np.linspace(0.0, 1.0, steps + 1)):
-                q[i] = (1 - s) * self.node_first.q + s * self.node_last.q
-                v[i] = (1 - s) * self.node_first.v + s * self.node_last.v
+            s = np.linspace(0.0, 1.0, steps + 1)[:, None]
+            q = (1 - s) * self.node_first.q + s * self.node_last.q
+            v = (1 - s) * self.node_first.v + s * self.node_last.v
         else:
-            for i, t in enumerate(self.times):
-                ref = self.problem.reference(float(t))
-                q[i] = ref.q
-                v[i] = ref.v
+            ref = self.problem.reference(self.times)
+            q, v = ref.q, ref.v
         lam = np.zeros((steps - 1, n))
         lam0 = np.zeros(n) if self.settings.enforce_first_interval else None
         return self.pack(q, v, lam, lam0)
@@ -582,9 +585,7 @@ class _DelWorkspace:
         q_mid = 0.5 * (q[:-1] + q[1:])
         v_mid = 0.5 * (v[:-1] + v[1:])
         v_dq = (v[1:] - v[:-1]) / self.h
-        controls = np.array([
-            reconstructed_control(self.model, *mid) for mid in zip(q_mid, v_mid, v_dq)
-        ])
+        controls = reconstructed_control(self.model, q_mid, v_mid, v_dq)
         return DiscreteTrajectory(
             h=self.h, times=self.times.copy(), q=q, v=v, multipliers=lam,
             controls=controls, lambda_zero=lam0,
@@ -661,44 +662,37 @@ class _DelWorkspace:
         block = nv + n
         lams = np.vstack([np.zeros(n) if lam0 is None else lam0, lam])
 
-        hess, slots = [], []
-        for j in range(steps):
-            ends = (q[j], v[j], q[j + 1], v[j + 1])
-            hess.append(_interval_hessian(
-                model, problem, np.concatenate(ends), lams[j], self.times[j],
-                h, settings.psi_variant, settings.fd_step,
-            ))
-            slots.append(
-                _interval(model, None, *ends, None, 0.0, h, settings.psi_variant)[1]
-            )
+        # row j of each stacked array belongs to interval j
+        ends = (q[:-1], v[:-1], q[1:], v[1:])
+        hess = _interval_hessian(
+            model, problem, np.concatenate(ends, axis=1), lams, self.ref_mid,
+            h, settings.psi_variant, settings.fd_step,
+        )
+        p1, p2, p3, p4 = _interval(
+            model, None, *ends, None, None, h, settings.psi_variant
+        )[1]
 
         # rows per block: q (0:n), v (n:nv), Psi(k) (nv:block);
         # columns: q_k (0:n), v_k (n:nv), lambda^k (nv:block)
-        diag: list[Array] = []
-        upper: list[Array | None] = []
-        for k in range(1, steps):
-            p1, p2, p3, p4 = slots[k]
-            d = np.zeros((block, block))
-            d[:nv, :nv] = hess[k][:nv, :nv] + hess[k - 1][nv:, nv:]
-            d[nv:, :n] = p1
-            d[nv:, n:nv] = p2
-            d[:nv, nv:] = d[nv:, :nv].T
-            diag.append(d)
-            ue = np.zeros((block, block))
-            ue[:nv, :nv] = hess[k][:nv, nv:]
-            ue[nv:, :n] = p3
-            ue[nv:, n:nv] = p4
-            upper.append(ue)
-        upper[-1] = None
-        lower = [None] + [ue.T for ue in upper[:-1]]
+        diag = np.zeros((steps - 1, block, block))
+        diag[:, :nv, :nv] = hess[1:, :nv, :nv] + hess[:-1, nv:, nv:]
+        diag[:, nv:, :n] = p1[1:]
+        diag[:, nv:, n:nv] = p2[1:]
+        diag[:, :nv, nv:] = diag[:, nv:, :nv].swapaxes(1, 2)
+        ue = np.zeros((steps - 1, block, block))
+        ue[:, :nv, :nv] = hess[1:, :nv, nv:]
+        ue[:, nv:, :n] = p3[1:]
+        ue[:, nv:, n:nv] = p4[1:]
+        upper: list[Array | None] = [*ue[:-1], None]
+        lower = [None] + [u.T for u in ue[:-1]]
 
         border = None
         if lam0 is not None:
             col = np.zeros((block, n))
-            col[:n] = slots[0][2].T
-            col[n:nv] = slots[0][3].T
+            col[:n] = p3[0].T
+            col[n:nv] = p4[0].T
             border = (col, col.T)
-        return lower, diag, upper, border
+        return lower, list(diag), upper, border
 
 
 def check_del(problem: TrackingProblem, grid: TimeGrid) -> None:
@@ -780,10 +774,10 @@ def regularity_check(
     lam = np.zeros(n) if lam is None else np.asarray(lam, dtype=float)
     ends = (node_k.q, node_k.v, node_k1.q, node_k1.v)
     hess = _interval_hessian(
-        model, problem, np.concatenate(ends), lam, t_k, h, "midpoint",
-        DelSettings.fd_step,
+        model, problem, np.concatenate(ends), lam,
+        problem.reference(t_k + 0.5 * h), h, "midpoint", DelSettings.fd_step,
     )
-    p1, p2, p3, p4 = _interval(model, None, *ends, None, 0.0, h, "midpoint")[1]
+    p1, p2, p3, p4 = _interval(model, None, *ends, None, None, h, "midpoint")[1]
     m = np.zeros((nv + n, nv + n))
     m[:nv, :nv] = hess[:nv, nv:]
     m[:n, nv:] = p1.T

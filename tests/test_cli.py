@@ -3,6 +3,7 @@ and byte stability, exit-code contract, the compare pipeline, and the
 structural check suite."""
 from __future__ import annotations
 
+import dataclasses
 import textwrap
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from nhtrack.cli import (
     run_experiment,
 )
 from nhtrack.pmp import SingularJacobianError
+from nhtrack.systems import particle_model
 from nhtrack.varint import RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
@@ -426,6 +428,27 @@ class TestRunCommand:
         for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
             assert (tmp_path / "multi" / "equilibrium" / name).exists()
 
+    def test_same_stem_configs_are_rejected(self, tmp_path):
+        """Two configs bound for one artifact directory stop the command
+        before either runs."""
+        text = equilibrium_cfg(tmp_path).read_text()
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_cfg(tmp_path / "a", "x.cfg", text)
+        second = write_cfg(tmp_path / "b", "x.cfg", text)
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(first), "--config", str(second),
+             "--out", str(tmp_path / "multi")],
+        )
+        assert result.exit_code == 1, result.output
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert str(first) in errors[0] and str(second) in errors[0]
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "multi").exists()
+
 
     @pytest.mark.parametrize(
         "solver, error, config",
@@ -564,6 +587,43 @@ class TestCheckAndPresets:
         results = model_checks("particle", seed=3)
         assert len(results) >= 5
         assert all(ok for _, ok, _ in results)
+
+    @pytest.mark.parametrize("preset", ["particle", "sleigh:paper-5.1"])
+    def test_presets_accept_stacked_q(self, preset):
+        results = {label: ok for label, ok, _ in model_checks(preset)}
+        assert results["callables accept stacked q"]
+
+    def test_per_point_model_fails_the_stacked_q_check(self):
+        """A model whose callables index q as one point (q[1] a scalar) passes
+        the other checks but fails the stacked-q one, naming its callables."""
+        base = particle_model()
+
+        def rho(q):
+            return np.array([[0.0, -q[1]], [1.0, 0.0], [0.0, 1.0]])
+
+        def christoffel(q):
+            gamma = np.zeros((2, 2, 2))
+            gamma[1, 0, 1] = q[1] / (1.0 + q[1] * q[1])
+            return gamma
+
+        def christoffel_jac(q):
+            jac = np.zeros((2, 2, 2, 3))
+            jac[1, 0, 1, 1] = (1.0 - q[1] * q[1]) / (1.0 + q[1] * q[1]) ** 2
+            return jac
+
+        per_point = dataclasses.replace(
+            base, rho=rho, christoffel=christoffel,
+            christoffel_jac=christoffel_jac,
+            potential_grad=lambda q: np.zeros(2),
+        )
+        results = {label: (ok, detail) for label, ok, detail in model_checks(per_point)}
+        ok, detail = results.pop("callables accept stacked q")
+        assert not ok
+        assert detail.startswith("fails: ")
+        assert set(detail.removeprefix("fails: ").split(", ")) == {
+            "rho", "christoffel", "christoffel_jac", "potential_grad",
+        }
+        assert all(ok for ok, _ in results.values())
 
     def test_presets_lists_systems_and_configs(self):
         runner = CliRunner()

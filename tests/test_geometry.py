@@ -312,6 +312,31 @@ def test_drift_matches_dynamics_and_finite_differences(model):
             np.testing.assert_allclose(a_v[:, j], fd, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)], ids=["1-D", "N", "2x3"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_drift_on_stacked_points_equals_rows(model, lead):
+    """drift on q (..., n), v (..., k) returns per row what the contraction
+    formulas give at that single point."""
+    rng = np.random.default_rng(17)
+    q = rng.uniform(-2.0, 2.0, size=lead + (model.n,))
+    v = rng.uniform(-2.0, 2.0, size=lead + (model.rank,))
+    a, a_q, a_v = drift(model, q, v)
+    assert a.shape == lead + (model.rank,)
+    assert a_q.shape == lead + (model.rank, model.n)
+    assert a_v.shape == lead + (model.rank, model.rank)
+    for idx in np.ndindex(*lead):
+        qi, vi = q[idx], v[idx]
+        gam = model.christoffel(qi)
+        expected = (
+            np.einsum("abc,b,c->a", gam, vi, vi) + model.potential_grad(qi),
+            np.einsum("abcj,b,c->aj", model.christoffel_jac(qi), vi, vi)
+            + model.potential_grad_jac(qi),
+            np.einsum("bac,c->ba", gam + gam.transpose(0, 2, 1), vi),
+        )
+        for got, want in zip((a[idx], a_q[idx], a_v[idx]), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_uncontrolled_energy_drift_is_fourth_order(model):
     # With u = 0 the restricted energy is conserved; RK4 drift must drop

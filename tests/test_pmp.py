@@ -798,6 +798,46 @@ def test_damped_newton_reports_when_the_correction_fails_to_evaluate():
     assert x[0] == 2.5 and data == 2.5
 
 
+def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
+    """One diverging row fails a stacked flow with FlowDivergedError; raised
+    from a Jacobian's probe flow, it ends damped_newton unconverged."""
+    from nhtrack.pmp import _flow
+
+    def rhs(t, y):  # y' = y^2 leaves every bound before t = 1 / y(0)
+        return y * y
+
+    grid = TimeGrid(0.0, 1.0, 200)
+    stacked = np.array([[0.1], [5.0], [0.2]])
+    with pytest.raises(FlowDivergedError):
+        _flow(rhs, stacked, grid)
+    _, ys = _flow(rhs, stacked[[0, 2]], grid)
+    assert ys.shape == (201, 2, 1)
+
+    def evaluate(x):
+        _, ys = _flow(rhs, x, grid)
+        return ys[-1] - 10.0, None
+
+    def correction(x, r):
+        # forward differences of the end state, both probes in one flow
+        step = 0.2
+        probes = _flow(rhs, x + np.diag([step, step]), grid)[1][-1]
+        jac = ((probes - 10.0 - r) / step).T
+        return np.linalg.solve(jac, -r)
+
+    # y(1) = y(0) / (1 - y(0)): the probe (0.85 + 0.2, 0.3) diverges, the
+    # probe (0.85, 0.3 + 0.2) and the base flow do not
+    x0 = np.array([0.85, 0.3])
+    x, _, report = damped_newton(
+        x0, evaluate, correction, lambda r: float(np.max(np.abs(r))),
+        "residual norm", NewtonSettings(), FlowDivergedError,
+    )
+    assert not report.converged
+    assert report.iterations == 0
+    assert "no step could be evaluated at iteration 1" in report.message
+    assert "flow diverged" in report.message
+    np.testing.assert_array_equal(x, x0)
+
+
 def test_damped_newton_lets_other_errors_through():
     evaluate, correction = _square_root_problem(lambda x: x > 2.2)
     with pytest.raises(ArithmeticError):
@@ -870,6 +910,38 @@ def test_rollout_reference_interpolates_between_nodes():
     t = 0.2505
     _, ys = integrate(f, start.as_vector(), TimeGrid(0.0, t, 5010))
     np.testing.assert_allclose(ref(t).as_vector(), ys[-1], atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "rollout"])
+def test_reference_sampled_at_an_array_of_times_equals_scalar_samples(kind):
+    """An array of times gives the scalar samples, stacked along its shape;
+    the rollout's endpoint samples stay the stored endpoints bit for bit."""
+    start = AdmissibleState(q=[0.0, 0.5, 0.0], v=[0.4, 0.8])
+    if kind == "analytic":
+        ref = case2_reference()
+    else:
+        ref = RolloutReference(particle_model(), start, horizon=1.0, step=1e-3)
+    times = np.array([
+        [0.0, -1e-10, 1e-3, 0.2505, 0.5],
+        [0.7000001, 0.999, 1.0, 1.0 + 1e-10, 0.3333],
+    ])
+    batch = ref(times)
+    assert batch.q.shape == (2, 5, 3)
+    assert batch.v.shape == (2, 5, 2)
+    for idx in np.ndindex(*times.shape):
+        single = ref(float(times[idx]))
+        np.testing.assert_array_equal(batch.q[idx], single.q)
+        np.testing.assert_array_equal(batch.v[idx], single.v)
+    if kind == "rollout":
+        end = ref(1.0).as_vector()
+        for idx in ((0, 0), (0, 1)):
+            np.testing.assert_array_equal(
+                np.concatenate([batch.q[idx], batch.v[idx]]), start.as_vector()
+            )
+        for idx in ((1, 2), (1, 3)):
+            np.testing.assert_array_equal(
+                np.concatenate([batch.q[idx], batch.v[idx]]), end
+            )
 
 
 def test_rollout_reference_rejects_out_of_range_times():

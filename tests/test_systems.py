@@ -145,3 +145,34 @@ def test_available_systems_lists_presets():
     assert "particle" in names
     assert "sleigh:paper-5.1" in names
     assert "sleigh:custom" in names
+
+
+# ---------------------------------------------------------------------------
+# stacked configurations
+
+
+def _single_point_shapes(model):
+    n, m, k = model.n, model.corank, model.rank
+    return {
+        "rho": (n, k), "rho_jac": (n, k, n), "christoffel": (k, k, k),
+        "christoffel_jac": (k, k, k, n), "metric_d": (k, k),
+        "potential_grad": (k,), "potential_grad_jac": (k, n),
+        "annihilator": (m, n),
+    }
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)], ids=["1-D", "N", "2x3"])
+@pytest.mark.parametrize("system", ["particle", "sleigh:paper-5.1"])
+def test_callables_on_stacked_q_equal_their_rows(system, lead):
+    """Every callable takes q of shape (..., n): the result carries the
+    leading axes, and each row equals the single-point call on that row."""
+    model = resolve_system(system)
+    qs = np.random.default_rng(11).normal(size=lead + (model.n,))
+    for name, shape in _single_point_shapes(model).items():
+        fn = getattr(model, name)
+        batch = fn(qs)
+        assert batch.shape == lead + shape, name
+        for idx in np.ndindex(*lead):
+            np.testing.assert_allclose(
+                batch[idx], fn(qs[idx].copy()), rtol=1e-15, atol=0, err_msg=name
+            )

@@ -4,6 +4,8 @@ Lagrangian, the discrete Euler-Lagrange residual as an exact action gradient,
 the block-tridiagonal Newton solve, regularity probing, and diagnostics."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -868,6 +870,30 @@ class TestNewtonJacobian:
         else:
             assert border is None
 
+    def test_kernel_calls_per_jacobian_do_not_grow_with_the_grid(self):
+        """The interval Hessians of a whole grid come from stacked kernel
+        calls: model.rho runs as often at N = 16 as at N = 8."""
+        base = particle_model()
+        problem = particle_case2_problem(horizon=1.0)
+        calls = []
+        for steps in (8, 16):
+            count = [0]
+
+            def rho(q, count=count):
+                count[0] += 1
+                return base.rho(q)
+
+            ws = _DelWorkspace(
+                dataclasses.replace(base, rho=rho), problem,
+                TimeGrid(0.0, 1.0, steps), DelSettings(),
+                problem.initial_state, problem.reference(1.0),
+            )
+            x = ws.initial_guess()
+            count[0] = 0
+            ws.jacobian_blocks(*ws.unpack(x))
+            calls.append(count[0])
+        assert calls[0] == calls[1] > 0
+
 
 # ---------------------------------------------------------------------------
 # solve_del
@@ -1064,7 +1090,8 @@ def momentum_series(model, problem, traj, settings=DelSettings()):
     def slot_gradients(j, lam):
         return _interval(
             model, problem, traj.q[j], traj.v[j], traj.q[j + 1], traj.v[j + 1],
-            lam, float(traj.times[j]), traj.h, settings.psi_variant,
+            lam, problem.reference(traj.times[j] + 0.5 * traj.h), traj.h,
+            settings.psi_variant,
         )[2]
 
     steps = traj.steps
