@@ -26,10 +26,11 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
+    _state_field,
     constraint_residual,
-    dynamics_rhs,
     restricted_energy,
 )
+from .geometry import dynamics_rhs  # noqa: F401  (wrapped by bench/trace.py)
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from .pmp import (
     CONTINUATIONS,
@@ -469,19 +470,13 @@ def _shooting_route(model, problem, settings, grid, terminal):
     settings), then (report, trajectory, trajectory rows, diagnostics rows,
     closing report lines)."""
     _, traj, report = solve_shooting(model, problem, None, settings)
-    states = [AdmissibleState(q=q, v=v) for q, v in zip(traj.q, traj.v)]
-    cost = np.array([
-        problem.lambda0 * running_cost(model, problem, float(t), state, u)
-        for t, state, u in zip(traj.times, states, traj.u)
-    ])
+    states = AdmissibleState(q=traj.q, v=traj.v)
+    cost = problem.lambda0 * running_cost(model, problem, traj.times, states, traj.u)
     dt = np.diff(traj.times)
     action = np.concatenate(([0.0], np.cumsum(0.5 * dt * (cost[:-1] + cost[1:]))))
-    energy = [restricted_energy(model, state) for state in states]
+    energy = restricted_energy(model, states)
     qdot = np.gradient(traj.q, traj.times, axis=0)
-    cres = [
-        np.max(np.abs(constraint_residual(model, q, qd)))
-        for q, qd in zip(traj.q, qdot)
-    ]
+    cres = np.max(np.abs(constraint_residual(model, traj.q, qdot)), axis=-1)
     rows = np.column_stack([traj.times, traj.q, traj.v, traj.u, traj.lam, traj.mu])
     diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
     closing = [f"total cost (Simpson): {trajectory_cost(model, problem, traj):.12g}"]
@@ -581,26 +576,20 @@ def _reintegrate_from_first_enforced(
     model: SystemModel, traj: DiscreteTrajectory, substeps: int = 100
 ) -> np.ndarray:
     """RK4 re-integration of the recovered piecewise-constant controls at
-    step h/substeps, started at node 1 (the first node whose outgoing
-    interval carries a constraint under the default multiplier convention).
-    Returns states at nodes 1..N as rows (q, v)."""
-    n = model.n
-    y = np.concatenate([traj.q[1], traj.v[1]])
-    states = [y.copy()]
+    step h/substeps, started at the first node whose outgoing interval
+    carries a constraint: node 0 when the first interval was enforced
+    (traj.lambda_zero is set), else node 1.  Returns the states from that
+    node to node N as rows (q, v)."""
+    first = 0 if traj.lambda_zero is not None else 1
+    y = np.concatenate([traj.q[first], traj.v[first]])
+    states = [y]
     h_sub = traj.h / substeps
-    for j in range(1, traj.steps):
-        u_j = traj.controls[j]
-
-        def field(t, y_):
-            qdot, vdot = dynamics_rhs(
-                model, AdmissibleState(q=y_[:n], v=y_[n:]), u_j
-            )
-            return np.concatenate([qdot, vdot])
-
+    for j in range(first, traj.steps):
+        field = _state_field(model, traj.controls[j])
         t_j = float(traj.times[j])
         for s in range(substeps):
             y = rk4_step(field, t_j + s * h_sub, y, h_sub)
-        states.append(y.copy())
+        states.append(y)
     return np.asarray(states)
 
 
@@ -619,13 +608,12 @@ def _cross_method_settings(
     cfg: ExperimentConfig, problem: TrackingProblem
 ) -> ShootingSettings:
     """Shooting settings of compare's cross-method check: pmp_steps
-    intervals (default h = 0.01, at least 2), and terminal-weight
-    continuation, since compare's variational problem pins its endpoint."""
+    intervals (unset: the shooting solver's default grid, h = 0.01), and
+    terminal-weight continuation, since compare's variational problem pins
+    its endpoint."""
     steps = cfg.compare.pmp_steps
-    if steps is None:
-        steps = max(2, round(problem.horizon_T / 0.01))
     return ShootingSettings(
-        inner_grid=TimeGrid(0.0, problem.horizon_T, steps),
+        inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps),
         continuation="terminal-weight",
     )
 
@@ -641,6 +629,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
+    first = 0 if settings.enforce_first_interval else 1
     report_lines = [
         "nhtrack compare report",
         f"system: {cfg.system.preset}",
@@ -649,7 +638,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         config_text(cfg).rstrip(),
         "",
         "[comparison]",
-        "re-integration: RK4 at h/100 from node 1, piecewise-constant",
+        f"re-integration: RK4 at h/100 from node {first}, piecewise-constant",
         "per-interval controls",
     ]
 
@@ -684,15 +673,13 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     traj = results[base_steps]
     reint = _reintegrate_from_first_enforced(model, traj)
-
-    def energy(y):
-        return restricted_energy(model, AdmissibleState(q=y[:n], v=y[n:]))
-
-    solved = np.column_stack([traj.q, traj.v])[1:]  # nodes 1..N, like reint
-    rows = [
-        np.concatenate(([t], y, [energy(y)], r, [energy(r)]))
-        for t, y, r in zip(traj.times[1:], solved, reint)
-    ]
+    # nodes first..N of the solve, like reint
+    solved = AdmissibleState(q=traj.q[first:], v=traj.v[first:])
+    reint_states = AdmissibleState(q=reint[:, :n], v=reint[:, n:])
+    rows = np.column_stack([
+        traj.times[first:], solved.q, solved.v, restricted_energy(model, solved),
+        reint, restricted_energy(model, reint_states),
+    ])
     _write_csv(out_dir / "compare.csv", header, rows, precision)
 
     disc_h = _endpoint_discrepancy(model, traj, reint)
@@ -819,26 +806,13 @@ def model_checks(
     start = AdmissibleState(
         q=rng.normal(size=model.n), v=1.0 + rng.uniform(size=model.rank)
     )
-    zero_u = np.zeros(model.rank)
-
-    def field(t, y):
-        state = AdmissibleState(q=y[:model.n], v=y[model.n:])
-        qdot, vdot = dynamics_rhs(model, state, zero_u)
-        return np.concatenate([qdot, vdot])
-
-    y0 = np.concatenate([start.q, start.v])
-    e0 = restricted_energy(model, start)
+    field = _state_field(model, np.zeros(model.rank))
     endpoints = {}
     for steps in (50, 100, 1600):
-        _, ys = integrate(field, y0, TimeGrid(0.0, 2.0, steps))
+        _, ys = integrate(field, start.as_vector(), TimeGrid(0.0, 2.0, steps))
         endpoints[steps] = ys[-1]
-    drift = abs(
-        restricted_energy(
-            model,
-            AdmissibleState(q=endpoints[1600][:model.n], v=endpoints[1600][model.n:]),
-        )
-        - e0
-    )
+    end = AdmissibleState(q=endpoints[1600][:model.n], v=endpoints[1600][model.n:])
+    drift = abs(restricted_energy(model, end) - restricted_energy(model, start))
     results.append(
         ("uncontrolled flow conserves restricted energy", drift <= 1e-9,
          f"drift {drift:.2e} over T = 2")

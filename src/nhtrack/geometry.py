@@ -139,6 +139,11 @@ def _vecmat(vec: Array, mat: Array) -> Array:
     return (vec[..., None, :] @ mat)[..., 0, :]
 
 
+def _inner(x: Array, y: Array) -> Array:
+    """x @ y over the last axis, with leading axes broadcast."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _quadratic(gamma: Array, v: Array) -> Array:
     """Gamma^A_{BC} v^B v^C for gamma (..., k, k, k) and v (..., k)."""
     return _matvec(_matvec(gamma, v[..., None, :]), v)
@@ -148,6 +153,14 @@ def admissibility_velocity(model: SystemModel, state: AdmissibleState) -> Array:
     """Configuration velocity qdot = rho(q) v induced by a point of D."""
     _check_state(model, state)
     return _matvec(model.rho(state.q), state.v)
+
+
+def _rates(model: SystemModel, q: Array, v: Array, u: Array) -> tuple[Array, Array]:
+    """(qdot, vdot) of the controlled dynamics, unchecked; q, v and u may
+    carry leading axes that broadcast."""
+    qdot = _matvec(model.rho(q), v)
+    vdot = -_quadratic(model.christoffel(q), v) - model.potential_grad(q) + u
+    return qdot, vdot
 
 
 def dynamics_rhs(
@@ -165,10 +178,22 @@ def dynamics_rhs(
     uu = _as_control(u)
     if uu.shape[-1:] != (model.rank,):
         raise ValueError(f"u has shape {uu.shape}, expected (..., {model.rank})")
-    q, v = state.q, state.v
-    qdot = _matvec(model.rho(q), v)
-    vdot = -_quadratic(model.christoffel(q), v) - model.potential_grad(q) + uu
-    return qdot, vdot
+    return _rates(model, state.q, state.v, uu)
+
+
+def _state_field(
+    model: SystemModel, u: ControlVector | Array
+) -> Callable[[float, Array], Array]:
+    """Vector field f(t, y) of the controlled dynamics at the fixed control
+    u, on packed states y = (q, v) of shape (..., n + k); a stack of states
+    advances row by row in one call."""
+    n, uu = model.n, _as_control(u)
+
+    def field(t: float, y: Array) -> Array:
+        qdot, vdot = _rates(model, y[..., :n], y[..., n:], uu)
+        return np.concatenate([qdot, vdot], axis=-1)
+
+    return field
 
 
 def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
@@ -193,11 +218,13 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
 def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:
     """Constraint one-forms evaluated on a velocity: annihilator(q) . qdot.
 
-    Zero exactly when qdot lies in the distribution at q.
+    Zero exactly when qdot lies in the distribution at q.  q (..., n) and
+    qdot (..., n) may carry matching leading axes; the result, of shape
+    (..., m), then holds one residual per row.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    return model.annihilator(q) @ qdot
+    return _matvec(model.annihilator(q), qdot)
 
 
 def christoffel_from_structure(structure: Array) -> Array:
@@ -224,15 +251,17 @@ def christoffel_from_structure(structure: Array) -> Array:
     return 0.5 * (term_b_ca + term_a_cb + s)
 
 
-def restricted_energy(model: SystemModel, state: AdmissibleState) -> float:
+def restricted_energy(model: SystemModel, state: AdmissibleState) -> float | Array:
     """Kinetic energy of the constrained metric, (1/2) v^T G_D(q) v.
 
     The built-in models carry no potential, so this is the conserved energy
-    of their uncontrolled flow.
+    of their uncontrolled flow.  One point gives a scalar; a stack of points
+    (leading axes on q and v) gives an array of those axes, one energy per
+    row.
     """
     _check_state(model, state)
     g = model.metric_d(state.q)
-    return 0.5 * float(state.v @ g @ state.v)
+    return 0.5 * _inner(_vecmat(state.v, g), state.v)
 
 
 def wrap_angle(x: Array | float) -> Array | float:

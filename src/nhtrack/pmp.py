@@ -37,7 +37,9 @@ from .geometry import (
     ControlVector,
     SystemModel,
     _as_control,
+    _inner,
     _matvec,
+    _state_field,
     _vecmat,
     drift,
     dynamics_rhs,
@@ -127,21 +129,14 @@ class RolloutReference:
         self.model = model
         self.start = start
         self.horizon = float(horizon)
-        n, k = model.n, model.rank
-        zero_u = np.zeros(k)
-
-        def f(t: float, y: Array) -> Array:
-            state = AdmissibleState(q=y[..., :n], v=y[..., n:])
-            qdot, vdot = dynamics_rhs(model, state, zero_u)
-            return np.concatenate([qdot, vdot], axis=-1)
-
+        f = _state_field(model, np.zeros(model.rank))
         steps = max(1, math.ceil(self.horizon / step))
         grid = TimeGrid(0.0, self.horizon, steps)
         self._times, self._ys = integrate(f, start.as_vector(), grid)
         # the field is autonomous: the slopes of all nodes in one call
         self._slopes = f(0.0, self._ys)
         self._h = grid.h
-        self._n = n
+        self._n = model.n
 
     def __call__(self, t: float | Array) -> AdmissibleState:
         t = np.asarray(t, dtype=float)
@@ -415,29 +410,37 @@ class ShootingTrajectory:
 # pointwise quantities
 
 
-def _check_time(problem: TrackingProblem, t: float) -> None:
-    if t < -1e-9 or t > problem.horizon_T + 1e-9:
+def _check_time(problem: TrackingProblem, t: Array) -> None:
+    outside = (t < -1e-9) | (t > problem.horizon_T + 1e-9)
+    if np.any(outside):
         raise ValueError(
-            f"t = {t} outside the problem horizon [0, {problem.horizon_T}]"
+            f"t = {t[outside].flat[0]} outside the problem horizon "
+            f"[0, {problem.horizon_T}]"
         )
 
 
 def running_cost(
     model: SystemModel,
     problem: TrackingProblem,
-    t: float,
+    t: float | Array,
     state: AdmissibleState,
     u: ControlVector | Array,
-) -> float:
+) -> float | Array:
     """Running cost 1/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2), with
-    angle components differenced into (-pi, pi]."""
+    angle components differenced into (-pi, pi].
+
+    One time and one point give a scalar.  An array of times with a stack
+    of points and controls (leading axes of the shape of t on q, v and u)
+    gives one cost per row, each equal to its single-point value; the
+    reference is sampled once, at the array of times.
+    """
+    t = np.asarray(t, dtype=float)
     _check_time(problem, t)
-    ref = problem.reference(t)
-    dq, dv = state_difference(model, state, ref)
+    dq, dv = state_difference(model, state, problem.reference(t))
     uu = _as_control(u)
     sw = problem.state_weight
     return 0.5 * (
-        sw * float(dq @ dq) + sw * float(dv @ dv) + problem.epsilon * float(uu @ uu)
+        sw * _inner(dq, dq) + sw * _inner(dv, dv) + problem.epsilon * _inner(uu, uu)
     )
 
 
@@ -775,19 +778,8 @@ def trajectory_cost(
     ts = np.asarray(trajectory.times, dtype=float)
     if ts.size < 2:
         raise ValueError("need at least 2 samples to integrate a cost")
-    vals = np.array(
-        [
-            problem.lambda0
-            * running_cost(
-                model,
-                problem,
-                float(t),
-                AdmissibleState(q=trajectory.q[i], v=trajectory.v[i]),
-                trajectory.u[i],
-            )
-            for i, t in enumerate(ts)
-        ]
-    )
+    states = AdmissibleState(q=trajectory.q, v=trajectory.v)
+    vals = problem.lambda0 * running_cost(model, problem, ts, states, trajectory.u)
     h = ts[1] - ts[0]
     pairs = (ts.size - 1) // 2
     total = 0.0

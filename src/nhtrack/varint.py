@@ -199,13 +199,14 @@ def reconstructed_control(model: SystemModel, q: Array, v: Array, vdot: Array) -
 def ocp_lagrangian(
     model: SystemModel,
     problem: TrackingProblem,
-    t: float,
+    t: float | Array,
     q: Array,
     v: Array,
     vdot: Array,
-) -> float:
+) -> float | Array:
     """Tracking cost as a function of second-order data (control
-    eliminated through the dynamics)."""
+    eliminated through the dynamics).  Like running_cost, an array of times
+    with matching leading axes on q, v and vdot gives one value per row."""
     u = reconstructed_control(model, q, v, vdot)
     state = AdmissibleState(q=q, v=v)
     return problem.lambda0 * running_cost(model, problem, t, state, u)
@@ -278,18 +279,15 @@ def continuous_optimality_residual(
     )
     pdot = np.gradient(p, times, axis=0, edge_order=2)
 
-    rows = []
-    for idx in range(1, len(times) - 1):
-        q = q_series[idx]
-        v = v_series[idx]
-        lam = lam_series[idx]
-        rjac = model.rho_jac(q)
-        pull = (lam @ rjac.reshape(n, -1)).reshape(k, n)
-        res_q = lamdot[idx] - grad_q[idx] + v @ pull
-        res_adm = qdot[idx] - model.rho(q) @ v
-        res_v = pdot[idx] - grad_v[idx] + model.rho(q).T @ lam
-        rows.append(np.concatenate([res_q, res_adm, res_v]))
-    return np.concatenate(rows)
+    inner = slice(1, -1)
+    q, v, lam = q_series[inner], v_series[inner], lam_series[inner]
+    rho = model.rho(q)
+    # pull[A, i] = sum_j lambda_j drho^j_A/dq^i
+    pull = _vecmat(lam, model.rho_jac(q).reshape(len(q), n, k * n))
+    res_q = lamdot[inner] - grad_q[inner] + _vecmat(v, pull.reshape(len(q), k, n))
+    res_adm = qdot[inner] - _matvec(rho, v)
+    res_v = pdot[inner] - grad_v[inner] + _vecmat(lam, rho)
+    return np.concatenate([res_q, res_adm, res_v], axis=1).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +302,10 @@ def discrete_constraint(
     psi_variant: str = "midpoint",
 ) -> Array:
     """Interval admissibility residual
-    Psi_d = (q_{k+1} - q_k)/h - rho(midpoint q) . (velocity slot)."""
+    Psi_d = (q_{k+1} - q_k)/h - rho(midpoint q) . (velocity slot).
+
+    The nodes may be stacks (matching leading axes on q and v), one interval
+    per row; the result then holds one residual of shape (n,) per row."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if psi_variant not in PSI_VARIANTS:
@@ -314,7 +315,7 @@ def discrete_constraint(
         v_slot = 0.5 * (node_k.v + node_k1.v)
     else:
         v_slot = (node_k1.v - node_k.v) / h
-    return (node_k1.q - node_k.q) / h - model.rho(q_mid) @ v_slot
+    return (node_k1.q - node_k.q) / h - _matvec(model.rho(q_mid), v_slot)
 
 
 def discrete_lagrangian(
@@ -322,13 +323,15 @@ def discrete_lagrangian(
     problem: TrackingProblem,
     node_k: AdmissibleState,
     node_k1: AdmissibleState,
-    t_k: float,
+    t_k: float | Array,
     h: float,
-) -> float:
+) -> float | Array:
     """Midpoint quadrature of the second-order Lagrangian over one interval:
     |h| L(t_k + h/2, midpoint q, midpoint v, difference-quotient vdot).
     The unsigned weight makes the value independent of traversal direction,
-    so exchanging the nodes while negating h reproduces it exactly."""
+    so exchanging the nodes while negating h reproduces it exactly.  Stacked
+    nodes with an array of left times t_k give one value per interval, with
+    the reference sampled once, at the array of midpoints."""
     if h == 0:
         raise ValueError("h must be nonzero")
     q_mid = 0.5 * (node_k.q + node_k1.q)
@@ -800,26 +803,22 @@ def diagnostics(
     """Per-node cost/action/energy/constraint series of a solved trajectory.
 
     psi_variant must match the one the trajectory was solved with for the
-    constraint column to reflect the enforced residuals.
+    constraint column to reflect the enforced residuals.  Each series comes
+    from one stacked call over all nodes or intervals, so the reference is
+    sampled twice whatever the grid size.
     """
-    steps = traj.steps
-    nodes = [traj.node(k) for k in range(steps + 1)]
-    action = np.zeros(steps + 1)
-    psi = np.empty(steps)
-    for j in range(steps):
-        action[j + 1] = action[j] + discrete_lagrangian(
-            model, problem, nodes[j], nodes[j + 1], float(traj.times[j]), traj.h
-        )
-        psi[j] = np.max(np.abs(
-            discrete_constraint(model, nodes[j], nodes[j + 1], traj.h, psi_variant)
-        ))
+    nodes = AdmissibleState(q=traj.q, v=traj.v)
+    lefts = AdmissibleState(q=traj.q[:-1], v=traj.v[:-1])
+    rights = AdmissibleState(q=traj.q[1:], v=traj.v[1:])
+    lagr = discrete_lagrangian(model, problem, lefts, rights, traj.times[:-1], traj.h)
+    action = np.concatenate(([0.0], np.cumsum(lagr)))
+    psi = np.max(np.abs(
+        discrete_constraint(model, lefts, rights, traj.h, psi_variant)
+    ), axis=-1)
     # the last node reuses the final interval's control and constraint
-    last = np.minimum(np.arange(steps + 1), steps - 1)
-    cost = np.array([
-        running_cost(model, problem, float(t), node, traj.controls[j])
-        for t, node, j in zip(traj.times, nodes, last)
-    ])
-    energy = np.array([restricted_energy(model, node) for node in nodes])
+    last = np.minimum(np.arange(traj.steps + 1), traj.steps - 1)
+    cost = running_cost(model, problem, traj.times, nodes, traj.controls[last])
+    energy = restricted_energy(model, nodes)
     return DiagnosticSeries(
         times=traj.times.copy(),
         cost=cost,

@@ -531,6 +531,47 @@ class TestCompareCommand:
         assert "variational cost" in report
         assert "shooting cost" in report
 
+    def test_enforced_first_interval_reintegrates_from_node_zero(self, tmp_path):
+        """With interval 0 enforced the re-integration starts at node 0, so
+        compare.csv holds all N + 1 nodes and its first row starts both
+        series from the same state."""
+        cfg_path = write_cfg(
+            tmp_path, "enforced.cfg",
+            """\
+            [system]
+            preset = particle
+
+            [problem]
+            reference = analytic
+            q_base = 0.0 0.5 0.0
+            q_slope = 0.0 0.3 0.0
+            v_base = 0.3 0.0
+            v_slope = 0.0 0.0
+            initial_q = 0.0 0.5 0.0
+            initial_v = 0.3 0.0
+            horizon_T = 1.0
+            epsilon = 1.0
+            terminal_mode = hard
+
+            [solver]
+            method = variational
+            newton_tol = 1e-10
+            steps = 10
+            enforce_first_interval = yes
+            """,
+        )
+        assert compare_experiment(parse_config(cfg_path), tmp_path / "cmp") == 0
+        report = (tmp_path / "cmp" / "report.txt").read_text()
+        assert "re-integration: RK4 at h/100 from node 0," in report
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert len(lines) == 1 + 11
+        header = lines[0].split(",")
+        first = np.array([float(x) for x in lines[1].split(",")])
+        solve_cols = [i for i, name in enumerate(header) if name.endswith("_solve")]
+        reint_cols = [i for i, name in enumerate(header) if name.endswith("_reint")]
+        assert first[0] == 0.0
+        assert np.array_equal(first[solve_cols], first[reint_cols])
+
     def test_numerical_failure_exits_two_with_artifacts(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise RegularityError("singular block")

@@ -1,0 +1,200 @@
+"""Stacked evaluation of the pointwise formulas: the packed state field, the
+running cost, the restricted energy, the constraint residual and the
+discrete interval terms each take a stack of points and return, row by row,
+exactly (bitwise) what one point at a time returns."""
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nhtrack.geometry import (
+    AdmissibleState,
+    _state_field,
+    constraint_residual,
+    dynamics_rhs,
+    restricted_energy,
+)
+from nhtrack.pmp import (
+    AnalyticReference,
+    ShootingTrajectory,
+    TrackingProblem,
+    running_cost,
+    trajectory_cost,
+)
+from nhtrack.systems import particle_model, sleigh_model
+from nhtrack.varint import (
+    DiscreteTrajectory,
+    diagnostics,
+    discrete_constraint,
+    discrete_lagrangian,
+)
+
+MODELS = [particle_model(), sleigh_model()]
+LEADS = [(), (7,), (2, 3)]
+HORIZON = 2.0
+
+
+def _problem(model):
+    """A tracking problem whose reference angle stays near 0, so that the
+    sleigh's sampled angles (within +-8) differ from it by more than pi."""
+    n, k = model.n, model.rank
+    reference = AnalyticReference(
+        q_base=np.linspace(-0.3, 0.4, n), q_slope=np.linspace(0.2, -0.1, n),
+        v_base=np.linspace(0.5, -0.2, k), v_slope=np.full(k, 0.1),
+    )
+    return TrackingProblem(
+        reference=reference, horizon_T=HORIZON, epsilon=0.7, omega=1.0,
+        initial_state=reference(0.0), lambda0=1.3, state_weight=0.9,
+    )
+
+
+def _points(model, lead, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-8.0, 8.0, size=lead + (model.n,))
+    v = rng.uniform(-2.0, 2.0, size=lead + (model.rank,))
+    return q, v
+
+
+def _assert_rows(stacked, lead, one_point):
+    """stacked has the leading axes lead, and each row equals one_point at
+    that row's index bitwise."""
+    stacked = np.asarray(stacked)
+    assert stacked.shape[: len(lead)] == lead
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(stacked[idx], one_point(idx)), idx
+
+
+ids = {"ids": lambda m: m.name}
+lead_ids = {"ids": ["1-D", "N", "2x3"]}
+
+
+@pytest.mark.parametrize("lead", LEADS, **lead_ids)
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_packed_field_equals_dynamics_rhs_rows(model, lead):
+    q, v = _points(model, lead, 1)
+    u = np.linspace(0.4, -1.1, model.rank)
+    out = _state_field(model, u)(0.0, np.concatenate([q, v], axis=-1))
+    assert out.shape == lead + (model.n + model.rank,)
+    _assert_rows(out, lead, lambda idx: np.concatenate(
+        dynamics_rhs(model, AdmissibleState(q=q[idx], v=v[idx]), u)
+    ))
+
+
+@pytest.mark.parametrize("lead", LEADS, **lead_ids)
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_running_cost_on_stacks_equals_rows(model, lead):
+    problem = _problem(model)
+    q, v = _points(model, lead, 2)
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, HORIZON, size=lead)
+    u = rng.normal(size=lead + (model.rank,))
+    out = running_cost(model, problem, t, AdmissibleState(q=q, v=v), u)
+    assert np.shape(out) == lead
+    _assert_rows(out, lead, lambda idx: running_cost(
+        model, problem, float(t[idx]), AdmissibleState(q=q[idx], v=v[idx]), u[idx]
+    ))
+
+
+def test_running_cost_names_a_time_outside_the_horizon():
+    model = particle_model()
+    problem = _problem(model)
+    q, v = _points(model, (3,), 4)
+    with pytest.raises(ValueError, match=r"t = 2\.5 outside the problem horizon"):
+        running_cost(
+            model, problem, np.array([0.1, 2.5, 1.0]),
+            AdmissibleState(q=q, v=v), np.zeros((3, model.rank)),
+        )
+
+
+@pytest.mark.parametrize("lead", LEADS, **lead_ids)
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_energy_and_constraint_on_stacks_equal_rows(model, lead):
+    q, v = _points(model, lead, 5)
+    qdot = np.random.default_rng(6).normal(size=lead + (model.n,))
+    energy = restricted_energy(model, AdmissibleState(q=q, v=v))
+    assert np.shape(energy) == lead
+    _assert_rows(energy, lead, lambda idx: restricted_energy(
+        model, AdmissibleState(q=q[idx], v=v[idx])
+    ))
+    residual = constraint_residual(model, q, qdot)
+    assert residual.shape == lead + (model.corank,)
+    _assert_rows(residual, lead, lambda idx: constraint_residual(
+        model, q[idx], qdot[idx]
+    ))
+
+
+@pytest.mark.parametrize("psi_variant", ["midpoint", "difference-quotient"])
+@pytest.mark.parametrize("lead", LEADS, **lead_ids)
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_discrete_terms_on_stacks_equal_rows(model, lead, psi_variant):
+    problem = _problem(model)
+    h = 0.1
+    q_k, v_k = _points(model, lead, 7)
+    q_k1, v_k1 = _points(model, lead, 8)
+    t_k = np.random.default_rng(9).uniform(0.0, HORIZON - h, size=lead)
+    node_k = AdmissibleState(q=q_k, v=v_k)
+    node_k1 = AdmissibleState(q=q_k1, v=v_k1)
+
+    def nodes(idx):
+        return (AdmissibleState(q=q_k[idx], v=v_k[idx]),
+                AdmissibleState(q=q_k1[idx], v=v_k1[idx]))
+
+    lagr = discrete_lagrangian(model, problem, node_k, node_k1, t_k, h)
+    assert np.shape(lagr) == lead
+    _assert_rows(lagr, lead, lambda idx: discrete_lagrangian(
+        model, problem, *nodes(idx), float(t_k[idx]), h
+    ))
+    psi = discrete_constraint(model, node_k, node_k1, h, psi_variant)
+    assert psi.shape == lead + (model.n,)
+    _assert_rows(psi, lead, lambda idx: discrete_constraint(
+        model, *nodes(idx), h, psi_variant
+    ))
+
+
+def _diagnostics_on_grid(model, problem, steps, rng):
+    times = np.linspace(0.0, HORIZON, steps + 1)
+    traj = DiscreteTrajectory(
+        h=HORIZON / steps, times=times,
+        q=rng.normal(size=(steps + 1, model.n)),
+        v=rng.normal(size=(steps + 1, model.rank)),
+        multipliers=rng.normal(size=(steps - 1, model.n)),
+        controls=rng.normal(size=(steps, model.rank)),
+    )
+    diagnostics(model, problem, traj)
+
+
+def _trajectory_cost_on_grid(model, problem, steps, rng):
+    traj = ShootingTrajectory(
+        times=np.linspace(0.0, HORIZON, steps + 1),
+        q=rng.normal(size=(steps + 1, model.n)),
+        v=rng.normal(size=(steps + 1, model.rank)),
+        u=rng.normal(size=(steps + 1, model.rank)),
+        lam=rng.normal(size=(steps + 1, model.n)),
+        mu=rng.normal(size=(steps + 1, model.rank)),
+    )
+    trajectory_cost(model, problem, traj)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [_diagnostics_on_grid, _trajectory_cost_on_grid],
+    ids=["diagnostics", "trajectory_cost"],
+)
+def test_reference_calls_do_not_grow_with_the_grid(evaluate):
+    """The series of a whole grid come from stacked calls: the reference is
+    sampled as often at N = 16 as at N = 8."""
+    model = sleigh_model()
+    base = _problem(model)
+    calls = []
+    for steps in (8, 16):
+        count = [0]
+
+        def reference(t, count=count):
+            count[0] += 1
+            return base.reference(t)
+
+        problem = dataclasses.replace(base, reference=reference)
+        evaluate(model, problem, steps, np.random.default_rng(steps))
+        calls.append(count[0])
+    assert calls[0] == calls[1] > 0
