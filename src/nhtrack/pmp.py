@@ -236,27 +236,19 @@ class Costate:
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Damped-Newton settings shared by the shooting and variational solves.
-
+    """Damped-Newton settings shared by the shooting and variational solves:
     newton_tol bounds the residual norm at convergence, max_iters the Newton
-    steps; fd_step is the finite-difference step of the route's Jacobian;
-    a rejected trial step is scaled by damping (in (0, 1)) at most
-    max_halvings times.
-    """
+    steps.  The line search and finite-difference constants are the module
+    constants DAMPING, MAX_HALVINGS and FD_STEP."""
 
     newton_tol: float = 1e-8
     max_iters: int = 50
-    fd_step: float = 1e-6
-    damping: float = 0.5
-    max_halvings: int = 30
 
     def __post_init__(self) -> None:
         label = type(self).__name__
-        for name in ("newton_tol", "fd_step", "damping", "max_iters", "max_halvings"):
+        for name in ("newton_tol", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{label}.{name} must be positive")
-        if self.damping >= 1:
-            raise ValueError(f"{label}.damping must shrink the step (< 1)")
 
 
 CONTINUATIONS = ("none", "horizon", "terminal-weight")
@@ -311,6 +303,13 @@ class ConvergenceReport:
     message: str
 
 
+# a rejected trial step is scaled by DAMPING at most MAX_HALVINGS times;
+# FD_STEP is the finite-difference step of both routes' Jacobians
+DAMPING = 0.5
+MAX_HALVINGS = 30
+FD_STEP = 1e-6
+
+
 def damped_newton(
     x: Array,
     evaluate: Callable[[Array], tuple[Array, Any]],
@@ -324,10 +323,10 @@ def damped_newton(
 
     evaluate(x) returns the residual at x and any data the caller wants back
     for the final iterate; correction(x, r) returns the full Newton step
-    delta.  Each iteration tries x + beta delta for beta = 1, damping,
-    damping^2, ... and accepts the first trial whose residual norm
+    delta.  Each iteration tries x + beta delta for beta = 1, DAMPING,
+    DAMPING^2, ... and accepts the first trial whose residual norm
     decreases; a trial whose evaluation raises one of the rejected errors
-    counts as no decrease.  After max_halvings rejections the smallest step
+    counts as no decrease.  After MAX_HALVINGS rejections the smallest step
     is taken anyway.  If that one fails to evaluate as well, or correction
     itself raises a rejected error (for example a diverged probe flow of a
     finite-difference Jacobian), the solve stops unconverged at the current
@@ -363,16 +362,16 @@ def damped_newton(
         except rejected as exc:
             return stuck(iteration, exc)
         beta = 1.0
-        for _ in range(settings.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = x + beta * delta
             try:
                 r_c, data_c = evaluate(cand)
             except rejected:
-                beta *= settings.damping
+                beta *= DAMPING
                 continue
             if norm(r_c) < r_norm:
                 break
-            beta *= settings.damping
+            beta *= DAMPING
         else:
             # no decrease found; take the smallest damped step
             cand = x + beta * delta
@@ -687,7 +686,7 @@ def _newton_shoot(
         return _terminal_residual(model, problem, ys[-1]), (times, ys)
 
     def correction(vec: Array, r: Array) -> Array:
-        steps = settings.fd_step * np.maximum(1.0, np.abs(vec))
+        steps = FD_STEP * np.maximum(1.0, np.abs(vec))
         # probe j is vec with entry j moved by steps[j]
         jac = ((flow(vec + np.diag(steps))[0] - r) / steps[:, None]).T
         cond = np.linalg.cond(jac)
@@ -701,24 +700,31 @@ def _newton_shoot(
     )
 
 
-def _horizon_warmup(
-    model: SystemModel,
-    problem: TrackingProblem,
-    alpha_vec: Array,
-    settings: ShootingSettings,
-    grid: TimeGrid,
-) -> Array:
-    stages = settings.continuation_stages
-    for j in range(1, stages):
-        t_stage = problem.horizon_T * j / stages
-        steps = max(1, round(grid.steps * j / stages))
-        stage_problem = replace(problem, horizon_T=t_stage)
-        stage_grid = TimeGrid(0.0, t_stage, steps)
-        # a failed stage still leaves the best costate found so far
-        alpha_vec, _, _ = _newton_shoot(
-            model, stage_problem, alpha_vec, settings, stage_grid
-        )
-    return alpha_vec
+def _stages(
+    problem: TrackingProblem, settings: ShootingSettings, grid: TimeGrid
+) -> list[tuple[TrackingProblem, TimeGrid]]:
+    """(problem, grid) of each Newton solve of solve_shooting, in order.
+
+    "horizon" puts the shortened horizons T j/s (j = 1 .. s-1) before the
+    problem; "terminal-weight" puts the same ladder on the Mayer relaxation,
+    then the relaxation at omega 10^j (j = 0 .. s-1) on the full grid, before
+    the hard problem.  The last entry is always the problem on its grid.
+    """
+    s, mode = settings.continuation_stages, settings.continuation
+    relaxed = problem
+    if mode == "terminal-weight":
+        relaxed = replace(problem, terminal_mode="mayer")
+    stages = []
+    if mode != "none":
+        for j in range(1, s):
+            t_j = problem.horizon_T * j / s
+            grid_j = TimeGrid(0.0, t_j, max(1, round(grid.steps * j / s)))
+            stages.append((replace(relaxed, horizon_T=t_j), grid_j))
+    if mode == "terminal-weight":
+        stages += [
+            (replace(relaxed, omega=problem.omega * 10.0**j), grid) for j in range(s)
+        ]
+    return stages + [(problem, grid)]
 
 
 def solve_shooting(
@@ -730,8 +736,8 @@ def solve_shooting(
     """Damped-Newton shooting on the terminal residual.
 
     Newton steps use forward-difference Jacobians (per-component step
-    fd_step * max(1, |alpha_j|)) and a backtracking line search halving the
-    step until the residual 2-norm decreases (at most max_halvings times);
+    FD_STEP * max(1, |alpha_j|)) and a backtracking line search halving the
+    step until the residual 2-norm decreases (at most MAX_HALVINGS times);
     a trial step whose flow diverges counts as a rejected step.  The n + k
     probes of each Jacobian are integrated together, as one stacked
     (n + k, 2n + k) flow through the packed field and rk4_step; if any
@@ -739,30 +745,22 @@ def solve_shooting(
     With settings.continuation = "horizon" the unknown initial costate is
     first tracked through a family of shortened-horizon problems before the
     full-horizon solve runs; "terminal-weight" instead tracks it through
-    soft-terminal (Mayer) solves of growing weight before the hard solve.
-    Nonconvergence is reported, not raised: the returned report carries the
-    converged flag, the final residual norm, and the per-iteration log of
-    the final-stage solve.
+    soft-terminal (Mayer) solves of growing weight before the hard solve;
+    _stages lists them all, and one loop runs them, each warm-started from
+    the costate of the one before.  Nonconvergence is reported, not
+    raised: the returned report carries the converged flag, the final
+    residual norm, and the per-iteration log of the final-stage solve.
     """
     if alpha0 is None:
         alpha0 = Costate.zero(model)
     grid = check_shooting(problem, settings)
     alpha_vec = alpha0.as_vector().copy()
 
-    if settings.continuation == "horizon" and settings.continuation_stages > 1:
-        alpha_vec = _horizon_warmup(model, problem, alpha_vec, settings, grid)
-    elif settings.continuation == "terminal-weight":
-        for j in range(settings.continuation_stages):
-            soft = replace(
-                problem, terminal_mode="mayer", omega=problem.omega * 10.0**j
-            )
-            if j == 0 and settings.continuation_stages > 1:
-                alpha_vec = _horizon_warmup(model, soft, alpha_vec, settings, grid)
-            alpha_vec, _, _ = _newton_shoot(model, soft, alpha_vec, settings, grid)
-
-    alpha_vec, (times, ys), report = _newton_shoot(
-        model, problem, alpha_vec, settings, grid
-    )
+    for stage_problem, stage_grid in _stages(problem, settings, grid):
+        # a failed stage still leaves the best costate found so far
+        alpha_vec, (times, ys), report = _newton_shoot(
+            model, stage_problem, alpha_vec, settings, stage_grid
+        )
     n = model.n
     alpha = Costate(lam=alpha_vec[:n], mu=alpha_vec[n:])
     trajectory = _trajectory_from_series(model, problem, times, ys)

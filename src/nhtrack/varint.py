@@ -53,6 +53,7 @@ from .geometry import (
 )
 from .ode import TimeGrid
 from .pmp import (
+    FD_STEP,
     ConvergenceReport,
     NewtonSettings,
     TrackingProblem,
@@ -486,40 +487,32 @@ def del_residual(
 # block-tridiagonal Newton solve
 
 
-def _solve_block_tridiagonal(
-    lower: list[Array | None],
-    diag: list[Array],
-    upper: list[Array | None],
-    rhs: list[Array],
-) -> Array:
-    """Block Thomas elimination; rhs blocks may carry multiple columns.
+def _solve_block_tridiagonal(diag: Array, upper: Array, rhs: Array) -> Array:
+    """Block Thomas elimination of a symmetric block-tridiagonal system.
 
-    Returns the stacked solution with the same column count as the rhs.
+    diag (m, b, b) holds the diagonal blocks and upper (m-1, b, b) the
+    blocks right of them; the block left of diagonal block i is
+    upper[i-1].T.  rhs (m, b, c) holds c right-hand sides per block row.
+    Returns the solution stacked as (m b, c).
     """
-    count = len(diag)
-    diag = [d.copy() for d in diag]
-    rhs = [np.atleast_2d(r.T).T.copy() for r in rhs]
+    diag = diag.copy()
+    rhs = rhs.copy()
+    sol = np.empty_like(rhs)
     try:
-        for i in range(1, count):
-            if lower[i] is None:
-                continue
-            factor = np.linalg.solve(diag[i - 1].T, lower[i].T).T
+        for i in range(1, len(diag)):
+            factor = np.linalg.solve(diag[i - 1].T, upper[i - 1]).T
             diag[i] -= factor @ upper[i - 1]
             rhs[i] -= factor @ rhs[i - 1]
-        sol: list[Array] = [np.empty(0)] * count
-        sol[count - 1] = np.linalg.solve(diag[count - 1], rhs[count - 1])
-        for i in range(count - 2, -1, -1):
-            acc = rhs[i]
-            if upper[i] is not None:
-                acc = acc - upper[i] @ sol[i + 1]
-            sol[i] = np.linalg.solve(diag[i], acc)
+        sol[-1] = np.linalg.solve(diag[-1], rhs[-1])
+        for i in range(len(diag) - 2, -1, -1):
+            sol[i] = np.linalg.solve(diag[i], rhs[i] - upper[i] @ sol[i + 1])
     except np.linalg.LinAlgError as exc:
         raise RegularityError(
             "singular block in the discrete Euler-Lagrange Jacobian; "
             "the constrained system fails the one-step solvability "
             "(M-matrix) condition at some node pair -- see regularity_check"
         ) from exc
-    return np.vstack(sol)
+    return sol.reshape(-1, rhs.shape[-1])
 
 
 class _DelWorkspace:
@@ -604,31 +597,23 @@ class _DelWorkspace:
         return del_residual(self.model, self.problem, traj, self.settings), None
 
     def correction(self, x: Array, r: Array) -> Array:
-        """Newton step: the block-tridiagonal solve, bordered by the
-        lambda^0 column and Psi(0) rows when the first interval is
-        enforced."""
-        lower, diag, upper, border = self.jacobian_blocks(*self.unpack(x))
-        n, block = self.n, 2 * self.n + self.kr
-        off = 0 if border is None else n  # the Psi(0) rows come first
-        segs = r[off:].reshape(self.steps - 1, block)
-        if border is None:
-            rhs = [-seg for seg in segs]
-            return _solve_block_tridiagonal(lower, diag, upper, rhs)[:, 0]
-        # bordered system: the lambda^0 column and Psi(0) row couple only
-        # to block 1, with a zero corner; eliminate through the n x n Schur
-        # complement of the tridiagonal part
-        col, row = border
-        rhs = []
-        for i, seg in enumerate(segs):
-            stack = np.empty((seg.size, 1 + n))
-            stack[:, 0] = -seg
-            stack[:, 1:] = col if i == 0 else 0.0
-            rhs.append(stack)
-        sol = _solve_block_tridiagonal(lower, diag, upper, rhs)
+        """Newton step: the block-tridiagonal solve bordered by the w
+        lambda^0 columns and Psi(0) rows (w = n when the first interval is
+        enforced, else 0).  The border couples only to block 1, with a zero
+        corner, so it is eliminated through the w x w Schur complement of
+        the tridiagonal part; with w = 0 that is an empty solve."""
+        diag, upper, col = self.jacobian_blocks(*self.unpack(x))
+        block, w = col.shape  # the Psi(0) rows come first
+        rhs = np.zeros((self.steps - 1, block, 1 + w))
+        rhs[:, :, 0] = -r[w:].reshape(self.steps - 1, block)
+        rhs[0, :, 1:] = col
+        sol = _solve_block_tridiagonal(diag, upper, rhs)
         x_r = sol[:, 0]
         x_b = sol[:, 1:]
         try:
-            dlam0 = np.linalg.solve(row @ x_b[:block], row @ x_r[:block] + r[:off])
+            dlam0 = np.linalg.solve(
+                col.T @ x_b[:block], col.T @ x_r[:block] + r[:w]
+            )
         except np.linalg.LinAlgError as exc:
             raise RegularityError(
                 "singular first-interval Schur complement; the "
@@ -638,26 +623,20 @@ class _DelWorkspace:
 
     def jacobian_blocks(
         self, q: Array, v: Array, lam: Array, lam0: Array | None
-    ) -> tuple[
-        list[Array | None],
-        list[Array],
-        list[Array | None],
-        tuple[Array, Array] | None,
-    ]:
-        """Assemble the block-tridiagonal Jacobian.
+    ) -> tuple[Array, Array, Array]:
+        """Assemble the bordered block-tridiagonal Jacobian.
 
         The Jacobian is the Hessian of the extended discrete action (the
         action sum plus the multiplier-weighted constraints), so it is
-        symmetric: only the diagonal and upper blocks are built, each lower
-        block is the transpose of the upper block above it, and the border
-        row is the transpose of the border column.  Unknown block
-        k = 1 .. N-1 is (q_k, v_k, lambda^k); the equation rows of block k
-        are (q-rows, v-rows, Psi(k)).  When the first interval is enforced,
-        the extra unknown lambda^0 and the extra Psi(0) rows are returned as
-        a border (column, row) pair coupling only to block 1: the column
-        holds the dPsi(0)-transposed multiplier terms in the stationarity
-        rows, the row holds dPsi(0) over (q_1, v_1); the corner block is
-        zero.
+        symmetric and only the diagonal and upper blocks are built.
+        Unknown block k = 1 .. N-1 is (q_k, v_k, lambda^k); the equation
+        rows of block k are (q-rows, v-rows, Psi(k)).  Returns (diag
+        (N-1, b, b), upper (N-2, b, b), col (b, w)): the lower blocks are
+        the transposes of the upper ones, and col is the border coupling
+        the unknown lambda^0 to the stationarity rows of block 1 (the
+        dPsi(0)-transposed multiplier terms).  Its transpose is the Psi(0)
+        rows over (q_1, v_1), and the corner block is zero.  w is n when
+        the first interval is enforced (lam0 given) and 0 otherwise.
         """
         model, problem, settings = self.model, self.problem, self.settings
         n, steps, h = self.n, self.steps, self.h
@@ -669,7 +648,7 @@ class _DelWorkspace:
         ends = (q[:-1], v[:-1], q[1:], v[1:])
         hess = _interval_hessian(
             model, problem, np.concatenate(ends, axis=1), lams, self.ref_mid,
-            h, settings.psi_variant, settings.fd_step,
+            h, settings.psi_variant, FD_STEP,
         )
         p1, p2, p3, p4 = _interval(
             model, None, *ends, None, None, h, settings.psi_variant
@@ -682,20 +661,13 @@ class _DelWorkspace:
         diag[:, nv:, :n] = p1[1:]
         diag[:, nv:, n:nv] = p2[1:]
         diag[:, :nv, nv:] = diag[:, nv:, :nv].swapaxes(1, 2)
-        ue = np.zeros((steps - 1, block, block))
-        ue[:, :nv, :nv] = hess[1:, :nv, nv:]
-        ue[:, nv:, :n] = p3[1:]
-        ue[:, nv:, n:nv] = p4[1:]
-        upper: list[Array | None] = [*ue[:-1], None]
-        lower = [None] + [u.T for u in ue[:-1]]
-
-        border = None
-        if lam0 is not None:
-            col = np.zeros((block, n))
-            col[:n] = p3[0].T
-            col[n:nv] = p4[0].T
-            border = (col, col.T)
-        return lower, list(diag), upper, border
+        upper = np.zeros((steps - 2, block, block))
+        upper[:, :nv, :nv] = hess[1:-1, :nv, nv:]
+        upper[:, nv:, :n] = p3[1:-1]
+        upper[:, nv:, n:nv] = p4[1:-1]
+        w = 0 if lam0 is None else n
+        col = np.concatenate([p3[0].T, p4[0].T, np.zeros((n, n))])[:, :w]
+        return diag, upper, col
 
 
 def check_del(problem: TrackingProblem, grid: TimeGrid) -> None:
@@ -778,7 +750,7 @@ def regularity_check(
     ends = (node_k.q, node_k.v, node_k1.q, node_k1.v)
     hess = _interval_hessian(
         model, problem, np.concatenate(ends), lam,
-        problem.reference(t_k + 0.5 * h), h, "midpoint", DelSettings.fd_step,
+        problem.reference(t_k + 0.5 * h), h, "midpoint", FD_STEP,
     )
     p1, p2, p3, p4 = _interval(model, None, *ends, None, None, h, "midpoint")[1]
     m = np.zeros((nv + n, nv + n))

@@ -27,9 +27,9 @@ from nhtrack.cli import (
     parse_config,
     run_experiment,
 )
-from nhtrack.pmp import SingularJacobianError
+from nhtrack.pmp import ShootingSettings, SingularJacobianError
 from nhtrack.systems import particle_model
-from nhtrack.varint import RegularityError
+from nhtrack.varint import DelSettings, RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
 
@@ -227,6 +227,14 @@ class TestParsing:
             system=SystemBlock(), problem=problem, solver=SolverBlock(),
             output=OutputBlock(), compare=CompareBlock(),
         )
+
+    @pytest.mark.parametrize("settings", [ShootingSettings, DelSettings])
+    def test_every_solver_setting_is_a_config_key(self, settings):
+        """A settings field no [solver] key reaches is a knob without a
+        caller; inner_grid is the one exception, which steps sets."""
+        keys = {f.name for f in dataclasses.fields(SolverBlock)} | {"inner_grid"}
+        fields = {f.name for f in dataclasses.fields(settings)}
+        assert fields <= keys, sorted(fields - keys)
 
 
 class TestRunCommand:

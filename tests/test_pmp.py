@@ -602,6 +602,59 @@ def test_solve_shooting_horizon_continuation_reaches_full_horizon():
     assert np.linalg.norm(r) <= settings.newton_tol
 
 
+@pytest.mark.parametrize(
+    "continuation, stages, mode, expected",
+    [
+        ("none", 4, "mayer", [(4.0, 1.0, "mayer", 400)]),
+        ("horizon", 1, "mayer", [(4.0, 1.0, "mayer", 400)]),
+        (
+            "horizon", 4, "mayer",
+            [(1.0, 1.0, "mayer", 100), (2.0, 1.0, "mayer", 200),
+             (3.0, 1.0, "mayer", 300), (4.0, 1.0, "mayer", 400)],
+        ),
+        (
+            "terminal-weight", 3, "hard",
+            [(4.0 / 3.0, 1.0, "mayer", 133), (8.0 / 3.0, 1.0, "mayer", 267),
+             (4.0, 1.0, "mayer", 400), (4.0, 10.0, "mayer", 400),
+             (4.0, 100.0, "mayer", 400), (4.0, 1.0, "hard", 400)],
+        ),
+        (
+            "terminal-weight", 1, "hard",
+            [(4.0, 1.0, "mayer", 400), (4.0, 1.0, "hard", 400)],
+        ),
+    ],
+)
+def test_solve_shooting_runs_the_continuation_stages_in_order(
+    monkeypatch, continuation, stages, mode, expected
+):
+    """The horizon ladder T j/s, the Mayer relaxation with omega scaled by
+    10 per stage, then the problem itself: (horizon_T, omega, terminal_mode,
+    grid.steps) of every Newton solve on a 400-step grid.  Each stub solve
+    returns its costate plus one, so the starts show the warm-start chain."""
+    import nhtrack.pmp as pmp
+
+    calls, starts = [], []
+
+    def newton_shoot(model, stage, alpha_vec, settings, grid):
+        calls.append((stage.horizon_T, stage.omega, stage.terminal_mode, grid.steps))
+        starts.append(alpha_vec[0])
+        ys = np.zeros((grid.steps + 1, 2 * model.n + model.rank))
+        report = pmp.ConvergenceReport(True, 0, 0.0, (), "stub")
+        return alpha_vec + 1.0, (grid.times(), ys), report
+
+    monkeypatch.setattr(pmp, "_newton_shoot", newton_shoot)
+    settings = ShootingSettings(
+        inner_grid=TimeGrid(0.0, 4.0, 400),
+        continuation=continuation,
+        continuation_stages=stages,
+    )
+    problem = case2_problem(terminal_mode=mode)
+    alpha, _, _ = solve_shooting(particle_model(), problem, settings=settings)
+    assert calls == expected
+    assert starts == list(range(len(calls)))
+    assert alpha.lam[0] == len(calls)
+
+
 def test_constraint_residual_of_flow_refines_at_integrator_order():
     # differentiate the discrete q-series by 4th-order central differences;
     # the annihilator applied to it must shrink at the flow's order
@@ -708,13 +761,13 @@ def test_costate_vector_roundtrip():
     "kwargs",
     [
         {"newton_tol": 0.0},
-        {"fd_step": -1e-6},
-        {"damping": 0.0},
+        {"newton_tol": -1e-6},
+        {"max_iters": -3},
         {"max_iters": 0},
-        {"max_halvings": 0},
+        {"continuation": "Horizon"},
         {"continuation": "omega"},
         {"continuation_stages": 0},
-        {"damping": 1.5},
+        {"continuation_stages": -1},
     ],
 )
 def test_shooting_settings_validation(kwargs):
@@ -762,7 +815,7 @@ def test_damped_newton_reports_when_no_trial_step_evaluates():
     evaluate, correction = _square_root_problem(lambda x: x != 1.0)
     x, data, report = damped_newton(
         np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-        NewtonSettings(max_halvings=3), ArithmeticError,
+        NewtonSettings(), ArithmeticError,
     )
     assert not report.converged
     assert report.iterations == 0

@@ -771,13 +771,9 @@ class TestBlockTridiagonal:
         rng = np.random.default_rng(31)
         sizes = 4
         blocks = 6
-        diag = [rng.normal(size=(sizes, sizes)) + 4.0 * np.eye(sizes)
-                for _ in range(blocks)]
-        upper = [rng.normal(size=(sizes, sizes)) for _ in range(blocks - 1)]
-        upper.append(None)
-        lower = [None] + [rng.normal(size=(sizes, sizes))
-                          for _ in range(blocks - 1)]
-        rhs = [rng.normal(size=sizes) for _ in range(blocks)]
+        diag = rng.normal(size=(blocks, sizes, sizes)) + 4.0 * np.eye(sizes)
+        upper = rng.normal(size=(blocks - 1, sizes, sizes))
+        rhs = rng.normal(size=(blocks, sizes, 2))
 
         total = sizes * blocks
         dense = np.zeros((total, total))
@@ -786,18 +782,18 @@ class TestBlockTridiagonal:
             dense[sl, sl] = diag[i]
             if i + 1 < blocks:
                 dense[sl, (i + 1) * sizes:(i + 2) * sizes] = upper[i]
-                dense[(i + 1) * sizes:(i + 2) * sizes, sl] = lower[i + 1]
-        expected = np.linalg.solve(dense, np.concatenate(rhs))
-        got = _solve_block_tridiagonal(lower, diag, upper, rhs)
-        assert np.allclose(got[:, 0], expected, atol=1e-10)
+                dense[(i + 1) * sizes:(i + 2) * sizes, sl] = upper[i].T
+        expected = np.linalg.solve(dense, rhs.reshape(total, 2))
+        got = _solve_block_tridiagonal(diag, upper, rhs)
+        assert got.shape == (total, 2)
+        assert np.allclose(got, expected, atol=1e-10)
 
     def test_singular_block_raises_regularity_error(self):
-        diag = [np.zeros((2, 2)), np.eye(2)]
-        upper = [np.eye(2), None]
-        lower = [None, np.eye(2)]
-        rhs = [np.ones(2), np.ones(2)]
+        diag = np.stack([np.zeros((2, 2)), np.eye(2)])
+        upper = np.eye(2)[None]
+        rhs = np.ones((2, 2, 1))
         with pytest.raises(RegularityError, match="M-matrix"):
-            _solve_block_tridiagonal(lower, diag, upper, rhs)
+            _solve_block_tridiagonal(diag, upper, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -806,23 +802,35 @@ class TestBlockTridiagonal:
 
 def dense_jacobian(ws, x):
     """jacobian_blocks at x as one dense matrix: rows in residual order
-    (Psi(0) first when enforced), columns in unknown order (lambda^0 last)."""
-    lower, diag, upper, border = ws.jacobian_blocks(*ws.unpack(x))
-    block = diag[0].shape[0]
-    off = 0 if border is None else ws.n
+    (Psi(0) first when enforced), columns in unknown order (lambda^0 last);
+    the lower blocks are the transposed upper ones and the Psi(0) rows the
+    transposed border column."""
+    diag, upper, col = ws.jacobian_blocks(*ws.unpack(x))
+    block, w = col.shape
     dense = np.zeros((x.size, x.size))
     for i, d in enumerate(diag):
-        rows = slice(off + i * block, off + (i + 1) * block)
-        dense[rows, i * block:(i + 1) * block] = d
-        if upper[i] is not None:
-            dense[rows, (i + 1) * block:(i + 2) * block] = upper[i]
-        if lower[i] is not None:
-            dense[rows, (i - 1) * block:i * block] = lower[i]
-    if border is not None:
-        col, row = border
-        dense[off:off + block, len(diag) * block:] = col
-        dense[:off, :block] = row
-    return dense, (lower, upper, border)
+        r0, c0 = w + i * block, i * block
+        dense[r0:r0 + block, c0:c0 + block] = d
+        if i < len(upper):
+            dense[r0:r0 + block, c0 + block:c0 + 2 * block] = upper[i]
+            dense[r0 + block:r0 + 2 * block, c0:c0 + block] = upper[i].T
+    dense[w:w + block, len(diag) * block:] = col
+    dense[:w, :block] = col.T
+    return dense
+
+
+def newton_workspace(system, enforce, steps, psi_variant="midpoint"):
+    if system == "particle":
+        model = particle_model()
+        problem = particle_case2_problem(horizon=1.0)
+    else:
+        model = sleigh_model(SLEIGH_PARAMS)
+        problem = mild_sleigh_problem(model)
+    settings = DelSettings(enforce_first_interval=enforce, psi_variant=psi_variant)
+    return _DelWorkspace(
+        model, problem, TimeGrid(0.0, 1.0, steps), settings,
+        problem.initial_state, problem.reference(1.0),
+    )
 
 
 class TestNewtonJacobian:
@@ -833,26 +841,14 @@ class TestNewtonJacobian:
         self, system, enforce, psi_variant
     ):
         """At a perturbed, unconverged iterate the assembled blocks (border
-        included) equal central differences of del_residual over the packed
-        unknowns, and the lower blocks and border row are exact transposes."""
-        if system == "particle":
-            model = particle_model()
-            problem = particle_case2_problem(horizon=1.0)
-        else:
-            model = sleigh_model(SLEIGH_PARAMS)
-            problem = mild_sleigh_problem(model)
-        settings = DelSettings(
-            enforce_first_interval=enforce, psi_variant=psi_variant
-        )
-        ws = _DelWorkspace(
-            model, problem, TimeGrid(0.0, 1.0, 4), settings,
-            problem.initial_state, problem.reference(1.0),
-        )
+        included, lower blocks and Psi(0) rows as transposes) equal central
+        differences of del_residual over the packed unknowns."""
+        ws = newton_workspace(system, enforce, 4, psi_variant)
         x0 = ws.initial_guess()
         x = x0 + 0.1 * np.random.default_rng(43).normal(size=x0.size)
         assert np.max(np.abs(ws.evaluate(x)[0])) > 1e-2
 
-        dense, (lower, upper, border) = dense_jacobian(ws, x)
+        dense = dense_jacobian(ws, x)
         step = 1e-6
         fd = np.empty_like(dense)
         for j in range(x.size):
@@ -861,14 +857,21 @@ class TestNewtonJacobian:
             xm[j] -= step
             fd[:, j] = (ws.evaluate(xp)[0] - ws.evaluate(xm)[0]) / (2 * step)
         assert np.max(np.abs(dense - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+        assert ws.jacobian_blocks(*ws.unpack(x))[2].shape[1] == (3 if enforce else 0)
 
-        for k in range(1, len(lower)):
-            assert np.array_equal(lower[k], upper[k - 1].T)
-        if enforce:
-            col, row = border
-            assert np.array_equal(row, col.T)
-        else:
-            assert border is None
+    @pytest.mark.parametrize("enforce", [False, True])
+    @pytest.mark.parametrize("system", ["particle", "sleigh"])
+    def test_correction_solves_the_assembled_system(self, system, enforce):
+        """The Newton step of the bordered block elimination (a zero-width
+        border when interval 0 is free) solves the dense Jacobian system."""
+        ws = newton_workspace(system, enforce, 6)
+        x0 = ws.initial_guess()
+        x = x0 + 0.1 * np.random.default_rng(47).normal(size=x0.size)
+        r = ws.evaluate(x)[0]
+        delta = ws.correction(x, r)
+        dense = dense_jacobian(ws, x)
+        assert delta.shape == x.shape
+        assert np.linalg.norm(dense @ delta + r) <= 1e-10 * np.linalg.norm(r)
 
     def test_kernel_calls_per_jacobian_do_not_grow_with_the_grid(self):
         """The interval Hessians of a whole grid come from stacked kernel
@@ -1307,8 +1310,6 @@ class TestContainers:
             DelSettings(initial_guess_mode="warm")
         with pytest.raises(ValueError):
             DelSettings(psi_variant="gauss")
-        with pytest.raises(ValueError):
-            DelSettings(damping=1.5)
 
     def test_trajectory_validation(self):
         times = np.linspace(0.0, 1.0, 4)
