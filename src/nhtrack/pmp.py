@@ -54,11 +54,14 @@ Array = np.ndarray
 class FlowDivergedError(RuntimeError):
     """The coupled state-costate flow left the finite range."""
 
-    def __init__(self, t: float) -> None:
-        super().__init__(
-            f"state-costate flow diverged near t = {t:.6g}; "
-            "the shooting guess is outside the basin"
-        )
+    def __init__(self, t: float, probe: bool = False) -> None:
+        if probe:
+            what = "a finite-difference probe of the shooting Jacobian"
+            where = "the iterate lies at the edge of the basin"
+        else:
+            what = "state-costate flow"
+            where = "the shooting guess is outside the basin"
+        super().__init__(f"{what} diverged near t = {t:.6g}; {where}")
         self.t = t
 
 
@@ -313,7 +316,7 @@ FD_STEP = 1e-6
 def damped_newton(
     x: Array,
     evaluate: Callable[[Array], tuple[Array, Any]],
-    correction: Callable[[Array, Array], Array],
+    correction: Callable[[Array, Array, Any], Array],
     norm: Callable[[Array], float],
     norm_name: str,
     settings: NewtonSettings,
@@ -321,16 +324,20 @@ def damped_newton(
 ) -> tuple[Array, Any, ConvergenceReport]:
     """Damped Newton with backtracking on a flat vector of unknowns.
 
-    evaluate(x) returns the residual at x and any data the caller wants back
-    for the final iterate; correction(x, r) returns the full Newton step
-    delta.  Each iteration tries x + beta delta for beta = 1, DAMPING,
+    evaluate(x) returns the residual at x and any data the caller wants
+    from that evaluation; correction(x, r, data) returns the full Newton
+    step delta at the last accepted iterate x, given the residual r and the
+    data that evaluate returned there (so an evaluation can carry the
+    Jacobian of its point, or the unpacked unknowns, to the step that
+    follows it).  Each iteration tries x + beta delta for beta = 1, DAMPING,
     DAMPING^2, ... and accepts the first trial whose residual norm
     decreases; a trial whose evaluation raises one of the rejected errors
     counts as no decrease.  After MAX_HALVINGS rejections the smallest step
     is taken anyway.  If that one fails to evaluate as well, or correction
-    itself raises a rejected error (for example a diverged probe flow of a
-    finite-difference Jacobian), the solve stops unconverged at the current
-    iterate with a message naming the error.  Returns (x, data, report).
+    itself raises a rejected error (for example the stored divergence of a
+    finite-difference Jacobian's probe flow), the solve stops unconverged
+    at the current iterate with a message naming the error.  Returns
+    (x, data, report).
     """
     x = x.copy()
     r, data = evaluate(x)
@@ -358,7 +365,7 @@ def damped_newton(
 
     for iteration in range(1, settings.max_iters + 1):
         try:
-            delta = correction(x, r)
+            delta = correction(x, r, data)
         except rejected as exc:
             return stuck(iteration, exc)
         beta = 1.0
@@ -490,11 +497,11 @@ def _make_packed_rhs(
 ) -> Callable[[float, Array], Array]:
     """RHS of the coupled flow on packed vectors y = (q, v, lambda, mu).
 
-    y may be one vector of length 2n + k or a stack of them, shape
-    (m, 2n + k), which advances m flows (for example the probes of a
-    finite-difference Jacobian) in one evaluation.  The adjoint rows are
-    -lambdadot = dH*/dq and -mudot = dH*/dv, with the drift derivatives
-    taken exactly from geometry.drift.
+    y may be one vector of length 2(n + k) or a stack of them, shape
+    (m, 2(n + k)), which advances m flows (for example a Newton point with
+    the probes of its finite-difference Jacobian) in one evaluation.  The
+    adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv, with the
+    drift derivatives taken exactly from geometry.drift.
     """
     n, k = model.n, model.rank
     rho_f, rho_jac_f = model.rho, model.rho_jac
@@ -591,7 +598,7 @@ def _flow(
 ) -> tuple[Array, Array]:
     """Integrate the packed flow, failing fast (and quietly) on blow-up.
 
-    y0 is one packed vector or a stack of them (m, 2n + k); the series has
+    y0 is one packed vector or a stack of them (m, 2(n + k)); the series has
     shape (steps + 1,) + y0.shape, and any one diverging row fails the whole
     stacked flow.
     """
@@ -672,32 +679,55 @@ def _newton_shoot(
 ) -> tuple[Array, tuple[Array, Array], ConvergenceReport]:
     """One damped-Newton solve of the shooting system on a fixed grid.
 
-    The forward-difference probes of a Jacobian (one per costate entry) run
-    as one stacked flow.  Returns the final costate vector, the (times, ys)
-    series of its flow, and the report.
+    Every point the Newton driver evaluates (the start and each trial) runs
+    as one stacked (1 + n + k, 2(n + k)) flow: row 0 is the point, row 1 + j
+    its forward-difference probe in costate entry j, so the residual and the
+    Jacobian of the point come from a single flow, and the correction at an
+    accepted point only solves.  When a row of the stack diverges, row 0 is
+    flowed alone: if it diverges too the trial is rejected; otherwise its
+    residual stands and the probe's FlowDivergedError takes the Jacobian's
+    place, so a correction from that point ends the solve unconverged.
+    Returns the final costate vector, the (times, ys) series of its flow,
+    and the report.
     """
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
+    # what flow returns with a residual: the point's Jacobian (or the error
+    # of its diverged probe) and the (times, ys) series of its own flow
+    ShotData = tuple[Array | FlowDivergedError, tuple[Array, Array]]
 
-    def flow(vec: Array) -> tuple[Array, tuple[Array, Array]]:
-        # vec is one costate vector or a stack of them, one per row
-        state = np.broadcast_to(y_state, vec.shape[:-1] + y_state.shape)
-        times, ys = _flow(rhs, np.concatenate([state, vec], axis=-1), grid)
-        return _terminal_residual(model, problem, ys[-1]), (times, ys)
-
-    def correction(vec: Array, r: Array) -> Array:
+    def flow(vec: Array) -> tuple[Array, ShotData]:
+        # row 0 is vec itself; row 1 + j is probe j, vec with entry j moved
+        # by steps[j]
         steps = FD_STEP * np.maximum(1.0, np.abs(vec))
-        # probe j is vec with entry j moved by steps[j]
-        jac = ((flow(vec + np.diag(steps))[0] - r) / steps[:, None]).T
+        stack = np.vstack([vec, vec + np.diag(steps)])
+        state = np.broadcast_to(y_state, (len(stack),) + y_state.shape)
+        y0 = np.concatenate([state, stack], axis=1)
+        try:
+            times, ys = _flow(rhs, y0, grid)
+        except FlowDivergedError as exc:
+            # a diverged point raises again here, so its trial is rejected
+            times, ys = _flow(rhs, y0[:1], grid)
+            r = _terminal_residual(model, problem, ys[-1, 0])
+            return r, (FlowDivergedError(exc.t, probe=True), (times, ys[:, 0]))
+        res = _terminal_residual(model, problem, ys[-1])
+        jac = ((res[1:] - res[0]) / steps[:, None]).T
+        return res[0], (jac, (times, ys[:, 0]))
+
+    def correction(vec: Array, r: Array, data: ShotData) -> Array:
+        jac = data[0]
+        if isinstance(jac, FlowDivergedError):
+            raise jac
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularJacobianError(cond)
         return np.linalg.solve(jac, -r)
 
-    return damped_newton(
+    vec, (_, series), report = damped_newton(
         alpha_vec, flow, correction, lambda r: float(np.linalg.norm(r)),
         "residual norm", settings, FlowDivergedError,
     )
+    return vec, series, report
 
 
 def _stages(
@@ -738,10 +768,13 @@ def solve_shooting(
     Newton steps use forward-difference Jacobians (per-component step
     FD_STEP * max(1, |alpha_j|)) and a backtracking line search halving the
     step until the residual 2-norm decreases (at most MAX_HALVINGS times);
-    a trial step whose flow diverges counts as a rejected step.  The n + k
-    probes of each Jacobian are integrated together, as one stacked
-    (n + k, 2n + k) flow through the packed field and rk4_step; if any
-    probe diverges, the solve ends unconverged at the current iterate.
+    a trial step whose flow diverges counts as a rejected step.  Each
+    evaluated point is integrated together with the n + k probes of its
+    Jacobian, as one stacked (1 + n + k, 2(n + k)) flow through the packed
+    field and rk4_step, so a Newton iteration that takes the full step runs
+    one flow.  If a probe diverges where the point itself does not, the
+    point stays valid as a trial, but the solve ends unconverged there
+    ("no step could be evaluated") when it needs that Jacobian.
     With settings.continuation = "horizon" the unknown initial costate is
     first tracked through a family of shortened-horizon problems before the
     full-horizon solve runs; "terminal-weight" instead tracks it through

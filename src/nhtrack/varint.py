@@ -62,6 +62,8 @@ from .pmp import (
 )
 
 Array = np.ndarray
+# the unpacked Newton unknowns (q, v, lambda, lambda^0) of _DelWorkspace
+Nodes = tuple[Array, Array, Array, Array | None]
 
 PSI_VARIANTS = ("midpoint", "difference-quotient")
 GUESS_MODES = ("linear-interpolation", "reference-samples")
@@ -562,7 +564,7 @@ class _DelWorkspace:
         blocks = np.concatenate([q[1:-1], v[1:-1], lam], axis=1).ravel()
         return blocks if lam0 is None else np.concatenate([blocks, lam0])
 
-    def unpack(self, x: Array) -> tuple[Array, Array, Array, Array | None]:
+    def unpack(self, x: Array) -> Nodes:
         n, kr, steps = self.n, self.kr, self.steps
         size = (steps - 1) * (2 * n + kr)
         blocks = x[:size].reshape(steps - 1, 2 * n + kr)
@@ -587,22 +589,26 @@ class _DelWorkspace:
             controls=controls, lambda_zero=lam0,
         )
 
-    def evaluate(self, x: Array) -> tuple[Array, None]:
+    def evaluate(self, x: Array) -> tuple[Array, Nodes]:
+        """The residual at x and the unpacked unknowns (q, v, lam, lam0),
+        which the correction from x assembles its Jacobian on."""
         # unpack pins the boundary nodes, so no boundary override is needed
-        q, v, lam, lam0 = self.unpack(x)
+        nodes = self.unpack(x)
+        q, v, lam, lam0 = nodes
         traj = DiscreteTrajectory(
             h=self.h, times=self.times, q=q, v=v, multipliers=lam,
             controls=np.zeros((self.steps, self.kr)), lambda_zero=lam0,
         )
-        return del_residual(self.model, self.problem, traj, self.settings), None
+        return del_residual(self.model, self.problem, traj, self.settings), nodes
 
-    def correction(self, x: Array, r: Array) -> Array:
+    def correction(self, x: Array, r: Array, nodes: Nodes) -> Array:
         """Newton step: the block-tridiagonal solve bordered by the w
         lambda^0 columns and Psi(0) rows (w = n when the first interval is
         enforced, else 0).  The border couples only to block 1, with a zero
         corner, so it is eliminated through the w x w Schur complement of
-        the tridiagonal part; with w = 0 that is an empty solve."""
-        diag, upper, col = self.jacobian_blocks(*self.unpack(x))
+        the tridiagonal part; with w = 0 that is an empty solve.  nodes are
+        the unpacked unknowns that evaluate returned at x."""
+        diag, upper, col = self.jacobian_blocks(*nodes)
         block, w = col.shape  # the Psi(0) rows come first
         rhs = np.zeros((self.steps - 1, block, 1 + w))
         rhs[:, :, 0] = -r[w:].reshape(self.steps - 1, block)

@@ -788,7 +788,7 @@ def _square_root_problem(fails):
             raise ArithmeticError(f"cannot evaluate at x = {x[0]}")
         return np.array([x[0] ** 2 - 4.0]), x[0]
 
-    def correction(x, r):
+    def correction(x, r, data):
         return -r / (2.0 * x)
 
     return evaluate, correction
@@ -832,7 +832,7 @@ def test_damped_newton_reports_when_the_correction_fails_to_evaluate():
     last accepted iterate, with a message naming the error."""
     evaluate, _ = _square_root_problem(lambda x: False)
 
-    def correction(x, r):
+    def correction(x, r, data):
         if x[0] > 2.2:
             raise FlowDivergedError(0.75)
         return -r / (2.0 * x)
@@ -870,7 +870,7 @@ def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
         _, ys = _flow(rhs, x, grid)
         return ys[-1] - 10.0, None
 
-    def correction(x, r):
+    def correction(x, r, data):
         # forward differences of the end state, both probes in one flow
         step = 0.2
         probes = _flow(rhs, x + np.diag([step, step]), grid)[1][-1]
@@ -898,6 +898,163 @@ def test_damped_newton_lets_other_errors_through():
             np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
             NewtonSettings(), FlowDivergedError,
         )
+
+
+# ---------------------------------------------------------------------------
+# one stacked flow per evaluated shooting point
+
+
+def _sleigh_problem():
+    ref = AnalyticReference(
+        q_base=[0.0, 0.5, 0.1], q_slope=[0.1, 0.0, 0.2],
+        v_base=[0.3, 1.0], v_slope=np.zeros(2),
+    )
+    return TrackingProblem(
+        reference=ref, horizon_T=1.0, epsilon=1.0, omega=1.0,
+        initial_state=AdmissibleState(q=np.zeros(3), v=[1.0, 1.0]),
+    )
+
+
+@pytest.mark.parametrize("system", ["particle", "sleigh"])
+def test_stacked_shooting_flow_rows_equal_the_separate_flows(system):
+    """Row 0 of the (1 + n + k)-row stack of a Newton point equals, bitwise
+    over the whole series, the flow of the point alone, and the probe rows
+    equal the (n + k)-row flow of the probes alone: integrating a point with
+    its probes changes no arithmetic."""
+    from nhtrack.pmp import FD_STEP, _flow, _make_packed_rhs
+
+    if system == "particle":
+        model, problem = particle_model(), short_case2_problem()
+    else:
+        model, problem = sleigh_model(SLEIGH_PARAMS), _sleigh_problem()
+    rhs = _make_packed_rhs(model, problem)
+    grid = TimeGrid(0.0, 1.0, 100)
+    vec = np.random.default_rng(11).uniform(-0.5, 0.5, model.n + model.rank)
+    steps = FD_STEP * np.maximum(1.0, np.abs(vec))
+    stack = np.vstack([vec, vec + np.diag(steps)])
+    y_state = problem.initial_state.as_vector()
+    state = np.broadcast_to(y_state, (len(stack), y_state.size))
+    y0 = np.concatenate([state, stack], axis=1)
+
+    times, ys = _flow(rhs, y0, grid)
+    times_0, ys_0 = _flow(rhs, y0[0], grid)
+    _, ys_probes = _flow(rhs, y0[1:], grid)
+    rows, width = 1 + model.n + model.rank, 2 * (model.n + model.rank)
+    assert ys.shape == (101, rows, width)
+    np.testing.assert_array_equal(times, times_0)
+    assert np.array_equal(ys[:, 0], ys_0)
+    assert np.array_equal(ys[:, 1:], ys_probes)
+
+
+def _rejected_trials(report):
+    # an accepted step scaled by DAMPING^h followed h rejected trials
+    return sum(round(-np.log2(rec.damping)) for rec in report.records)
+
+
+def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch):
+    """The start and every trial step are one stacked flow each; the
+    correction at an accepted point flows nothing more."""
+    import nhtrack.pmp as pmp
+
+    flows = []
+    real_flow = pmp._flow
+
+    def counting_flow(rhs, y0, grid):
+        flows.append(y0.shape)
+        return real_flow(rhs, y0, grid)
+
+    monkeypatch.setattr(pmp, "_flow", counting_flow)
+    model, problem = particle_model(), short_case2_problem()
+    grid = TimeGrid(0.0, 1.0, 100)
+    start = Costate.zero(model).as_vector()
+    vec, (times, ys), report = pmp._newton_shoot(
+        model, problem, start, ShootingSettings(), grid
+    )
+    assert report.converged and report.iterations >= 2
+    assert len(flows) == 1 + report.iterations + _rejected_trials(report)
+    width = 2 * (model.n + model.rank)
+    assert set(flows) == {(1 + model.n + model.rank, width)}
+    assert ys.shape == (101, width)
+    np.testing.assert_allclose(
+        shooting_residual(model, problem, Costate(lam=vec[:3], mu=vec[3:]),
+                          ShootingSettings(inner_grid=grid)),
+        0.0, atol=ShootingSettings().newton_tol,
+    )
+
+
+def _blowup_field(column, center, rate=4.0):
+    """A _make_packed_rhs stand-in: y' = rate (y - center)^2 in one column of
+    the packed vector, every other column constant.  A row starting at
+    center + z diverges before t = 1 when z > 1 / rate and stays finite
+    when z < 0."""
+
+    def make(model, problem):
+        def rhs(t, y):
+            dy = np.zeros_like(y)
+            dy[..., column] = rate * (y[..., column] - center) ** 2
+            return dy
+
+        return rhs
+
+    return make
+
+
+def _terminal_target(model, problem):
+    # the costate at which the Mayer residual of a constant flow vanishes
+    ref_T = problem.reference(problem.horizon_T)
+    state = problem.initial_state
+    dq, dv = state.q - ref_T.q, state.v - ref_T.v
+    return problem.omega * np.concatenate([dq, dv])
+
+
+def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
+    monkeypatch,
+):
+    """Probe 1 of the start diverges while the start itself stays finite:
+    the start keeps its residual, and the first correction ends the solve
+    unconverged there with a message naming the probe."""
+    import nhtrack.pmp as pmp
+
+    model, problem = particle_model(), short_case2_problem()
+    n, k = model.n, model.rank
+    start = _terminal_target(model, problem)
+    start[1] = 1e6  # its probe step is 1e-6 * 1e6 = 1
+    monkeypatch.setattr(
+        pmp, "_make_packed_rhs", _blowup_field(n + k + 1, center=1e6 + 0.5)
+    )
+    vec, (times, ys), report = pmp._newton_shoot(
+        model, problem, start.copy(), ShootingSettings(),
+        TimeGrid(0.0, 1.0, 100),
+    )
+    assert not report.converged
+    assert report.iterations == 0
+    assert "no step could be evaluated at iteration 1" in report.message
+    assert "probe" in report.message
+    np.testing.assert_array_equal(vec, start)
+    # the series is the start's own flow, finite to the end
+    assert np.all(np.isfinite(ys)) and ys[-1, n + k + 1] < 1e6 + 0.5
+
+
+def test_newton_shoot_backtracks_past_a_trial_whose_point_diverges(
+    monkeypatch,
+):
+    """The full Newton step and two halvings of it start past the blow-up
+    of the field, so their flows diverge row 0 included; the solve rejects
+    them, takes the eighth step and converges."""
+    import nhtrack.pmp as pmp
+
+    model, problem = particle_model(), short_case2_problem()
+    n, k = model.n, model.rank
+    start = _terminal_target(model, problem)
+    start[1] = -0.5  # the root of entry 1 is 0.2 / 1.8, the blow-up 0.25
+    monkeypatch.setattr(
+        pmp, "_make_packed_rhs", _blowup_field(n + k + 1, center=0.0)
+    )
+    _, _, report = pmp._newton_shoot(
+        model, problem, start, ShootingSettings(), TimeGrid(0.0, 1.0, 100)
+    )
+    assert report.records[0].damping == 0.125
+    assert report.converged
 
 
 def test_singular_jacobian_error_suggests_regularization():

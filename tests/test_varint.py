@@ -867,8 +867,8 @@ class TestNewtonJacobian:
         ws = newton_workspace(system, enforce, 6)
         x0 = ws.initial_guess()
         x = x0 + 0.1 * np.random.default_rng(47).normal(size=x0.size)
-        r = ws.evaluate(x)[0]
-        delta = ws.correction(x, r)
+        r, nodes = ws.evaluate(x)
+        delta = ws.correction(x, r, nodes)
         dense = dense_jacobian(ws, x)
         assert delta.shape == x.shape
         assert np.linalg.norm(dense @ delta + r) <= 1e-10 * np.linalg.norm(r)
