@@ -571,23 +571,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # compare pipeline
 
+# RK4 steps per interval of the control re-integration
+REINTEGRATION_SUBSTEPS = 100
+
 
 def _reintegrate_from_first_enforced(
-    model: SystemModel, traj: DiscreteTrajectory, substeps: int = 100
+    model: SystemModel, traj: DiscreteTrajectory
 ) -> np.ndarray:
     """RK4 re-integration of the recovered piecewise-constant controls at
-    step h/substeps, started at the first node whose outgoing interval
-    carries a constraint: node 0 when the first interval was enforced
-    (traj.lambda_zero is set), else node 1.  Returns the states from that
-    node to node N as rows (q, v)."""
+    step h/REINTEGRATION_SUBSTEPS, started at the first node whose outgoing
+    interval carries a constraint: node 0 when the first interval was
+    enforced (traj.lambda_zero is set), else node 1.  Returns the states
+    from that node to node N as rows (q, v)."""
     first = 0 if traj.lambda_zero is not None else 1
     y = np.concatenate([traj.q[first], traj.v[first]])
     states = [y]
-    h_sub = traj.h / substeps
+    h_sub = traj.h / REINTEGRATION_SUBSTEPS
     for j in range(first, traj.steps):
         field = _state_field(model, traj.controls[j])
         t_j = float(traj.times[j])
-        for s in range(substeps):
+        for s in range(REINTEGRATION_SUBSTEPS):
             y = rk4_step(field, t_j + s * h_sub, y, h_sub)
         states.append(y)
     return np.asarray(states)
@@ -638,7 +641,8 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         config_text(cfg).rstrip(),
         "",
         "[comparison]",
-        f"re-integration: RK4 at h/100 from node {first}, piecewise-constant",
+        f"re-integration: RK4 at h/{REINTEGRATION_SUBSTEPS} from node {first}, "
+        "piecewise-constant",
         "per-interval controls",
     ]
 
@@ -761,14 +765,25 @@ def _stacked_q_check(
     return "callables accept stacked q", not failed, detail
 
 
+def _matches_central_differences(
+    fn: typing.Callable, jac: typing.Callable, q: np.ndarray
+) -> bool:
+    """jac(q)[..., j] within 1e-6 of central differences of fn in q^j, step 1e-6."""
+    eye = 1e-6 * np.eye(q.size)
+    fd = np.stack([(fn(q + dq) - fn(q - dq)) / 2e-6 for dq in eye], axis=-1)
+    return bool(np.max(np.abs(jac(q) - fd)) <= 1e-6)
+
+
 def model_checks(
     system: str | SystemModel, seed: int = 0
 ) -> list[tuple[str, bool, str]]:
     """Quick structural invariants of one system preset (or model): frame
-    shape and rank, Christoffel index symmetry, exactness of the Christoffel
+    shape and rank, finite Christoffel coefficients, exactness of their
     Jacobian, energy conservation of the uncontrolled flow, integrator order
-    on that flow, one-step regularity at unit control weight, and that every
-    callable accepts a stack of configurations q of shape (..., n)."""
+    on that flow, one-step regularity at unit control weight, that every
+    callable accepts a stack of configurations q of shape (..., n), and,
+    point by point, exactness of the frame and potential Jacobians and that
+    the annihilator vanishes on the frame."""
     model = resolve_system(system) if isinstance(system, str) else system
     rng = np.random.default_rng(seed)
     results = []
@@ -790,15 +805,9 @@ def model_checks(
         q = rng.normal(size=model.n)
         gamma = model.christoffel(q)
         shape.append(gamma.shape == (kr, kr, kr) and np.all(np.isfinite(gamma)))
-        step = 1e-6
-        fd = np.empty((kr, kr, kr, model.n))
-        for i in range(model.n):
-            dq = np.zeros(model.n)
-            dq[i] = step
-            fd[..., i] = (model.christoffel(q + dq) - model.christoffel(q - dq)) / (
-                2 * step
-            )
-        jac.append(np.max(np.abs(model.christoffel_jac(q) - fd)) <= 1e-6)
+        jac.append(
+            _matches_central_differences(model.christoffel, model.christoffel_jac, q)
+        )
     results.append(("Christoffel coefficients finite with shape (k,k,k)",
                     all(shape), "10 random q"))
     results.append(("Christoffel Jacobian matches finite differences", all(jac), "1e-6"))
@@ -845,6 +854,18 @@ def model_checks(
         ("one-step matrix nonsingular at epsilon = 1", all(regular), "10 random pairs")
     )
     results.append(_stacked_q_check(model, rng))
+
+    qs = rng.normal(size=(10, model.n))
+    for label, fn, jac in (
+        ("frame Jacobian", model.rho, model.rho_jac),
+        ("potential-gradient Jacobian", model.potential_grad, model.potential_grad_jac),
+    ):
+        exact = all(_matches_central_differences(fn, jac, q) for q in qs)
+        results.append((f"{label} matches finite differences", exact, "1e-6"))
+    gap = max(np.max(np.abs(model.annihilator(q) @ model.rho(q))) for q in qs)
+    results.append(
+        ("annihilator vanishes on the frame", gap <= 1e-12, f"max {gap:.1e}")
+    )
     return results
 
 
@@ -855,10 +876,6 @@ def model_checks(
 @click.group()
 def main():
     """Optimal trajectory tracking for nonholonomic systems."""
-
-
-def _config_stem(path: str) -> str:
-    return Path(path).stem
 
 
 def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
@@ -890,7 +907,7 @@ def run(configs, out):
             click.echo(f"Error: {path}: {exc}", err=True)
             failed = True
             continue
-        target = _resolve_out(cfg, out, _config_stem(path))
+        target = _resolve_out(cfg, out, Path(path).stem)
         key = target.resolve()
         if key in targets:
             click.echo(
@@ -926,7 +943,7 @@ def compare(config_path, out):
     """Re-integrate recovered controls and report the h-halving ratio."""
     try:
         cfg = parse_config(config_path)
-        target = _resolve_out(cfg, out, _config_stem(config_path))
+        target = _resolve_out(cfg, out, Path(config_path).stem)
         code = compare_experiment(cfg, target)
     except ConfigError as exc:
         raise click.ClickException(str(exc))

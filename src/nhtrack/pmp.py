@@ -306,8 +306,9 @@ class ConvergenceReport:
     message: str
 
 
-# a rejected trial step is scaled by DAMPING at most MAX_HALVINGS times;
-# FD_STEP is the finite-difference step of both routes' Jacobians
+# a rejected trial step is scaled by DAMPING, and the step scaled
+# MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
+# finite-difference step of both routes' Jacobians
 DAMPING = 0.5
 MAX_HALVINGS = 30
 FD_STEP = 1e-6
@@ -329,15 +330,15 @@ def damped_newton(
     step delta at the last accepted iterate x, given the residual r and the
     data that evaluate returned there (so an evaluation can carry the
     Jacobian of its point, or the unpacked unknowns, to the step that
-    follows it).  Each iteration tries x + beta delta for beta = 1, DAMPING,
-    DAMPING^2, ... and accepts the first trial whose residual norm
-    decreases; a trial whose evaluation raises one of the rejected errors
-    counts as no decrease.  After MAX_HALVINGS rejections the smallest step
-    is taken anyway.  If that one fails to evaluate as well, or correction
-    itself raises a rejected error (for example the stored divergence of a
-    finite-difference Jacobian's probe flow), the solve stops unconverged
-    at the current iterate with a message naming the error.  Returns
-    (x, data, report).
+    follows it).  Each iteration tries x + beta delta for beta =
+    DAMPING^halving, halving = 0 .. MAX_HALVINGS + 1, and accepts the
+    first trial whose residual norm decreases; a trial whose evaluation
+    raises one of the rejected errors counts as no decrease.  The last
+    trial is taken anyway, decrease or not.  If it fails to evaluate, or
+    correction itself raises a rejected error (for example the stored
+    divergence of a finite-difference Jacobian's probe flow), the solve
+    stops unconverged at the current iterate with a message naming the
+    error.  Returns (x, data, report).
     """
     x = x.copy()
     r, data = evaluate(x)
@@ -368,24 +369,17 @@ def damped_newton(
             delta = correction(x, r, data)
         except rejected as exc:
             return stuck(iteration, exc)
-        beta = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            cand = x + beta * delta
-            try:
-                r_c, data_c = evaluate(cand)
-            except rejected:
-                beta *= DAMPING
-                continue
-            if norm(r_c) < r_norm:
-                break
-            beta *= DAMPING
-        else:
-            # no decrease found; take the smallest damped step
+        for halving in range(MAX_HALVINGS + 2):
+            beta = DAMPING**halving
             cand = x + beta * delta
             try:
                 r_c, data_c = evaluate(cand)
             except rejected as exc:
-                return stuck(iteration, exc)
+                if halving > MAX_HALVINGS:
+                    return stuck(iteration, exc)
+                continue
+            if norm(r_c) < r_norm:
+                break
 
         x, r, data = cand, r_c, data_c
         r_norm = norm(r)
@@ -572,13 +566,18 @@ def _default_grid(problem: TrackingProblem) -> TimeGrid:
     return TimeGrid(0.0, problem.horizon_T, steps)
 
 
-def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
-    grid = settings.inner_grid or _default_grid(problem)
+def _check_span(grid: TimeGrid, problem: TrackingProblem, name: str) -> None:
+    """ValueError, naming the grid, unless it spans [0, problem.horizon_T]."""
     if abs(grid.t0) > 1e-12 or abs(grid.tf - problem.horizon_T) > 1e-9:
         raise ValueError(
-            f"inner_grid must span [0, {problem.horizon_T}], "
+            f"{name} must span [0, {problem.horizon_T}], "
             f"got [{grid.t0}, {grid.tf}]"
         )
+
+
+def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
+    grid = settings.inner_grid or _default_grid(problem)
+    _check_span(grid, problem, "inner_grid")
     return grid
 
 

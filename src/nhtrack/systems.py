@@ -33,8 +33,6 @@ class SleighParams:
             raise ValueError(f"inertia_J must be positive, got {self.inertia_J}")
         if self.offset_a < 0:
             raise ValueError(f"offset_a must be nonnegative, got {self.offset_a}")
-        if self.inertia_J + self.mass_m * self.offset_a**2 <= 0:
-            raise ValueError("J + m a^2 must be positive")
 
     @property
     def eta(self) -> float:

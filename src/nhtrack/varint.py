@@ -57,6 +57,7 @@ from .pmp import (
     ConvergenceReport,
     NewtonSettings,
     TrackingProblem,
+    _check_span,
     damped_newton,
     running_cost,
 )
@@ -351,16 +352,16 @@ def discrete_lagrangian(
 
 def _interval(
     model: SystemModel,
-    problem: TrackingProblem | None,
+    problem: TrackingProblem,
     q_k: Array,
     v_k: Array,
     q_k1: Array,
     v_k1: Array,
-    lam: Array | None,
-    ref: AdmissibleState | None,
+    lam: Array,
+    ref: AdmissibleState,
     h: float,
     psi_variant: str,
-) -> tuple[Array, tuple[Array, Array, Array, Array], tuple[Array, ...] | None]:
+) -> tuple[Array, tuple[Array, Array, Array, Array], tuple[Array, ...]]:
     """Intervals of the extended discrete action L_d + lam . Psi_d.
 
     The node arguments are one interval's end nodes, or the stacked end
@@ -371,8 +372,6 @@ def _interval(
     gradients of L_d + lam . Psi_d); slots are (D1, D2, D3, D4), the
     derivatives with respect to q_k, v_k, q_{k+1}, v_{k+1} through the
     midpoint arguments, with D1/D3 of Psi_d (n, n) and D2/D4 (n, n-m).
-    With problem None only the constraint is evaluated (lam and ref are
-    unused) and the gradients are None.
     """
     q_mid = 0.5 * (q_k + q_k1)
     v_mid = 0.5 * (v_k + v_k1)
@@ -388,8 +387,6 @@ def _interval(
     else:
         p2, p4 = rho / h, -rho / h
     slots = (-eye_h - 0.5 * r_mat, p2, eye_h - 0.5 * r_mat, p4)
-    if problem is None:
-        return psi, slots, None
     gq, gv, gvd = _lagrangian_gradients(model, problem, ref, q_mid, v_mid, v_dq)
     l13 = 0.5 * h * gq
     grads = (
@@ -409,30 +406,30 @@ def _interval_hessian(
     ref: AdmissibleState,
     h: float,
     psi_variant: str,
-    step: float,
-) -> Array:
-    """Hessian of L_d + lam . Psi_d over x0 = (q_k, v_k, q_{k+1}, v_{k+1}),
-    by central differences of step `step` of the exact slot gradients,
-    symmetrized.  x0 may stack many intervals, shape (N, 2(n + k)) with lam
-    and ref to match; each column is then moved in all of them at once, so
-    the Hessians of a whole grid take 4(n + k) _interval calls."""
+) -> tuple[tuple[Array, Array, Array, Array], Array]:
+    """Slot derivatives of Psi_d at x0 = (q_k, v_k, q_{k+1}, v_{k+1}) and
+    the Hessian of L_d + lam . Psi_d there, by central differences of step
+    FD_STEP of the exact slot gradients, symmetrized.  x0 may stack many
+    intervals, shape (N, 2(n + k)) with lam and ref to match; each column
+    is then moved in all of them at once, so the Hessians of a whole grid
+    take 4(n + k) _interval calls, and the slots one more at x0."""
     n, nv = model.n, model.n + model.rank
 
-    def grad(x: Array) -> Array:
-        g = _interval(
+    def kernel(x: Array) -> tuple:
+        return _interval(
             model, problem, x[..., :n], x[..., n:nv], x[..., nv : nv + n],
             x[..., nv + n :], lam, ref, h, psi_variant,
-        )[2]
-        return np.concatenate(g, axis=-1)
+        )
 
     hess = np.empty(x0.shape + (2 * nv,))
     for c in range(2 * nv):
         xp = x0.copy()
-        xp[..., c] += step
+        xp[..., c] += FD_STEP
         xm = x0.copy()
-        xm[..., c] -= step
-        hess[..., c] = (grad(xp) - grad(xm)) / (2 * step)
-    return 0.5 * (hess + hess.swapaxes(-1, -2))
+        xm[..., c] -= FD_STEP
+        g_p, g_m = (np.concatenate(kernel(x)[2], axis=-1) for x in (xp, xm))
+        hess[..., c] = (g_p - g_m) / (2 * FD_STEP)
+    return kernel(x0)[1], 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def del_residual(
@@ -447,10 +444,10 @@ def del_residual(
     Per interior node k = 1 .. N-1, in order: the q-stationarity rows
     D1(L_d + lam^k Psi)(k) + D3(L_d + lam^{k-1} Psi)(k-1), the
     v-stationarity rows D2(...)(k) + D4(...)(k-1), and the interval
-    constraint Psi_d(k).  lambda^0 is zero unless
-    settings.enforce_first_interval, in which case traj.lambda_zero is used
-    and the Psi_d(0) rows are prepended.  This vector is exactly the
-    gradient of the extended discrete action (action sum plus the
+    constraint Psi_d(k).  They follow a border of w rows, Psi_d(0)[:w],
+    with w = n and lambda^0 = traj.lambda_zero when
+    settings.enforce_first_interval, else w = 0 and lambda^0 = 0.  This is
+    exactly the gradient of the extended discrete action (action sum plus the
     multiplier-weighted constraints) with respect to the interior unknowns
     in the same order.  All intervals are evaluated in one _interval call,
     with the reference sampled once, at the array of midpoint times.
@@ -460,26 +457,19 @@ def del_residual(
         q, v = q.copy(), v.copy()
         q[0], v[0] = boundary[0].q, boundary[0].v
         q[-1], v[-1] = boundary[1].q, boundary[1].v
-    if settings.enforce_first_interval:
-        if traj.lambda_zero is None:
-            raise ValueError(
-                "enforce_first_interval requires traj.lambda_zero to be set"
-            )
-        lam0 = traj.lambda_zero
-    else:
-        lam0 = np.zeros(model.n)
-    lam = np.vstack([lam0, traj.multipliers])
+    w = model.n if settings.enforce_first_interval else 0
+    if w and traj.lambda_zero is None:
+        raise ValueError("enforce_first_interval requires traj.lambda_zero to be set")
+    lam = np.vstack([traj.lambda_zero if w else np.zeros(model.n), traj.multipliers])
     ref = problem.reference(traj.times[:-1] + 0.5 * traj.h)
     psi, _, (g1, g2, g3, g4) = _interval(
         model, problem, q[:-1], v[:-1], q[1:], v[1:], lam, ref, traj.h,
         settings.psi_variant,
     )
-    # interior node k takes D1, D2 of interval k and D3, D4 of interval k-1
-    out = np.concatenate(
-        [g1[1:] + g3[:-1], g2[1:] + g4[:-1], psi[1:]], axis=1
-    ).ravel()
-    if settings.enforce_first_interval:
-        out = np.concatenate([psi[0], out])
+    # interior node k takes D1, D2 of interval k and D3, D4 of interval k-1,
+    # after the w rows of Psi_d(0)
+    interior = np.concatenate([g1[1:] + g3[:-1], g2[1:] + g4[:-1], psi[1:]], axis=1)
+    out = np.concatenate([psi[0, :w], interior.ravel()])
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite discrete Euler-Lagrange residual")
     return out
@@ -521,8 +511,9 @@ class _DelWorkspace:
     """Flat-vector view of the unknowns for the Newton iteration.
 
     The vector holds one block (q_k, v_k, lambda^k) per interior node
-    k = 1 .. N-1, followed by lambda^0 when the first interval is enforced;
-    the boundary nodes are pinned and not part of it.
+    k = 1 .. N-1, followed by lambda^0 when the first interval is enforced.
+    The boundary nodes are pinned and not part of it: node 0 to
+    problem.initial_state and node N to the reference at the horizon.
     """
 
     def __init__(
@@ -531,14 +522,12 @@ class _DelWorkspace:
         problem: TrackingProblem,
         grid: TimeGrid,
         settings: DelSettings,
-        node_first: AdmissibleState,
-        node_last: AdmissibleState,
     ) -> None:
         self.model = model
         self.problem = problem
         self.settings = settings
-        self.node_first = node_first
-        self.node_last = node_last
+        self.node_first = problem.initial_state
+        self.node_last = problem.reference(problem.horizon_T)
         self.n = model.n
         self.kr = model.rank
         self.steps = grid.steps
@@ -651,14 +640,10 @@ class _DelWorkspace:
         lams = np.vstack([np.zeros(n) if lam0 is None else lam0, lam])
 
         # row j of each stacked array belongs to interval j
-        ends = (q[:-1], v[:-1], q[1:], v[1:])
-        hess = _interval_hessian(
-            model, problem, np.concatenate(ends, axis=1), lams, self.ref_mid,
-            h, settings.psi_variant, FD_STEP,
+        ends = np.concatenate([q[:-1], v[:-1], q[1:], v[1:]], axis=1)
+        (p1, p2, p3, p4), hess = _interval_hessian(
+            model, problem, ends, lams, self.ref_mid, h, settings.psi_variant
         )
-        p1, p2, p3, p4 = _interval(
-            model, None, *ends, None, None, h, settings.psi_variant
-        )[1]
 
         # rows per block: q (0:n), v (n:nv), Psi(k) (nv:block);
         # columns: q_k (0:n), v_k (n:nv), lambda^k (nv:block)
@@ -688,10 +673,7 @@ def check_del(problem: TrackingProblem, grid: TimeGrid) -> None:
             "need at least 2 intervals for an interior node, "
             f"got grid.steps = {grid.steps}"
         )
-    if abs(grid.t0) > 1e-12 or abs(grid.tf - problem.horizon_T) > 1e-9:
-        raise ValueError(
-            f"grid must span [0, {problem.horizon_T}], got [{grid.t0}, {grid.tf}]"
-        )
+    _check_span(grid, problem, "grid")
 
 
 def solve_del(
@@ -712,9 +694,7 @@ def solve_del(
     Nonconvergence is reported, not raised.
     """
     check_del(problem, grid)
-    node_first = problem.initial_state
-    node_last = problem.reference(problem.horizon_T)
-    ws = _DelWorkspace(model, problem, grid, settings, node_first, node_last)
+    ws = _DelWorkspace(model, problem, grid, settings)
     x, _, report = damped_newton(
         ws.initial_guess(), ws.evaluate, ws.correction,
         lambda r: float(np.max(np.abs(r))), "residual max-norm",
@@ -753,12 +733,10 @@ def regularity_check(
     """
     n, nv = model.n, model.n + model.rank
     lam = np.zeros(n) if lam is None else np.asarray(lam, dtype=float)
-    ends = (node_k.q, node_k.v, node_k1.q, node_k1.v)
-    hess = _interval_hessian(
-        model, problem, np.concatenate(ends), lam,
-        problem.reference(t_k + 0.5 * h), h, "midpoint", FD_STEP,
+    ends = np.concatenate([node_k.q, node_k.v, node_k1.q, node_k1.v])
+    (p1, p2, p3, p4), hess = _interval_hessian(
+        model, problem, ends, lam, problem.reference(t_k + 0.5 * h), h, "midpoint"
     )
-    p1, p2, p3, p4 = _interval(model, None, *ends, None, None, h, "midpoint")[1]
     m = np.zeros((nv + n, nv + n))
     m[:nv, :nv] = hess[:nv, nv:]
     m[:n, nv:] = p1.T

@@ -28,7 +28,7 @@ from nhtrack.cli import (
     run_experiment,
 )
 from nhtrack.pmp import ShootingSettings, SingularJacobianError
-from nhtrack.systems import particle_model
+from nhtrack.systems import particle_model, resolve_system
 from nhtrack.varint import DelSettings, RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
@@ -673,6 +673,32 @@ class TestCheckAndPresets:
             "rho", "christoffel", "christoffel_jac", "potential_grad",
         }
         assert all(ok for ok, _ in results.values())
+
+    @pytest.mark.parametrize(
+        "callable_name, broken, label",
+        [
+            ("rho_jac", lambda f: lambda q: 1.5 * f(q),
+             "frame Jacobian matches finite differences"),
+            ("annihilator", lambda f: lambda q: f(q) + 0.3,
+             "annihilator vanishes on the frame"),
+            ("potential_grad_jac", lambda f: lambda q: np.ones_like(f(q)),
+             "potential-gradient Jacobian matches finite differences"),
+        ],
+        ids=["rho_jac", "annihilator", "potential_grad_jac"],
+    )
+    @pytest.mark.parametrize("preset", ["particle", "sleigh:paper-5.1"])
+    def test_a_wrong_derived_callable_fails_exactly_its_check(
+        self, preset, callable_name, broken, label
+    ):
+        """A frame Jacobian scaled by 1.5, an annihilator shifted by 0.3 or a
+        potential-gradient Jacobian of ones passes every other check and
+        fails the one that compares it with what it is derived from."""
+        base = resolve_system(preset)
+        model = dataclasses.replace(
+            base, **{callable_name: broken(getattr(base, callable_name))}
+        )
+        failed = [name for name, ok, _ in model_checks(model) if not ok]
+        assert failed == [label]
 
     def test_presets_lists_systems_and_configs(self):
         runner = CliRunner()

@@ -776,6 +776,47 @@ def test_shooting_settings_validation(kwargs):
 
 
 # ---------------------------------------------------------------------------
+# trajectory cost quadrature
+
+
+@pytest.mark.parametrize("steps", [7, 8])
+def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
+    """Simpson over the first 2 floor(steps/2) intervals; an odd step count
+    adds the trapezoid rule on the last interval.  The expected sum is
+    built here from one running_cost call per sample."""
+    from nhtrack.pmp import ShootingTrajectory, trajectory_cost
+
+    model = particle_model()
+    problem = case2_problem(horizon_T=1.0, lambda0=2.0)
+    rng = np.random.default_rng(steps)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    traj = ShootingTrajectory(
+        times=times,
+        q=rng.normal(size=(steps + 1, 3)),
+        v=rng.normal(size=(steps + 1, 2)),
+        u=rng.normal(size=(steps + 1, 2)),
+        lam=np.zeros((steps + 1, 3)),
+        mu=np.zeros((steps + 1, 2)),
+    )
+    vals = [
+        2.0 * running_cost(
+            model, problem, t, AdmissibleState(q=q, v=v), ControlVector(u=u)
+        )
+        for t, q, v, u in zip(times, traj.q, traj.v, traj.u)
+    ]
+    h = 1.0 / steps
+    expected = sum(
+        h / 3.0 * (vals[j] + 4.0 * vals[j + 1] + vals[j + 2])
+        for j in range(0, steps - 1, 2)
+    )
+    if steps % 2:
+        expected += 0.5 * h * (vals[-2] + vals[-1])
+    assert trajectory_cost(model, problem, traj) == pytest.approx(
+        expected, rel=1e-12
+    )
+
+
+# ---------------------------------------------------------------------------
 # damped-Newton driver on a toy scalar residual r(x) = x^2 - 4
 
 
@@ -824,6 +865,34 @@ def test_damped_newton_reports_when_no_trial_step_evaluates():
     assert "no step could be evaluated at iteration 1" in report.message
     assert "(residual norm 3.000e+00)" in report.message
     assert x[0] == 1.0 and data == 1.0
+
+
+def test_damped_newton_takes_the_smallest_step_when_no_trial_decreases():
+    """An ascent direction: every trial evaluates, none decreases |r|.  The
+    search tries beta = 1, DAMPING, ..., DAMPING^(MAX_HALVINGS + 1) and takes
+    the last one anyway."""
+    from nhtrack.pmp import MAX_HALVINGS
+
+    evaluate, _ = _square_root_problem(lambda x: False)
+    calls = []
+
+    def counted(x):
+        calls.append(x[0])
+        return evaluate(x)
+
+    def ascent(x, r, data):
+        return r / (2.0 * x)
+
+    x, data, report = damped_newton(
+        np.array([1.0]), counted, ascent, _abs_norm, "residual norm",
+        NewtonSettings(max_iters=1), ArithmeticError,
+    )
+    assert len(calls) == 1 + (MAX_HALVINGS + 2) == 33
+    assert report.records[0].damping == 0.5**31
+    assert x[0] == 1.0 + 0.5**31 * (-1.5)
+    assert data == x[0]
+    assert not report.converged
+    assert report.message.startswith("no convergence in 1 iterations")
 
 
 def test_damped_newton_reports_when_the_correction_fails_to_evaluate():

@@ -827,10 +827,7 @@ def newton_workspace(system, enforce, steps, psi_variant="midpoint"):
         model = sleigh_model(SLEIGH_PARAMS)
         problem = mild_sleigh_problem(model)
     settings = DelSettings(enforce_first_interval=enforce, psi_variant=psi_variant)
-    return _DelWorkspace(
-        model, problem, TimeGrid(0.0, 1.0, steps), settings,
-        problem.initial_state, problem.reference(1.0),
-    )
+    return _DelWorkspace(model, problem, TimeGrid(0.0, 1.0, steps), settings)
 
 
 class TestNewtonJacobian:
@@ -889,7 +886,6 @@ class TestNewtonJacobian:
             ws = _DelWorkspace(
                 dataclasses.replace(base, rho=rho), problem,
                 TimeGrid(0.0, 1.0, steps), DelSettings(),
-                problem.initial_state, problem.reference(1.0),
             )
             x = ws.initial_guess()
             count[0] = 0
