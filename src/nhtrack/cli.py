@@ -611,13 +611,13 @@ def _cross_method_settings(
     cfg: ExperimentConfig, problem: TrackingProblem
 ) -> ShootingSettings:
     """Shooting settings of compare's cross-method check: pmp_steps
-    intervals (unset: the shooting solver's default grid, h = 0.01), and
-    terminal-weight continuation, since compare's variational problem pins
-    its endpoint."""
+    intervals (unset: the shooting solver's default grid, h = 0.01) and no
+    continuation; the segmented solve reaches the pinned endpoint of
+    compare's variational problem from a zero costate."""
     steps = cfg.compare.pmp_steps
     return ShootingSettings(
         inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps),
-        continuation="terminal-weight",
+        continuation="none",
     )
 
 

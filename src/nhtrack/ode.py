@@ -16,14 +16,20 @@ VectorField = Callable[[float, Array], Array]
 
 
 class IntegrationError(RuntimeError):
-    """A stage evaluation produced a non-finite value."""
+    """A stage evaluation produced a non-finite value.
 
-    def __init__(self, stage: int, t: float) -> None:
+    rows marks, over the leading axes of a stack of flows, the rows whose
+    stage value is non-finite (a 0-d mask for a single flow), so a caller
+    that runs stacked flows on their own clocks can name the earliest one.
+    """
+
+    def __init__(self, stage: int, t: float, value: Array) -> None:
         super().__init__(
             f"non-finite value in RK4 stage {stage} at t = {t:.6g}"
         )
         self.stage = stage
         self.t = t
+        self.rows = ~np.all(np.isfinite(value), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -55,16 +61,16 @@ def rk4_step(f: VectorField, t: float, y: Array, h: float) -> Array:
     y = np.asarray(y, dtype=float)
     k1 = np.asarray(f(t, y), dtype=float)
     if not np.all(np.isfinite(k1)):
-        raise IntegrationError(1, t)
+        raise IntegrationError(1, t, k1)
     k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
     if not np.all(np.isfinite(k2)):
-        raise IntegrationError(2, t)
+        raise IntegrationError(2, t, k2)
     k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
     if not np.all(np.isfinite(k3)):
-        raise IntegrationError(3, t)
+        raise IntegrationError(3, t, k3)
     k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
     if not np.all(np.isfinite(k4)):
-        raise IntegrationError(4, t)
+        raise IntegrationError(4, t, k4)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

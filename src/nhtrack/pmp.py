@@ -14,7 +14,13 @@ state (q, v) and costate (lambda, mu):
 with u eliminated pointwise through the stationarity condition
 lambda0 eps u + mu = 0.  solve_shooting root-finds the terminal residual over
 the unknown initial costate alpha = (lambda(0), mu(0)) by damped Newton with
-finite-difference Jacobians.
+finite-difference Jacobians, by multiple shooting: the grid is cut into M
+time segments (at most SEGMENTS) whose flows advance side by side, the
+packed node (q, v, lambda, mu) at each later segment start joins alpha as an
+unknown, and the continuity gaps between segments (angle components wrapped
+into (-pi, pi], as in state_difference) join the terminal residual.  One
+single-shooting (M = 1) solve from the segmented root closes the solve, so
+the returned trajectory is one flow and its residual is the single-flow one.
 
 Sign conventions: the adjoint flow is -lambdadot = dH*/dq, -mudot = dH*/dv.
 The transversality residual in "mayer" mode is
@@ -308,10 +314,12 @@ class ConvergenceReport:
 
 # a rejected trial step is scaled by DAMPING, and the step scaled
 # MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
-# finite-difference step of both routes' Jacobians
+# finite-difference step of both routes' Jacobians; a shooting solve cuts
+# its grid into at most SEGMENTS time segments
 DAMPING = 0.5
 MAX_HALVINGS = 30
 FD_STEP = 1e-6
+SEGMENTS = 25
 
 
 def damped_newton(
@@ -322,6 +330,7 @@ def damped_newton(
     norm_name: str,
     settings: NewtonSettings,
     rejected: type[Exception] | tuple[type[Exception], ...],
+    start: tuple[Array, Any] | None = None,
 ) -> tuple[Array, Any, ConvergenceReport]:
     """Damped Newton with backtracking on a flat vector of unknowns.
 
@@ -330,18 +339,20 @@ def damped_newton(
     step delta at the last accepted iterate x, given the residual r and the
     data that evaluate returned there (so an evaluation can carry the
     Jacobian of its point, or the unpacked unknowns, to the step that
-    follows it).  Each iteration tries x + beta delta for beta =
-    DAMPING^halving, halving = 0 .. MAX_HALVINGS + 1, and accepts the
-    first trial whose residual norm decreases; a trial whose evaluation
-    raises one of the rejected errors counts as no decrease.  The last
-    trial is taken anyway, decrease or not.  If it fails to evaluate, or
-    correction itself raises a rejected error (for example the stored
-    divergence of a finite-difference Jacobian's probe flow), the solve
-    stops unconverged at the current iterate with a message naming the
-    error.  Returns (x, data, report).
+    follows it).  start, when given, is the (residual, data) the caller
+    already has at x, used in place of evaluate(x); its data may be cheaper
+    than evaluate's, as long as correction accepts it.  Each iteration
+    tries x + beta delta for beta = DAMPING^halving, halving = 0 ..
+    MAX_HALVINGS + 1, and accepts the first trial whose residual norm
+    decreases; a trial whose evaluation raises one of the rejected errors
+    counts as no decrease.  The last trial is taken anyway, decrease or
+    not.  If it fails to evaluate, or correction itself raises a rejected
+    error (for example the stored divergence of a finite-difference
+    Jacobian's probe flow), the solve stops unconverged at the current
+    iterate with a message naming the error.  Returns (x, data, report).
     """
     x = x.copy()
-    r, data = evaluate(x)
+    r, data = evaluate(x) if start is None else start
     r_norm = norm(r)
     records: list[IterationRecord] = []
 
@@ -593,28 +604,50 @@ def check_shooting(problem: TrackingProblem, settings: ShootingSettings) -> Time
 
 
 def _flow(
-    rhs: Callable[[float, Array], Array], y0: Array, grid: TimeGrid
-) -> tuple[Array, Array]:
-    """Integrate the packed flow, failing fast (and quietly) on blow-up.
+    rhs: Callable[[Any, Array], Array],
+    y0: Array,
+    starts: float | Array,
+    h: float,
+    steps: int,
+) -> Array:
+    """Integrate the packed flow by `steps` RK4 steps of size h, failing
+    fast (and quietly) on blow-up.
 
-    y0 is one packed vector or a stack of them (m, 2(n + k)); the series has
-    shape (steps + 1,) + y0.shape, and any one diverging row fails the whole
-    stacked flow.
+    y0 is one packed vector or a stack of them (..., 2(n + k)), and each
+    flow runs on its own clock from starts: one start time, or an array of
+    them that broadcasts against y0.shape[:-1] (the segments of a grid:
+    shape (M, 1) against (M, rows)).  rk4_step steps the common local time
+    from 0 and rhs sees the absolute times.  The series has shape
+    (steps + 1,) + y0.shape.  Any one diverging row fails the whole stacked
+    flow with a FlowDivergedError at the earliest absolute time at which a
+    row went non-finite or past 1e12.
     """
-    times = grid.times()
-    ys = np.empty((grid.steps + 1,) + y0.shape)
+    taus = h * np.arange(steps + 1)
+    ys = np.empty((steps + 1,) + y0.shape)
     ys[0] = y0
-    h = grid.h
+
+    def field(tau: float, y: Array) -> Array:
+        return rhs(starts + tau, y)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
+        for j in range(steps):
             try:
-                y_next = rk4_step(rhs, times[k], ys[k], h)
+                y_next = rk4_step(field, taus[j], ys[j], h)
             except IntegrationError as exc:
-                raise FlowDivergedError(exc.t) from exc
-            if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > 1e12:
-                raise FlowDivergedError(times[k + 1])
-            ys[k + 1] = y_next
-    return times, ys
+                raise FlowDivergedError(_earliest(starts + taus[j], exc.rows)) from exc
+            bounded = np.abs(y_next) <= 1e12  # False on inf and nan too
+            if not np.all(bounded):
+                raise FlowDivergedError(
+                    _earliest(starts + taus[j + 1], ~np.all(bounded, axis=-1))
+                )
+            ys[j + 1] = y_next
+    return ys
+
+
+def _earliest(times: float | Array, rows: Array) -> float:
+    """The earliest of the times (one, or one per row of a stack) over the
+    rows the mask marks."""
+    return float(np.min(np.broadcast_to(times, rows.shape)[rows]))
 
 
 def _terminal_residual(
@@ -650,7 +683,7 @@ def shooting_residual(
     grid = _resolve_grid(problem, settings)
     rhs = _make_packed_rhs(model, problem)
     y0 = np.concatenate([problem.initial_state.as_vector(), alpha.as_vector()])
-    _, ys = _flow(rhs, y0, grid)
+    ys = _flow(rhs, y0, grid.t0, grid.h, grid.steps)
     return _terminal_residual(model, problem, ys[-1])
 
 
@@ -669,64 +702,170 @@ def _trajectory_from_series(
     )
 
 
+def _segment_count(steps: int) -> int:
+    """M for a grid of `steps` steps: its largest divisor up to SEGMENTS."""
+    return max(m for m in range(1, min(steps, SEGMENTS) + 1) if steps % m == 0)
+
+
+def _condensed_step(
+    blocks: Array, end_jac: Array, gaps: Array, end_res: Array
+) -> Array:
+    """Newton step of the segmented shooting system, by condensing.
+
+    blocks[i] is the Jacobian G_i of the end of segment i over its start
+    (i = 0 .. M-2), end_jac the Jacobian of the terminal residual over the
+    last start, gaps the M - 1 continuity gaps (M - 1, 2(n + k)) and
+    end_res the terminal residual.  Only the costate moves at t = 0, so
+    every node's step is affine in the costate step d: dY_0 = (0, d) and
+    dY_{i+1} = G_i dY_i + gap_i.  The terminal row then leaves one
+    (n + k) x (n + k) system for d, which raises SingularJacobianError when
+    numerically singular.  Returns (d, dY_1, ..., dY_{M-1}) as one vector.
+    """
+    w = end_jac.shape[1]
+    a, b = np.eye(w)[:, w // 2 :], np.zeros(w)  # dY_i = a d + b
+    nodes = []
+    for g, gap in zip(blocks, gaps):
+        a, b = g @ a, g @ b + gap
+        nodes.append((a, b))
+    s = end_jac @ a
+    cond = np.linalg.cond(s)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularJacobianError(cond)
+    d = np.linalg.solve(s, -(end_res + end_jac @ b))
+    return np.concatenate([d, *(a @ d + b for a, b in nodes)])
+
+
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
     alpha_vec: Array,
     settings: ShootingSettings,
     grid: TimeGrid,
+    segments: int,
+    guide: tuple[Array, Array] | None,
 ) -> tuple[Array, tuple[Array, Array], ConvergenceReport]:
-    """One damped-Newton solve of the shooting system on a fixed grid.
+    """One damped-Newton solve of the shooting system on a fixed grid cut
+    into `segments` (M) equal time segments; M = 1 is single shooting.
 
-    Every point the Newton driver evaluates (the start and each trial) runs
-    as one stacked (1 + n + k, 2(n + k)) flow: row 0 is the point, row 1 + j
-    its forward-difference probe in costate entry j, so the residual and the
-    Jacobian of the point come from a single flow, and the correction at an
-    accepted point only solves.  When a row of the stack diverges, row 0 is
-    flowed alone: if it diverges too the trial is rejected; otherwise its
-    residual stands and the probe's FlowDivergedError takes the Jacobian's
-    place, so a correction from that point ends the solve unconverged.
-    Returns the final costate vector, the (times, ys) series of its flow,
-    and the report.
+    The unknowns are the costate at t = 0 and the packed node (q, v,
+    lambda, mu) at each later segment start.  A node starts on the guide,
+    an earlier flow's (times, ys), at its nearest sample where the guide
+    reaches, else at the reference state with a zero costate.  The residual
+    is the M - 1 continuity gaps (end of segment i minus start of segment
+    i + 1, angle components wrapped as in state_difference), then the
+    terminal residual.  Each trial point runs as one stacked
+    (M, 1 + 2(n + k), 2(n + k)) flow of grid.steps / M RK4 steps, row 0 of
+    segment i its start and row 1 + j its forward-difference probe in entry
+    j, so the correction at an accepted trial only solves
+    (_condensed_step).  The start point flows its M rows alone, and its
+    first correction flows them with their probes, so a start already
+    within tolerance costs no probe.  When a row diverges, the starts are
+    flowed alone: if one diverges too the trial is rejected; otherwise the
+    residual stands and the probe's FlowDivergedError ends the solve
+    unconverged at the next correction.  Returns the costate at t = 0, the (times, ys) series
+    of the segment flows laid end to end, and the report.
     """
+    n, k = model.n, model.rank
+    p, w = n + k, 2 * (n + k)
+    span = grid.steps // segments
+    starts = grid.t0 + grid.h * span * np.arange(segments)[:, None]
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
-    # what flow returns with a residual: the point's Jacobian (or the error
-    # of its diverged probe) and the (times, ys) series of its own flow
-    ShotData = tuple[Array | FlowDivergedError, tuple[Array, Array]]
+    node_times = starts[1:, 0]
+    ref = problem.reference(node_times)
+    nodes = np.concatenate([ref.q, ref.v, np.zeros((segments - 1, p))], axis=1)
+    if guide is not None:
+        # the nearest sample of the guide's flow, at the nodes it reaches;
+        # the lift of an angle does not matter, since the gaps are wrapped
+        guide_times, guide_ys = guide
+        inside = node_times <= guide_times[-1]
+        nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
+        nodes[inside] = guide_ys[nearest]
+    # what flow returns with a residual: the point's Jacobian blocks (or the
+    # error of its diverged probe; None for the start) and the series of
+    # its segment starts
+    ShotData = tuple[tuple[Array, Array] | FlowDivergedError | None, Array]
 
-    def flow(vec: Array) -> tuple[Array, ShotData]:
-        # row 0 is vec itself; row 1 + j is probe j, vec with entry j moved
-        # by steps[j]
-        steps = FD_STEP * np.maximum(1.0, np.abs(vec))
-        stack = np.vstack([vec, vec + np.diag(steps)])
-        state = np.broadcast_to(y_state, (len(stack),) + y_state.shape)
-        y0 = np.concatenate([state, stack], axis=1)
+    def residual(z: Array, ends: Array) -> Array:
+        # gaps and terminal residual of the starts z and their flows' ends
+        dq, dv = state_difference(
+            model,
+            AdmissibleState(q=ends[:-1, :n], v=ends[:-1, n:p]),
+            AdmissibleState(q=z[1:, :n], v=z[1:, n:p]),
+        )
+        gaps = np.concatenate([dq, dv, ends[:-1, p:] - z[1:, p:]], axis=1)
+        return np.concatenate(
+            [gaps.ravel(), _terminal_residual(model, problem, ends[-1])]
+        )
+
+    def segment_starts(x: Array) -> Array:
+        return np.vstack([np.concatenate([y_state, x[:p]]), x[p:].reshape(-1, w)])
+
+    def flow_alone(z: Array) -> tuple[Array, Array]:
+        # the residual and series of the segment starts z flowed without
+        # probes; a diverged point raises
+        ys = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
+        return residual(z, ys[-1]), ys
+
+    def flow(x: Array) -> tuple[Array, ShotData]:
+        # z[i] is the start of segment i; probe j of it moves entry j by
+        # steps[i, j]
+        z = segment_starts(x)
+        steps = FD_STEP * np.maximum(1.0, np.abs(z))
+        stack = np.concatenate(
+            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)], axis=1
+        )
         try:
-            times, ys = _flow(rhs, y0, grid)
+            ys = _flow(rhs, stack, starts, grid.h, span)
         except FlowDivergedError as exc:
             # a diverged point raises again here, so its trial is rejected
-            times, ys = _flow(rhs, y0[:1], grid)
-            r = _terminal_residual(model, problem, ys[-1, 0])
-            return r, (FlowDivergedError(exc.t, probe=True), (times, ys[:, 0]))
-        res = _terminal_residual(model, problem, ys[-1])
-        jac = ((res[1:] - res[0]) / steps[:, None]).T
-        return res[0], (jac, (times, ys[:, 0]))
+            r, series = flow_alone(z)
+            return r, (FlowDivergedError(exc.t, probe=True), series)
+        ends = ys[-1]
+        blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
+        res_T = _terminal_residual(model, problem, ends[-1])
+        end_jac = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
+        jac = (blocks.transpose(0, 2, 1), end_jac)
+        return residual(z, ends[:, 0]), (jac, ys[:, :, 0])
 
-    def correction(vec: Array, r: Array, data: ShotData) -> Array:
-        jac = data[0]
+    def correction(x: Array, r: Array, data: ShotData) -> Array:
+        jac = data[0] if data[0] is not None else flow(x)[1][0]
         if isinstance(jac, FlowDivergedError):
             raise jac
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularJacobianError(cond)
-        return np.linalg.solve(jac, -r)
+        blocks, end_jac = jac
+        return _condensed_step(blocks, end_jac, r[:-p].reshape(-1, w), r[-p:])
 
-    vec, (_, series), report = damped_newton(
-        alpha_vec, flow, correction, lambda r: float(np.linalg.norm(r)),
-        "residual norm", settings, FlowDivergedError,
+    # the start flows without probes (a start within tolerance, as from a
+    # segmented root, needs no Jacobian); its first correction flows them
+    x0 = np.concatenate([alpha_vec, nodes.ravel()])
+    r0, series0 = flow_alone(segment_starts(x0))
+    x, (_, starts_series), report = damped_newton(
+        x0, flow, correction, lambda r: float(np.linalg.norm(r)),
+        "residual norm", settings, FlowDivergedError, (r0, (None, series0)),
     )
-    return vec, series, report
+    # segment i's series without its end node, which is segment i + 1's start
+    series = np.concatenate([
+        starts_series[:-1].transpose(1, 0, 2).reshape(-1, w),
+        starts_series[-1:, -1],
+    ])
+    return x[:p], (grid.times(), series), report
+
+
+def _joined(report: ConvergenceReport, polish: ConvergenceReport) -> ConvergenceReport:
+    """The report of a segmented solve followed by its single-shooting
+    polish: both logs, numbered on; the polish's flag, residual norm and,
+    unless it took no step, message."""
+    shifted = tuple(
+        replace(rec, iteration=report.iterations + rec.iteration)
+        for rec in polish.records
+    )
+    stepped = polish.iterations > 0 or not polish.converged
+    return replace(
+        polish,
+        iterations=report.iterations + polish.iterations,
+        records=report.records + shifted,
+        message=polish.message if stepped else report.message,
+    )
 
 
 def _stages(
@@ -762,40 +901,48 @@ def solve_shooting(
     alpha0: Costate | None = None,
     settings: ShootingSettings = ShootingSettings(),
 ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
-    """Damped-Newton shooting on the terminal residual.
+    """Damped-Newton shooting on the terminal residual, by segments.
 
-    Newton steps use forward-difference Jacobians (per-component step
-    FD_STEP * max(1, |alpha_j|)) and a backtracking line search halving the
-    step until the residual 2-norm decreases (at most MAX_HALVINGS times);
-    a trial step whose flow diverges counts as a rejected step.  Each
-    evaluated point is integrated together with the n + k probes of its
-    Jacobian, as one stacked (1 + n + k, 2(n + k)) flow through the packed
-    field and rk4_step, so a Newton iteration that takes the full step runs
-    one flow.  If a probe diverges where the point itself does not, the
-    point stays valid as a trial, but the solve ends unconverged there
-    ("no step could be evaluated") when it needs that Jacobian.
-    With settings.continuation = "horizon" the unknown initial costate is
-    first tracked through a family of shortened-horizon problems before the
-    full-horizon solve runs; "terminal-weight" instead tracks it through
-    soft-terminal (Mayer) solves of growing weight before the hard solve;
-    _stages lists them all, and one loop runs them, each warm-started from
-    the costate of the one before.  Nonconvergence is reported, not
-    raised: the returned report carries the converged flag, the final
-    residual norm, and the per-iteration log of the final-stage solve.
+    Each Newton solve is _newton_shoot on M segments, M the largest divisor
+    of its step count up to SEGMENTS: forward-difference Jacobians (step
+    FD_STEP * max(1, |entry|)) from one stacked flow per trial point, and
+    a backtracking line search halving the step until the residual
+    2-norm decreases (at most MAX_HALVINGS times).  A trial whose flow
+    diverges counts as rejected; a probe that diverges where its point does
+    not ends the solve unconverged there ("no step could be evaluated").
+    With settings.continuation = "horizon" the initial costate is first
+    tracked through shortened horizons; "terminal-weight" tracks it through
+    soft-terminal (Mayer) solves of growing weight before the hard solve.
+    _stages lists the solves, and one loop runs them, each warm-started
+    from the costate and guided by the flow of the one before.  When the
+    last converges with M > 1, one M = 1 solve from its root (it usually
+    takes no step) gives the returned trajectory as one flow and the
+    reported residual as the single-flow one that shooting_residual
+    computes.  Nonconvergence is reported, not raised: the report carries
+    the converged flag, the final residual norm and the log of the last
+    stage followed by that of the M = 1 solve; a last stage that fails
+    returns its segment flows laid end to end.
     """
     if alpha0 is None:
         alpha0 = Costate.zero(model)
     grid = check_shooting(problem, settings)
     alpha_vec = alpha0.as_vector().copy()
 
+    series, segments = None, 1
     for stage_problem, stage_grid in _stages(problem, settings, grid):
-        # a failed stage still leaves the best costate found so far
-        alpha_vec, (times, ys), report = _newton_shoot(
-            model, stage_problem, alpha_vec, settings, stage_grid
+        # a failed stage still leaves the best costate and flow found so far
+        segments = _segment_count(stage_grid.steps)
+        alpha_vec, series, report = _newton_shoot(
+            model, stage_problem, alpha_vec, settings, stage_grid, segments, series
         )
+    if segments > 1 and report.converged:
+        alpha_vec, series, polish = _newton_shoot(
+            model, problem, alpha_vec, settings, grid, 1, None
+        )
+        report = _joined(report, polish)
     n = model.n
     alpha = Costate(lam=alpha_vec[:n], mu=alpha_vec[n:])
-    trajectory = _trajectory_from_series(model, problem, times, ys)
+    trajectory = _trajectory_from_series(model, problem, *series)
     return alpha, trajectory, report
 
 

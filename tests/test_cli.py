@@ -4,7 +4,9 @@ structural check suite."""
 from __future__ import annotations
 
 import dataclasses
+import re
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,30 @@ class TestRunCommand:
         ).read_text().splitlines()[0]
         assert header == "t,q1,q2,q3,v1,v2,u1,u2,lam1,lam2,lam3,mu1,mu2"
 
+    def test_particle_bundled_config_converges_without_a_ladder(self, tmp_path):
+        """particle-case2.cfg with continuation = none: the segmented solve
+        converges from a zero costate within a budget, to the initial
+        costate of the horizon ladder's solve within 1e-8."""
+        budget = 5.0
+        cfg = parse_config(BUNDLED / "particle-case2.cfg")
+        assert cfg.solver.continuation == "horizon"
+        assert run_experiment(cfg, tmp_path / "ladder") == 0
+        no_ladder = dataclasses.replace(
+            cfg, solver=dataclasses.replace(cfg.solver, continuation="none")
+        )
+        t0 = time.perf_counter()
+        assert run_experiment(no_ladder, tmp_path / "none") == 0
+        assert time.perf_counter() - t0 < budget
+
+        def costate_at_0(out):
+            row = (out / "trajectory.csv").read_text().splitlines()[1]
+            return np.array([float(x) for x in row.split(",")])[8:]
+
+        np.testing.assert_allclose(
+            costate_at_0(tmp_path / "none"), costate_at_0(tmp_path / "ladder"),
+            rtol=0, atol=1e-8,
+        )
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
         first = tmp_path / "a"
@@ -538,6 +564,24 @@ class TestCompareCommand:
         assert "[cross-method]" in report
         assert "variational cost" in report
         assert "shooting cost" in report
+
+    def test_sleigh_cross_method_shooting_needs_no_ladder(self, tmp_path):
+        """compare with pmp = yes on the bundled sleigh config: the shooting
+        side, with no continuation, converges within a budget to the cost
+        the terminal-weight ladder reached (17.9084170474, the branch with
+        theta(T) = 0.734 + 2 pi)."""
+        budget = 30.0
+        cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
+        cfg = dataclasses.replace(cfg, compare=CompareBlock(pmp=True))
+        t0 = time.perf_counter()
+        compare_experiment(cfg, tmp_path / "out")
+        assert time.perf_counter() - t0 < budget
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert re.search(r"^shooting: converged yes in \d+ iterations$", report, re.M)
+        cost = float(re.search(
+            r"^shooting cost \(Simpson running-cost integral\): (\S+)$", report, re.M
+        ).group(1))
+        assert cost == pytest.approx(17.9084170474, rel=1e-8)
 
     def test_enforced_first_interval_reintegrates_from_node_zero(self, tmp_path):
         """With interval 0 enforced the re-integration starts at node 0, so

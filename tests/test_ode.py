@@ -80,6 +80,24 @@ def test_rk4_nonfinite_stage_reports_index():
     assert "stage 2" in str(info.value)
 
 
+def test_rk4_nonfinite_stage_marks_the_rows_of_a_stack():
+    """On a stack of flows the error marks the rows whose stage value is
+    non-finite (over the leading axes), a 0-d mask for a single flow."""
+    def nan_in_row_1(t, y):
+        out = np.ones_like(y)
+        out[..., 1, 0] = np.nan
+        return out
+
+    with pytest.raises(IntegrationError) as info:
+        rk4_step(nan_in_row_1, 0.25, np.zeros((2, 3, 2)), 0.1)
+    assert info.value.t == 0.25
+    np.testing.assert_array_equal(info.value.rows, [[False, True, False]] * 2)
+
+    with pytest.raises(IntegrationError) as info:
+        rk4_step(lambda t, y: y * np.nan, 0.0, np.array([1.0, 2.0]), 0.1)
+    assert info.value.rows.shape == () and info.value.rows
+
+
 def test_integrate_shapes_and_initial_sample():
     times, ys = integrate(lambda t, y: np.zeros(2), np.array([3.0, -1.0]), TimeGrid(0.5, 1.5, 10))
     assert times.shape == (11,)

@@ -536,11 +536,12 @@ def test_solve_shooting_short_horizon_converges_and_reports():
     assert report.residual_norm <= settings.newton_tol
     assert report.message == "converged"
     assert len(report.records) == report.iterations
-    assert report.records[-1].residual_norm == report.residual_norm
+    assert report.records[-1].residual_norm <= settings.newton_tol
 
-    # residual at the returned costate agrees with the report
+    # the log is the segmented solve's; the reported norm is the
+    # single-flow residual at the returned costate
     r = shooting_residual(model, prob, alpha, settings)
-    assert np.linalg.norm(r) <= settings.newton_tol
+    assert report.residual_norm == np.linalg.norm(r)
 
     # trajectory series shapes and the stationarity of the reported controls
     assert traj.times.shape == (51,)
@@ -556,19 +557,31 @@ def test_solve_shooting_short_horizon_converges_and_reports():
     np.testing.assert_array_equal(traj.v[0], prob.initial_state.v)
 
 
-def test_solve_shooting_already_converged_returns_zero_iterations():
+def test_solve_shooting_from_a_converged_costate_returns_the_same_root():
+    """Warm-started from its own root, the segmented solve (nodes back at
+    the reference) lands on that root again; the single-shooting solve
+    from the root takes no step and leaves the costate as it is."""
+    import nhtrack.pmp as pmp
+
     model = particle_model()
     prob = short_case2_problem()
-    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
+    grid = TimeGrid(0.0, 1.0, 50)
+    settings = ShootingSettings(inner_grid=grid)
     alpha, _, first = solve_shooting(model, prob, settings=settings)
     assert first.converged
 
     again, _, report = solve_shooting(model, prob, alpha0=alpha, settings=settings)
     assert report.converged
-    assert report.iterations == 0
-    assert report.records == ()
-    assert "already within tolerance" in report.message
-    np.testing.assert_array_equal(again.as_vector(), alpha.as_vector())
+    np.testing.assert_allclose(again.as_vector(), alpha.as_vector(), rtol=0, atol=1e-8)
+
+    vec, _, single = pmp._newton_shoot(
+        model, prob, alpha.as_vector(), settings, grid, 1, None
+    )
+    assert single.converged
+    assert single.iterations == 0
+    assert single.records == ()
+    assert "already within tolerance" in single.message
+    np.testing.assert_array_equal(vec, alpha.as_vector())
 
 
 def test_solve_shooting_nonconvergence_is_reported_not_raised():
@@ -605,22 +618,22 @@ def test_solve_shooting_horizon_continuation_reaches_full_horizon():
 @pytest.mark.parametrize(
     "continuation, stages, mode, expected",
     [
-        ("none", 4, "mayer", [(4.0, 1.0, "mayer", 400)]),
-        ("horizon", 1, "mayer", [(4.0, 1.0, "mayer", 400)]),
+        ("none", 4, "mayer", [(4.0, 1.0, "mayer", 400, 25)]),
+        ("horizon", 1, "mayer", [(4.0, 1.0, "mayer", 400, 25)]),
         (
             "horizon", 4, "mayer",
-            [(1.0, 1.0, "mayer", 100), (2.0, 1.0, "mayer", 200),
-             (3.0, 1.0, "mayer", 300), (4.0, 1.0, "mayer", 400)],
+            [(1.0, 1.0, "mayer", 100, 25), (2.0, 1.0, "mayer", 200, 25),
+             (3.0, 1.0, "mayer", 300, 25), (4.0, 1.0, "mayer", 400, 25)],
         ),
         (
             "terminal-weight", 3, "hard",
-            [(4.0 / 3.0, 1.0, "mayer", 133), (8.0 / 3.0, 1.0, "mayer", 267),
-             (4.0, 1.0, "mayer", 400), (4.0, 10.0, "mayer", 400),
-             (4.0, 100.0, "mayer", 400), (4.0, 1.0, "hard", 400)],
+            [(4.0 / 3.0, 1.0, "mayer", 133, 19), (8.0 / 3.0, 1.0, "mayer", 267, 3),
+             (4.0, 1.0, "mayer", 400, 25), (4.0, 10.0, "mayer", 400, 25),
+             (4.0, 100.0, "mayer", 400, 25), (4.0, 1.0, "hard", 400, 25)],
         ),
         (
             "terminal-weight", 1, "hard",
-            [(4.0, 1.0, "mayer", 400), (4.0, 1.0, "hard", 400)],
+            [(4.0, 1.0, "mayer", 400, 25), (4.0, 1.0, "hard", 400, 25)],
         ),
     ],
 )
@@ -629,18 +642,25 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
 ):
     """The horizon ladder T j/s, the Mayer relaxation with omega scaled by
     10 per stage, then the problem itself: (horizon_T, omega, terminal_mode,
-    grid.steps) of every Newton solve on a 400-step grid.  Each stub solve
-    returns its costate plus one, so the starts show the warm-start chain."""
+    grid.steps, segments) of every Newton solve on a 400-step grid, and
+    after a converged segmented solve of the problem one single-shooting
+    solve of it.  Each stub solve returns its costate plus one, so the
+    starts show the warm-start chain; each stage is guided by the flow of
+    the stage before it."""
     import nhtrack.pmp as pmp
 
-    calls, starts = [], []
+    calls, starts, guides, flows = [], [], [], []
 
-    def newton_shoot(model, stage, alpha_vec, settings, grid):
-        calls.append((stage.horizon_T, stage.omega, stage.terminal_mode, grid.steps))
+    def newton_shoot(model, stage, alpha_vec, settings, grid, segments, guide):
+        calls.append(
+            (stage.horizon_T, stage.omega, stage.terminal_mode, grid.steps, segments)
+        )
         starts.append(alpha_vec[0])
+        guides.append(guide)
         ys = np.zeros((grid.steps + 1, 2 * model.n + model.rank))
+        flows.append((grid.times(), ys))
         report = pmp.ConvergenceReport(True, 0, 0.0, (), "stub")
-        return alpha_vec + 1.0, (grid.times(), ys), report
+        return alpha_vec + 1.0, flows[-1], report
 
     monkeypatch.setattr(pmp, "_newton_shoot", newton_shoot)
     settings = ShootingSettings(
@@ -650,9 +670,13 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
     )
     problem = case2_problem(terminal_mode=mode)
     alpha, _, _ = solve_shooting(particle_model(), problem, settings=settings)
-    assert calls == expected
+    single = (4.0, 1.0, mode, 400, 1)
+    assert calls == expected + [single]
     assert starts == list(range(len(calls)))
     assert alpha.lam[0] == len(calls)
+    expected_guides = [None] + flows[: len(expected) - 1] + [None]
+    assert len(guides) == len(expected_guides)
+    assert all(g is e for g, e in zip(guides, expected_guides))
 
 
 def test_constraint_residual_of_flow_refines_at_integrator_order():
@@ -928,21 +952,22 @@ def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
     def rhs(t, y):  # y' = y^2 leaves every bound before t = 1 / y(0)
         return y * y
 
-    grid = TimeGrid(0.0, 1.0, 200)
+    def flow(y0):  # 200 steps over [0, 1]
+        return _flow(rhs, y0, 0.0, 1.0 / 200, 200)
+
     stacked = np.array([[0.1], [5.0], [0.2]])
     with pytest.raises(FlowDivergedError):
-        _flow(rhs, stacked, grid)
-    _, ys = _flow(rhs, stacked[[0, 2]], grid)
+        flow(stacked)
+    ys = flow(stacked[[0, 2]])
     assert ys.shape == (201, 2, 1)
 
     def evaluate(x):
-        _, ys = _flow(rhs, x, grid)
-        return ys[-1] - 10.0, None
+        return flow(x)[-1] - 10.0, None
 
     def correction(x, r, data):
         # forward differences of the end state, both probes in one flow
         step = 0.2
-        probes = _flow(rhs, x + np.diag([step, step]), grid)[1][-1]
+        probes = flow(x + np.diag([step, step]))[-1]
         jac = ((probes - 10.0 - r) / step).T
         return np.linalg.solve(jac, -r)
 
@@ -958,6 +983,29 @@ def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
     assert "no step could be evaluated at iteration 1" in report.message
     assert "flow diverged" in report.message
     np.testing.assert_array_equal(x, x0)
+
+
+def test_damped_newton_starts_from_the_evaluation_it_is_given():
+    """With start = (r, data) at x the driver does not evaluate x again, and
+    the first correction receives that data."""
+    evaluate, correction = _square_root_problem(lambda x: False)
+    evaluated, corrected = [], []
+
+    def counted(x):
+        evaluated.append(x[0])
+        return evaluate(x)
+
+    def logged(x, r, data):
+        corrected.append(data)
+        return correction(x, r, data)
+
+    x, _, report = damped_newton(
+        np.array([1.0]), counted, logged, _abs_norm, "residual norm",
+        NewtonSettings(), ArithmeticError, (np.array([-3.0]), "given"),
+    )
+    assert report.converged and x[0] == pytest.approx(2.0)
+    assert 1.0 not in evaluated
+    assert corrected[0] == "given"
 
 
 def test_damped_newton_lets_other_errors_through():
@@ -986,10 +1034,11 @@ def _sleigh_problem():
 
 @pytest.mark.parametrize("system", ["particle", "sleigh"])
 def test_stacked_shooting_flow_rows_equal_the_separate_flows(system):
-    """Row 0 of the (1 + n + k)-row stack of a Newton point equals, bitwise
-    over the whole series, the flow of the point alone, and the probe rows
-    equal the (n + k)-row flow of the probes alone: integrating a point with
-    its probes changes no arithmetic."""
+    """Row 0 of segment i of the (M, 1 + 2(n + k))-row stack of a Newton
+    point equals, bitwise over the whole series, the flow of that segment
+    start alone on the segment's own clock, and the probe rows equal the
+    flow of the segment's probes alone: integrating the segments side by
+    side, each with its probes, changes no arithmetic."""
     from nhtrack.pmp import FD_STEP, _flow, _make_packed_rhs
 
     if system == "particle":
@@ -997,22 +1046,23 @@ def test_stacked_shooting_flow_rows_equal_the_separate_flows(system):
     else:
         model, problem = sleigh_model(SLEIGH_PARAMS), _sleigh_problem()
     rhs = _make_packed_rhs(model, problem)
-    grid = TimeGrid(0.0, 1.0, 100)
-    vec = np.random.default_rng(11).uniform(-0.5, 0.5, model.n + model.rank)
-    steps = FD_STEP * np.maximum(1.0, np.abs(vec))
-    stack = np.vstack([vec, vec + np.diag(steps)])
-    y_state = problem.initial_state.as_vector()
-    state = np.broadcast_to(y_state, (len(stack), y_state.size))
-    y0 = np.concatenate([state, stack], axis=1)
+    segments, span, h = 4, 25, 0.01
+    width = 2 * (model.n + model.rank)
+    z = np.random.default_rng(11).uniform(-0.5, 0.5, (segments, width))
+    z[0, : model.n + model.rank] = problem.initial_state.as_vector()
+    steps = FD_STEP * np.maximum(1.0, np.abs(z))
+    stack = np.concatenate(
+        [z[:, None], z[:, None] + steps[:, :, None] * np.eye(width)], axis=1
+    )
+    starts = h * span * np.arange(segments)[:, None]
 
-    times, ys = _flow(rhs, y0, grid)
-    times_0, ys_0 = _flow(rhs, y0[0], grid)
-    _, ys_probes = _flow(rhs, y0[1:], grid)
-    rows, width = 1 + model.n + model.rank, 2 * (model.n + model.rank)
-    assert ys.shape == (101, rows, width)
-    np.testing.assert_array_equal(times, times_0)
-    assert np.array_equal(ys[:, 0], ys_0)
-    assert np.array_equal(ys[:, 1:], ys_probes)
+    ys = _flow(rhs, stack, starts, h, span)
+    assert ys.shape == (span + 1, segments, 1 + width, width)
+    for i in range(segments):
+        alone = _flow(rhs, stack[i, 0], float(starts[i, 0]), h, span)
+        probes = _flow(rhs, stack[i, 1:], float(starts[i, 0]), h, span)
+        assert np.array_equal(ys[:, i, 0], alone)
+        assert np.array_equal(ys[:, i, 1:], probes)
 
 
 def _rejected_trials(report):
@@ -1020,42 +1070,52 @@ def _rejected_trials(report):
     return sum(round(-np.log2(rec.damping)) for rec in report.records)
 
 
-def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch):
-    """The start and every trial step are one stacked flow each; the
-    correction at an accepted point flows nothing more."""
+@pytest.mark.parametrize("segments", [1, 4])
+def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments):
+    """The start flows its M segment starts without probes, and the first
+    correction flows them with their probes; every trial step is one
+    stacked (M, 1 + 2(n + k), 2(n + k)) flow of grid.steps / M steps, and
+    the correction at an accepted trial flows nothing more.  The segment
+    series laid end to end is the single flow of the returned costate."""
     import nhtrack.pmp as pmp
 
     flows = []
     real_flow = pmp._flow
 
-    def counting_flow(rhs, y0, grid):
-        flows.append(y0.shape)
-        return real_flow(rhs, y0, grid)
+    def counting_flow(rhs, y0, starts, h, steps):
+        flows.append((y0.shape, steps))
+        return real_flow(rhs, y0, starts, h, steps)
 
     monkeypatch.setattr(pmp, "_flow", counting_flow)
     model, problem = particle_model(), short_case2_problem()
     grid = TimeGrid(0.0, 1.0, 100)
     start = Costate.zero(model).as_vector()
     vec, (times, ys), report = pmp._newton_shoot(
-        model, problem, start, ShootingSettings(), grid
+        model, problem, start, ShootingSettings(), grid, segments, None
     )
     assert report.converged and report.iterations >= 2
-    assert len(flows) == 1 + report.iterations + _rejected_trials(report)
+    assert len(flows) == 2 + report.iterations + _rejected_trials(report)
     width = 2 * (model.n + model.rank)
-    assert set(flows) == {(1 + model.n + model.rank, width)}
+    span = 100 // segments
+    assert flows[0] == ((segments, 1, width), span)
+    assert set(flows[1:]) == {((segments, 1 + width, width), span)}
+    np.testing.assert_array_equal(times, grid.times())
     assert ys.shape == (101, width)
+    settings = ShootingSettings(inner_grid=grid)
     np.testing.assert_allclose(
-        shooting_residual(model, problem, Costate(lam=vec[:3], mu=vec[3:]),
-                          ShootingSettings(inner_grid=grid)),
-        0.0, atol=ShootingSettings().newton_tol,
+        shooting_residual(model, problem, Costate(lam=vec[:3], mu=vec[3:]), settings),
+        0.0, atol=settings.newton_tol,
     )
+    y0 = np.concatenate([problem.initial_state.as_vector(), vec])
+    np.testing.assert_allclose(ys, real_flow(pmp._make_packed_rhs(model, problem),
+                                             y0, 0.0, grid.h, 100), atol=1e-9)
 
 
 def _blowup_field(column, center, rate=4.0):
     """A _make_packed_rhs stand-in: y' = rate (y - center)^2 in one column of
     the packed vector, every other column constant.  A row starting at
-    center + z diverges before t = 1 when z > 1 / rate and stays finite
-    when z < 0."""
+    center + z diverges after a time 1 / (rate z) when z > 0 and stays
+    finite when z < 0."""
 
     def make(model, problem):
         def rhs(t, y):
@@ -1076,51 +1136,64 @@ def _terminal_target(model, problem):
     return problem.omega * np.concatenate([dq, dv])
 
 
+@pytest.mark.parametrize("segments", [1, 4])
 def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
-    monkeypatch,
+    monkeypatch, segments,
 ):
-    """Probe 1 of the start diverges while the start itself stays finite:
-    the start keeps its residual, and the first correction ends the solve
-    unconverged there with a message naming the probe."""
+    """Probe 1 of the start diverges inside the first segment (at t =
+    1 / (2M)) while the start itself stays finite: the start keeps its
+    residual, and the first correction ends the solve unconverged there
+    with a message naming the probe and the time of its blow-up.  The
+    guide puts every later segment start on the start's own packed value,
+    so each of them, too, stays finite while its probe diverges."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
     n, k = model.n, model.rank
+    grid = TimeGrid(0.0, 1.0, 100)
     start = _terminal_target(model, problem)
     start[1] = 1e6  # its probe step is 1e-6 * 1e6 = 1
+    packed = np.concatenate([problem.initial_state.as_vector(), start])
+    guide = (grid.times(), np.tile(packed, (101, 1)))
     monkeypatch.setattr(
-        pmp, "_make_packed_rhs", _blowup_field(n + k + 1, center=1e6 + 0.5)
+        pmp, "_make_packed_rhs",
+        _blowup_field(n + k + 1, center=1e6 + 0.5, rate=4.0 * segments),
     )
     vec, (times, ys), report = pmp._newton_shoot(
-        model, problem, start.copy(), ShootingSettings(),
-        TimeGrid(0.0, 1.0, 100),
+        model, problem, start.copy(), ShootingSettings(), grid, segments, guide,
     )
     assert not report.converged
     assert report.iterations == 0
     assert "no step could be evaluated at iteration 1" in report.message
     assert "probe" in report.message
+    t = float(report.message.split("near t = ")[1].split(";")[0])
+    assert abs(t - 0.5 / segments) <= 0.02  # two steps of the grid
     np.testing.assert_array_equal(vec, start)
-    # the series is the start's own flow, finite to the end
+    # the series is the starts' own flows, finite to the end
     assert np.all(np.isfinite(ys)) and ys[-1, n + k + 1] < 1e6 + 0.5
 
 
+@pytest.mark.parametrize("segments", [1, 4])
 def test_newton_shoot_backtracks_past_a_trial_whose_point_diverges(
-    monkeypatch,
+    monkeypatch, segments,
 ):
     """The full Newton step and two halvings of it start past the blow-up
     of the field, so their flows diverge row 0 included; the solve rejects
-    them, takes the eighth step and converges."""
+    them, takes the eighth step and converges.  The field's rate grows with
+    M, so that a segment start blows up inside its own segment."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
     n, k = model.n, model.rank
     start = _terminal_target(model, problem)
-    start[1] = -0.5  # the root of entry 1 is 0.2 / 1.8, the blow-up 0.25
+    start[1] = -0.5  # for M = 1 the root of entry 1 is 0.2 / 1.8, the blow-up 0.25
     monkeypatch.setattr(
-        pmp, "_make_packed_rhs", _blowup_field(n + k + 1, center=0.0)
+        pmp, "_make_packed_rhs",
+        _blowup_field(n + k + 1, center=0.0, rate=4.0 * segments),
     )
     _, _, report = pmp._newton_shoot(
-        model, problem, start, ShootingSettings(), TimeGrid(0.0, 1.0, 100)
+        model, problem, start, ShootingSettings(), TimeGrid(0.0, 1.0, 100),
+        segments, None,
     )
     assert report.records[0].damping == 0.125
     assert report.converged
@@ -1130,6 +1203,198 @@ def test_singular_jacobian_error_suggests_regularization():
     err = SingularJacobianError(1e15)
     assert err.cond == 1e15
     assert "epsilon" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# segmented shooting: gaps, condensing and the segment count
+
+
+def test_flow_names_the_earliest_absolute_time_a_row_blew_up():
+    """Stacked flows on their own clocks stop at the first local step at
+    which a row fails, and the error names the earliest absolute time among
+    the rows that failed there: both for a value past the bound and for a
+    non-finite stage value (a field that turns NaN)."""
+    from nhtrack.pmp import _flow
+
+    def squared(t, y):  # y' = y^2 from y(0) = 2.5 blows up after 0.4
+        return y * y
+
+    starts = np.array([[0.5], [0.0]])
+    with pytest.raises(FlowDivergedError) as info:
+        _flow(squared, np.full((2, 1, 1), 2.5), starts, 0.01, 50)
+    assert 0.4 <= info.value.t <= 0.42
+    assert "near t = 0.4" in str(info.value)
+
+    def turns_nan(t, y):  # NaN from absolute time 0.302 on
+        return np.where(t[..., None] >= 0.302, np.nan, 0.0) + 0.0 * y
+
+    with pytest.raises(FlowDivergedError) as info:
+        _flow(turns_nan, np.zeros((2, 1, 1)), np.array([[0.25], [0.0]]), 0.01, 50)
+    # the first row's stage 2 of local step 5 reaches it: the step starts at
+    # local time 0.05, absolute 0.3
+    assert info.value.t == pytest.approx(0.3)
+
+
+def _captured_system(monkeypatch, model, problem, segments):
+    """The evaluate and correction of one _newton_shoot on a 100-step grid
+    over [0, 1], and its start point, caught at the Newton driver."""
+    import nhtrack.pmp as pmp
+
+    captured = {}
+
+    def capture(x, evaluate, correction, *args):
+        captured.update(x=x.copy(), evaluate=evaluate, correction=correction)
+        report = pmp.ConvergenceReport(False, 0, 0.0, (), "captured")
+        return x, evaluate(x)[1], report
+
+    monkeypatch.setattr(pmp, "damped_newton", capture)
+    start = Costate.zero(model).as_vector()
+    pmp._newton_shoot(
+        model, problem, start, ShootingSettings(), TimeGrid(0.0, 1.0, 100),
+        segments, None,
+    )
+    return captured
+
+
+def _assembled_jacobian(blocks, end_jac):
+    """The block-bidiagonal Jacobian of the segmented residual (gap rows,
+    then the terminal rows) over (costate at 0, node 1, ..., node M-1):
+    G_i on node i (its costate columns on the first) and -I on node i + 1,
+    the terminal Jacobian on the last node."""
+    p, w = end_jac.shape
+    m = len(blocks) + 1
+    cols = [slice(0, p)] + [slice(p + i * w, p + (i + 1) * w) for i in range(m - 1)]
+    dense = np.zeros((p + (m - 1) * w,) * 2)
+    for i, g in enumerate(blocks):
+        rows = slice(i * w, (i + 1) * w)
+        dense[rows, cols[i]] = g[:, p:] if i == 0 else g
+        dense[rows, cols[i + 1]] = -np.eye(w)
+    dense[-p:, cols[-1]] = end_jac[:, p:] if m == 1 else end_jac
+    return dense
+
+
+def _segmented_instance(system):
+    if system == "particle":
+        return particle_model(), short_case2_problem()
+    return sleigh_model(SLEIGH_PARAMS), _sleigh_problem()
+
+
+@pytest.mark.parametrize("system", ["particle", "sleigh"])
+def test_condensed_step_solves_the_assembled_system(monkeypatch, system):
+    """At a perturbed, unconverged point of a four-segment solve, the
+    condensed Newton step solves the assembled block-bidiagonal system."""
+    model, problem = _segmented_instance(system)
+    captured = _captured_system(monkeypatch, model, problem, 4)
+    x0 = captured["x"]
+    x = x0 + 0.1 * np.random.default_rng(47).normal(size=x0.size)
+    r, data = captured["evaluate"](x)
+    assert np.linalg.norm(r) > 1e-2
+    delta = captured["correction"](x, r, data)
+    dense = _assembled_jacobian(*data[0])
+    assert delta.shape == x.shape
+    assert np.linalg.norm(dense @ delta + r) <= 1e-10 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("system", ["particle", "sleigh"])
+def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
+    """The blocks the probes give, assembled, are the Jacobian of the
+    segmented residual (wrapped gaps included): central differences of the
+    residual over every unknown agree to the forward-difference error."""
+    model, problem = _segmented_instance(system)
+    captured = _captured_system(monkeypatch, model, problem, 4)
+    evaluate = captured["evaluate"]
+    x0 = captured["x"]
+    x = x0 + 0.1 * np.random.default_rng(53).normal(size=x0.size)
+    dense = _assembled_jacobian(*evaluate(x)[1][0])
+    step = 1e-5
+    central = np.column_stack([
+        (evaluate(x + step * e)[0] - evaluate(x - step * e)[0]) / (2 * step)
+        for e in np.eye(x.size)
+    ])
+    assert np.max(np.abs(dense - central)) <= 1e-5 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_joined_report_logs_the_segmented_solve_then_the_single_one():
+    """The M = 1 solve's records follow the segmented solve's, numbered on;
+    its flag, residual and message stand, except that a single solve that
+    took no step keeps the segmented message."""
+    from nhtrack.pmp import ConvergenceReport, IterationRecord, _joined
+
+    segmented = ConvergenceReport(
+        True, 2, 1e-12,
+        (IterationRecord(1, 0.1, 1.0), IterationRecord(2, 1e-12, 1.0)), "converged",
+    )
+    stepped = ConvergenceReport(
+        True, 1, 3e-13, (IterationRecord(1, 3e-13, 0.5),), "converged"
+    )
+    joined = _joined(segmented, stepped)
+    assert joined.iterations == 3
+    assert joined.records[2] == IterationRecord(3, 3e-13, 0.5)
+    assert joined.records[:2] == segmented.records
+    assert (joined.converged, joined.residual_norm) == (True, 3e-13)
+
+    idle = ConvergenceReport(
+        True, 0, 2e-12, (), "initial guess already within tolerance"
+    )
+    joined = _joined(segmented, idle)
+    assert (joined.iterations, joined.residual_norm) == (2, 2e-12)
+    assert joined.message == "converged"
+
+    failed = ConvergenceReport(False, 0, 2.0, (), "no step could be evaluated")
+    assert _joined(segmented, failed).message == "no step could be evaluated"
+    assert not _joined(segmented, failed).converged
+
+
+def test_segment_count_is_the_largest_divisor_up_to_segments():
+    from nhtrack.pmp import SEGMENTS, _segment_count
+
+    assert SEGMENTS == 25
+    counts = [_segment_count(s) for s in (400, 500, 100, 133, 267, 101, 7, 1)]
+    assert counts == [25, 25, 25, 19, 3, 1, 7, 1]
+
+
+def test_single_shooting_finds_the_segmented_root(monkeypatch):
+    """With SEGMENTS = 1 every solve is single shooting; on the same grid it
+    lands on the root of the segmented solve."""
+    import nhtrack.pmp as pmp
+
+    model, problem = particle_model(), short_case2_problem()
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 100))
+    segmented, _, report = solve_shooting(model, problem, settings=settings)
+    assert report.converged
+    monkeypatch.setattr(pmp, "SEGMENTS", 1)
+    single, _, report = solve_shooting(model, problem, settings=settings)
+    assert report.converged
+    np.testing.assert_allclose(single.as_vector(), segmented.as_vector(), atol=1e-8)
+
+
+def test_a_prime_step_count_runs_one_single_shooting_solve(monkeypatch):
+    """101 steps have no divisor from 2 to SEGMENTS: the solve is one M = 1
+    solve, with no second one after it, and its root is the segmented root
+    of the 100-step grid to the grids' discretization error."""
+    import nhtrack.pmp as pmp
+
+    segments = []
+    real_shoot = pmp._newton_shoot
+
+    def shoot(*args):
+        segments.append(args[5])
+        return real_shoot(*args)
+
+    monkeypatch.setattr(pmp, "_newton_shoot", shoot)
+    model, problem = particle_model(), short_case2_problem()
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 101))
+    alpha, traj, report = solve_shooting(model, problem, settings=settings)
+    assert segments == [1]
+    assert report.converged
+    assert traj.times.shape == (102,)
+    r = shooting_residual(model, problem, alpha, settings)
+    assert report.residual_norm == np.linalg.norm(r)
+
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 100))
+    segmented, _, _ = solve_shooting(model, problem, settings=settings)
+    assert segments == [1, 25, 1]
+    np.testing.assert_allclose(alpha.as_vector(), segmented.as_vector(), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
