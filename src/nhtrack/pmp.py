@@ -33,6 +33,7 @@ Phi = 1/2 ||gamma(T) - gamma_r(T)||^2 on the full state.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -681,10 +682,18 @@ def shooting_residual(
     components are wrapped into (-pi, pi].  Always 2n - m values.
     """
     grid = _resolve_grid(problem, settings)
-    rhs = _make_packed_rhs(model, problem)
-    y0 = np.concatenate([problem.initial_state.as_vector(), alpha.as_vector()])
-    ys = _flow(rhs, y0, grid.t0, grid.h, grid.steps)
+    _, ys = _single_flow(model, problem, alpha.as_vector(), grid)
     return _terminal_residual(model, problem, ys[-1])
+
+
+def _single_flow(
+    model: SystemModel, problem: TrackingProblem, alpha_vec: Array, grid: TimeGrid
+) -> tuple[Array, Array]:
+    """(times, ys) of the one flow from (gamma(0), alpha) over the grid;
+    FlowDivergedError on blow-up."""
+    rhs = _make_packed_rhs(model, problem)
+    y0 = np.concatenate([problem.initial_state.as_vector(), alpha_vec])
+    return grid.times(), _flow(rhs, y0, grid.t0, grid.h, grid.steps)
 
 
 def _trajectory_from_series(
@@ -702,11 +711,6 @@ def _trajectory_from_series(
     )
 
 
-def _segment_count(steps: int) -> int:
-    """M for a grid of `steps` steps: its largest divisor up to SEGMENTS."""
-    return max(m for m in range(1, min(steps, SEGMENTS) + 1) if steps % m == 0)
-
-
 def _condensed_step(
     blocks: Array, end_jac: Array, gaps: Array, end_res: Array
 ) -> Array:
@@ -714,15 +718,16 @@ def _condensed_step(
 
     blocks[i] is the Jacobian G_i of the end of segment i over its start
     (i = 0 .. M-2), end_jac the Jacobian of the terminal residual over the
-    last start, gaps the M - 1 continuity gaps (M - 1, 2(n + k)) and
-    end_res the terminal residual.  Only the costate moves at t = 0, so
-    every node's step is affine in the costate step d: dY_0 = (0, d) and
-    dY_{i+1} = G_i dY_i + gap_i.  The terminal row then leaves one
-    (n + k) x (n + k) system for d, which raises SingularJacobianError when
-    numerically singular.  Returns (d, dY_1, ..., dY_{M-1}) as one vector.
+    last start (over its costate alone when M = 1), gaps the M - 1
+    continuity gaps (M - 1, 2(n + k)) and end_res the terminal residual.
+    Only the costate moves at t = 0, so every node's step is affine in the
+    costate step d: dY_0 = (0, d) and dY_{i+1} = G_i dY_i + gap_i.  The
+    terminal row then leaves one (n + k) x (n + k) system for d, which
+    raises SingularJacobianError when numerically singular.  Returns (d,
+    dY_1, ..., dY_{M-1}) as one vector.
     """
-    w = end_jac.shape[1]
-    a, b = np.eye(w)[:, w // 2 :], np.zeros(w)  # dY_i = a d + b
+    w, p = end_jac.shape[1], end_res.size
+    a, b = np.eye(w)[:, w - p :], np.zeros(w)  # dY_i = a d + b
     nodes = []
     for g, gap in zip(blocks, gaps):
         a, b = g @ a, g @ b + gap
@@ -745,30 +750,40 @@ def _newton_shoot(
     guide: tuple[Array, Array] | None,
 ) -> tuple[Array, tuple[Array, Array], ConvergenceReport]:
     """One damped-Newton solve of the shooting system on a fixed grid cut
-    into `segments` (M) equal time segments; M = 1 is single shooting.
+    into M = min(segments, grid.steps) time segments; M = 1 is single
+    shooting.
 
-    The unknowns are the costate at t = 0 and the packed node (q, v,
-    lambda, mu) at each later segment start.  A node starts on the guide,
-    an earlier flow's (times, ys), at its nearest sample where the guide
-    reaches, else at the reference state with a zero costate.  The residual
-    is the M - 1 continuity gaps (end of segment i minus start of segment
-    i + 1, angle components wrapped as in state_difference), then the
-    terminal residual.  Each trial point runs as one stacked
-    (M, 1 + 2(n + k), 2(n + k)) flow of grid.steps / M RK4 steps, row 0 of
-    segment i its start and row 1 + j its forward-difference probe in entry
-    j, so the correction at an accepted trial only solves
-    (_condensed_step).  The start point flows its M rows alone, and its
-    first correction flows them with their probes, so a start already
-    within tolerance costs no probe.  When a row diverges, the starts are
-    flowed alone: if one diverges too the trial is rejected; otherwise the
-    residual stands and the probe's FlowDivergedError ends the solve
-    unconverged at the next correction.  Returns the costate at t = 0, the (times, ys) series
-    of the segment flows laid end to end, and the report.
+    Segment i runs over the grid steps floor(i s / M) .. floor((i + 1) s /
+    M) of the s = grid.steps steps, so the lengths differ by at most one
+    and the last segment is a longest.  The unknowns are the costate at
+    t = 0 and the packed node (q, v, lambda, mu) at each later segment
+    start.  A node starts on the guide, an earlier flow's (times, ys), at
+    its nearest sample where the guide reaches, else at the reference state
+    with a zero costate.  The residual is the M - 1 continuity gaps (end of
+    segment i minus start of segment i + 1, angle components wrapped as in
+    state_difference), then the terminal residual.  Each trial point runs
+    as one stacked flow of ceil(s / M) RK4 steps, each segment read at its
+    own end (a shorter one flows one step past it): shape (M, 1 + 2(n + k),
+    2(n + k)), row 0 of segment i its start and row 1 + j its
+    forward-difference probe in entry j; a single segment, whose state is
+    given, probes only its n + k costate entries.  The correction at an
+    accepted trial then only solves (_condensed_step).  The start point
+    flows its M rows alone, and its first correction flows them with their
+    probes, so a start already within tolerance costs no probe.  When a row
+    diverges, the starts are flowed alone: if one diverges too the trial is
+    rejected; otherwise the residual stands and the probe's
+    FlowDivergedError ends the solve unconverged at the next correction.
+    Returns the costate at t = 0, the (times, ys) series of the segment
+    flows laid end to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
-    span = grid.steps // segments
-    starts = grid.t0 + grid.h * span * np.arange(segments)[:, None]
+    segments = min(segments, grid.steps)
+    bounds = np.arange(segments + 1) * grid.steps // segments
+    lengths = np.diff(bounds)
+    span, at_ends = lengths[-1], (lengths, np.arange(segments))
+    starts = grid.t0 + grid.h * bounds[:-1, None]
+    probed = p if segments == 1 else 0  # the first entry with a probe
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
     node_times = starts[1:, 0]
@@ -805,15 +820,15 @@ def _newton_shoot(
         # the residual and series of the segment starts z flowed without
         # probes; a diverged point raises
         ys = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
-        return residual(z, ys[-1]), ys
+        return residual(z, ys[at_ends]), ys
 
     def flow(x: Array) -> tuple[Array, ShotData]:
-        # z[i] is the start of segment i; probe j of it moves entry j by
-        # steps[i, j]
+        # z[i] is the start of segment i; its probe j moves entry probed + j
+        # by steps[i, j]
         z = segment_starts(x)
-        steps = FD_STEP * np.maximum(1.0, np.abs(z))
+        steps = FD_STEP * np.maximum(1.0, np.abs(z[:, probed:]))
         stack = np.concatenate(
-            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)], axis=1
+            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)[probed:]], axis=1
         )
         try:
             ys = _flow(rhs, stack, starts, grid.h, span)
@@ -821,7 +836,7 @@ def _newton_shoot(
             # a diverged point raises again here, so its trial is rejected
             r, series = flow_alone(z)
             return r, (FlowDivergedError(exc.t, probe=True), series)
-        ends = ys[-1]
+        ends = ys[at_ends]
         blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
         res_T = _terminal_residual(model, problem, ends[-1])
         end_jac = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
@@ -843,11 +858,11 @@ def _newton_shoot(
         x0, flow, correction, lambda r: float(np.linalg.norm(r)),
         "residual norm", settings, FlowDivergedError, (r0, (None, series0)),
     )
-    # segment i's series without its end node, which is segment i + 1's start
-    series = np.concatenate([
-        starts_series[:-1].transpose(1, 0, 2).reshape(-1, w),
-        starts_series[-1:, -1],
-    ])
+    # each segment's series up to its end, which is the next one's start
+    series = np.concatenate(
+        [starts_series[:m, i] for i, m in enumerate(lengths)]
+        + [starts_series[span:, -1]]
+    )
     return x[:p], (grid.times(), series), report
 
 
@@ -903,47 +918,74 @@ def solve_shooting(
 ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
     """Damped-Newton shooting on the terminal residual, by segments.
 
-    Each Newton solve is _newton_shoot on M segments, M the largest divisor
-    of its step count up to SEGMENTS: forward-difference Jacobians (step
-    FD_STEP * max(1, |entry|)) from one stacked flow per trial point, and
-    a backtracking line search halving the step until the residual
-    2-norm decreases (at most MAX_HALVINGS times).  A trial whose flow
-    diverges counts as rejected; a probe that diverges where its point does
-    not ends the solve unconverged there ("no step could be evaluated").
-    With settings.continuation = "horizon" the initial costate is first
-    tracked through shortened horizons; "terminal-weight" tracks it through
-    soft-terminal (Mayer) solves of growing weight before the hard solve.
-    _stages lists the solves, and one loop runs them, each warm-started
-    from the costate and guided by the flow of the one before.  When the
-    last converges with M > 1, one M = 1 solve from its root (it usually
-    takes no step) gives the returned trajectory as one flow and the
-    reported residual as the single-flow one that shooting_residual
-    computes.  Nonconvergence is reported, not raised: the report carries
-    the converged flag, the final residual norm and the log of the last
-    stage followed by that of the M = 1 solve; a last stage that fails
-    returns its segment flows laid end to end.
+    Each Newton solve is _newton_shoot on min(SEGMENTS, steps) segments:
+    forward-difference Jacobians (step FD_STEP * max(1, |entry|)) from one
+    stacked flow per trial point, and a backtracking line search halving
+    the step until the residual 2-norm decreases (at most MAX_HALVINGS
+    times).  A trial whose flow diverges counts as rejected; a probe that
+    diverges where its point does not ends the solve unconverged there ("no
+    step could be evaluated").  With settings.continuation = "horizon" the
+    initial costate is first tracked through shortened horizons;
+    "terminal-weight" tracks it through soft-terminal (Mayer) solves of
+    growing weight before the hard solve.  _stages lists the solves, and
+    one loop runs them, each warm-started from the costate and guided by
+    the flow of the one before.  A given alpha0 guides the first by its own
+    flow; with one stage, that flow already within tolerance is returned as
+    it is, with no step.  When the last stage converges, one M = 1 solve
+    from its root (it usually takes no step) gives the returned trajectory
+    as one flow and the reported residual as the single-flow one that
+    shooting_residual computes.  Nonconvergence is reported, not raised:
+    the report carries the converged flag, the final residual norm and the
+    log of the last stage followed by that of the M = 1 solve.  A last
+    stage that fails returns the single flow of its costate and that flow's
+    residual norm (its message keeps the segmented norm), or its segment
+    flows laid end to end if that flow diverges.
     """
-    if alpha0 is None:
-        alpha0 = Costate.zero(model)
     grid = check_shooting(problem, settings)
-    alpha_vec = alpha0.as_vector().copy()
+    stages = _stages(problem, settings, grid)
 
-    series, segments = None, 1
-    for stage_problem, stage_grid in _stages(problem, settings, grid):
+    def single(
+        stage_problem: TrackingProblem, stage_grid: TimeGrid
+    ) -> tuple[tuple[Array, Array], float]:
+        # the one flow of the current costate over a stage, and its
+        # residual norm
+        series = _single_flow(model, stage_problem, alpha_vec, stage_grid)
+        r = _terminal_residual(model, stage_problem, series[1][-1])
+        return series, float(np.linalg.norm(r))
+
+    def result(
+        series: tuple[Array, Array], report: ConvergenceReport
+    ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
+        alpha = Costate(lam=alpha_vec[: model.n], mu=alpha_vec[model.n :])
+        return alpha, _trajectory_from_series(model, problem, *series), report
+
+    series = None
+    if alpha0 is None:
+        alpha_vec = Costate.zero(model).as_vector()
+    else:
+        alpha_vec = alpha0.as_vector().copy()
+        with suppress(FlowDivergedError):
+            series, r_norm = single(*stages[0])
+            if len(stages) == 1 and r_norm <= settings.newton_tol:
+                # alpha0 already solves the problem: its flow is the answer
+                return result(series, ConvergenceReport(
+                    True, 0, r_norm, (), "initial guess already within tolerance"
+                ))
+    for stage_problem, stage_grid in stages:
         # a failed stage still leaves the best costate and flow found so far
-        segments = _segment_count(stage_grid.steps)
         alpha_vec, series, report = _newton_shoot(
-            model, stage_problem, alpha_vec, settings, stage_grid, segments, series
+            model, stage_problem, alpha_vec, settings, stage_grid, SEGMENTS, series
         )
-    if segments > 1 and report.converged:
+    if report.converged:
         alpha_vec, series, polish = _newton_shoot(
             model, problem, alpha_vec, settings, grid, 1, None
         )
         report = _joined(report, polish)
-    n = model.n
-    alpha = Costate(lam=alpha_vec[:n], mu=alpha_vec[n:])
-    trajectory = _trajectory_from_series(model, problem, *series)
-    return alpha, trajectory, report
+    else:
+        with suppress(FlowDivergedError):
+            series, r_norm = single(problem, grid)
+            report = replace(report, residual_norm=r_norm)
+    return result(series, report)
 
 
 def trajectory_cost(

@@ -557,31 +557,19 @@ def test_solve_shooting_short_horizon_converges_and_reports():
     np.testing.assert_array_equal(traj.v[0], prob.initial_state.v)
 
 
-def test_solve_shooting_from_a_converged_costate_returns_the_same_root():
-    """Warm-started from its own root, the segmented solve (nodes back at
-    the reference) lands on that root again; the single-shooting solve
-    from the root takes no step and leaves the costate as it is."""
-    import nhtrack.pmp as pmp
-
+def test_solve_shooting_already_converged_returns_zero_iterations():
     model = particle_model()
     prob = short_case2_problem()
-    grid = TimeGrid(0.0, 1.0, 50)
-    settings = ShootingSettings(inner_grid=grid)
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
     alpha, _, first = solve_shooting(model, prob, settings=settings)
     assert first.converged
 
     again, _, report = solve_shooting(model, prob, alpha0=alpha, settings=settings)
     assert report.converged
-    np.testing.assert_allclose(again.as_vector(), alpha.as_vector(), rtol=0, atol=1e-8)
-
-    vec, _, single = pmp._newton_shoot(
-        model, prob, alpha.as_vector(), settings, grid, 1, None
-    )
-    assert single.converged
-    assert single.iterations == 0
-    assert single.records == ()
-    assert "already within tolerance" in single.message
-    np.testing.assert_array_equal(vec, alpha.as_vector())
+    assert report.iterations == 0
+    assert report.records == ()
+    assert "already within tolerance" in report.message
+    np.testing.assert_array_equal(again.as_vector(), alpha.as_vector())
 
 
 def test_solve_shooting_nonconvergence_is_reported_not_raised():
@@ -627,7 +615,7 @@ def test_solve_shooting_horizon_continuation_reaches_full_horizon():
         ),
         (
             "terminal-weight", 3, "hard",
-            [(4.0 / 3.0, 1.0, "mayer", 133, 19), (8.0 / 3.0, 1.0, "mayer", 267, 3),
+            [(4.0 / 3.0, 1.0, "mayer", 133, 25), (8.0 / 3.0, 1.0, "mayer", 267, 25),
              (4.0, 1.0, "mayer", 400, 25), (4.0, 10.0, "mayer", 400, 25),
              (4.0, 100.0, "mayer", 400, 25), (4.0, 1.0, "hard", 400, 25)],
         ),
@@ -643,8 +631,8 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
     """The horizon ladder T j/s, the Mayer relaxation with omega scaled by
     10 per stage, then the problem itself: (horizon_T, omega, terminal_mode,
     grid.steps, segments) of every Newton solve on a 400-step grid, and
-    after a converged segmented solve of the problem one single-shooting
-    solve of it.  Each stub solve returns its costate plus one, so the
+    after a converged solve of the problem one single-shooting solve of
+    it.  Each stub solve returns its costate plus one, so the
     starts show the warm-start chain; each stage is guided by the flow of
     the stage before it."""
     import nhtrack.pmp as pmp
@@ -677,6 +665,40 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
     expected_guides = [None] + flows[: len(expected) - 1] + [None]
     assert len(guides) == len(expected_guides)
     assert all(g is e for g, e in zip(guides, expected_guides))
+
+
+def test_a_given_costate_guides_the_first_stage_by_its_own_flow(monkeypatch):
+    """With alpha0 given, the first stage's nodes start on the flow of
+    alpha0 over that stage's grid; with one stage and that flow within
+    tolerance, no Newton solve runs at all."""
+    import nhtrack.pmp as pmp
+
+    guides = []
+    real_shoot = pmp._newton_shoot
+
+    def shoot(model, stage, alpha_vec, settings, grid, segments, guide):
+        guides.append(guide)
+        return real_shoot(model, stage, alpha_vec, settings, grid, segments, guide)
+
+    monkeypatch.setattr(pmp, "_newton_shoot", shoot)
+    model, problem = particle_model(), short_case2_problem()
+    settings = ShootingSettings(
+        inner_grid=TimeGrid(0.0, 1.0, 50), continuation="horizon",
+        continuation_stages=2,
+    )
+    alpha0 = Costate(lam=np.full(3, 0.1), mu=np.full(2, -0.1))
+    alpha, _, report = solve_shooting(model, problem, alpha0, settings)
+    assert report.converged
+    times, ys = guides[0]
+    np.testing.assert_array_equal(times, TimeGrid(0.0, 0.5, 25).times())
+    packed = np.concatenate([problem.initial_state.as_vector(), alpha0.as_vector()])
+    np.testing.assert_array_equal(ys[0], packed)
+
+    guides.clear()
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
+    again, _, report = solve_shooting(model, problem, alpha, settings)
+    assert guides == []
+    assert (report.converged, report.iterations) == (True, 0)
 
 
 def test_constraint_residual_of_flow_refines_at_integrator_order():
@@ -1070,13 +1092,15 @@ def _rejected_trials(report):
     return sum(round(-np.log2(rec.damping)) for rec in report.records)
 
 
-@pytest.mark.parametrize("segments", [1, 4])
-def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments):
+@pytest.mark.parametrize("segments, steps", [(1, 100), (4, 100), (25, 101)])
+def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, steps):
     """The start flows its M segment starts without probes, and the first
     correction flows them with their probes; every trial step is one
-    stacked (M, 1 + 2(n + k), 2(n + k)) flow of grid.steps / M steps, and
-    the correction at an accepted trial flows nothing more.  The segment
-    series laid end to end is the single flow of the returned costate."""
+    stacked (M, 1 + 2(n + k), 2(n + k)) flow of ceil(steps / M) steps (a
+    single segment probes only its n + k costate entries), and the
+    correction at an accepted trial flows nothing more.  The segment series
+    laid end to end, uneven segments included, is the single flow of the
+    returned costate."""
     import nhtrack.pmp as pmp
 
     flows = []
@@ -1088,19 +1112,21 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments):
 
     monkeypatch.setattr(pmp, "_flow", counting_flow)
     model, problem = particle_model(), short_case2_problem()
-    grid = TimeGrid(0.0, 1.0, 100)
+    grid = TimeGrid(0.0, 1.0, steps)
     start = Costate.zero(model).as_vector()
     vec, (times, ys), report = pmp._newton_shoot(
         model, problem, start, ShootingSettings(), grid, segments, None
     )
     assert report.converged and report.iterations >= 2
     assert len(flows) == 2 + report.iterations + _rejected_trials(report)
-    width = 2 * (model.n + model.rank)
-    span = 100 // segments
+    p = model.n + model.rank
+    width = 2 * p
+    span = -(-steps // segments)
+    rows = 1 + (p if segments == 1 else width)
     assert flows[0] == ((segments, 1, width), span)
-    assert set(flows[1:]) == {((segments, 1 + width, width), span)}
+    assert set(flows[1:]) == {((segments, rows, width), span)}
     np.testing.assert_array_equal(times, grid.times())
-    assert ys.shape == (101, width)
+    assert ys.shape == (steps + 1, width)
     settings = ShootingSettings(inner_grid=grid)
     np.testing.assert_allclose(
         shooting_residual(model, problem, Costate(lam=vec[:3], mu=vec[3:]), settings),
@@ -1108,7 +1134,7 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments):
     )
     y0 = np.concatenate([problem.initial_state.as_vector(), vec])
     np.testing.assert_allclose(ys, real_flow(pmp._make_packed_rhs(model, problem),
-                                             y0, 0.0, grid.h, 100), atol=1e-9)
+                                             y0, 0.0, grid.h, steps), atol=1e-9)
 
 
 def _blowup_field(column, center, rate=4.0):
@@ -1345,14 +1371,6 @@ def test_joined_report_logs_the_segmented_solve_then_the_single_one():
     assert not _joined(segmented, failed).converged
 
 
-def test_segment_count_is_the_largest_divisor_up_to_segments():
-    from nhtrack.pmp import SEGMENTS, _segment_count
-
-    assert SEGMENTS == 25
-    counts = [_segment_count(s) for s in (400, 500, 100, 133, 267, 101, 7, 1)]
-    assert counts == [25, 25, 25, 19, 3, 1, 7, 1]
-
-
 def test_single_shooting_finds_the_segmented_root(monkeypatch):
     """With SEGMENTS = 1 every solve is single shooting; on the same grid it
     lands on the root of the segmented solve."""
@@ -1368,33 +1386,54 @@ def test_single_shooting_finds_the_segmented_root(monkeypatch):
     np.testing.assert_allclose(single.as_vector(), segmented.as_vector(), atol=1e-8)
 
 
-def test_a_prime_step_count_runs_one_single_shooting_solve(monkeypatch):
-    """101 steps have no divisor from 2 to SEGMENTS: the solve is one M = 1
-    solve, with no second one after it, and its root is the segmented root
-    of the 100-step grid to the grids' discretization error."""
+def test_a_prime_step_count_solves_by_uneven_segments(monkeypatch):
+    """101 steps have no divisor from 2 to SEGMENTS: the solve still runs
+    SEGMENTS segments of 4 and 5 steps, then the single-shooting solve, and
+    it lands on the root that single shooting alone finds on that grid."""
     import nhtrack.pmp as pmp
 
-    segments = []
+    calls = []
     real_shoot = pmp._newton_shoot
 
     def shoot(*args):
-        segments.append(args[5])
+        calls.append(args[5])
         return real_shoot(*args)
 
     monkeypatch.setattr(pmp, "_newton_shoot", shoot)
     model, problem = particle_model(), short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 101))
     alpha, traj, report = solve_shooting(model, problem, settings=settings)
-    assert segments == [1]
+    assert calls == [pmp.SEGMENTS, 1]
     assert report.converged
     assert traj.times.shape == (102,)
     r = shooting_residual(model, problem, alpha, settings)
     assert report.residual_norm == np.linalg.norm(r)
 
-    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 100))
-    segmented, _, _ = solve_shooting(model, problem, settings=settings)
-    assert segments == [1, 25, 1]
-    np.testing.assert_allclose(alpha.as_vector(), segmented.as_vector(), atol=1e-6)
+    monkeypatch.setattr(pmp, "SEGMENTS", 1)
+    single, _, report = solve_shooting(model, problem, settings=settings)
+    assert report.converged
+    np.testing.assert_allclose(alpha.as_vector(), single.as_vector(), atol=1e-8)
+
+
+def test_a_failed_solve_reports_the_single_flow_of_its_costate():
+    """A last stage that does not converge returns the one flow of its
+    costate, and the reported residual norm is that flow's, the norm
+    shooting_residual gives, not the segmented one."""
+    model = particle_model()
+    prob = case2_problem()
+    settings = ShootingSettings(inner_grid=TimeGrid(0.0, 4.0, 100), max_iters=2)
+    alpha, traj, report = solve_shooting(model, prob, settings=settings)
+    from nhtrack.pmp import _flow, _make_packed_rhs
+
+    assert not report.converged
+    r = shooting_residual(model, prob, alpha, settings)
+    assert report.residual_norm == np.linalg.norm(r)
+    assert report.residual_norm != report.records[-1].residual_norm
+    y0 = np.concatenate([prob.initial_state.as_vector(), alpha.as_vector()])
+    rhs = _make_packed_rhs(model, prob)
+    ys = _flow(rhs, y0, 0.0, 0.04, 100)
+    np.testing.assert_array_equal(traj.q, ys[:, : model.n])
+    np.testing.assert_array_equal(traj.mu, ys[:, 2 * model.n + model.rank :])
 
 
 # ---------------------------------------------------------------------------
