@@ -60,16 +60,16 @@ def rk4_step(f: VectorField, t: float, y: Array, h: float) -> Array:
     """One classical Runge-Kutta 4 update from (t, y) with step h."""
     y = np.asarray(y, dtype=float)
     k1 = np.asarray(f(t, y), dtype=float)
-    if not np.all(np.isfinite(k1)):
+    if not np.isfinite(k1).all():
         raise IntegrationError(1, t, k1)
     k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    if not np.all(np.isfinite(k2)):
+    if not np.isfinite(k2).all():
         raise IntegrationError(2, t, k2)
     k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    if not np.all(np.isfinite(k3)):
+    if not np.isfinite(k3).all():
         raise IntegrationError(3, t, k3)
     k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-    if not np.all(np.isfinite(k4)):
+    if not np.isfinite(k4).all():
         raise IntegrationError(4, t, k4)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

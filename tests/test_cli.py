@@ -621,7 +621,10 @@ class TestCompareCommand:
         )
         assert compare_experiment(parse_config(cfg_path), tmp_path / "cmp") == 0
         report = (tmp_path / "cmp" / "report.txt").read_text()
-        assert "re-integration: RK4 at h/100 from node 0," in report
+        assert (
+            f"re-integration: RK4 at h/{cli.REINTEGRATION_SUBSTEPS} from node 0,"
+            in report
+        )
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert len(lines) == 1 + 11
         header = lines[0].split(",")
@@ -644,6 +647,59 @@ class TestCompareCommand:
         out = tmp_path / "out" / "equilibrium"
         assert (out / "compare.csv").exists()
         assert "solver failure: singular block" in (out / "report.txt").read_text()
+
+    def test_nonfinite_reintegration_exits_two_with_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "_state_field", lambda model, u: lambda t, y: np.full_like(y, np.nan)
+        )
+        path = equilibrium_cfg(tmp_path)
+        result = CliRunner().invoke(
+            main, ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        out = tmp_path / "out" / "equilibrium"
+        assert len((out / "compare.csv").read_text().splitlines()) == 1
+        report = (out / "report.txt").read_text()
+        assert "solver failure: non-finite value in RK4 stage 1" in report
+
+    @pytest.mark.parametrize("config, problem_keys, solver_keys", [
+        ("sleigh-paper51", {}, {"steps": 50}),
+        ("sleigh-paper51", {}, {"steps": 100}),
+        # the particle-del benchmark instance on a 40-step grid
+        ("particle-case2", {"terminal_mode": "hard"}, {
+            "method": "variational", "steps": 40, "enforce_first_interval": True,
+            "newton_tol": 1e-10, "max_iters": 100,
+        }),
+    ])
+    def test_reintegration_substeps_pass_step_doubling(
+        self, monkeypatch, config, problem_keys, solver_keys
+    ):
+        """Step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
+        the re-integration at REINTEGRATION_SUBSTEPS and at twice as many
+        agree within 1e-9, and within 1e-6 of the endpoint discrepancy that
+        compare measures, so the RK4 error stays far below the midpoint
+        scheme's own.  A stiffer system fails here instead of quietly
+        moving compare's figures."""
+        cfg = parse_config(BUNDLED / f"{config}.cfg")
+        cfg = dataclasses.replace(
+            cfg,
+            problem=dataclasses.replace(cfg.problem, **problem_keys),
+            solver=dataclasses.replace(cfg.solver, **solver_keys),
+        )
+        model, problem, settings, grid = cli._build(cfg)
+        traj, report = cli.solve_del(model, problem, grid, settings)
+        assert report.converged
+        reint = cli._reintegrate_from_first_enforced(model, traj)
+        discrepancy = cli._endpoint_discrepancy(model, traj, reint)
+        monkeypatch.setattr(
+            cli, "REINTEGRATION_SUBSTEPS", 2 * cli.REINTEGRATION_SUBSTEPS
+        )
+        doubled = cli._reintegrate_from_first_enforced(model, traj)
+        gap = np.max(np.abs(doubled - reint))
+        assert gap < 1e-9
+        assert gap < 1e-6 * discrepancy
 
     def test_reintegrates_each_grid_once(self, tmp_path, monkeypatch):
         steps = []
