@@ -591,12 +591,13 @@ def _reintegrate_from_first_enforced(
     y = np.concatenate([traj.q[first], traj.v[first]])
     states = [y]
     h_sub = traj.h / REINTEGRATION_SUBSTEPS
-    for j in range(first, traj.steps):
-        field = _state_field(model, traj.controls[j])
-        t_j = float(traj.times[j])
-        for s in range(REINTEGRATION_SUBSTEPS):
-            y = rk4_step(field, t_j + s * h_sub, y, h_sub)
-        states.append(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(first, traj.steps):
+            field = _state_field(model, traj.controls[j])
+            t_j = float(traj.times[j])
+            for s in range(REINTEGRATION_SUBSTEPS):
+                y = rk4_step(field, t_j + s * h_sub, y, h_sub)
+            states.append(y)
     return np.asarray(states)
 
 

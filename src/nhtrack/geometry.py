@@ -131,12 +131,12 @@ def _check_state(model: SystemModel, state: AdmissibleState) -> None:
 
 def _matvec(mat: Array, vec: Array) -> Array:
     """mat @ vec over the last axis of vec, with leading axes broadcast."""
-    return (mat @ vec[..., None])[..., 0]
+    return np.matvec(mat, vec)
 
 
 def _vecmat(vec: Array, mat: Array) -> Array:
     """vec @ mat over the last axis of vec, with leading axes broadcast."""
-    return (vec[..., None, :] @ mat)[..., 0, :]
+    return np.vecmat(vec, mat)
 
 
 def _inner(x: Array, y: Array) -> Array:

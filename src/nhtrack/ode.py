@@ -3,6 +3,12 @@
 Fixed step (not adaptive) on purpose: the shooting solver differentiates the
 flow map by finite differences, and adaptive step-size switching would make
 that map piecewise in its arguments.
+
+Each step is checked for finiteness once, on its update; the stages are
+scanned only when that check fails or a stage raises, and the error still
+names the first non-finite stage.  A flow therefore runs its step loop under
+one np.errstate(over="ignore", invalid="ignore"), since the stages after a
+non-finite one see non-finite input.
 """
 from __future__ import annotations
 
@@ -57,21 +63,38 @@ class TimeGrid:
 
 
 def rk4_step(f: VectorField, t: float, y: Array, h: float) -> Array:
-    """One classical Runge-Kutta 4 update from (t, y) with step h."""
+    """One classical Runge-Kutta 4 update from (t, y) with step h; raises
+    IntegrationError naming the first non-finite stage, checked once as the
+    module docstring states."""
     y = np.asarray(y, dtype=float)
-    k1 = np.asarray(f(t, y), dtype=float)
-    if not np.isfinite(k1).all():
-        raise IntegrationError(1, t, k1)
-    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    if not np.isfinite(k2).all():
-        raise IntegrationError(2, t, k2)
-    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    if not np.isfinite(k3).all():
-        raise IntegrationError(3, t, k3)
-    k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-    if not np.isfinite(k4).all():
-        raise IntegrationError(4, t, k4)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stages: list[Array] = []
+    try:
+        k1 = np.asarray(f(t, y), dtype=float)
+        stages.append(k1)
+        k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
+        stages.append(k2)
+        k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
+        stages.append(k3)
+        k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
+        stages.append(k4)
+        out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    except Exception as exc:
+        _raise_first_nonfinite(stages, t, exc)
+        raise
+    if not np.isfinite(out).all():
+        _raise_first_nonfinite(stages, t, None)
+    return out
+
+
+def _raise_first_nonfinite(
+    stages: list[Array], t: float, cause: Exception | None
+) -> None:
+    """Raise IntegrationError for the first non-finite stage, with cause as
+    its __cause__; return when every stage is finite (a finite step whose
+    update overflows returns inf)."""
+    for stage, k in enumerate(stages, start=1):
+        if not np.isfinite(k).all():
+            raise IntegrationError(stage, t, k) from cause
 
 
 def integrate(f: VectorField, y0: Array, grid: TimeGrid) -> tuple[Array, Array]:
@@ -85,6 +108,7 @@ def integrate(f: VectorField, y0: Array, grid: TimeGrid) -> tuple[Array, Array]:
     out = np.empty((grid.steps + 1, y0.size))
     out[0] = y0
     h = grid.h
-    for k in range(grid.steps):
-        out[k + 1] = rk4_step(f, times[k], out[k], h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            out[k + 1] = rk4_step(f, times[k], out[k], h)
     return times, out

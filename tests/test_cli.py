@@ -7,6 +7,7 @@ import dataclasses
 import re
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from nhtrack.cli import (
 )
 from nhtrack.pmp import ShootingSettings, SingularJacobianError
 from nhtrack.systems import particle_model, resolve_system
-from nhtrack.varint import DelSettings, RegularityError
+from nhtrack.ode import IntegrationError
+from nhtrack.varint import DelSettings, DiscreteTrajectory, RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
 
@@ -664,6 +666,22 @@ class TestCompareCommand:
         report = (out / "report.txt").read_text()
         assert "solver failure: non-finite value in RK4 stage 1" in report
 
+    def test_reintegration_fails_quietly_on_blow_up(self, monkeypatch):
+        # y' = y^2 from y = 1 blows up at t = 1, inside the second interval
+        monkeypatch.setattr(cli, "_state_field", lambda model, u: lambda t, y: y**2)
+        model = particle_model()
+        traj = DiscreteTrajectory(
+            h=0.5, times=[0.0, 0.5, 1.0, 1.5],
+            q=np.ones((4, model.n)), v=np.ones((4, model.rank)),
+            multipliers=np.zeros((2, model.corank)),
+            controls=np.zeros((3, model.rank)),
+            lambda_zero=np.zeros(model.corank),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                cli._reintegrate_from_first_enforced(model, traj)
+
     @pytest.mark.parametrize("config, problem_keys, solver_keys", [
         ("sleigh-paper51", {}, {"steps": 50}),
         ("sleigh-paper51", {}, {"steps": 100}),
@@ -723,6 +741,24 @@ class TestCompareCommand:
         )
         assert result.exit_code == 1
         assert "variational" in result.output
+
+
+def test_rollout_step_passes_step_doubling():
+    """Step doubling on the bundled sleigh config's rollout reference: built
+    at its rollout_step and at half that step, it agrees within 1e-12 at 401
+    times on [0, 5], the bound the compare re-integration meets."""
+    cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
+    assert cfg.problem.horizon_T == 5.0
+    halved = dataclasses.replace(
+        cfg, problem=dataclasses.replace(
+            cfg.problem, rollout_step=cfg.problem.rollout_step / 2
+        ),
+    )
+    times = np.linspace(0.0, 5.0, 401)
+    coarse = cli._build(cfg)[1].reference(times)
+    fine = cli._build(halved)[1].reference(times)
+    gap = max(np.max(np.abs(fine.q - coarse.q)), np.max(np.abs(fine.v - coarse.v)))
+    assert gap < 1e-12
 
 
 class TestCheckAndPresets:

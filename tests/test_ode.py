@@ -1,6 +1,8 @@
 """Fixed-step RK4: tableau value, convergence order, error reporting."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,51 @@ def test_rk4_nonfinite_stage_marks_the_rows_of_a_stack():
     with pytest.raises(IntegrationError) as info:
         rk4_step(lambda t, y: y * np.nan, 0.0, np.array([1.0, 2.0]), 0.1)
     assert info.value.rows.shape == () and info.value.rows
+
+
+def test_rk4_stage_raising_after_a_nonfinite_stage_reports_that_stage():
+    """A stage that raises on the non-finite input an earlier stage left
+    still ends in the IntegrationError of the first non-finite stage, with
+    the stage's exception as its cause."""
+    def strict(t, y):
+        if not np.isfinite(y).all():
+            raise ValueError("non-finite input")
+        return y * (np.nan if t > 0.0 else 1.0)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(IntegrationError) as info:
+            rk4_step(strict, 0.0, np.array([1.0]), 0.1)
+    assert info.value.stage == 2
+    assert info.value.t == 0.0
+    assert "stage 2" in str(info.value)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_rk4_stage_raising_on_finite_stages_propagates_unchanged():
+    def broken(t, y):
+        if t > 0.0:
+            raise ValueError("off the grid")
+        return y
+
+    with pytest.raises(ValueError, match="off the grid"):
+        rk4_step(broken, 0.0, np.array([1.0]), 0.1)
+
+
+def test_rk4_finite_stages_with_overflowing_update_return_inf():
+    """Only a non-finite stage is an integration error: finite stages whose
+    weighted sum overflows give an inf update, returned as is."""
+    with np.errstate(over="ignore"):
+        out = rk4_step(lambda t, y: np.full_like(y, 1e308), 0.0, np.array([0.0]), 6.0)
+    assert out.shape == (1,)
+    assert np.isposinf(out[0])
+
+
+def test_integrate_fails_quietly_on_blow_up():
+    # y' = y^2 from y = 1 blows up at t = 1; RK4's stages overflow soon after
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            integrate(lambda t, y: y**2, np.array([1.0]), TimeGrid(0.0, 2.0, 100))
 
 
 def test_integrate_shapes_and_initial_sample():

@@ -11,7 +11,10 @@ import pytest
 
 from nhtrack.geometry import (
     AdmissibleState,
+    _matvec,
+    _quadratic,
     _state_field,
+    _vecmat,
     constraint_residual,
     dynamics_rhs,
     restricted_energy,
@@ -80,6 +83,42 @@ def test_packed_field_equals_dynamics_rhs_rows(model, lead):
     _assert_rows(out, lead, lambda idx: np.concatenate(
         dynamics_rhs(model, AdmissibleState(q=q[idx], v=v[idx]), u)
     ))
+
+
+@pytest.mark.parametrize("lead", LEADS + [(25, 11)], ids=lead_ids["ids"] + ["25x11"])
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_contraction_helpers_equal_the_matmul_forms(model, lead):
+    """The gufunc helpers give bitwise the matmul forms they replace, on
+    dense random arrays of the shapes the built-ins' callables return and
+    the stack shapes the two routes use (25 x 11 is a segmented shooting
+    stack), so artifacts do not move with them."""
+    def matvec(mat, vec):
+        return (mat @ vec[..., None])[..., 0]
+
+    def vecmat(vec, mat):
+        return (vec[..., None, :] @ mat)[..., 0, :]
+
+    q, v = _points(model, lead, 10)
+    rng = np.random.default_rng(11)
+    lam = rng.normal(size=lead + (model.n,))
+    rho, gamma, rho_jac, gamma_jac = (
+        rng.normal(size=np.shape(fn(q)))
+        for fn in (model.rho, model.christoffel, model.rho_jac, model.christoffel_jac)
+    )
+    n, k = model.n, model.rank
+    pairs = [
+        (_matvec(rho, v), matvec(rho, v)),
+        (_vecmat(lam, rho), vecmat(lam, rho)),
+        (_matvec(gamma, v[..., None, :]), matvec(gamma, v[..., None, :])),
+        (_vecmat(v[..., None, None, :], gamma_jac),
+         vecmat(v[..., None, None, :], gamma_jac)),
+        (_vecmat(lam, rho_jac.reshape(lead + (n, k * n))),
+         vecmat(lam, rho_jac.reshape(lead + (n, k * n)))),
+        (_quadratic(gamma, v), matvec(matvec(gamma, v[..., None, :]), v)),
+    ]
+    for new, old in pairs:
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
 
 
 @pytest.mark.parametrize("lead", LEADS, **lead_ids)
