@@ -205,13 +205,21 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
     (Gamma^B_{AC} + Gamma^B_{CA}) v^C.  q (..., n) and v (..., n-m) may
     carry matching leading axes; so do the results.
     """
+    # each contraction is one matrix per row: the free slots of Gamma and
+    # of its Jacobian are flattened into one axis, so a stack of rows costs
+    # one BLAS call per row and contraction, not one per slice
+    k, lead = v.shape[-1], v.shape[:-1]
     gam = model.christoffel(q)
-    gam_v = _matvec(gam, v[..., None, :])  # Gamma^A_{BC} v^C
+    gam_v = _matvec(gam.reshape(lead + (k * k, k)), v).reshape(lead + (k, k))
     a = _matvec(gam_v, v) + model.potential_grad(q)
-    # contract the Christoffel Jacobian's C slot, then its B slot, with v
-    jac_v = _vecmat(v[..., None, None, :], model.christoffel_jac(q))
-    a_q = _vecmat(v[..., None, :], jac_v) + model.potential_grad_jac(q)
-    a_v = _matvec(gam + gam.swapaxes(-1, -2), v[..., None, :])
+    # contract the Christoffel Jacobian's C slot, then its B slot, with v;
+    # jac_v is laid out (B, A, j)
+    jac = model.christoffel_jac(q).swapaxes(-2, -4)
+    jac_v = _vecmat(v, jac.reshape(lead + (k, -1)))
+    a_q = _vecmat(v, jac_v.reshape(lead + (k, -1))).reshape(lead + (k, -1))
+    a_q = a_q + model.potential_grad_jac(q)
+    sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
+    a_v = _matvec(sym, v).reshape(lead + (k, k))
     return a, a_q, a_v
 
 

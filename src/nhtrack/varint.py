@@ -32,8 +32,8 @@ that column in all N intervals together, so a Jacobian costs 4(n + k) + 1
 kernel calls whatever N is.  solve_del is a damped Newton iteration on that
 system.  Its Jacobian is the Hessian of the extended discrete action (the
 action sum plus the multiplier-weighted constraints), so it is symmetric; it
-is block-tridiagonal in the node index and is factored block-row by
-block-row.
+is block-tridiagonal in the node index and is solved by block cyclic
+reduction, one stacked solve per level over log2(N) levels.
 """
 from __future__ import annotations
 
@@ -379,9 +379,12 @@ def _interval(
     v_slot = v_mid if psi_variant == "midpoint" else v_dq
     rho = model.rho(q_mid)
     psi = (q_k1 - q_k) / h - _matvec(rho, v_slot)
-    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A
-    r_mat = _vecmat(v_slot[..., None, :], model.rho_jac(q_mid))
-    eye_h = np.eye(model.n) / h
+    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
+    # per row over the flattened (j, i) slots
+    n, lead = model.n, v_slot.shape[:-1]
+    rho_jac = model.rho_jac(q_mid).swapaxes(-2, -3).reshape(lead + (-1, n * n))
+    r_mat = _vecmat(v_slot, rho_jac).reshape(lead + (n, n))
+    eye_h = np.eye(n) / h
     if psi_variant == "midpoint":
         p2 = p4 = -0.5 * rho
     else:
@@ -480,31 +483,61 @@ def del_residual(
 
 
 def _solve_block_tridiagonal(diag: Array, upper: Array, rhs: Array) -> Array:
-    """Block Thomas elimination of a symmetric block-tridiagonal system.
+    """Block cyclic reduction of a block-tridiagonal system whose lower
+    blocks are the transposes of its upper ones.
 
     diag (m, b, b) holds the diagonal blocks and upper (m-1, b, b) the
     blocks right of them; the block left of diagonal block i is
     upper[i-1].T.  rhs (m, b, c) holds c right-hand sides per block row.
     Returns the solution stacked as (m b, c).
+
+    Each level eliminates the even blocks with one stacked solve and leaves
+    a block-tridiagonal system on the odd blocks, so m blocks take
+    ceil(log2(m + 1)) levels; the even blocks are then recovered level by
+    level on the way back.  The reduced systems are not symmetric unless
+    the diagonal blocks are, so the lower blocks are carried on their own
+    (Heller, SIAM J. Numer. Anal. 13, 1976).
     """
-    diag = diag.copy()
-    rhs = rhs.copy()
-    sol = np.empty_like(rhs)
+    b = diag.shape[-1]
+    lower = upper.swapaxes(1, 2)  # lower[i] is the block left of diagonal i + 1
+    panels = []
     try:
-        for i in range(1, len(diag)):
-            factor = np.linalg.solve(diag[i - 1].T, upper[i - 1]).T
-            diag[i] -= factor @ upper[i - 1]
-            rhs[i] -= factor @ rhs[i - 1]
-        sol[-1] = np.linalg.solve(diag[-1], rhs[-1])
-        for i in range(len(diag) - 2, -1, -1):
-            sol[i] = np.linalg.solve(diag[i], rhs[i] - upper[i] @ sol[i + 1])
+        while True:
+            m = len(diag)
+            # the first `right` of the `odd` odd blocks have an even right
+            # neighbour; panel j solves x[2j] = y[j] - a[j] x[2j-1] - g[j] x[2j+1]
+            odd, right = m // 2, (m - 1) // 2
+            panel = np.zeros((m - odd, b, 2 * b + rhs.shape[-1]))
+            panel[1:, :, :b] = lower[1::2]
+            panel[:odd, :, b : 2 * b] = upper[0::2]
+            panel[:, :, 2 * b :] = rhs[0::2]
+            panel = np.linalg.solve(diag[0::2], panel)
+            panels.append(panel)
+            if m == 1:
+                break
+            a, g, y = panel[..., :b], panel[..., b : 2 * b], panel[..., 2 * b :]
+            lo, up = lower[0::2], upper[1::2]
+            diag = diag[1::2] - lo @ g[:odd]
+            diag[:right] -= up @ a[1:]
+            rhs = rhs[1::2] - lo @ y[:odd]
+            rhs[:right] -= up @ y[1:]
+            lower, upper = -(lo[1:] @ a[1:odd]), -(up[: odd - 1] @ g[1:odd])
     except np.linalg.LinAlgError as exc:
         raise RegularityError(
             "singular block in the discrete Euler-Lagrange Jacobian; "
             "the constrained system fails the one-step solvability "
             "(M-matrix) condition at some node pair -- see regularity_check"
         ) from exc
-    return sol.reshape(-1, rhs.shape[-1])
+    x = panels.pop()[..., 2 * b :]
+    for panel in reversed(panels):
+        a, g, y = panel[..., :b], panel[..., b : 2 * b], panel[..., 2 * b :]
+        odd = len(x)
+        x_odd, x = x, np.empty((len(y) + odd,) + x.shape[1:])
+        x[1::2] = x_odd
+        x[0::2] = y
+        x[2::2] -= a[1:] @ x_odd[: len(y) - 1]
+        x[0 : 2 * odd : 2] -= g[:odd] @ x_odd
+    return x.reshape(-1, rhs.shape[-1])
 
 
 class _DelWorkspace:
@@ -687,9 +720,10 @@ def solve_del(
     Boundary nodes are pinned: node 0 to problem.initial_state and node N to
     the reference at the horizon (the terminal state is matched exactly, so
     the problem must be posed with terminal_mode="hard").  The Newton
-    correction solves the block-tridiagonal saddle system directly;
-    backtracking halves the step until the residual max-norm decreases, and
-    a trial step whose residual fails numerically (ArithmeticError) counts
+    correction solves the block-tridiagonal saddle system directly, by
+    block cyclic reduction with the first-interval border eliminated
+    through its Schur complement; backtracking halves the step until the
+    residual max-norm decreases, and a trial step whose residual fails numerically (ArithmeticError) counts
     as a rejected step.
     Nonconvergence is reported, not raised.
     """

@@ -1,7 +1,7 @@
 """Stacked evaluation of the pointwise formulas: the packed state field, the
-running cost, the restricted energy, the constraint residual and the
-discrete interval terms each take a stack of points and return, row by row,
-exactly (bitwise) what one point at a time returns."""
+drift, the running cost, the restricted energy, the constraint residual and
+the discrete interval terms each take a stack of points and return, row by
+row, exactly (bitwise) what one point at a time returns."""
 from __future__ import annotations
 
 import dataclasses
@@ -16,6 +16,7 @@ from nhtrack.geometry import (
     _state_field,
     _vecmat,
     constraint_residual,
+    drift,
     dynamics_rhs,
     restricted_energy,
 )
@@ -117,6 +118,70 @@ def test_contraction_helpers_equal_the_matmul_forms(model, lead):
         (_quadratic(gamma, v), matvec(matvec(gamma, v[..., None, :]), v)),
     ]
     for new, old in pairs:
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+
+
+def _dense_model(n, k, seed):
+    """A particle_model with dense random, q-dependent Christoffel symbols
+    and potential gradient (and their exact Jacobians) on n coordinates and
+    k quasi-velocities: every sum in the drift has k nonzero terms, where
+    the built-ins' have one."""
+    rng = np.random.default_rng(seed)
+    g0, g1 = rng.normal(size=(k, k, k)), rng.normal(size=(k, k, k, n))
+    p0, p1 = rng.normal(size=k), rng.normal(size=(k, n))
+    return dataclasses.replace(
+        particle_model(), n=n, corank=n - k, name=f"dense{k}x{n}",
+        christoffel=lambda q: g0 + (g1 * np.sin(q)[..., None, None, None, :]).sum(-1),
+        christoffel_jac=lambda q: g1 * np.cos(q)[..., None, None, None, :],
+        potential_grad=lambda q: p0 + (p1 * np.sin(q)[..., None, :]).sum(-1),
+        potential_grad_jac=lambda q: p1 * np.cos(q)[..., None, :],
+    )
+
+
+DENSE_MODELS = [_dense_model(3, 2, 20), _dense_model(5, 3, 21)]
+
+
+def _drift_per_slice(model, q, v):
+    """The drift with one contraction per Christoffel slice, the form the
+    row-wide contractions of geometry.drift replace."""
+    gam = model.christoffel(q)
+    gam_v = _matvec(gam, v[..., None, :])
+    a = _matvec(gam_v, v) + model.potential_grad(q)
+    jac_v = _vecmat(v[..., None, None, :], model.christoffel_jac(q))
+    a_q = _vecmat(v[..., None, :], jac_v) + model.potential_grad_jac(q)
+    a_v = _matvec(gam + gam.swapaxes(-1, -2), v[..., None, :])
+    return a, a_q, a_v
+
+
+@pytest.mark.parametrize("lead", [(7,), (25, 11)], ids=["N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_MODELS, **ids)
+def test_drift_on_stacks_equals_rows(model, lead):
+    """Segmented shooting flows a stack of rows and needs each row bitwise
+    equal to the same row alone, for any model."""
+    q, v = _points(model, lead, 12)
+    stacked = drift(model, q, v)
+    for i, part in enumerate(stacked):
+        _assert_rows(part, lead, lambda idx: drift(model, q[idx], v[idx])[i])
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (25, 11)], ids=["1-D", "N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_MODELS, **ids)
+def test_drift_matches_the_per_slice_forms(model, lead):
+    q, v = _points(model, lead, 13)
+    for new, old in zip(drift(model, q, v), _drift_per_slice(model, q, v)):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("lead", LEADS + [(25, 11)], ids=lead_ids["ids"] + ["25x11"])
+@pytest.mark.parametrize("model", MODELS, **ids)
+def test_drift_of_the_builtins_equals_the_per_slice_forms(model, lead):
+    """Every Christoffel and Christoffel-Jacobian sum of the built-ins has a
+    single nonzero term, so the row-wide contractions leave their bits, and
+    the artifacts, unchanged."""
+    q, v = _points(model, lead, 14)
+    for new, old in zip(drift(model, q, v), _drift_per_slice(model, q, v)):
         assert new.shape == old.shape
         assert np.array_equal(new, old)
 

@@ -796,6 +796,49 @@ class TestBlockTridiagonal:
             _solve_block_tridiagonal(diag, upper, rhs)
 
 
+def tridiagonal_dense(diag, upper):
+    """The block-tridiagonal matrix with diagonal blocks diag, upper
+    blocks upper and lower blocks upper[i].T, as one dense array."""
+    m, b = diag.shape[:2]
+    dense = np.zeros((m * b, m * b))
+    for i in range(m):
+        dense[i * b:(i + 1) * b, i * b:(i + 1) * b] = diag[i]
+    for i in range(m - 1):
+        dense[i * b:(i + 1) * b, (i + 1) * b:(i + 2) * b] = upper[i]
+        dense[(i + 1) * b:(i + 2) * b, i * b:(i + 1) * b] = upper[i].T
+    return dense
+
+
+@pytest.mark.parametrize("rhs_count", [1, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 399])
+def test_cyclic_reduction_matches_dense_solve(m, rhs_count):
+    """Every block count, odd or even at each reduction level, and one
+    right-hand side or several, against a dense solve; the diagonal blocks
+    are not symmetric, so the lower blocks must be carried on their own."""
+    rng = np.random.default_rng(m)
+    b = 5
+    diag = rng.normal(size=(m, b, b)) + 6.0 * np.eye(b)
+    assert not np.allclose(diag, diag.swapaxes(1, 2))
+    upper = rng.normal(size=(m - 1, b, b))
+    rhs = rng.normal(size=(m, b, rhs_count))
+    expected = np.linalg.solve(
+        tridiagonal_dense(diag, upper), rhs.reshape(m * b, rhs_count)
+    )
+    got = _solve_block_tridiagonal(diag, upper, rhs)
+    assert got.shape == (m * b, rhs_count)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_block_singular_after_one_level_raises_regularity_error():
+    """Every diagonal block is regular, but eliminating blocks 0 and 2
+    leaves I - I = 0 on block 1."""
+    eye = np.eye(2)
+    diag = np.stack([eye, eye, eye])
+    upper = np.stack([eye, np.zeros((2, 2))])
+    with pytest.raises(RegularityError, match="M-matrix"):
+        _solve_block_tridiagonal(diag, upper, np.ones((3, 2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # the Newton Jacobian
 
@@ -892,6 +935,29 @@ class TestNewtonJacobian:
             ws.jacobian_blocks(*ws.unpack(x))
             calls.append(count[0])
         assert calls[0] == calls[1] > 0
+
+
+@pytest.mark.parametrize(
+    "system, enforce", [("particle", False), ("sleigh", False), ("particle", True)]
+)
+def test_tridiagonal_solve_of_the_real_jacobian(system, enforce):
+    """At the linear-interpolation guess on N = 50, the block solve of the
+    Newton correction (residual column plus the w border columns) leaves a
+    relative residual of roundoff size against the assembled matrix."""
+    ws = newton_workspace(system, enforce, 50)
+    x = ws.initial_guess()
+    r, nodes = ws.evaluate(x)
+    diag, upper, col = ws.jacobian_blocks(*nodes)
+    block, w = col.shape
+    m = len(diag)
+    rhs = np.zeros((m, block, 1 + w))
+    rhs[:, :, 0] = -r[w:].reshape(m, block)
+    rhs[0, :, 1:] = col
+    sol = _solve_block_tridiagonal(diag, upper, rhs)
+    dense = dense_jacobian(ws, x)[w:, :m * block]
+    assert np.array_equal(dense, tridiagonal_dense(diag, upper))
+    flat = rhs.reshape(m * block, 1 + w)
+    assert np.linalg.norm(dense @ sol - flat) <= 1e-12 * np.linalg.norm(flat)
 
 
 # ---------------------------------------------------------------------------
