@@ -167,7 +167,7 @@ CHOICES = {
 
 def _parse_value(key: str, raw: str, hint):
     """Cast one config value to the type of its block field (X | None
-    casts as X)."""
+    casts as X); a float or vector value must be finite."""
     if isinstance(hint, types.UnionType):
         hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
     cast = typing.get_origin(hint) or hint
@@ -184,6 +184,8 @@ def _parse_value(key: str, raw: str, hint):
     except ValueError as exc:
         kind = "whitespace-separated floats" if cast is tuple else cast.__name__
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from exc
+    if cast in (float, tuple) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key}: {raw!r} is not finite")
     if key in CHOICES and value not in CHOICES[key]:
         raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
     return value
@@ -210,8 +212,12 @@ def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path)
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate an experiment config file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # no interpolation: a % in a value is an ordinary character
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

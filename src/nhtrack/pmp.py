@@ -19,8 +19,8 @@ time segments (at most SEGMENTS) whose flows advance side by side, the
 packed node (q, v, lambda, mu) at each later segment start joins alpha as an
 unknown, and the continuity gaps between segments (angle components wrapped
 into (-pi, pi], as in state_difference) join the terminal residual.  One
-single-shooting (M = 1) solve from the segmented root closes the solve, so
-the returned trajectory is one flow and its residual is the single-flow one.
+single flow of the segmented root's costate closes the solve: it is the
+returned trajectory, and its residual is the reported one.
 
 Sign conventions: the adjoint flow is -lambdadot = dH*/dq, -mudot = dH*/dv.
 The transversality residual in "mayer" mode is
@@ -331,7 +331,6 @@ def damped_newton(
     norm_name: str,
     settings: NewtonSettings,
     rejected: type[Exception] | tuple[type[Exception], ...],
-    start: tuple[Array, Any] | None = None,
 ) -> tuple[Array, Any, ConvergenceReport]:
     """Damped Newton with backtracking on a flat vector of unknowns.
 
@@ -340,20 +339,18 @@ def damped_newton(
     step delta at the last accepted iterate x, given the residual r and the
     data that evaluate returned there (so an evaluation can carry the
     Jacobian of its point, or the unpacked unknowns, to the step that
-    follows it).  start, when given, is the (residual, data) the caller
-    already has at x, used in place of evaluate(x); its data may be cheaper
-    than evaluate's, as long as correction accepts it.  Each iteration
-    tries x + beta delta for beta = DAMPING^halving, halving = 0 ..
-    MAX_HALVINGS + 1, and accepts the first trial whose residual norm
-    decreases; a trial whose evaluation raises one of the rejected errors
-    counts as no decrease.  The last trial is taken anyway, decrease or
-    not.  If it fails to evaluate, or correction itself raises a rejected
-    error (for example the stored divergence of a finite-difference
-    Jacobian's probe flow), the solve stops unconverged at the current
-    iterate with a message naming the error.  Returns (x, data, report).
+    follows it).  Each iteration tries x + beta delta for beta =
+    DAMPING^halving, halving = 0 .. MAX_HALVINGS + 1, and accepts the first
+    trial whose residual norm decreases; a trial whose evaluation raises
+    one of the rejected errors counts as no decrease.  The last trial is
+    taken anyway, decrease or not.  If it fails to evaluate, or correction
+    itself raises a rejected error (for example the stored divergence of a
+    finite-difference Jacobian's probe flow), the solve stops unconverged
+    at the current iterate with a message naming the error.  Returns (x,
+    data, report).
     """
     x = x.copy()
-    r, data = evaluate(x) if start is None else start
+    r, data = evaluate(x)
     r_norm = norm(r)
     records: list[IterationRecord] = []
 
@@ -718,8 +715,8 @@ def _condensed_step(
 
     blocks[i] is the Jacobian G_i of the end of segment i over its start
     (i = 0 .. M-2), end_jac the Jacobian of the terminal residual over the
-    last start (over its costate alone when M = 1), gaps the M - 1
-    continuity gaps (M - 1, 2(n + k)) and end_res the terminal residual.
+    last start, gaps the M - 1 continuity gaps (M - 1, 2(n + k)) and
+    end_res the terminal residual.
     Only the costate moves at t = 0, so every node's step is affine in the
     costate step d: dY_0 = (0, d) and dY_{i+1} = G_i dY_i + gap_i.  The
     terminal row then leaves one (n + k) x (n + k) system for d, which
@@ -765,16 +762,13 @@ def _newton_shoot(
     as one stacked flow of ceil(s / M) RK4 steps, each segment read at its
     own end (a shorter one flows one step past it): shape (M, 1 + 2(n + k),
     2(n + k)), row 0 of segment i its start and row 1 + j its
-    forward-difference probe in entry j; a single segment, whose state is
-    given, probes only its n + k costate entries.  The correction at an
-    accepted trial then only solves (_condensed_step).  The start point
-    flows its M rows alone, and its first correction flows them with their
-    probes, so a start already within tolerance costs no probe.  When a row
-    diverges, the starts are flowed alone: if one diverges too the trial is
-    rejected; otherwise the residual stands and the probe's
-    FlowDivergedError ends the solve unconverged at the next correction.
-    Returns the costate at t = 0, the (times, ys) series of the segment
-    flows laid end to end, and the report.
+    forward-difference probe in entry j.  The start point is evaluated the
+    same way, so the correction at every accepted point only solves
+    (_condensed_step).  When a row diverges, the starts are flowed alone:
+    if one diverges too the trial is rejected; otherwise the residual
+    stands and the probe's FlowDivergedError ends the solve unconverged at
+    the next correction.  Returns the costate at t = 0, the (times, ys)
+    series of the segment flows laid end to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
@@ -783,7 +777,6 @@ def _newton_shoot(
     lengths = np.diff(bounds)
     span, at_ends = lengths[-1], (lengths, np.arange(segments))
     starts = grid.t0 + grid.h * bounds[:-1, None]
-    probed = p if segments == 1 else 0  # the first entry with a probe
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
     node_times = starts[1:, 0]
@@ -797,9 +790,8 @@ def _newton_shoot(
         nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
         nodes[inside] = guide_ys[nearest]
     # what flow returns with a residual: the point's Jacobian blocks (or the
-    # error of its diverged probe; None for the start) and the series of
-    # its segment starts
-    ShotData = tuple[tuple[Array, Array] | FlowDivergedError | None, Array]
+    # error of its diverged probe) and the series of its segment starts
+    ShotData = tuple[tuple[Array, Array] | FlowDivergedError, Array]
 
     def residual(z: Array, ends: Array) -> Array:
         # gaps and terminal residual of the starts z and their flows' ends
@@ -816,47 +808,41 @@ def _newton_shoot(
     def segment_starts(x: Array) -> Array:
         return np.vstack([np.concatenate([y_state, x[:p]]), x[p:].reshape(-1, w)])
 
-    def flow_alone(z: Array) -> tuple[Array, Array]:
-        # the residual and series of the segment starts z flowed without
-        # probes; a diverged point raises
-        ys = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
-        return residual(z, ys[at_ends]), ys
-
     def flow(x: Array) -> tuple[Array, ShotData]:
-        # z[i] is the start of segment i; its probe j moves entry probed + j
-        # by steps[i, j]
+        # z[i] is the start of segment i; its probe j moves entry j by
+        # steps[i, j]
         z = segment_starts(x)
-        steps = FD_STEP * np.maximum(1.0, np.abs(z[:, probed:]))
+        steps = FD_STEP * np.maximum(1.0, np.abs(z))
         stack = np.concatenate(
-            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)[probed:]], axis=1
+            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)], axis=1
         )
         try:
             ys = _flow(rhs, stack, starts, grid.h, span)
         except FlowDivergedError as exc:
-            # a diverged point raises again here, so its trial is rejected
-            r, series = flow_alone(z)
-            return r, (FlowDivergedError(exc.t, probe=True), series)
+            # the starts alone: a diverged point raises again here, so its
+            # trial is rejected
+            alone = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
+            probe = FlowDivergedError(exc.t, probe=True)
+            return residual(z, alone[at_ends]), (probe, alone)
         ends = ys[at_ends]
         blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
         res_T = _terminal_residual(model, problem, ends[-1])
         end_jac = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
         jac = (blocks.transpose(0, 2, 1), end_jac)
-        return residual(z, ends[:, 0]), (jac, ys[:, :, 0])
+        # a copy, so that the accepted point does not pin the probe stack
+        return residual(z, ends[:, 0]), (jac, ys[:, :, 0].copy())
 
     def correction(x: Array, r: Array, data: ShotData) -> Array:
-        jac = data[0] if data[0] is not None else flow(x)[1][0]
+        jac = data[0]
         if isinstance(jac, FlowDivergedError):
             raise jac
         blocks, end_jac = jac
         return _condensed_step(blocks, end_jac, r[:-p].reshape(-1, w), r[-p:])
 
-    # the start flows without probes (a start within tolerance, as from a
-    # segmented root, needs no Jacobian); its first correction flows them
-    x0 = np.concatenate([alpha_vec, nodes.ravel()])
-    r0, series0 = flow_alone(segment_starts(x0))
     x, (_, starts_series), report = damped_newton(
-        x0, flow, correction, lambda r: float(np.linalg.norm(r)),
-        "residual norm", settings, FlowDivergedError, (r0, (None, series0)),
+        np.concatenate([alpha_vec, nodes.ravel()]), flow, correction,
+        lambda r: float(np.linalg.norm(r)), "residual norm", settings,
+        FlowDivergedError,
     )
     # each segment's series up to its end, which is the next one's start
     series = np.concatenate(
@@ -864,23 +850,6 @@ def _newton_shoot(
         + [starts_series[span:, -1]]
     )
     return x[:p], (grid.times(), series), report
-
-
-def _joined(report: ConvergenceReport, polish: ConvergenceReport) -> ConvergenceReport:
-    """The report of a segmented solve followed by its single-shooting
-    polish: both logs, numbered on; the polish's flag, residual norm and,
-    unless it took no step, message."""
-    shifted = tuple(
-        replace(rec, iteration=report.iterations + rec.iteration)
-        for rec in polish.records
-    )
-    stepped = polish.iterations > 0 or not polish.converged
-    return replace(
-        polish,
-        iterations=report.iterations + polish.iterations,
-        records=report.records + shifted,
-        message=polish.message if stepped else report.message,
-    )
 
 
 def _stages(
@@ -931,15 +900,16 @@ def solve_shooting(
     one loop runs them, each warm-started from the costate and guided by
     the flow of the one before.  A given alpha0 guides the first by its own
     flow; with one stage, that flow already within tolerance is returned as
-    it is, with no step.  When the last stage converges, one M = 1 solve
-    from its root (it usually takes no step) gives the returned trajectory
-    as one flow and the reported residual as the single-flow one that
-    shooting_residual computes.  Nonconvergence is reported, not raised:
-    the report carries the converged flag, the final residual norm and the
-    log of the last stage followed by that of the M = 1 solve.  A last
-    stage that fails returns the single flow of its costate and that flow's
-    residual norm (its message keeps the segmented norm), or its segment
-    flows laid end to end if that flow diverges.
+    it is, with no step.  After the last stage, the single flow of its
+    costate over the grid is the returned trajectory, and that flow's
+    residual norm, the one shooting_residual computes, is the reported one;
+    if it diverges, the segment flows are returned laid end to end, with
+    the segmented norm.  The solve is converged when the last stage
+    converged and that single flow is finite and within newton_tol; a
+    segmented root whose single flow is not says so in the message.
+    Nonconvergence is reported, not raised: the report carries the
+    converged flag, the final residual norm and the log of the last stage
+    (a stage that fails keeps its own message, with the segmented norm).
     """
     grid = check_shooting(problem, settings)
     stages = _stages(problem, settings, grid)
@@ -976,15 +946,20 @@ def solve_shooting(
         alpha_vec, series, report = _newton_shoot(
             model, stage_problem, alpha_vec, settings, stage_grid, SEGMENTS, series
         )
-    if report.converged:
-        alpha_vec, series, polish = _newton_shoot(
-            model, problem, alpha_vec, settings, grid, 1, None
-        )
-        report = _joined(report, polish)
+    try:
+        series, r_norm = single(problem, grid)
+    except FlowDivergedError as exc:
+        missed = f"diverges near t = {exc.t:.6g}"
     else:
-        with suppress(FlowDivergedError):
-            series, r_norm = single(problem, grid)
-            report = replace(report, residual_norm=r_norm)
+        report = replace(report, residual_norm=r_norm)
+        missed = None
+        if not r_norm <= settings.newton_tol:
+            missed = f"misses the tolerance (residual norm {r_norm:.3e})"
+    if report.converged and missed:
+        report = replace(
+            report, converged=False,
+            message=f"segmented root found, but its single flow {missed}",
+        )
     return result(series, report)
 
 

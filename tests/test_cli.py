@@ -30,7 +30,7 @@ from nhtrack.cli import (
     parse_config,
     run_experiment,
 )
-from nhtrack.pmp import ShootingSettings, SingularJacobianError
+from nhtrack.pmp import RolloutReference, ShootingSettings, SingularJacobianError
 from nhtrack.systems import particle_model, resolve_system
 from nhtrack.ode import IntegrationError
 from nhtrack.varint import DelSettings, DiscreteTrajectory, RegularityError
@@ -239,6 +239,37 @@ class TestParsing:
         keys = {f.name for f in dataclasses.fields(SolverBlock)} | {"inner_grid"}
         fields = {f.name for f in dataclasses.fields(settings)}
         assert fields <= keys, sorted(fields - keys)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("newton_tol = 1e-10", "newton_tol = nan"),
+         ("initial_q = 0.0 2.0 0.0", "initial_q = 0 nan 0")],
+    )
+    def test_nonfinite_numbers_are_named(self, tmp_path, old, new):
+        text = equilibrium_cfg(tmp_path).read_text()
+        path = write_cfg(tmp_path, "nan.cfg", text.replace(old, new))
+        key = new.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^{key}: .* is not finite"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[system]\npreset = particle\npreset = sleigh\n",
+         "preset = particle\n[system]\n"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, text):
+        path = write_cfg(tmp_path, "malformed.cfg", text)
+        named = f"malformed config file {re.escape(str(path))}"
+        with pytest.raises(ConfigError, match=named):
+            parse_config(path)
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        text = equilibrium_cfg(tmp_path).read_text()
+        path = write_cfg(
+            tmp_path, "percent.cfg",
+            text.replace("precision = 17", "precision = 17\ndirectory = runs%1"),
+        )
+        assert parse_config(path).output.directory == "runs%1"
 
 
 class TestRunCommand:
@@ -463,6 +494,26 @@ class TestRunCommand:
         assert not (tmp_path / "multi" / "bad").exists()
         for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
             assert (tmp_path / "multi" / "equilibrium" / name).exists()
+
+    def test_malformed_config_skips_only_that_config(self, tmp_path):
+        """A file configparser cannot read (here a duplicate key) is a
+        config error like any other: the bundled config after it still
+        runs."""
+        bad = write_cfg(
+            tmp_path, "dup.cfg", "[system]\npreset = particle\npreset = sleigh\n"
+        )
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(bad),
+             "--config", str(BUNDLED / "particle-case2.cfg"),
+             "--out", str(tmp_path / "multi")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {bad}: " in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
+            assert (tmp_path / "multi" / "particle-case2" / name).exists()
 
     def test_same_stem_configs_are_rejected(self, tmp_path):
         """Two configs bound for one artifact directory stop the command
@@ -759,6 +810,26 @@ def test_rollout_step_passes_step_doubling():
     fine = cli._build(halved)[1].reference(times)
     gap = max(np.max(np.abs(fine.q - coarse.q)), np.max(np.abs(fine.v - coarse.v)))
     assert gap < 1e-12
+
+
+def test_rollout_reference_passes_step_doubling_at_its_nodes_and_midpoints():
+    """The bundled sleigh reference and a RolloutReference at half its
+    rollout_step agree within 1e-12 at all 5001 nodes of the reference's
+    grid and at the midpoints of every fifth interval of it."""
+    cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
+    reference = cli._build(cfg)[1].reference
+    halved = RolloutReference(
+        reference.model, reference.start, reference.horizon,
+        step=cfg.problem.rollout_step / 2,
+    )
+    h = cfg.problem.rollout_step
+    nodes = h * np.arange(5001)
+    midpoints = h * (5 * np.arange(1000) + 0.5)
+    assert nodes[-1] == pytest.approx(reference.horizon)
+    for times in (nodes, midpoints):
+        coarse, fine = reference(times), halved(times)
+        gap = max(np.max(np.abs(fine.q - coarse.q)), np.max(np.abs(fine.v - coarse.v)))
+        assert gap <= 1e-12
 
 
 class TestCheckAndPresets:

@@ -630,11 +630,10 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
 ):
     """The horizon ladder T j/s, the Mayer relaxation with omega scaled by
     10 per stage, then the problem itself: (horizon_T, omega, terminal_mode,
-    grid.steps, segments) of every Newton solve on a 400-step grid, and
-    after a converged solve of the problem one single-shooting solve of
-    it.  Each stub solve returns its costate plus one, so the
-    starts show the warm-start chain; each stage is guided by the flow of
-    the stage before it."""
+    grid.steps, segments) of every Newton solve on a 400-step grid.  Each
+    stub solve returns its costate plus one, so the starts show the
+    warm-start chain; each stage is guided by the flow of the stage before
+    it."""
     import nhtrack.pmp as pmp
 
     calls, starts, guides, flows = [], [], [], []
@@ -658,11 +657,10 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
     )
     problem = case2_problem(terminal_mode=mode)
     alpha, _, _ = solve_shooting(particle_model(), problem, settings=settings)
-    single = (4.0, 1.0, mode, 400, 1)
-    assert calls == expected + [single]
+    assert calls == expected
     assert starts == list(range(len(calls)))
     assert alpha.lam[0] == len(calls)
-    expected_guides = [None] + flows[: len(expected) - 1] + [None]
+    expected_guides = [None] + flows[: len(expected) - 1]
     assert len(guides) == len(expected_guides)
     assert all(g is e for g, e in zip(guides, expected_guides))
 
@@ -1007,29 +1005,6 @@ def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
     np.testing.assert_array_equal(x, x0)
 
 
-def test_damped_newton_starts_from_the_evaluation_it_is_given():
-    """With start = (r, data) at x the driver does not evaluate x again, and
-    the first correction receives that data."""
-    evaluate, correction = _square_root_problem(lambda x: False)
-    evaluated, corrected = [], []
-
-    def counted(x):
-        evaluated.append(x[0])
-        return evaluate(x)
-
-    def logged(x, r, data):
-        corrected.append(data)
-        return correction(x, r, data)
-
-    x, _, report = damped_newton(
-        np.array([1.0]), counted, logged, _abs_norm, "residual norm",
-        NewtonSettings(), ArithmeticError, (np.array([-3.0]), "given"),
-    )
-    assert report.converged and x[0] == pytest.approx(2.0)
-    assert 1.0 not in evaluated
-    assert corrected[0] == "given"
-
-
 def test_damped_newton_lets_other_errors_through():
     evaluate, correction = _square_root_problem(lambda x: x > 2.2)
     with pytest.raises(ArithmeticError):
@@ -1094,11 +1069,9 @@ def _rejected_trials(report):
 
 @pytest.mark.parametrize("segments, steps", [(1, 100), (4, 100), (25, 101)])
 def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, steps):
-    """The start flows its M segment starts without probes, and the first
-    correction flows them with their probes; every trial step is one
-    stacked (M, 1 + 2(n + k), 2(n + k)) flow of ceil(steps / M) steps (a
-    single segment probes only its n + k costate entries), and the
-    correction at an accepted trial flows nothing more.  The segment series
+    """The start and every trial step are one stacked (M, 1 + 2(n + k),
+    2(n + k)) flow of ceil(steps / M) steps each, and the correction at an
+    accepted point flows nothing more.  The segment series
     laid end to end, uneven segments included, is the single flow of the
     returned costate."""
     import nhtrack.pmp as pmp
@@ -1118,13 +1091,10 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, s
         model, problem, start, ShootingSettings(), grid, segments, None
     )
     assert report.converged and report.iterations >= 2
-    assert len(flows) == 2 + report.iterations + _rejected_trials(report)
-    p = model.n + model.rank
-    width = 2 * p
+    assert len(flows) == 1 + report.iterations + _rejected_trials(report)
+    width = 2 * (model.n + model.rank)
     span = -(-steps // segments)
-    rows = 1 + (p if segments == 1 else width)
-    assert flows[0] == ((segments, 1, width), span)
-    assert set(flows[1:]) == {((segments, rows, width), span)}
+    assert set(flows) == {((segments, 1 + width, width), span)}
     np.testing.assert_array_equal(times, grid.times())
     assert ys.shape == (steps + 1, width)
     settings = ShootingSettings(inner_grid=grid)
@@ -1340,37 +1310,6 @@ def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
     assert np.max(np.abs(dense - central)) <= 1e-5 * max(1.0, np.max(np.abs(dense)))
 
 
-def test_joined_report_logs_the_segmented_solve_then_the_single_one():
-    """The M = 1 solve's records follow the segmented solve's, numbered on;
-    its flag, residual and message stand, except that a single solve that
-    took no step keeps the segmented message."""
-    from nhtrack.pmp import ConvergenceReport, IterationRecord, _joined
-
-    segmented = ConvergenceReport(
-        True, 2, 1e-12,
-        (IterationRecord(1, 0.1, 1.0), IterationRecord(2, 1e-12, 1.0)), "converged",
-    )
-    stepped = ConvergenceReport(
-        True, 1, 3e-13, (IterationRecord(1, 3e-13, 0.5),), "converged"
-    )
-    joined = _joined(segmented, stepped)
-    assert joined.iterations == 3
-    assert joined.records[2] == IterationRecord(3, 3e-13, 0.5)
-    assert joined.records[:2] == segmented.records
-    assert (joined.converged, joined.residual_norm) == (True, 3e-13)
-
-    idle = ConvergenceReport(
-        True, 0, 2e-12, (), "initial guess already within tolerance"
-    )
-    joined = _joined(segmented, idle)
-    assert (joined.iterations, joined.residual_norm) == (2, 2e-12)
-    assert joined.message == "converged"
-
-    failed = ConvergenceReport(False, 0, 2.0, (), "no step could be evaluated")
-    assert _joined(segmented, failed).message == "no step could be evaluated"
-    assert not _joined(segmented, failed).converged
-
-
 def test_single_shooting_finds_the_segmented_root(monkeypatch):
     """With SEGMENTS = 1 every solve is single shooting; on the same grid it
     lands on the root of the segmented solve."""
@@ -1388,8 +1327,8 @@ def test_single_shooting_finds_the_segmented_root(monkeypatch):
 
 def test_a_prime_step_count_solves_by_uneven_segments(monkeypatch):
     """101 steps have no divisor from 2 to SEGMENTS: the solve still runs
-    SEGMENTS segments of 4 and 5 steps, then the single-shooting solve, and
-    it lands on the root that single shooting alone finds on that grid."""
+    SEGMENTS segments of 4 and 5 steps, and it lands on the root that
+    single shooting alone finds on that grid."""
     import nhtrack.pmp as pmp
 
     calls = []
@@ -1403,7 +1342,7 @@ def test_a_prime_step_count_solves_by_uneven_segments(monkeypatch):
     model, problem = particle_model(), short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 101))
     alpha, traj, report = solve_shooting(model, problem, settings=settings)
-    assert calls == [pmp.SEGMENTS, 1]
+    assert calls == [pmp.SEGMENTS]
     assert report.converged
     assert traj.times.shape == (102,)
     r = shooting_residual(model, problem, alpha, settings)
@@ -1434,6 +1373,47 @@ def test_a_failed_solve_reports_the_single_flow_of_its_costate():
     ys = _flow(rhs, y0, 0.0, 0.04, 100)
     np.testing.assert_array_equal(traj.q, ys[:, : model.n])
     np.testing.assert_array_equal(traj.mu, ys[:, 2 * model.n + model.rank :])
+
+
+@pytest.mark.parametrize("offset", [0.1, 1e4])
+def test_a_segmented_root_whose_single_flow_misses_the_tolerance_fails(
+    monkeypatch, offset
+):
+    """A last stage that reports convergence at a costate whose single flow
+    is off the root leaves the solve unconverged, and the message names the
+    single flow's miss: a finite flow is returned with its residual norm; a
+    diverging one (offset 1e4, near t = 0.38) leaves the segment flows and
+    the segmented norm."""
+    import nhtrack.pmp as pmp
+
+    model, prob = particle_model(), short_case2_problem()
+    grid = TimeGrid(0.0, 1.0, 50)
+    segment_flows = (grid.times(), np.zeros((51, 10)))
+
+    def converged_off_the_root(model, stage, alpha_vec, settings, grid, segments, guide):
+        report = pmp.ConvergenceReport(True, 3, 1e-12, (), "converged")
+        return alpha_vec + offset, segment_flows, report
+
+    monkeypatch.setattr(pmp, "_newton_shoot", converged_off_the_root)
+    settings = ShootingSettings(inner_grid=grid)
+    alpha, traj, report = solve_shooting(model, prob, settings=settings)
+    assert not report.converged
+    assert report.iterations == 3
+    if offset > 1.0:
+        assert report.residual_norm == 1e-12
+        assert report.message == (
+            "segmented root found, but its single flow diverges near t = 0.38"
+        )
+        np.testing.assert_array_equal(traj.q, 0.0)
+        return
+    r_norm = np.linalg.norm(shooting_residual(model, prob, alpha, settings))
+    assert r_norm > settings.newton_tol
+    assert report.residual_norm == r_norm
+    assert report.message == (
+        "segmented root found, but its single flow misses the tolerance "
+        f"(residual norm {r_norm:.3e})"
+    )
+    np.testing.assert_array_equal(traj.q[0], prob.initial_state.q)
 
 
 # ---------------------------------------------------------------------------
