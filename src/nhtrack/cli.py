@@ -49,7 +49,6 @@ from .systems import available_systems, resolve_system
 from .varint import (
     DelSettings,
     DiscreteTrajectory,
-    GUESS_MODES,
     PSI_VARIANTS,
     RegularityError,
     check_del,
@@ -116,7 +115,6 @@ class SolverBlock:
     continuation_stages: int = 4
     psi_variant: str = "midpoint"
     enforce_first_interval: bool = False
-    initial_guess_mode: str = "linear-interpolation"
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ CHOICES = {
     "method": METHODS,
     "continuation": CONTINUATIONS,
     "psi_variant": PSI_VARIANTS,
-    "initial_guess_mode": GUESS_MODES,
 }
 
 
@@ -303,7 +300,6 @@ def config_text(cfg: ExperimentConfig) -> str:
         lines.append(f"psi_variant = {cfg.solver.psi_variant}")
         enforce = "yes" if cfg.solver.enforce_first_interval else "no"
         lines.append(f"enforce_first_interval = {enforce}")
-        lines.append(f"initial_guess_mode = {cfg.solver.initial_guess_mode}")
 
     lines += ["", "[output]"]
     if cfg.output.directory is not None:
@@ -348,12 +344,15 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
             v_base=blk.v_base, v_slope=blk.v_slope,
         )
     else:
-        reference = RolloutReference(
-            model=model,
-            start=AdmissibleState(q=blk.rollout_q, v=blk.rollout_v),
-            horizon=blk.horizon_T,
-            step=blk.rollout_step,
-        )
+        try:
+            reference = RolloutReference(
+                model=model,
+                start=AdmissibleState(q=blk.rollout_q, v=blk.rollout_v),
+                horizon=blk.horizon_T,
+                step=blk.rollout_step,
+            )
+        except IntegrationError as exc:
+            raise ConfigError(f"rollout reference: {exc}") from exc
     return TrackingProblem(
         reference=reference,
         horizon_T=blk.horizon_T,
@@ -374,8 +373,8 @@ def _build(cfg: ExperimentConfig) -> tuple[
     The grid spans the horizon in `steps` intervals (None when steps is
     unset).  A value the library rejects while building them or at the
     solver's entry checks, such as a negative omega, a zero
-    continuation_stages or a Mayer problem on the variational route,
-    becomes a ConfigError.
+    continuation_stages, a rollout reference that overflows or a Mayer
+    problem on the variational route, becomes a ConfigError.
     """
     blk = cfg.solver
     try:
@@ -398,7 +397,6 @@ def _build(cfg: ExperimentConfig) -> tuple[
                 max_iters=blk.max_iters,
                 psi_variant=blk.psi_variant,
                 enforce_first_interval=blk.enforce_first_interval,
-                initial_guess_mode=blk.initial_guess_mode,
             )
             check_del(problem, grid)
     except ValueError as exc:

@@ -99,22 +99,6 @@ class AdmissibleState:
         return AdmissibleState(q=y[:n].copy(), v=y[n:].copy())
 
 
-@dataclass(frozen=True)
-class ControlVector:
-    """Control inputs in quasi-velocity coordinates (fully actuated)."""
-
-    u: Array
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-
-
-def _as_control(u: ControlVector | Array) -> Array:
-    if isinstance(u, ControlVector):
-        return u.u
-    return np.asarray(u, dtype=float)
-
-
 def _check_state(model: SystemModel, state: AdmissibleState) -> None:
     """Accepts one point, q (n,) and v (n-m,), or a stack of them with
     matching leading axes."""
@@ -166,7 +150,7 @@ def _rates(model: SystemModel, q: Array, v: Array, u: Array) -> tuple[Array, Arr
 def dynamics_rhs(
     model: SystemModel,
     state: AdmissibleState,
-    u: ControlVector | Array,
+    u: Array,
 ) -> tuple[Array, Array]:
     """Controlled equations of motion in adapted coordinates.
 
@@ -175,22 +159,20 @@ def dynamics_rhs(
     be a stack of points (leading axes on q and v); u is broadcast over it.
     """
     _check_state(model, state)
-    uu = _as_control(u)
-    if uu.shape[-1:] != (model.rank,):
-        raise ValueError(f"u has shape {uu.shape}, expected (..., {model.rank})")
-    return _rates(model, state.q, state.v, uu)
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (model.rank,):
+        raise ValueError(f"u has shape {u.shape}, expected (..., {model.rank})")
+    return _rates(model, state.q, state.v, u)
 
 
-def _state_field(
-    model: SystemModel, u: ControlVector | Array
-) -> Callable[[float, Array], Array]:
+def _state_field(model: SystemModel, u: Array) -> Callable[[float, Array], Array]:
     """Vector field f(t, y) of the controlled dynamics at the fixed control
     u, on packed states y = (q, v) of shape (..., n + k); a stack of states
     advances row by row in one call."""
-    n, uu = model.n, _as_control(u)
+    n, u = model.n, np.asarray(u, dtype=float)
 
     def field(t: float, y: Array) -> Array:
-        qdot, vdot = _rates(model, y[..., :n], y[..., n:], uu)
+        qdot, vdot = _rates(model, y[..., :n], y[..., n:], u)
         return np.concatenate([qdot, vdot], axis=-1)
 
     return field
@@ -205,13 +187,13 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
     (Gamma^B_{AC} + Gamma^B_{CA}) v^C.  q (..., n) and v (..., n-m) may
     carry matching leading axes; so do the results.
     """
-    # each contraction is one matrix per row: the free slots of Gamma and
-    # of its Jacobian are flattened into one axis, so a stack of rows costs
-    # one BLAS call per row and contraction, not one per slice
+    # a is the Gamma v v of _rates.  Each derivative contraction is one
+    # matrix per row: the free slots of Gamma and of its Jacobian are
+    # flattened into one axis, so a stack of rows costs one BLAS call per
+    # row and contraction, not one per slice
     k, lead = v.shape[-1], v.shape[:-1]
     gam = model.christoffel(q)
-    gam_v = _matvec(gam.reshape(lead + (k * k, k)), v).reshape(lead + (k, k))
-    a = _matvec(gam_v, v) + model.potential_grad(q)
+    a = _quadratic(gam, v) + model.potential_grad(q)
     # contract the Christoffel Jacobian's C slot, then its B slot, with v;
     # jac_v is laid out (B, A, j)
     jac = model.christoffel_jac(q).swapaxes(-2, -4)

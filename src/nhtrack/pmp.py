@@ -41,9 +41,7 @@ import numpy as np
 
 from .geometry import (
     AdmissibleState,
-    ControlVector,
     SystemModel,
-    _as_control,
     _inner,
     _matvec,
     _state_field,
@@ -433,7 +431,7 @@ def running_cost(
     problem: TrackingProblem,
     t: float | Array,
     state: AdmissibleState,
-    u: ControlVector | Array,
+    u: Array,
 ) -> float | Array:
     """Running cost 1/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2), with
     angle components differenced into (-pi, pi].
@@ -446,20 +444,20 @@ def running_cost(
     t = np.asarray(t, dtype=float)
     _check_time(problem, t)
     dq, dv = state_difference(model, state, problem.reference(t))
-    uu = _as_control(u)
+    u = np.asarray(u, dtype=float)
     sw = problem.state_weight
     return 0.5 * (
-        sw * _inner(dq, dq) + sw * _inner(dv, dv) + problem.epsilon * _inner(uu, uu)
+        sw * _inner(dq, dq) + sw * _inner(dv, dv) + problem.epsilon * _inner(u, u)
     )
 
 
-def optimal_control(mu: Array, epsilon: float, lambda0: float) -> ControlVector:
+def optimal_control(mu: Array, epsilon: float, lambda0: float) -> Array:
     """Pointwise Hamiltonian minimizer u = -mu / (lambda0 eps)."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if lambda0 <= 0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    return ControlVector(u=-np.asarray(mu, dtype=float) / (lambda0 * epsilon))
+    return -np.asarray(mu, dtype=float) / (lambda0 * epsilon)
 
 
 def hamiltonian(
@@ -468,7 +466,7 @@ def hamiltonian(
     t: float,
     state: AdmissibleState,
     costate: Costate,
-    u: ControlVector | Array,
+    u: Array,
 ) -> float:
     """Control Hamiltonian lambda0 C + lambda . qdot + mu . vdot."""
     qdot, vdot = dynamics_rhs(model, state, u)
@@ -702,7 +700,7 @@ def _trajectory_from_series(
         times=times,
         q=ys[:, :n],
         v=ys[:, n : n + k],
-        u=-mu / (problem.lambda0 * problem.epsilon),
+        u=optimal_control(mu, problem.epsilon, problem.lambda0),
         lam=ys[:, n + k : 2 * n + k],
         mu=mu,
     )

@@ -67,7 +67,6 @@ Array = np.ndarray
 Nodes = tuple[Array, Array, Array, Array | None]
 
 PSI_VARIANTS = ("midpoint", "difference-quotient")
-GUESS_MODES = ("linear-interpolation", "reference-samples")
 
 # condition-estimate ceiling for calling the one-step matrix nonsingular
 REGULARITY_COND_LIMIT = 1e12
@@ -96,17 +95,11 @@ class DelSettings(NewtonSettings):
 
     newton_tol: float = 1e-10
     max_iters: int = 100
-    initial_guess_mode: str = "linear-interpolation"
     enforce_first_interval: bool = False
     psi_variant: str = "midpoint"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.initial_guess_mode not in GUESS_MODES:
-            raise ValueError(
-                f"initial_guess_mode must be one of {GUESS_MODES}, "
-                f"got {self.initial_guess_mode!r}"
-            )
         if self.psi_variant not in PSI_VARIANTS:
             raise ValueError(
                 f"psi_variant must be one of {PSI_VARIANTS}, "
@@ -570,21 +563,16 @@ class _DelWorkspace:
         self.ref_mid = problem.reference(self.times[:-1] + 0.5 * self.h)
 
     def initial_guess(self) -> Array:
+        """The straight line between the pinned end nodes, with zero
+        multipliers."""
         n, steps = self.n, self.steps
-        if self.settings.initial_guess_mode == "linear-interpolation":
-            s = np.linspace(0.0, 1.0, steps + 1)[:, None]
-            q = (1 - s) * self.node_first.q + s * self.node_last.q
-            v = (1 - s) * self.node_first.v + s * self.node_last.v
-        else:
-            ref = self.problem.reference(self.times)
-            q, v = ref.q, ref.v
-        lam = np.zeros((steps - 1, n))
-        lam0 = np.zeros(n) if self.settings.enforce_first_interval else None
-        return self.pack(q, v, lam, lam0)
-
-    def pack(self, q: Array, v: Array, lam: Array, lam0: Array | None) -> Array:
-        blocks = np.concatenate([q[1:-1], v[1:-1], lam], axis=1).ravel()
-        return blocks if lam0 is None else np.concatenate([blocks, lam0])
+        s = np.linspace(0.0, 1.0, steps + 1)[1:-1, None]
+        q = (1 - s) * self.node_first.q + s * self.node_last.q
+        v = (1 - s) * self.node_first.v + s * self.node_last.v
+        blocks = np.concatenate([q, v, np.zeros((steps - 1, n))], axis=1).ravel()
+        if self.settings.enforce_first_interval:
+            return np.concatenate([blocks, np.zeros(n)])
+        return blocks
 
     def unpack(self, x: Array) -> Nodes:
         n, kr, steps = self.n, self.kr, self.steps
@@ -719,12 +707,13 @@ def solve_del(
 
     Boundary nodes are pinned: node 0 to problem.initial_state and node N to
     the reference at the horizon (the terminal state is matched exactly, so
-    the problem must be posed with terminal_mode="hard").  The Newton
-    correction solves the block-tridiagonal saddle system directly, by
+    the problem must be posed with terminal_mode="hard").  Newton starts
+    from the straight line between the pinned nodes with zero multipliers.
+    The correction solves the block-tridiagonal saddle system directly, by
     block cyclic reduction with the first-interval border eliminated
     through its Schur complement; backtracking halves the step until the
-    residual max-norm decreases, and a trial step whose residual fails numerically (ArithmeticError) counts
-    as a rejected step.
+    residual max-norm decreases, and a trial step whose residual fails
+    numerically (ArithmeticError) counts as a rejected step.
     Nonconvergence is reported, not raised.
     """
     check_del(problem, grid)

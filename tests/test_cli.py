@@ -197,7 +197,6 @@ class TestParsing:
             ("method", "collocation"),
             ("continuation", "arclength"),
             ("psi_variant", "trapezoid"),
-            ("initial_guess_mode", "zeros"),
         ):
             text = base.format(
                 reference=value if key == "reference" else "analytic",
@@ -792,6 +791,47 @@ class TestCompareCommand:
         )
         assert result.exit_code == 1
         assert "variational" in result.output
+
+
+def _bundled_sleigh_with(tmp_path: Path, old: str, new: str) -> Path:
+    text = (BUNDLED / "sleigh-paper51.cfg").read_text()
+    assert text.count(old) == 1
+    return write_cfg(tmp_path, "sleigh.cfg", text.replace(old, new))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overflowing_rollout_reference_exits_one(tmp_path, command):
+    """A rollout reference whose flow overflows is a config error naming
+    the rollout reference, not an IntegrationError traceback."""
+    path = _bundled_sleigh_with(
+        tmp_path, "rollout_v = 0.3333333333333333 1.0", "rollout_v = 1e200 1e200"
+    )
+    result = CliRunner().invoke(
+        main, [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and "rollout reference" in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_retired_initial_guess_mode_is_an_unknown_key(tmp_path, command):
+    """The variational route has one initial guess; the key that chose
+    between two is gone and now fails like any unknown key."""
+    path = _bundled_sleigh_with(
+        tmp_path, "[solver]\n", "[solver]\ninitial_guess_mode = linear-interpolation\n"
+    )
+    result = CliRunner().invoke(
+        main, [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "unknown key(s) in [solver]" in result.output
+    assert "initial_guess_mode" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_rollout_step_passes_step_doubling():

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from nhtrack.geometry import (
     AdmissibleState,
     SystemModel,
+    _rates,
     admissibility_velocity,
     christoffel_from_structure,
     constraint_residual,
@@ -28,6 +29,7 @@ from nhtrack.systems import (
     sleigh_model,
     sleigh_structure_constants,
 )
+from nhtrack.varint import reconstructed_control
 
 ALL_MODELS = [particle_model(), sleigh_model()]
 
@@ -335,6 +337,53 @@ def test_drift_on_stacked_points_equals_rows(model, lead):
         )
         for got, want in zip((a[idx], a_q[idx], a_v[idx]), expected):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def _potential_model(seed=5):
+    """Tests-only model, n = 4 and corank 1: a dense random constant Gamma
+    and the potential V(q) = c . cos(q) in the frame rho = [I; 0], so
+    potential_grad = -c sin(q_1..3) is nonzero and depends on q."""
+    rng = np.random.default_rng(seed)
+    n, k = 4, 3
+    gamma = rng.normal(size=(k, k, k))
+    c = rng.uniform(0.5, 2.0, size=k)
+
+    def const(value):
+        return lambda q: np.broadcast_to(value, q.shape[:-1] + value.shape).copy()
+
+    return SystemModel(
+        n=n, corank=1,
+        rho=const(np.eye(n, k)),
+        rho_jac=const(np.zeros((n, k, n))),
+        christoffel=const(gamma),
+        christoffel_jac=const(np.zeros((k, k, k, n))),
+        metric_d=const(np.eye(k)),
+        potential_grad=lambda q: -c * np.sin(q[..., :k]),
+        potential_grad_jac=lambda q: (
+            np.eye(k, n) * (-c * np.cos(q[..., :k]))[..., None]
+        ),
+        annihilator=const(np.eye(n)[k:]),
+        name="dense-gamma-potential",
+    )
+
+
+def test_drift_rates_and_reconstructed_control_share_one_contraction():
+    """The drift, minus the zero-control acceleration and the control that
+    gives zero acceleration are one Gamma v v + potential_grad, bit for bit,
+    on a dense Gamma with a nonzero, q-dependent potential gradient."""
+    model = _potential_model()
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-2.0, 2.0, size=(7, model.n))
+    v = rng.uniform(-2.0, 2.0, size=(7, model.rank))
+    pot = model.potential_grad(q)
+    assert np.all(pot != 0.0) and not np.allclose(pot, pot[0])
+    a = drift(model, q, v)[0]
+    gamma = model.christoffel(q)
+    np.testing.assert_allclose(
+        a, np.einsum("...abc,...b,...c->...a", gamma, v, v) + pot, rtol=1e-13
+    )
+    assert np.array_equal(a, -_rates(model, q, v, 0)[1])
+    assert np.array_equal(a, reconstructed_control(model, q, v, 0))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

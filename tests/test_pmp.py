@@ -8,7 +8,6 @@ import pytest
 
 from nhtrack.geometry import (
     AdmissibleState,
-    ControlVector,
     constraint_residual,
     wrap_angle,
 )
@@ -167,7 +166,7 @@ def test_running_cost_accepts_control_vector():
     prob = case2_problem()
     state = AdmissibleState(q=[0.3, -0.4, 2.0], v=[1.0, -2.0])
     u = np.array([0.7, -1.1])
-    assert running_cost(model, prob, 1.0, state, ControlVector(u=u)) == (
+    assert running_cost(model, prob, 1.0, state, u.tolist()) == (
         running_cost(model, prob, 1.0, state, u)
     )
 
@@ -203,12 +202,12 @@ def test_running_cost_rejects_time_outside_horizon():
 
 def test_optimal_control_zero_mu():
     u = optimal_control(np.zeros(2), epsilon=7.0, lambda0=1.0)
-    np.testing.assert_array_equal(u.u, np.zeros(2))
+    np.testing.assert_array_equal(u, np.zeros(2))
 
 
 def test_optimal_control_arithmetic():
     u = optimal_control(np.array([2.0, -3.0]), epsilon=9.0, lambda0=1.0)
-    np.testing.assert_allclose(u.u, [-2.0 / 9.0, 1.0 / 3.0], rtol=1e-15)
+    np.testing.assert_allclose(u, [-2.0 / 9.0, 1.0 / 3.0], rtol=1e-15)
 
 
 def test_optimal_control_stationarity():
@@ -218,7 +217,7 @@ def test_optimal_control_stationarity():
         mu = rng.uniform(-5, 5, size=2)
         eps = rng.uniform(0.1, 10)
         lam0 = rng.uniform(0.1, 2)
-        u = optimal_control(mu, eps, lam0).u
+        u = optimal_control(mu, eps, lam0)
         np.testing.assert_allclose(lam0 * eps * u + mu, 0.0, atol=1e-12)
 
 
@@ -843,9 +842,7 @@ def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
         mu=np.zeros((steps + 1, 2)),
     )
     vals = [
-        2.0 * running_cost(
-            model, problem, t, AdmissibleState(q=q, v=v), ControlVector(u=u)
-        )
+        2.0 * running_cost(model, problem, t, AdmissibleState(q=q, v=v), u)
         for t, q, v, u in zip(times, traj.q, traj.v, traj.u)
     ]
     h = 1.0 / steps

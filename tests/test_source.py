@@ -1,0 +1,54 @@
+"""Source hygiene: no package module imports a name it never uses."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nhtrack"
+# __init__.py imports to re-export through __all__
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Module-level imported name -> its line, skipping __future__ imports,
+    star imports and lines marked `# noqa: F401`."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            bound = alias.asname or alias.name.split(".")[0]
+            names[bound] = alias.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                parsed = ast.parse(hint.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = _imported_names(tree, source.splitlines())
+    unused = sorted(
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items()
+        if name not in _used_names(tree)
+    )
+    assert not unused, f"unused imports: {', '.join(unused)}"

@@ -1008,14 +1008,6 @@ class TestSolveDel:
         assert np.all(traj.controls == 0.0)
         assert np.all(traj.multipliers == 0.0)
 
-    def test_reference_samples_guess(self):
-        sleigh = sleigh_model(SLEIGH_PARAMS)
-        problem = sleigh_tracking_problem(sleigh)
-        settings = DelSettings(initial_guess_mode="reference-samples")
-        traj, report = solve_del(sleigh, problem, TimeGrid(0.0, 5.0, 50), settings)
-        assert report.converged
-        assert report.iterations <= 8
-
     def test_enforce_first_interval(self):
         sleigh = sleigh_model(SLEIGH_PARAMS)
         problem = mild_sleigh_problem(sleigh)
@@ -1368,8 +1360,6 @@ class TestContainers:
             DelSettings(newton_tol=0.0)
         with pytest.raises(ValueError):
             DelSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            DelSettings(initial_guess_mode="warm")
         with pytest.raises(ValueError):
             DelSettings(psi_variant="gauss")
 
