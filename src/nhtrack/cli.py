@@ -7,9 +7,10 @@ block dataclasses below are the schema: each field is a key of its
 section, with the field's type and default.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
-convergence, 2 when the solver fails to converge or fails numerically
-(artifacts are still written), 1 on configuration or usage errors, among
-them an unknown section or key.
+convergence, 2 when the solver fails to converge or fails numerically (every
+numerical failure is an ArithmeticError; artifacts are still written), 1 on
+configuration or usage errors, among them an unknown section or key, and
+on an artifact directory that cannot be created.
 """
 from __future__ import annotations
 
@@ -35,10 +36,8 @@ from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from .pmp import (
     CONTINUATIONS,
     AnalyticReference,
-    FlowDivergedError,
     RolloutReference,
     ShootingSettings,
-    SingularJacobianError,
     TrackingProblem,
     check_shooting,
     running_cost,
@@ -50,7 +49,6 @@ from .varint import (
     DelSettings,
     DiscreteTrajectory,
     PSI_VARIANTS,
-    RegularityError,
     check_del,
     diagnostics,
     regularity_check,
@@ -58,15 +56,6 @@ from .varint import (
 )
 
 METHODS = ("pmp-shooting", "variational")
-
-# numerical failures of a solve: reported with exit code 2, artifacts written
-SOLVER_FAILURES = (
-    FlowDivergedError,
-    IntegrationError,
-    ArithmeticError,
-    RegularityError,
-    SingularJacobianError,
-)
 
 
 class ConfigError(ValueError):
@@ -543,7 +532,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         report, traj, rows, diag_rows, closing = route(
             model, problem, settings, grid, terminal
         )
-    except SOLVER_FAILURES as exc:
+    except ArithmeticError as exc:
         return _solver_failure(
             out_dir,
             {"trajectory.csv": traj_header, "diagnostics.csv": diag_header},
@@ -683,7 +672,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         reint = _reintegrate_from_first_enforced(model, traj)
         disc_h = _endpoint_discrepancy(model, traj, reint)
         disc_h2 = _endpoint_discrepancy(model, results[2 * base_steps])
-    except SOLVER_FAILURES as exc:
+    except ArithmeticError as exc:
         return _solver_failure(
             out_dir, {"compare.csv": header}, report_lines, exc, precision
         )
@@ -714,7 +703,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             _, pmp_traj, pmp_report = solve_shooting(
                 model, problem, None, pmp_settings
             )
-        except SOLVER_FAILURES as exc:
+        except ArithmeticError as exc:
             # compare.csv already holds the variational series
             return _solver_failure(out_dir, {}, report_lines, exc, precision)
         all_converged = all_converged and pmp_report.converged
@@ -902,10 +891,11 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
 def run(configs, out):
     """Solve each config and write trajectory/diagnostics/report artifacts.
 
-    A config that fails to parse or build prints its error and the rest
-    still run; the exit code is 1 if any config failed so, else the worst
-    solver code.  Two configs that would write to the same artifact
-    directory are rejected, exit code 1, before any of them runs."""
+    A config that fails to parse or build, or whose artifacts cannot be
+    written, prints its error and the rest still run; the exit code is 1
+    if any config failed so, else the worst solver code.  Two configs that
+    would write to the same artifact directory are rejected, exit code 1,
+    before any of them runs."""
     worst, failed = 0, False
     jobs, targets = [], {}
     for path in configs:
@@ -929,7 +919,7 @@ def run(configs, out):
     for path, cfg, target in jobs:
         try:
             code = run_experiment(cfg, target)
-        except ConfigError as exc:
+        except (ConfigError, OSError) as exc:
             click.echo(f"Error: {path}: {exc}", err=True)
             failed = True
             continue
@@ -953,8 +943,8 @@ def compare(config_path, out):
         cfg = parse_config(config_path)
         target = _resolve_out(cfg, out, Path(config_path).stem)
         code = compare_experiment(cfg, target)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+    except (ConfigError, OSError) as exc:
+        raise click.ClickException(f"{config_path}: {exc}")
     status = "ok" if code == 0 else "nonconvergence"
     click.echo(f"{config_path}: {status}; artifacts in {target}")
     raise SystemExit(code)

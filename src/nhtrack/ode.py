@@ -21,7 +21,7 @@ Array = np.ndarray
 VectorField = Callable[[float, Array], Array]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ArithmeticError):
     """A stage evaluation produced a non-finite value.
 
     rows marks, over the leading axes of a stack of flows, the rows whose

@@ -56,21 +56,18 @@ from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 Array = np.ndarray
 
 
-class FlowDivergedError(RuntimeError):
+class FlowDivergedError(ArithmeticError):
     """The coupled state-costate flow left the finite range."""
 
-    def __init__(self, t: float, probe: bool = False) -> None:
-        if probe:
-            what = "a finite-difference probe of the shooting Jacobian"
-            where = "the iterate lies at the edge of the basin"
-        else:
-            what = "state-costate flow"
-            where = "the shooting guess is outside the basin"
-        super().__init__(f"{what} diverged near t = {t:.6g}; {where}")
+    def __init__(self, t: float) -> None:
+        super().__init__(
+            f"state-costate flow diverged near t = {t:.6g}; "
+            "the shooting guess is outside the basin"
+        )
         self.t = t
 
 
-class SingularJacobianError(RuntimeError):
+class SingularJacobianError(ArithmeticError):
     """Shooting Jacobian numerically singular."""
 
     def __init__(self, cond: float) -> None:
@@ -328,7 +325,6 @@ def damped_newton(
     norm: Callable[[Array], float],
     norm_name: str,
     settings: NewtonSettings,
-    rejected: type[Exception] | tuple[type[Exception], ...],
 ) -> tuple[Array, Any, ConvergenceReport]:
     """Damped Newton with backtracking on a flat vector of unknowns.
 
@@ -339,13 +335,12 @@ def damped_newton(
     Jacobian of its point, or the unpacked unknowns, to the step that
     follows it).  Each iteration tries x + beta delta for beta =
     DAMPING^halving, halving = 0 .. MAX_HALVINGS + 1, and accepts the first
-    trial whose residual norm decreases; a trial whose evaluation raises
-    one of the rejected errors counts as no decrease.  The last trial is
-    taken anyway, decrease or not.  If it fails to evaluate, or correction
-    itself raises a rejected error (for example the stored divergence of a
-    finite-difference Jacobian's probe flow), the solve stops unconverged
-    at the current iterate with a message naming the error.  Returns (x,
-    data, report).
+    trial whose residual norm decreases; a trial whose evaluation fails
+    numerically (ArithmeticError) counts as no decrease.  The last trial is
+    taken anyway, decrease or not; if it fails to evaluate, the solve stops
+    unconverged at the current iterate with a message naming the error.
+    An error raised by evaluate at the start point or by correction
+    propagates.  Returns (x, data, report).
     """
     x = x.copy()
     r, data = evaluate(x)
@@ -361,29 +356,23 @@ def damped_newton(
         )
         return x, data, report
 
-    def stuck(iteration: int, exc: Exception) -> tuple[Array, Any, ConvergenceReport]:
-        return result(
-            False, iteration - 1,
-            f"no step could be evaluated at iteration {iteration}: "
-            f"{exc} ({norm_name} {r_norm:.3e})",
-        )
-
     if r_norm <= settings.newton_tol:
         return result(True, 0, "initial guess already within tolerance")
 
     for iteration in range(1, settings.max_iters + 1):
-        try:
-            delta = correction(x, r, data)
-        except rejected as exc:
-            return stuck(iteration, exc)
+        delta = correction(x, r, data)
         for halving in range(MAX_HALVINGS + 2):
             beta = DAMPING**halving
             cand = x + beta * delta
             try:
                 r_c, data_c = evaluate(cand)
-            except rejected as exc:
+            except ArithmeticError as exc:
                 if halving > MAX_HALVINGS:
-                    return stuck(iteration, exc)
+                    return result(
+                        False, iteration - 1,
+                        f"no step could be evaluated at iteration {iteration}: "
+                        f"{exc} ({norm_name} {r_norm:.3e})",
+                    )
                 continue
             if norm(r_c) < r_norm:
                 break
@@ -762,11 +751,10 @@ def _newton_shoot(
     2(n + k)), row 0 of segment i its start and row 1 + j its
     forward-difference probe in entry j.  The start point is evaluated the
     same way, so the correction at every accepted point only solves
-    (_condensed_step).  When a row diverges, the starts are flowed alone:
-    if one diverges too the trial is rejected; otherwise the residual
-    stands and the probe's FlowDivergedError ends the solve unconverged at
-    the next correction.  Returns the costate at t = 0, the (times, ys)
-    series of the segment flows laid end to end, and the report.
+    (_condensed_step).  A stacked flow that diverges in any row, start or
+    probe, rejects its trial; at the start point its FlowDivergedError
+    propagates.  Returns the costate at t = 0, the (times, ys) series of
+    the segment flows laid end to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
@@ -787,26 +775,11 @@ def _newton_shoot(
         inside = node_times <= guide_times[-1]
         nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
         nodes[inside] = guide_ys[nearest]
-    # what flow returns with a residual: the point's Jacobian blocks (or the
-    # error of its diverged probe) and the series of its segment starts
-    ShotData = tuple[tuple[Array, Array] | FlowDivergedError, Array]
-
-    def residual(z: Array, ends: Array) -> Array:
-        # gaps and terminal residual of the starts z and their flows' ends
-        dq, dv = state_difference(
-            model,
-            AdmissibleState(q=ends[:-1, :n], v=ends[:-1, n:p]),
-            AdmissibleState(q=z[1:, :n], v=z[1:, n:p]),
-        )
-        gaps = np.concatenate([dq, dv, ends[:-1, p:] - z[1:, p:]], axis=1)
-        return np.concatenate(
-            [gaps.ravel(), _terminal_residual(model, problem, ends[-1])]
-        )
 
     def segment_starts(x: Array) -> Array:
         return np.vstack([np.concatenate([y_state, x[:p]]), x[p:].reshape(-1, w)])
 
-    def flow(x: Array) -> tuple[Array, ShotData]:
+    def flow(x: Array) -> tuple[Array, Any]:
         # z[i] is the start of segment i; its probe j moves entry j by
         # steps[i, j]
         z = segment_starts(x)
@@ -814,33 +787,30 @@ def _newton_shoot(
         stack = np.concatenate(
             [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)], axis=1
         )
-        try:
-            ys = _flow(rhs, stack, starts, grid.h, span)
-        except FlowDivergedError as exc:
-            # the starts alone: a diverged point raises again here, so its
-            # trial is rejected
-            alone = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
-            probe = FlowDivergedError(exc.t, probe=True)
-            return residual(z, alone[at_ends]), (probe, alone)
+        ys = _flow(rhs, stack, starts, grid.h, span)
         ends = ys[at_ends]
         blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
         res_T = _terminal_residual(model, problem, ends[-1])
         end_jac = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
         jac = (blocks.transpose(0, 2, 1), end_jac)
+        # the gaps between the starts' flows' ends and the next starts
+        dq, dv = state_difference(
+            model,
+            AdmissibleState(q=ends[:-1, 0, :n], v=ends[:-1, 0, n:p]),
+            AdmissibleState(q=z[1:, :n], v=z[1:, n:p]),
+        )
+        gaps = np.concatenate([dq, dv, ends[:-1, 0, p:] - z[1:, p:]], axis=1)
+        r = np.concatenate([gaps.ravel(), res_T[0]])
         # a copy, so that the accepted point does not pin the probe stack
-        return residual(z, ends[:, 0]), (jac, ys[:, :, 0].copy())
+        return r, (jac, ys[:, :, 0].copy())
 
-    def correction(x: Array, r: Array, data: ShotData) -> Array:
-        jac = data[0]
-        if isinstance(jac, FlowDivergedError):
-            raise jac
-        blocks, end_jac = jac
+    def correction(x: Array, r: Array, data: Any) -> Array:
+        blocks, end_jac = data[0]
         return _condensed_step(blocks, end_jac, r[:-p].reshape(-1, w), r[-p:])
 
     x, (_, starts_series), report = damped_newton(
         np.concatenate([alpha_vec, nodes.ravel()]), flow, correction,
         lambda r: float(np.linalg.norm(r)), "residual norm", settings,
-        FlowDivergedError,
     )
     # each segment's series up to its end, which is the next one's start
     series = np.concatenate(
@@ -889,23 +859,24 @@ def solve_shooting(
     forward-difference Jacobians (step FD_STEP * max(1, |entry|)) from one
     stacked flow per trial point, and a backtracking line search halving
     the step until the residual 2-norm decreases (at most MAX_HALVINGS
-    times).  A trial whose flow diverges counts as rejected; a probe that
-    diverges where its point does not ends the solve unconverged there ("no
-    step could be evaluated").  With settings.continuation = "horizon" the
-    initial costate is first tracked through shortened horizons;
-    "terminal-weight" tracks it through soft-terminal (Mayer) solves of
-    growing weight before the hard solve.  _stages lists the solves, and
-    one loop runs them, each warm-started from the costate and guided by
-    the flow of the one before.  A given alpha0 guides the first by its own
-    flow; with one stage, that flow already within tolerance is returned as
-    it is, with no step.  After the last stage, the single flow of its
-    costate over the grid is the returned trajectory, and that flow's
-    residual norm, the one shooting_residual computes, is the reported one;
-    if it diverges, the segment flows are returned laid end to end, with
-    the segmented norm.  The solve is converged when the last stage
-    converged and that single flow is finite and within newton_tol; a
-    segmented root whose single flow is not says so in the message.
-    Nonconvergence is reported, not raised: the report carries the
+    times).  A trial whose flow or any probe flow diverges counts as
+    rejected; a stage whose start point so diverges raises
+    FlowDivergedError.  With settings.continuation = "horizon" the initial
+    costate is first tracked through shortened horizons; "terminal-weight"
+    tracks it through soft-terminal (Mayer) solves of growing weight
+    before the hard solve.  _stages lists the solves, and one loop runs
+    them, each warm-started from the costate and guided by the flow of the
+    one before.  A given alpha0 guides the first by its own flow; with one
+    stage, that flow already within tolerance is returned as it is, with
+    no step.  After the last stage, the single flow of its costate over
+    the grid is the returned trajectory, and that flow's residual norm, the
+    one shooting_residual computes, is the reported one; if it diverges,
+    the segment flows are returned laid end to end, with the segmented
+    norm.  The solve is converged when the last stage converged and that
+    single flow is finite and within newton_tol; a segmented root whose
+    single flow is not says so in the message.  Numerical failures raise
+    ArithmeticErrors (FlowDivergedError, SingularJacobianError);
+    nonconvergence is reported, not raised: the report carries the
     converged flag, the final residual norm and the log of the last stage
     (a stage that fails keeps its own message, with the segmented norm).
     """

@@ -72,7 +72,7 @@ PSI_VARIANTS = ("midpoint", "difference-quotient")
 REGULARITY_COND_LIMIT = 1e12
 
 
-class RegularityError(RuntimeError):
+class RegularityError(ArithmeticError):
     """The constrained Newton system lost rank.
 
     Raised when a block factorization of the discrete Euler-Lagrange
@@ -720,8 +720,7 @@ def solve_del(
     ws = _DelWorkspace(model, problem, grid, settings)
     x, _, report = damped_newton(
         ws.initial_guess(), ws.evaluate, ws.correction,
-        lambda r: float(np.max(np.abs(r))), "residual max-norm",
-        settings, ArithmeticError,
+        lambda r: float(np.max(np.abs(r))), "residual max-norm", settings,
     )
     return ws.trajectory(x), report
 

@@ -30,7 +30,12 @@ from nhtrack.cli import (
     parse_config,
     run_experiment,
 )
-from nhtrack.pmp import RolloutReference, ShootingSettings, SingularJacobianError
+from nhtrack.pmp import (
+    FlowDivergedError,
+    RolloutReference,
+    ShootingSettings,
+    SingularJacobianError,
+)
 from nhtrack.systems import particle_model, resolve_system
 from nhtrack.ode import IntegrationError
 from nhtrack.varint import DelSettings, DiscreteTrajectory, RegularityError
@@ -420,7 +425,7 @@ class TestRunCommand:
         )
         assert result.exit_code == 1, result.output
         assert key in result.output
-        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "out").exists()
 
     def test_nonconvergence_exits_two_with_artifacts(self, tmp_path):
@@ -489,7 +494,7 @@ class TestRunCommand:
         assert result.exit_code == 1, result.output
         assert f"Error: {bad}: " in result.output
         assert "omega" in result.output
-        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "multi" / "bad").exists()
         for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
             assert (tmp_path / "multi" / "equilibrium" / name).exists()
@@ -509,7 +514,6 @@ class TestRunCommand:
         )
         assert result.exit_code == 1, result.output
         assert f"Error: {bad}: " in result.output
-        assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
         for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
             assert (tmp_path / "multi" / "particle-case2" / name).exists()
@@ -532,15 +536,35 @@ class TestRunCommand:
                   if line.startswith("Error:")]
         assert len(errors) == 1
         assert str(first) in errors[0] and str(second) in errors[0]
-        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "multi").exists()
 
+
+    def test_unwritable_artifact_directory_skips_only_that_config(self, tmp_path):
+        """A file where the first config's artifact directory goes is an
+        error of that config, exit 1: the config after it still runs."""
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "particle-case2").write_text("in the way\n")
+        good = equilibrium_cfg(tmp_path)
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(BUNDLED / "particle-case2.cfg"),
+             "--config", str(good), "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {BUNDLED / 'particle-case2.cfg'}: " in result.output
+        assert isinstance(result.exception, SystemExit)
+        for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
+            assert (tmp_path / "out" / "equilibrium" / name).exists()
 
     @pytest.mark.parametrize(
         "solver, error, config",
         [
             ("solve_del", RegularityError("singular block"), "equilibrium"),
             ("solve_shooting", SingularJacobianError(1e15), "particle-case2"),
+            ("solve_shooting", FlowDivergedError(0.5), "particle-case2"),
+            ("solve_del", IntegrationError(2, 0.5, np.array([np.nan])), "equilibrium"),
+            ("solve_shooting", OverflowError("math range error"), "particle-case2"),
         ],
     )
     def test_numerical_failure_exits_two_with_artifacts(
@@ -791,6 +815,17 @@ class TestCompareCommand:
         )
         assert result.exit_code == 1
         assert "variational" in result.output
+
+    def test_unwritable_artifact_directory_exits_one(self, tmp_path):
+        cfg = equilibrium_cfg(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "equilibrium").write_text("in the way\n")
+        result = CliRunner().invoke(
+            main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"Error: {cfg}: " in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 def _bundled_sleigh_with(tmp_path: Path, old: str, new: str) -> Path:

@@ -3,6 +3,8 @@ state-costate flow against hand-coded adjoint systems, shooting residual
 regression, Newton solve behavior, and the reference samplers."""
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nhtrack.geometry import (
     constraint_residual,
     wrap_angle,
 )
-from nhtrack.ode import TimeGrid, integrate
+from nhtrack.ode import IntegrationError, TimeGrid, integrate
 from nhtrack.pmp import (
     AnalyticReference,
     Costate,
@@ -32,6 +34,7 @@ from nhtrack.pmp import (
     solve_shooting,
 )
 from nhtrack.systems import SleighParams, particle_model, sleigh_model
+from nhtrack.varint import RegularityError
 
 SLEIGH_PARAMS = SleighParams(mass_m=1.0, inertia_J=4.0, offset_a=0.2)
 
@@ -861,13 +864,13 @@ def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
 # damped-Newton driver on a toy scalar residual r(x) = x^2 - 4
 
 
-def _square_root_problem(fails):
-    """evaluate/correction for r(x) = x^2 - 4; evaluate raises
-    ArithmeticError wherever fails(x) holds."""
+def _square_root_problem(fails, error=ArithmeticError):
+    """evaluate/correction for r(x) = x^2 - 4; evaluate raises error
+    wherever fails(x) holds."""
 
     def evaluate(x):
         if fails(x[0]):
-            raise ArithmeticError(f"cannot evaluate at x = {x[0]}")
+            raise error(f"cannot evaluate at x = {x[0]}")
         return np.array([x[0] ** 2 - 4.0]), x[0]
 
     def correction(x, r, data):
@@ -884,7 +887,7 @@ def test_damped_newton_backtracks_past_a_trial_that_fails_to_evaluate():
     evaluate, correction = _square_root_problem(lambda x: x > 2.2)
     x, data, report = damped_newton(
         np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-        NewtonSettings(newton_tol=1e-12), ArithmeticError,
+        NewtonSettings(newton_tol=1e-12),
     )
     # the full first step lands at 2.5 and fails; the halved one is taken
     assert report.records[0].damping == 0.5
@@ -897,7 +900,7 @@ def test_damped_newton_reports_when_no_trial_step_evaluates():
     evaluate, correction = _square_root_problem(lambda x: x != 1.0)
     x, data, report = damped_newton(
         np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-        NewtonSettings(), ArithmeticError,
+        NewtonSettings(),
     )
     assert not report.converged
     assert report.iterations == 0
@@ -926,7 +929,7 @@ def test_damped_newton_takes_the_smallest_step_when_no_trial_decreases():
 
     x, data, report = damped_newton(
         np.array([1.0]), counted, ascent, _abs_norm, "residual norm",
-        NewtonSettings(max_iters=1), ArithmeticError,
+        NewtonSettings(max_iters=1),
     )
     assert len(calls) == 1 + (MAX_HALVINGS + 2) == 33
     assert report.records[0].damping == 0.5**31
@@ -936,10 +939,9 @@ def test_damped_newton_takes_the_smallest_step_when_no_trial_decreases():
     assert report.message.startswith("no convergence in 1 iterations")
 
 
-def test_damped_newton_reports_when_the_correction_fails_to_evaluate():
-    """A rejected error raised while computing the step (a diverged probe
-    flow of a finite-difference Jacobian) ends the solve unconverged at the
-    last accepted iterate, with a message naming the error."""
+def test_damped_newton_lets_an_error_of_the_correction_propagate():
+    """An ArithmeticError raised while computing the step is not a rejected
+    trial: it leaves the solve, which has no step to back off from."""
     evaluate, _ = _square_root_problem(lambda x: False)
 
     def correction(x, r, data):
@@ -947,23 +949,18 @@ def test_damped_newton_reports_when_the_correction_fails_to_evaluate():
             raise FlowDivergedError(0.75)
         return -r / (2.0 * x)
 
-    x, data, report = damped_newton(
-        np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-        NewtonSettings(), FlowDivergedError,
-    )
     # the first step lands at 2.5, where the next correction diverges
-    assert not report.converged
-    assert report.iterations == 1
-    assert len(report.records) == 1
-    assert report.residual_norm == 2.25
-    assert "no step could be evaluated at iteration 2" in report.message
-    assert str(FlowDivergedError(0.75)) in report.message
-    assert x[0] == 2.5 and data == 2.5
+    with pytest.raises(FlowDivergedError) as info:
+        damped_newton(
+            np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
+            NewtonSettings(),
+        )
+    assert info.value.t == 0.75
 
 
 def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
     """One diverging row fails a stacked flow with FlowDivergedError; raised
-    from a Jacobian's probe flow, it ends damped_newton unconverged."""
+    from a Jacobian's probe flow, it ends damped_newton by propagating."""
     from nhtrack.pmp import _flow
 
     def rhs(t, y):  # y' = y^2 leaves every bound before t = 1 / y(0)
@@ -990,25 +987,30 @@ def test_stacked_flow_with_one_diverging_probe_ends_the_solve():
 
     # y(1) = y(0) / (1 - y(0)): the probe (0.85 + 0.2, 0.3) diverges, the
     # probe (0.85, 0.3 + 0.2) and the base flow do not
-    x0 = np.array([0.85, 0.3])
-    x, _, report = damped_newton(
-        x0, evaluate, correction, lambda r: float(np.max(np.abs(r))),
-        "residual norm", NewtonSettings(), FlowDivergedError,
-    )
-    assert not report.converged
-    assert report.iterations == 0
-    assert "no step could be evaluated at iteration 1" in report.message
-    assert "flow diverged" in report.message
-    np.testing.assert_array_equal(x, x0)
+    with pytest.raises(FlowDivergedError, match="flow diverged"):
+        damped_newton(
+            np.array([0.85, 0.3]), evaluate, correction,
+            lambda r: float(np.max(np.abs(r))), "residual norm", NewtonSettings(),
+        )
 
 
 def test_damped_newton_lets_other_errors_through():
-    evaluate, correction = _square_root_problem(lambda x: x > 2.2)
-    with pytest.raises(ArithmeticError):
+    evaluate, correction = _square_root_problem(lambda x: x > 2.2, ValueError)
+    with pytest.raises(ValueError):
         damped_newton(
             np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-            NewtonSettings(), FlowDivergedError,
+            NewtonSettings(),
         )
+
+
+@pytest.mark.parametrize(
+    "error",
+    [IntegrationError, FlowDivergedError, SingularJacobianError, RegularityError],
+)
+def test_numerical_failures_are_arithmetic_errors(error):
+    """Every numerical failure of a solve shares one base class, which the
+    Newton driver rejects a trial on and the CLI maps to exit code 2."""
+    assert issubclass(error, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,11 +1136,11 @@ def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
     monkeypatch, segments,
 ):
     """Probe 1 of the start diverges inside the first segment (at t =
-    1 / (2M)) while the start itself stays finite: the start keeps its
-    residual, and the first correction ends the solve unconverged there
-    with a message naming the probe and the time of its blow-up.  The
-    guide puts every later segment start on the start's own packed value,
-    so each of them, too, stays finite while its probe diverges."""
+    1 / (2M)) while the start itself stays finite: the start's stacked flow
+    diverges, so the solve raises FlowDivergedError naming the time of the
+    blow-up, as it does for a start whose point diverges.  The guide puts
+    every later segment start on the start's own packed value, so each of
+    them, too, stays finite while its probe diverges."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
@@ -1148,22 +1150,63 @@ def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
     start[1] = 1e6  # its probe step is 1e-6 * 1e6 = 1
     packed = np.concatenate([problem.initial_state.as_vector(), start])
     guide = (grid.times(), np.tile(packed, (101, 1)))
+    field = _blowup_field(n + k + 1, center=1e6 + 0.5, rate=4.0 * segments)
+    monkeypatch.setattr(pmp, "_make_packed_rhs", field)
+    # the start alone flows finite to the end
+    ys = pmp._flow(field(model, problem), packed, 0.0, grid.h, grid.steps)
+    assert np.all(np.isfinite(ys)) and ys[-1, n + k + 1] < 1e6 + 0.5
+    with pytest.raises(FlowDivergedError) as info:
+        pmp._newton_shoot(
+            model, problem, start, ShootingSettings(), grid, segments, guide,
+        )
+    assert abs(info.value.t - 0.5 / segments) <= 0.02  # two steps of the grid
+    assert f"near t = {info.value.t:.6g}" in str(info.value)
+
+
+@pytest.mark.parametrize("segments, reach, offset", [(1, 1.0, 1.45), (4, 1.5, 5.5)])
+def test_newton_shoot_rejects_a_trial_whose_probe_diverges(
+    monkeypatch, segments, reach, offset,
+):
+    """A row that starts more than w = reach * FD_STEP above the field's
+    center blows up within its segment, so a probe (step FD_STEP) of a
+    finite start near the blow-up diverges; the root's terminal costate
+    lies 0.15 w / M below the center.  From offset * w / M below it, the
+    solve meets a trial whose segment starts all flow finite while a probe
+    diverges, and whose residual norm is below its iterate's: the trial is
+    rejected all the same, and the solve converges."""
+    import nhtrack.pmp as pmp
+    from nhtrack.pmp import FD_STEP
+
+    model, problem = particle_model(), short_case2_problem()
+    n, k = model.n, model.rank
+    grid = TimeGrid(0.0, 1.0, 100)
+    width = reach * FD_STEP
+    start = _terminal_target(model, problem)
+    center = start[1] + 0.15 * width / segments
+    start[1] = center - offset * width / segments
+    packed = np.concatenate([problem.initial_state.as_vector(), start])
+    guide = (grid.times(), np.tile(packed, (101, 1)))
     monkeypatch.setattr(
         pmp, "_make_packed_rhs",
-        _blowup_field(n + k + 1, center=1e6 + 0.5, rate=4.0 * segments),
+        _blowup_field(n + k + 1, center=center, rate=segments / width),
     )
-    vec, (times, ys), report = pmp._newton_shoot(
-        model, problem, start.copy(), ShootingSettings(), grid, segments, guide,
+    real_flow, probe_only = pmp._flow, []
+
+    def recording_flow(rhs, y0, starts, h, steps):
+        try:
+            return real_flow(rhs, y0, starts, h, steps)
+        except FlowDivergedError:
+            with suppress(FlowDivergedError):
+                real_flow(rhs, y0[:, :1], starts, h, steps)  # the starts alone
+                probe_only.append(True)
+            raise
+
+    monkeypatch.setattr(pmp, "_flow", recording_flow)
+    _, _, report = pmp._newton_shoot(
+        model, problem, start, ShootingSettings(), grid, segments, guide,
     )
-    assert not report.converged
-    assert report.iterations == 0
-    assert "no step could be evaluated at iteration 1" in report.message
-    assert "probe" in report.message
-    t = float(report.message.split("near t = ")[1].split(";")[0])
-    assert abs(t - 0.5 / segments) <= 0.02  # two steps of the grid
-    np.testing.assert_array_equal(vec, start)
-    # the series is the starts' own flows, finite to the end
-    assert np.all(np.isfinite(ys)) and ys[-1, n + k + 1] < 1e6 + 0.5
+    assert probe_only
+    assert report.converged
 
 
 @pytest.mark.parametrize("segments", [1, 4])

@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and
+no module-level private name goes unread."""
 from __future__ import annotations
 
 import ast
@@ -52,3 +53,52 @@ def test_module_uses_every_name_it_imports(path):
         if name not in _used_names(tree)
     )
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private name (one leading underscore) -> the def, class
+    or assignment statement that binds it."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update(
+            (name, node)
+            for name in names
+            if name.startswith("_") and not name.startswith("__")
+        )
+    return defs
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names the statement reads: loaded names, attribute names and the
+    names it imports."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            read.add(sub.name)
+    return read
+
+
+def test_every_private_module_name_is_read():
+    """A module-level _name that nothing in the package reads outside its
+    own definition is dead code."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    # the names each top-level statement of the package reads
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = sorted(
+        f"{module}:{node.lineno} {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if not any(name in names for stmt, names in reads if stmt is not node)
+    )
+    assert not dead, f"unread private names: {', '.join(dead)}"
