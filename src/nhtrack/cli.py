@@ -35,6 +35,7 @@ from .geometry import dynamics_rhs  # noqa: F401  (wrapped by bench/trace.py)
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from .pmp import (
     CONTINUATIONS,
+    ROLLOUT_STEP,
     AnalyticReference,
     RolloutReference,
     ShootingSettings,
@@ -83,7 +84,7 @@ class ProblemBlock:
     v_slope: tuple[float, ...] | None = None
     rollout_q: tuple[float, ...] | None = None
     rollout_v: tuple[float, ...] | None = None
-    rollout_step: float = 1e-3
+    rollout_step: float = ROLLOUT_STEP
     initial_q: tuple[float, ...] = ()
     initial_v: tuple[float, ...] = ()
     horizon_T: float = 1.0
@@ -201,9 +202,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     # no interpolation: a % in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -248,6 +251,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("variational solver needs an explicit steps count")
     if not 1 <= cfg.output.precision <= 17:
         raise ConfigError(f"precision must be in [1, 17], got {cfg.output.precision}")
+    if problem.rollout_step <= 0:
+        raise ConfigError(f"rollout_step must be positive, got {problem.rollout_step}")
     if cfg.compare.pmp_steps is not None and cfg.compare.pmp_steps <= 0:
         raise ConfigError(f"pmp_steps must be positive, got {cfg.compare.pmp_steps}")
     return cfg
@@ -573,25 +578,49 @@ REINTEGRATION_SUBSTEPS = 10
 
 
 def _reintegrate_from_first_enforced(
-    model: SystemModel, traj: DiscreteTrajectory
-) -> np.ndarray:
-    """RK4 re-integration of the recovered piecewise-constant controls at
-    step h/REINTEGRATION_SUBSTEPS, started at the first node whose outgoing
-    interval carries a constraint: node 0 when the first interval was
-    enforced (traj.lambda_zero is set), else node 1.  Returns the states
-    from that node to node N as rows (q, v)."""
-    first = 0 if traj.lambda_zero is not None else 1
-    y = np.concatenate([traj.q[first], traj.v[first]])
-    states = [y]
-    h_sub = traj.h / REINTEGRATION_SUBSTEPS
+    model: SystemModel, *trajs: DiscreteTrajectory
+) -> list[np.ndarray]:
+    """RK4 re-integration of each trajectory's recovered piecewise-constant
+    controls at step h/REINTEGRATION_SUBSTEPS, started at the first node
+    whose outgoing interval carries a constraint: node 0 when the first
+    interval was enforced (lambda_zero is set), else node 1.  Returns, per
+    trajectory, the states from that node to node N as rows (q, v).
+
+    The trajectories advance as one stack of rows, each with its own step
+    and controls; a row leaves the stack after its last interval and a lone
+    row steps unstacked, so each row equals its own single-trajectory run
+    bit for bit.  A non-finite stage raises IntegrationError at the earliest
+    failing row's own time."""
+    firsts = [0 if traj.lambda_zero is not None else 1 for traj in trajs]
+    states = [
+        [np.concatenate([traj.q[k], traj.v[k]])] for traj, k in zip(trajs, firsts)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(first, traj.steps):
-            field = _state_field(model, traj.controls[j])
-            t_j = float(traj.times[j])
+        for i in range(max(traj.steps - k for traj, k in zip(trajs, firsts))):
+            # the rows that still have an interval i, at their node of it
+            live = [r for r, traj in enumerate(trajs) if firsts[r] + i < traj.steps]
+            nodes = [(trajs[r], firsts[r] + i) for r in live]
+            h_sub = np.array([traj.h for traj, _ in nodes]) / REINTEGRATION_SUBSTEPS
+            # a stack of one row steps about 1.5x slower than the row alone
+            lead = (len(live),) if len(live) > 1 else ()
+            h = h_sub.reshape(lead + (1,))
+            field = _state_field(
+                model, np.reshape([traj.controls[j] for traj, j in nodes], lead + (-1,))
+            )
+            y = np.reshape([states[r][-1] for r in live], lead + (-1,))
             for s in range(REINTEGRATION_SUBSTEPS):
-                y = rk4_step(field, t_j + s * h_sub, y, h_sub)
-            states.append(y)
-    return np.asarray(states)
+                # the field is autonomous, so the stack steps a local clock
+                try:
+                    y = rk4_step(field, 0.0, y, h)
+                except IntegrationError as exc:
+                    # re-raised as the single flow of the earliest failing row
+                    t = np.array([float(traj.times[j]) for traj, j in nodes]) + s * h_sub
+                    raise IntegrationError(
+                        exc.stage, float(np.min(t[exc.rows])), np.full(1, np.nan)
+                    ) from exc
+            for r, row in zip(live, y.reshape(len(live), -1)):
+                states[r].append(row)
+    return [np.asarray(rows) for rows in states]
 
 
 def _endpoint_discrepancy(
@@ -600,7 +629,7 @@ def _endpoint_discrepancy(
     """Max-norm gap between the solved final node and the re-integrated one;
     reint, when given, is traj's re-integrated series."""
     if reint is None:
-        reint = _reintegrate_from_first_enforced(model, traj)
+        (reint,) = _reintegrate_from_first_enforced(model, traj)
     solved = np.concatenate([traj.q[-1], traj.v[-1]])
     return float(np.max(np.abs(reint[-1] - solved)))
 
@@ -668,10 +697,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 f"{'yes' if report.converged else 'no'} in {report.iterations} "
                 f"iterations, residual {report.residual_norm:.6e}"
             )
-        traj = results[base_steps]
-        reint = _reintegrate_from_first_enforced(model, traj)
+        traj, traj2 = results[base_steps], results[2 * base_steps]
+        reint, reint2 = _reintegrate_from_first_enforced(model, traj, traj2)
         disc_h = _endpoint_discrepancy(model, traj, reint)
-        disc_h2 = _endpoint_discrepancy(model, results[2 * base_steps])
+        disc_h2 = _endpoint_discrepancy(model, traj2, reint2)
     except ArithmeticError as exc:
         return _solver_failure(
             out_dir, {"compare.csv": header}, report_lines, exc, precision

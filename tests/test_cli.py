@@ -4,6 +4,7 @@ structural check suite."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import textwrap
 import time
@@ -557,6 +558,26 @@ class TestRunCommand:
         for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
             assert (tmp_path / "out" / "equilibrium" / name).exists()
 
+    def test_config_that_is_not_utf8_skips_only_that_config(self, tmp_path):
+        """A config file with a Latin-1 byte is an error naming that file,
+        exit 1: the config after it still runs."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"# caf\xe9\n[system]\npreset = particle\n")
+        good = equilibrium_cfg(tmp_path)
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(bad), "--config", str(good),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1, result.output
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and "not UTF-8" in errors[0]
+        assert str(bad) in errors[0]
+        assert isinstance(result.exception, SystemExit)
+        for name in ("trajectory.csv", "diagnostics.csv", "report.txt"):
+            assert (tmp_path / "out" / "equilibrium" / name).exists()
+
     @pytest.mark.parametrize(
         "solver, error, config",
         [
@@ -783,28 +804,101 @@ class TestCompareCommand:
         model, problem, settings, grid = cli._build(cfg)
         traj, report = cli.solve_del(model, problem, grid, settings)
         assert report.converged
-        reint = cli._reintegrate_from_first_enforced(model, traj)
+        (reint,) = cli._reintegrate_from_first_enforced(model, traj)
         discrepancy = cli._endpoint_discrepancy(model, traj, reint)
         monkeypatch.setattr(
             cli, "REINTEGRATION_SUBSTEPS", 2 * cli.REINTEGRATION_SUBSTEPS
         )
-        doubled = cli._reintegrate_from_first_enforced(model, traj)
+        (doubled,) = cli._reintegrate_from_first_enforced(model, traj)
         gap = np.max(np.abs(doubled - reint))
         assert gap < 1e-9
         assert gap < 1e-6 * discrepancy
 
     def test_reintegrates_each_grid_once(self, tmp_path, monkeypatch):
+        """compare re-integrates the N and 2N solutions in one call."""
         steps = []
         reintegrate = cli._reintegrate_from_first_enforced
 
-        def counted(model, traj, *args):
-            steps.append(traj.steps)
-            return reintegrate(model, traj, *args)
+        def counted(model, *trajs):
+            steps.append([traj.steps for traj in trajs])
+            return reintegrate(model, *trajs)
 
         monkeypatch.setattr(cli, "_reintegrate_from_first_enforced", counted)
         cfg = parse_config(equilibrium_cfg(tmp_path))
         assert compare_experiment(cfg, tmp_path / "cmp") == 0
-        assert steps == [4, 8]
+        assert steps == [[4, 8]]
+
+    @pytest.mark.parametrize("config, problem_keys, solver_keys, first", [
+        ("sleigh-paper51", {}, {}, 1),
+        # the particle-del benchmark instance on 40 and 80 steps
+        ("particle-case2", {"terminal_mode": "hard"}, {
+            "method": "variational", "steps": 40, "enforce_first_interval": True,
+            "newton_tol": 1e-10, "max_iters": 100,
+        }, 0),
+    ])
+    def test_stacked_reintegration_rows_equal_single_runs(
+        self, config, problem_keys, solver_keys, first
+    ):
+        """The N and 2N solutions re-integrated as one stack give, row by
+        row, the same bits as each re-integrated alone, through the common
+        intervals and the longer one's tail."""
+        cfg = parse_config(BUNDLED / f"{config}.cfg")
+        cfg = dataclasses.replace(
+            cfg,
+            problem=dataclasses.replace(cfg.problem, **problem_keys),
+            solver=dataclasses.replace(cfg.solver, **solver_keys),
+        )
+        model, problem, settings, grid = cli._build(cfg)
+        trajs = []
+        for steps in (grid.steps, 2 * grid.steps):
+            traj, report = cli.solve_del(
+                model, problem, dataclasses.replace(grid, steps=steps), settings
+            )
+            assert report.converged
+            trajs.append(traj)
+        stacked = cli._reintegrate_from_first_enforced(model, *trajs)
+        for traj, rows in zip(trajs, stacked):
+            (alone,) = cli._reintegrate_from_first_enforced(model, traj)
+            assert rows.shape == (traj.steps + 1 - first, model.n + model.rank)
+            assert np.array_equal(rows, alone)
+
+    @pytest.mark.parametrize("rows, failing, window", [
+        # the short row ends at t = 0.5; the long one blows up after t = 1,
+        # in the intervals it runs alone
+        ([(2, 0.25, 1.0), (4, 0.5, 1.0)], 1, (1.0, 2.0)),
+        # a quiet first row (blow-up at t = 10) and a second row that blows
+        # up in the intervals the two share
+        ([(4, 0.5, 0.1), (2, 0.75, 1.0)], 1, (0.75, 1.5)),
+    ], ids=["longer-tail", "common-interval"])
+    def test_blow_up_names_the_failing_rows_time(
+        self, monkeypatch, rows, failing, window
+    ):
+        """y' = y^2 from y = y0 blows up at t = 1/y0.  The stacked
+        re-integration fails at the failing row's own time, with the same
+        message as that row's single run."""
+        monkeypatch.setattr(cli, "_state_field", lambda model, u: lambda t, y: y**2)
+        model = particle_model()
+
+        def constant(steps, h, y0):
+            return DiscreteTrajectory(
+                h=h, times=h * np.arange(steps + 1),
+                q=np.full((steps + 1, model.n), y0),
+                v=np.full((steps + 1, model.rank), y0),
+                multipliers=np.zeros((steps - 1, model.corank)),
+                controls=np.zeros((steps, model.rank)),
+                lambda_zero=np.zeros(model.corank),
+            )
+
+        trajs = [constant(*row) for row in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as alone:
+                cli._reintegrate_from_first_enforced(model, trajs[failing])
+            with pytest.raises(IntegrationError) as stacked:
+                cli._reintegrate_from_first_enforced(model, *trajs)
+        assert window[0] <= stacked.value.t < window[1]
+        assert stacked.value.t == alone.value.t
+        assert str(stacked.value) == str(alone.value)
 
     def test_rejects_shooting_config(self, tmp_path):
         runner = CliRunner()
@@ -852,6 +946,24 @@ def test_overflowing_rollout_reference_exits_one(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_rollout_step_is_an_error_naming_the_key(tmp_path, value):
+    path = _bundled_sleigh_with(
+        tmp_path, "rollout_step = 0.01", f"rollout_step = {value}"
+    )
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert errors == [
+        f"Error: {path}: rollout_step must be positive, got {float(value)}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_retired_initial_guess_mode_is_an_unknown_key(tmp_path, command):
     """The variational route has one initial guess; the key that chose
@@ -889,18 +1001,19 @@ def test_rollout_step_passes_step_doubling():
 
 def test_rollout_reference_passes_step_doubling_at_its_nodes_and_midpoints():
     """The bundled sleigh reference and a RolloutReference at half its
-    rollout_step agree within 1e-12 at all 5001 nodes of the reference's
-    grid and at the midpoints of every fifth interval of it."""
+    rollout_step agree within 1e-12 at every node of the reference's grid,
+    horizon / rollout_step intervals, and at the midpoint of every
+    interval."""
     cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
     reference = cli._build(cfg)[1].reference
     halved = RolloutReference(
         reference.model, reference.start, reference.horizon,
         step=cfg.problem.rollout_step / 2,
     )
-    h = cfg.problem.rollout_step
-    nodes = h * np.arange(5001)
-    midpoints = h * (5 * np.arange(1000) + 0.5)
-    assert nodes[-1] == pytest.approx(reference.horizon)
+    steps = math.ceil(reference.horizon / cfg.problem.rollout_step)
+    h = reference.horizon / steps
+    nodes = h * np.arange(steps + 1)
+    midpoints = h * (np.arange(steps) + 0.5)
     for times in (nodes, midpoints):
         coarse, fine = reference(times), halved(times)
         gap = max(np.max(np.abs(fine.q - coarse.q)), np.max(np.abs(fine.v - coarse.v)))
