@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -98,8 +98,9 @@ class ProblemBlock:
 @dataclass(frozen=True)
 class SolverBlock:
     method: str = "pmp-shooting"
-    newton_tol: float = 1e-8
-    max_iters: int = 50
+    # unset: the method's settings default, filled in by parse_config
+    newton_tol: float | None = None
+    max_iters: int | None = None
     steps: int | None = None
     continuation: str = "none"
     continuation_stages: int = 4
@@ -220,6 +221,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 f"known: {', '.join(SECTIONS)}"
             )
     blocks = {name: _parse_block(parser, name, path) for name in SECTIONS}
+    solver = blocks["solver"]
+    defaults = ShootingSettings if solver.method == "pmp-shooting" else DelSettings
+    blocks["solver"] = replace(solver, **{
+        key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
+        if getattr(solver, key) is None
+    })
     cfg = ExperimentConfig(**blocks)
 
     system, problem = cfg.system, cfg.problem
@@ -616,7 +623,7 @@ def _reintegrate_from_first_enforced(
                     # re-raised as the single flow of the earliest failing row
                     t = np.array([float(traj.times[j]) for traj, j in nodes]) + s * h_sub
                     raise IntegrationError(
-                        exc.stage, float(np.min(t[exc.rows])), np.full(1, np.nan)
+                        exc.stage, float(np.min(t[exc.rows]))
                     ) from exc
             for r, row in zip(live, y.reshape(len(live), -1)):
                 states[r].append(row)

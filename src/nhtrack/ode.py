@@ -25,17 +25,17 @@ class IntegrationError(ArithmeticError):
     """A stage evaluation produced a non-finite value.
 
     rows marks, over the leading axes of a stack of flows, the rows whose
-    stage value is non-finite (a 0-d mask for a single flow), so a caller
-    that runs stacked flows on their own clocks can name the earliest one.
+    stage value is non-finite (by default a 0-d mask: one failing flow), so
+    a caller that runs stacked flows on their own clocks can name the earliest.
     """
 
-    def __init__(self, stage: int, t: float, value: Array) -> None:
+    def __init__(self, stage: int, t: float, rows: Array = np.True_) -> None:
         super().__init__(
             f"non-finite value in RK4 stage {stage} at t = {t:.6g}"
         )
         self.stage = stage
         self.t = t
-        self.rows = ~np.all(np.isfinite(value), axis=-1)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,9 @@ def _raise_first_nonfinite(
     its __cause__; return when every stage is finite (a finite step whose
     update overflows returns inf)."""
     for stage, k in enumerate(stages, start=1):
-        if not np.isfinite(k).all():
-            raise IntegrationError(stage, t, k) from cause
+        rows = ~np.all(np.isfinite(k), axis=-1)
+        if rows.any():
+            raise IntegrationError(stage, t, rows) from cause
 
 
 def integrate(f: VectorField, y0: Array, grid: TimeGrid) -> tuple[Array, Array]:

@@ -49,7 +49,6 @@ from .geometry import (
     drift,
     dynamics_rhs,
     state_difference,
-    wrap_angle,
 )
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 
@@ -497,7 +496,8 @@ def _make_packed_rhs(
     (m, 2(n + k)), which advances m flows (for example a Newton point with
     the probes of its finite-difference Jacobian) in one evaluation.  The
     adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv, with the
-    drift derivatives taken exactly from geometry.drift.
+    drift derivatives taken exactly from geometry.drift and the tracking
+    difference (angles wrapped) from geometry.state_difference.
     """
     n, k = model.n, model.rank
     rho_f, rho_jac_f = model.rho, model.rho_jac
@@ -505,18 +505,10 @@ def _make_packed_rhs(
     lam0 = problem.lambda0
     inv_le = 1.0 / (lam0 * problem.epsilon)
     track = lam0 * problem.state_weight
-    angle_idx = sorted(model.angle_indices)
 
     def rhs(t: float, y: Array) -> Array:
-        q = y[..., :n]
-        v = y[..., n : n + k]
-        lam = y[..., n + k : 2 * n + k]
-        mu = y[..., 2 * n + k :]
-        ref = reference(t)
-        dq = q - ref.q
-        for i in angle_idx:
-            dq[..., i] = wrap_angle(dq[..., i])
-        dv = v - ref.v
+        q, v, lam, mu = _split(y, n, k)
+        dq, dv = state_difference(model, AdmissibleState(q, v), reference(t))
 
         rho = rho_f(q)
         rjac = rho_jac_f(q)
@@ -534,6 +526,11 @@ def _make_packed_rhs(
         return np.concatenate([qdot, vdot, lamdot, mudot], axis=-1)
 
     return rhs
+
+
+def _split(y: Array, n: int, k: int) -> tuple[Array, Array, Array, Array]:
+    """The (q, v, lambda, mu) views of a packed vector or stack of them."""
+    return y[..., :n], y[..., n : n + k], y[..., n + k : 2 * n + k], y[..., 2 * n + k :]
 
 
 def pmp_rhs(
@@ -556,16 +553,8 @@ def pmp_rhs(
         raise ArithmeticError(
             f"non-finite state-costate derivatives at t = {t:.6g}"
         )
-    n, k = model.n, model.rank
-    return (
-        (out[:n], out[n : n + k]),
-        (out[n + k : 2 * n + k], out[2 * n + k :]),
-    )
-
-
-def _default_grid(problem: TrackingProblem) -> TimeGrid:
-    steps = max(1, round(problem.horizon_T / 0.01))
-    return TimeGrid(0.0, problem.horizon_T, steps)
+    qdot, vdot, lamdot, mudot = _split(out, model.n, model.rank)
+    return (qdot, vdot), (lamdot, mudot)
 
 
 def _check_span(grid: TimeGrid, problem: TrackingProblem, name: str) -> None:
@@ -578,7 +567,8 @@ def _check_span(grid: TimeGrid, problem: TrackingProblem, name: str) -> None:
 
 
 def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
-    grid = settings.inner_grid or _default_grid(problem)
+    steps = max(1, round(problem.horizon_T / 0.01))  # default: h of about 0.01
+    grid = settings.inner_grid or TimeGrid(0.0, problem.horizon_T, steps)
     _check_span(grid, problem, "inner_grid")
     return grid
 
@@ -646,14 +636,11 @@ def _terminal_residual(
 ) -> Array:
     """Terminal residual of one packed final state, or one row per state of
     a stack."""
-    n, k = model.n, model.rank
-    state_T = AdmissibleState(q=y_final[..., :n], v=y_final[..., n : n + k])
+    q_T, v_T, lam_T, mu_T = _split(y_final, model.n, model.rank)
     ref_T = problem.reference(problem.horizon_T)
-    dq, dv = state_difference(model, state_T, ref_T)
+    dq, dv = state_difference(model, AdmissibleState(q_T, v_T), ref_T)
     if problem.terminal_mode == "hard":
         return np.concatenate([dq, dv], axis=-1)
-    lam_T = y_final[..., n + k : 2 * n + k]
-    mu_T = y_final[..., 2 * n + k :]
     return np.concatenate(
         [lam_T - problem.omega * dq, mu_T - problem.omega * dv], axis=-1
     )
@@ -689,16 +676,9 @@ def _single_flow(
 def _trajectory_from_series(
     model: SystemModel, problem: TrackingProblem, times: Array, ys: Array
 ) -> ShootingTrajectory:
-    n, k = model.n, model.rank
-    mu = ys[:, 2 * n + k :]
-    return ShootingTrajectory(
-        times=times,
-        q=ys[:, :n],
-        v=ys[:, n : n + k],
-        u=optimal_control(mu, problem.epsilon, problem.lambda0),
-        lam=ys[:, n + k : 2 * n + k],
-        mu=mu,
-    )
+    q, v, lam, mu = _split(ys, model.n, model.rank)
+    u = optimal_control(mu, problem.epsilon, problem.lambda0)
+    return ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu)
 
 
 def _condensed_step(

@@ -12,6 +12,12 @@ from .geometry import SystemModel
 Array = np.ndarray
 
 
+def _zeros(*shape: int):
+    """A model callable that returns zeros of this shape after q's leading
+    axes."""
+    return lambda q: np.zeros(q.shape[:-1] + shape)
+
+
 @dataclass(frozen=True)
 class SleighParams:
     """Physical parameters of the Chaplygin sleigh.
@@ -89,12 +95,6 @@ def particle_model() -> SystemModel:
         g[..., 1, 1] = 1.0 + y * y
         return g
 
-    def potential_grad(q: Array) -> Array:
-        return np.zeros(q.shape[:-1] + (2,))
-
-    def potential_grad_jac(q: Array) -> Array:
-        return np.zeros(q.shape[:-1] + (2, 3))
-
     def annihilator(q: Array) -> Array:
         mu = np.zeros(q.shape[:-1] + (1, 3))
         mu[..., 0, 0] = 1.0
@@ -108,8 +108,8 @@ def particle_model() -> SystemModel:
         rho_jac=rho_jac,
         christoffel=christoffel,
         metric_d=metric_d,
-        potential_grad=potential_grad,
-        potential_grad_jac=potential_grad_jac,
+        potential_grad=_zeros(2),
+        potential_grad_jac=_zeros(2, 3),
         annihilator=annihilator,
         angle_indices=frozenset(),
         name="particle",
@@ -168,17 +168,8 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
     def christoffel(q: Array) -> Array:
         return np.zeros(q.shape[:-1] + (2, 2, 2)) + gamma_const
 
-    def christoffel_jac(q: Array) -> Array:
-        return np.zeros(q.shape[:-1] + (2, 2, 2, 3))
-
     def metric_d(q: Array) -> Array:
         return np.zeros(q.shape[:-1] + (2, 2)) + np.eye(2)
-
-    def potential_grad(q: Array) -> Array:
-        return np.zeros(q.shape[:-1] + (2,))
-
-    def potential_grad_jac(q: Array) -> Array:
-        return np.zeros(q.shape[:-1] + (2, 3))
 
     def annihilator(q: Array) -> Array:
         th = q[..., 2]
@@ -194,12 +185,12 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
         rho_jac=rho_jac,
         christoffel=christoffel,
         metric_d=metric_d,
-        potential_grad=potential_grad,
-        potential_grad_jac=potential_grad_jac,
+        potential_grad=_zeros(2),
+        potential_grad_jac=_zeros(2, 3),
         annihilator=annihilator,
         angle_indices=frozenset({2}),
         name="sleigh",
-        christoffel_jac=christoffel_jac,
+        christoffel_jac=_zeros(2, 2, 2, 3),
     )
 
 

@@ -233,9 +233,37 @@ class TestParsing:
             initial_q=(0.5, 0.2, 0.7), initial_v=(0.5, 0.4),
         )
         assert parse_config(path) == ExperimentConfig(
-            system=SystemBlock(), problem=problem, solver=SolverBlock(),
+            system=SystemBlock(), problem=problem,
+            solver=SolverBlock(newton_tol=1e-8, max_iters=50),
             output=OutputBlock(), compare=CompareBlock(),
         )
+
+    def test_unset_newton_keys_take_the_variational_defaults(self, tmp_path):
+        """A variational config without newton_tol and max_iters solves,
+        and echoes, with DelSettings' defaults, not the shooting ones."""
+        path = write_cfg(
+            tmp_path, "variational.cfg",
+            """\
+            [system]
+            [problem]
+            q_base = 1 2 3
+            q_slope = 0 0 1
+            v_base = 0 1
+            v_slope = 0 0
+            initial_q = 0.5 0.2 0.7
+            initial_v = 0.5 0.4
+            terminal_mode = hard
+            [solver]
+            method = variational
+            steps = 4
+            """,
+        )
+        cfg = parse_config(path)
+        assert (cfg.solver.newton_tol, cfg.solver.max_iters) == (1e-10, 100)
+        echo = config_text(cfg)
+        assert "newton_tol = 1e-10\n" in echo and "max_iters = 100\n" in echo
+        echoed = write_cfg(tmp_path, "echo.cfg", echo)
+        assert parse_config(echoed) == cfg
 
     @pytest.mark.parametrize("settings", [ShootingSettings, DelSettings])
     def test_every_solver_setting_is_a_config_key(self, settings):
@@ -584,7 +612,7 @@ class TestRunCommand:
             ("solve_del", RegularityError("singular block"), "equilibrium"),
             ("solve_shooting", SingularJacobianError(1e15), "particle-case2"),
             ("solve_shooting", FlowDivergedError(0.5), "particle-case2"),
-            ("solve_del", IntegrationError(2, 0.5, np.array([np.nan])), "equilibrium"),
+            ("solve_del", IntegrationError(2, 0.5), "equilibrium"),
             ("solve_shooting", OverflowError("math range error"), "particle-case2"),
         ],
     )

@@ -318,12 +318,16 @@ def test_pmp_rhs_matches_hand_coded_sleigh_adjoints():
     rng = np.random.default_rng(4)
     for _ in range(100):
         t = rng.uniform(0, 5)
-        state = AdmissibleState(q=rng.uniform(-2, 2, 3), v=rng.uniform(-2, 2, 2))
+        q, v = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 2)
         costate = Costate(lam=rng.uniform(-2, 2, 3), mu=rng.uniform(-2, 2, 2))
-        (qd, vd), (ld, md) = pmp_rhs(model, prob, t, state, costate)
-        got = np.concatenate([qd, vd, ld, md])
-        want = hand(t, np.concatenate([state.q, state.v, costate.lam, costate.mu]))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # theta shifted by a full turn puts theta - theta_r past pi, so the
+        # tracking term's angle wrap acts
+        for turn in (0.0, 2.0 * np.pi, -2.0 * np.pi):
+            state = AdmissibleState(q=q + [0.0, 0.0, turn], v=v)
+            (qd, vd), (ld, md) = pmp_rhs(model, prob, t, state, costate)
+            got = np.concatenate([qd, vd, ld, md])
+            want = hand(t, np.concatenate([state.q, state.v, costate.lam, costate.mu]))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_pmp_rhs_zero_costate_on_reference():

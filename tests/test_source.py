@@ -102,3 +102,27 @@ def test_every_private_module_name_is_read():
         if not any(name in names for stmt, names in reads if stmt is not node)
     )
     assert not dead, f"unread private names: {', '.join(dead)}"
+
+
+def test_only_state_difference_wraps_an_angle():
+    """geometry.state_difference owns the angle wrap: no other code in the
+    package calls wrap_angle."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(sub)
+            for node in tree.body
+            if path.name == "geometry.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name == "state_difference"
+            for sub in ast.walk(node)
+        }
+        calls += [
+            f"{path.name}:{sub.lineno}"
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Call)
+            and "wrap_angle" in (getattr(sub.func, a, None) for a in ("id", "attr"))
+            and id(sub) not in owner
+        ]
+    assert not calls, f"wrap_angle called outside state_difference: {', '.join(calls)}"
