@@ -15,6 +15,7 @@ on an artifact directory that cannot be created.
 from __future__ import annotations
 
 import configparser
+import itertools
 import types
 import typing
 from dataclasses import dataclass, fields, replace
@@ -409,14 +410,12 @@ def _build(cfg: ExperimentConfig) -> tuple[
 # artifact writers
 
 
-def _fmt(value: float, precision: int) -> str:
-    return format(float(value), f".{precision}g")
-
-
 def _write_csv(path: Path, header: list[str], rows, precision: int) -> None:
+    """One line per row of the float array rows (may be empty), each value
+    as format(value, f".{precision}g") spells it."""
+    line = ",".join([f"%.{precision}g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x, precision) for x in row))
+    lines += [line % tuple(row.tolist()) for row in np.asarray(rows, dtype=float)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -1022,8 +1021,10 @@ def presets():
     for entry in sorted(config_dir.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".cfg"):
             continue
-        first = entry.read_text(encoding="utf-8").splitlines()[0]
-        note = first.lstrip("# ") if first.startswith("#") else ""
+        # the leading comment block, joined into one line
+        lines = entry.read_text(encoding="utf-8").splitlines()
+        header = itertools.takewhile(lambda line: line.startswith("#"), lines)
+        note = " ".join(line.lstrip("# ") for line in header)
         click.echo(f"  {entry.name}: {note}" if note else f"  {entry.name}")
 
 

@@ -865,6 +865,8 @@ def solve_shooting(
     nonconvergence is reported, not raised: the report carries the
     converged flag, the final residual norm and the log of the last stage
     (a stage that fails keeps its own message, with the segmented norm).
+    Each earlier stage that did not converge appends "ladder stage j of s
+    (T = ...) did not converge: <its message>" to the message.
     """
     grid = check_shooting(problem, settings)
     stages = _stages(problem, settings, grid)
@@ -896,11 +898,17 @@ def solve_shooting(
                 return result(series, ConvergenceReport(
                     True, 0, r_norm, (), "initial guess already within tolerance"
                 ))
-    for stage_problem, stage_grid in stages:
+    missed_stages = []
+    for j, (stage_problem, stage_grid) in enumerate(stages, start=1):
         # a failed stage still leaves the best costate and flow found so far
         alpha_vec, series, report = _newton_shoot(
             model, stage_problem, alpha_vec, settings, stage_grid, SEGMENTS, series
         )
+        if not report.converged and j < len(stages):
+            missed_stages.append(
+                f"ladder stage {j} of {len(stages)} "
+                f"(T = {stage_problem.horizon_T:g}) did not converge: {report.message}"
+            )
     try:
         series, r_norm = single(problem, grid)
     except FlowDivergedError as exc:
@@ -915,6 +923,7 @@ def solve_shooting(
             report, converged=False,
             message=f"segmented root found, but its single flow {missed}",
         )
+    report = replace(report, message="; ".join([report.message, *missed_stages]))
     return result(series, report)
 
 

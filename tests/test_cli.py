@@ -3,6 +3,7 @@ and byte stability, exit-code contract, the compare pipeline, and the
 structural check suite."""
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import math
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nhtrack import cli
+from nhtrack import cli, pmp
 from nhtrack.cli import (
     CompareBlock,
     ConfigError,
@@ -88,6 +89,28 @@ class TestParsing:
             cfg = parse_config(BUNDLED / name)
             echoed = write_cfg(tmp_path, f"echo-{name}", config_text(cfg))
             assert parse_config(echoed) == cfg
+
+    @pytest.mark.parametrize(
+        "path", sorted(BUNDLED.glob("*.cfg")), ids=lambda path: path.name
+    )
+    def test_bundled_config_sets_no_key_its_route_ignores(self, path):
+        cfg = parse_config(path)
+        solver, reference = cfg.solver, cfg.problem.reference
+        if solver.method == "pmp-shooting":
+            ignored = {"psi_variant", "enforce_first_interval"}
+            if solver.continuation == "none":
+                ignored.add("continuation_stages")
+        else:
+            ignored = {"continuation", "continuation_stages"}
+        for kind, vectors in cli.REFERENCE_VECTORS.items():
+            if kind != reference:
+                ignored.update(vectors)
+        if reference != "rollout":
+            ignored.add("rollout_step")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path, encoding="utf-8")
+        keys = {key for name in parser.sections() for key in parser[name]}
+        assert keys & ignored == set()
 
     def test_echo_is_idempotent(self, tmp_path):
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
@@ -341,20 +364,32 @@ class TestRunCommand:
         ).read_text().splitlines()[0]
         assert header == "t,q1,q2,q3,v1,v2,u1,u2,lam1,lam2,lam3,mu1,mu2"
 
-    def test_particle_bundled_config_converges_without_a_ladder(self, tmp_path):
-        """particle-case2.cfg with continuation = none: the segmented solve
-        converges from a zero costate within a budget, to the initial
-        costate of the horizon ladder's solve within 1e-8."""
+    def test_particle_bundled_config_converges_without_a_ladder(
+        self, tmp_path, monkeypatch
+    ):
+        """particle-case2.cfg runs without a ladder: one segmented Newton
+        solve from a zero costate, within a budget, to the initial costate
+        of the horizon ladder's solve within 1e-8."""
         budget = 5.0
         cfg = parse_config(BUNDLED / "particle-case2.cfg")
-        assert cfg.solver.continuation == "horizon"
-        assert run_experiment(cfg, tmp_path / "ladder") == 0
-        no_ladder = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, continuation="none")
-        )
+        assert cfg.solver.continuation == "none"
+        horizons = []  # of each Newton solve
+        newton_shoot = pmp._newton_shoot
+
+        def counted(model, problem, *args):
+            horizons.append(problem.horizon_T)
+            return newton_shoot(model, problem, *args)
+
+        monkeypatch.setattr(pmp, "_newton_shoot", counted)
         t0 = time.perf_counter()
-        assert run_experiment(no_ladder, tmp_path / "none") == 0
+        assert run_experiment(cfg, tmp_path / "none") == 0
         assert time.perf_counter() - t0 < budget
+        assert horizons == [4.0]
+        ladder = dataclasses.replace(
+            cfg, solver=dataclasses.replace(cfg.solver, continuation="horizon")
+        )
+        assert run_experiment(ladder, tmp_path / "ladder") == 0
+        assert horizons == [4.0, 1.0, 2.0, 3.0, 4.0]
 
         def costate_at_0(out):
             row = (out / "trajectory.csv").read_text().splitlines()[1]
@@ -394,6 +429,22 @@ class TestRunCommand:
         )
         assert np.array_equal(parsed[:, 1:4], traj.q)
         assert np.array_equal(parsed[:, 4:6], traj.v)
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_csv_values_are_spelled_by_format(self, tmp_path, precision):
+        rng = np.random.default_rng(precision)
+        special = [
+            0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+            math.inf, -math.inf, math.nan, 1.0, -1.5, 0.1, 1e16, 123456789.0,
+        ]
+        scales = 10.0 ** rng.integers(-300, 300, 13)
+        rows = np.vstack([special, rng.normal(size=13) * scales])
+        header = [f"c{j}" for j in range(13)]
+        cli._write_csv(tmp_path / "x.csv", header, rows, precision)
+        expected = [",".join(header)] + [
+            ",".join(format(float(x), f".{precision}g") for x in row) for row in rows
+        ]
+        assert (tmp_path / "x.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_epsilon_zero_exits_one(self, tmp_path):
         path = write_cfg(
@@ -1136,5 +1187,15 @@ class TestCheckAndPresets:
         assert result.exit_code == 0
         assert "particle" in result.output
         assert "sleigh:custom" in result.output
-        assert "particle-case2.cfg" in result.output
-        assert "sleigh-paper51.cfg" in result.output
+        # each config's leading comment block, joined into one line
+        assert (
+            "  particle-case2.cfg: Flat-particle tracking, soft terminal weight: "
+            "the hard benchmark instance with the start displaced well off the "
+            "reference line. Multiple shooting solves it from a zero costate, so "
+            "it runs without a continuation ladder.\n"
+        ) in result.output
+        assert (
+            "  sleigh-paper51.cfg: Sleigh tracking of an uncontrolled rollout "
+            "with pinned endpoints, solved by the constrained midpoint "
+            "variational integrator (h = 0.1, N = 50).\n"
+        ) in result.output

@@ -3,6 +3,7 @@ state-costate flow against hand-coded adjoint systems, shooting residual
 regression, Newton solve behavior, and the reference samplers."""
 from __future__ import annotations
 
+import re
 from contextlib import suppress
 
 import numpy as np
@@ -604,9 +605,27 @@ def test_solve_shooting_horizon_continuation_reaches_full_horizon():
     )
     alpha, traj, report = solve_shooting(model, prob, settings=settings)
     assert report.converged
+    assert report.message == "converged"  # no stage missed
     assert traj.times[-1] == pytest.approx(4.0, abs=1e-12)
     r = shooting_residual(model, prob, alpha, settings)
     assert np.linalg.norm(r) <= settings.newton_tol
+
+
+def test_solve_shooting_names_each_ladder_stage_that_did_not_converge():
+    model = particle_model()
+    settings = ShootingSettings(
+        inner_grid=TimeGrid(0.0, 4.0, 100), max_iters=1,
+        continuation="horizon", continuation_stages=2,
+    )
+    _, _, report = solve_shooting(model, case2_problem(), settings=settings)
+    assert not report.converged
+    last, missed = report.message.split("; ")
+    assert re.fullmatch(r"no convergence in 1 iterations \(residual norm \S+\)", last)
+    assert re.fullmatch(
+        r"ladder stage 1 of 2 \(T = 2\) did not converge: "
+        r"no convergence in 1 iterations \(residual norm \S+\)",
+        missed,
+    )
 
 
 @pytest.mark.parametrize(
