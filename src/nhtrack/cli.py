@@ -271,8 +271,11 @@ def _fmt_vec(values) -> str:
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical text form of a parsed config; parsing it again reproduces
-    the same ExperimentConfig (the round-trip the report relies on)."""
+    """Canonical text form of a parsed config.  A key its route ignores is
+    left out: rollout_step is echoed only for a rollout reference, and
+    continuation_stages only when continuation is not "none".  Parsing the
+    text again reproduces the same ExperimentConfig, any such key at its
+    default (the round-trip the report relies on)."""
     lines = ["[system]", f"preset = {cfg.system.preset}"]
     for key in ("mass_m", "inertia_J", "offset_a"):
         value = getattr(cfg.system, key)
@@ -297,7 +300,8 @@ def config_text(cfg: ExperimentConfig) -> str:
         lines.append(f"steps = {cfg.solver.steps}")
     if cfg.solver.method == "pmp-shooting":
         lines.append(f"continuation = {cfg.solver.continuation}")
-        lines.append(f"continuation_stages = {cfg.solver.continuation_stages}")
+        if cfg.solver.continuation != "none":
+            lines.append(f"continuation_stages = {cfg.solver.continuation_stages}")
     else:
         lines.append(f"psi_variant = {cfg.solver.psi_variant}")
         enforce = "yes" if cfg.solver.enforce_first_interval else "no"

@@ -112,6 +112,17 @@ class TestParsing:
         keys = {key for name in parser.sections() for key in parser[name]}
         assert keys & ignored == set()
 
+    def test_echo_leaves_out_continuation_stages_without_a_ladder(self, tmp_path):
+        cfg = parse_config(BUNDLED / "particle-case2.cfg")
+        assert cfg.solver.continuation == "none"
+        assert "continuation_stages" not in config_text(cfg)
+        ladder = dataclasses.replace(
+            cfg, solver=dataclasses.replace(cfg.solver, continuation="horizon")
+        )
+        echo = config_text(ladder)
+        assert "continuation_stages = 4\n" in echo
+        assert parse_config(write_cfg(tmp_path, "ladder.cfg", echo)) == ladder
+
     def test_echo_is_idempotent(self, tmp_path):
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
         once = config_text(cfg)
