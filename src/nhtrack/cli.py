@@ -272,8 +272,9 @@ def _fmt_vec(values) -> str:
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical text form of a parsed config.  A key its route ignores is
-    left out: rollout_step is echoed only for a rollout reference, and
-    continuation_stages only when continuation is not "none".  Parsing the
+    left out: rollout_step is echoed only for a rollout reference,
+    continuation_stages only when continuation is not "none", and the
+    [compare] section only with pmp = yes.  Parsing the
     text again reproduces the same ExperimentConfig, any such key at its
     default (the round-trip the report relies on)."""
     lines = ["[system]", f"preset = {cfg.system.preset}"]
@@ -312,9 +313,8 @@ def config_text(cfg: ExperimentConfig) -> str:
         lines.append(f"directory = {cfg.output.directory}")
     lines.append(f"precision = {cfg.output.precision}")
 
-    if cfg.compare.pmp or cfg.compare.pmp_steps is not None:
-        lines += ["", "[compare]"]
-        lines.append(f"pmp = {'yes' if cfg.compare.pmp else 'no'}")
+    if cfg.compare.pmp:
+        lines += ["", "[compare]", "pmp = yes"]
         if cfg.compare.pmp_steps is not None:
             lines.append(f"pmp_steps = {cfg.compare.pmp_steps}")
 

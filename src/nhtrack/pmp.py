@@ -18,10 +18,13 @@ finite-difference Jacobians, by multiple shooting: the grid is cut into M
 time segments (at most SEGMENTS) whose flows advance side by side, the
 packed node (q, v, lambda, mu) at each later segment start joins alpha as an
 unknown, and the continuity gaps between segments (angle components wrapped
-into (-pi, pi], as in state_difference) join the terminal residual.  The
-segment flows at the accepted point, laid end to end, are the returned
-trajectory, and the 2-norm of the gaps and terminal residual together is
-the reported residual.
+into (-pi, pi], as in state_difference) join the terminal residual.  Each
+Newton step solves that whole block-bidiagonal system at once by one dense
+LU with pivoting, so no product of segment Jacobians carries the costate's
+growth over the horizon back into the step.  The segment flows at the
+accepted point, laid end to end, are the returned trajectory, and the
+2-norm of the gaps and terminal residual together is the reported
+residual.
 
 Sign conventions: the adjoint flow is -lambdadot = dH*/dq, -mudot = dH*/dv.
 The transversality residual in "mayer" mode is
@@ -68,11 +71,12 @@ class FlowDivergedError(ArithmeticError):
 
 
 class SingularJacobianError(ArithmeticError):
-    """Shooting Jacobian numerically singular."""
+    """Shooting Newton system singular: its LU factorization met an exact
+    zero pivot.  cond is the condition number where one is known, else inf."""
 
     def __init__(self, cond: float) -> None:
         super().__init__(
-            f"shooting Jacobian condition estimate {cond:.3e} exceeds 1e14; "
+            f"shooting Jacobian is singular (condition {cond:.3e}); "
             "try a larger control regularization epsilon or rescale the "
             "terminal weight omega"
         )
@@ -682,35 +686,6 @@ def _trajectory_from_series(
     return ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu)
 
 
-def _condensed_step(
-    blocks: Array, end_jac: Array, gaps: Array, end_res: Array
-) -> Array:
-    """Newton step of the segmented shooting system, by condensing.
-
-    blocks[i] is the Jacobian G_i of the end of segment i over its start
-    (i = 0 .. M-2), end_jac the Jacobian of the terminal residual over the
-    last start, gaps the M - 1 continuity gaps (M - 1, 2(n + k)) and
-    end_res the terminal residual.
-    Only the costate moves at t = 0, so every node's step is affine in the
-    costate step d: dY_0 = (0, d) and dY_{i+1} = G_i dY_i + gap_i.  The
-    terminal row then leaves one (n + k) x (n + k) system for d, which
-    raises SingularJacobianError when numerically singular.  Returns (d,
-    dY_1, ..., dY_{M-1}) as one vector.
-    """
-    w, p = end_jac.shape[1], end_res.size
-    a, b = np.eye(w)[:, w - p :], np.zeros(w)  # dY_i = a d + b
-    nodes = []
-    for g, gap in zip(blocks, gaps):
-        a, b = g @ a, g @ b + gap
-        nodes.append((a, b))
-    s = end_jac @ a
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularJacobianError(cond)
-    d = np.linalg.solve(s, -(end_res + end_jac @ b))
-    return np.concatenate([d, *(a @ d + b for a, b in nodes)])
-
-
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
@@ -737,11 +712,13 @@ def _newton_shoot(
     own end (a shorter one flows one step past it): shape (M, 1 + 2(n + k),
     2(n + k)), row 0 of segment i its start and row 1 + j its
     forward-difference probe in entry j.  The start point is evaluated the
-    same way, so the correction at every accepted point only solves
-    (_condensed_step).  A stacked flow that diverges in any row, start or
-    probe, rejects its trial; at the start point its FlowDivergedError
-    propagates.  Returns the costate at t = 0, the (times, ys) series of
-    the segment flows laid end to end, and the report.
+    same way, so the correction at every accepted point only solves: one
+    np.linalg.solve of the whole square Jacobian of the residual over the
+    unknowns, which raises SingularJacobianError when exactly singular.  A
+    stacked flow that diverges in any row, start or probe, rejects its
+    trial; at the start point its FlowDivergedError propagates.  Returns
+    the costate at t = 0, the (times, ys) series of the segment flows laid
+    end to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
@@ -776,10 +753,18 @@ def _newton_shoot(
         )
         ys = _flow(rhs, stack, starts, grid.h, span)
         ends = ys[at_ends]
-        blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
         res_T = _terminal_residual(model, problem, ends[-1])
-        end_jac = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
-        jac = (blocks.transpose(0, 2, 1), end_jac)
+        # the Jacobian over every start z_j, by row block i: gap i has G_i
+        # = d end_i / d z_i on z_i and -I on z_{i+1}, and the terminal rows
+        # fill the first p rows of the last block.  Dropping that block's
+        # last p rows and the fixed state columns of z_0 leaves it square
+        blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
+        jac = np.zeros((segments, w, segments, w))
+        i = np.arange(segments - 1)
+        jac[i, :, i] = blocks.transpose(0, 2, 1)
+        jac[i, :, i + 1] = -np.eye(w)
+        jac[-1, :p, -1] = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
+        jac = jac.reshape(segments * w, segments * w)[:-p, p:]
         # the gaps between the starts' flows' ends and the next starts
         dq, dv = state_difference(
             model,
@@ -792,8 +777,10 @@ def _newton_shoot(
         return r, (jac, ys[:, :, 0].copy())
 
     def correction(x: Array, r: Array, data: Any) -> Array:
-        blocks, end_jac = data[0]
-        return _condensed_step(blocks, end_jac, r[:-p].reshape(-1, w), r[-p:])
+        try:
+            return np.linalg.solve(data[0], -r)
+        except np.linalg.LinAlgError:
+            raise SingularJacobianError(np.inf) from None
 
     x, (_, starts_series), report = damped_newton(
         np.concatenate([alpha_vec, nodes.ravel()]), flow, correction,
@@ -844,7 +831,9 @@ def solve_shooting(
 
     Each Newton solve is _newton_shoot on min(SEGMENTS, steps) segments:
     forward-difference Jacobians (step FD_STEP * max(1, |entry|)) from one
-    stacked flow per trial point, and a backtracking line search halving
+    stacked flow per trial point, each Newton step one dense solve of the
+    whole segmented system (gaps and terminal residual over the initial
+    costate and every node), and a backtracking line search halving
     the step until the residual 2-norm decreases (at most MAX_HALVINGS
     times).  A trial whose flow or any probe flow diverges counts as
     rejected; a stage whose start point so diverges raises
@@ -861,10 +850,10 @@ def solve_shooting(
     together, so it bounds every gap) is the reported one, equal to the
     last iteration record's.  The solve is converged when the last stage
     converged.  Numerical failures raise ArithmeticErrors
-    (FlowDivergedError, SingularJacobianError); nonconvergence is
-    reported, not raised: the report carries the converged flag, the
-    final residual norm and the log of the last stage, with that stage's
-    message.  Each earlier stage that did not converge appends "ladder
+    (FlowDivergedError; SingularJacobianError when that system is exactly
+    singular); nonconvergence is reported, not raised: the report carries
+    the converged flag, the final residual norm and the log of the last
+    stage, with that stage's message.  Each earlier stage that did not converge appends "ladder
     stage j of s (T = ...) did not converge: <its message>" to the
     message.
     """

@@ -122,6 +122,11 @@ class TestParsing:
         echo = config_text(ladder)
         assert "continuation_stages = 4\n" in echo
         assert parse_config(write_cfg(tmp_path, "ladder.cfg", echo)) == ladder
+        # the same rule for compare's pmp_steps, which only pmp = yes reads
+        off = dataclasses.replace(cfg, compare=CompareBlock(pmp=False, pmp_steps=50))
+        assert "pmp_steps" not in config_text(off)
+        on = dataclasses.replace(cfg, compare=CompareBlock(pmp=True, pmp_steps=50))
+        assert "[compare]\npmp = yes\npmp_steps = 50\n" in config_text(on)
 
     def test_echo_is_idempotent(self, tmp_path):
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")

@@ -1262,13 +1262,36 @@ def test_newton_shoot_backtracks_past_a_trial_whose_point_diverges(
 
 
 def test_singular_jacobian_error_suggests_regularization():
-    err = SingularJacobianError(1e15)
-    assert err.cond == 1e15
+    err = SingularJacobianError(np.inf)
+    assert err.cond == np.inf
     assert "epsilon" in str(err)
+    assert "1e14" not in str(err)
+
+
+@pytest.mark.parametrize("segments", [1, 4])
+def test_a_system_blind_to_the_costate_raises_singular_jacobian(
+    monkeypatch, segments
+):
+    """Under a zero field the hard terminal rows ignore every costate
+    column, so the Newton system is singular and the solve raises, with
+    one segment and with several."""
+    import nhtrack.pmp as pmp
+
+    monkeypatch.setattr(
+        pmp, "_make_packed_rhs", lambda model, problem: lambda t, y: np.zeros_like(y)
+    )
+    model = particle_model()
+    problem = replace(short_case2_problem(), terminal_mode="hard")
+    with pytest.raises(SingularJacobianError) as info:
+        pmp._newton_shoot(
+            model, problem, Costate.zero(model).as_vector(), ShootingSettings(),
+            TimeGrid(0.0, 1.0, 100), segments, None,
+        )
+    assert info.value.cond == np.inf
 
 
 # ---------------------------------------------------------------------------
-# segmented shooting: gaps, condensing and the segment count
+# segmented shooting: gaps, the whole-system Jacobian and the segment count
 
 
 def test_flow_names_the_earliest_absolute_time_a_row_blew_up():
@@ -1318,23 +1341,6 @@ def _captured_system(monkeypatch, model, problem, segments):
     return captured
 
 
-def _assembled_jacobian(blocks, end_jac):
-    """The block-bidiagonal Jacobian of the segmented residual (gap rows,
-    then the terminal rows) over (costate at 0, node 1, ..., node M-1):
-    G_i on node i (its costate columns on the first) and -I on node i + 1,
-    the terminal Jacobian on the last node."""
-    p, w = end_jac.shape
-    m = len(blocks) + 1
-    cols = [slice(0, p)] + [slice(p + i * w, p + (i + 1) * w) for i in range(m - 1)]
-    dense = np.zeros((p + (m - 1) * w,) * 2)
-    for i, g in enumerate(blocks):
-        rows = slice(i * w, (i + 1) * w)
-        dense[rows, cols[i]] = g[:, p:] if i == 0 else g
-        dense[rows, cols[i + 1]] = -np.eye(w)
-    dense[-p:, cols[-1]] = end_jac[:, p:] if m == 1 else end_jac
-    return dense
-
-
 def _segmented_instance(system):
     if system == "particle":
         return particle_model(), short_case2_problem()
@@ -1342,24 +1348,8 @@ def _segmented_instance(system):
 
 
 @pytest.mark.parametrize("system", ["particle", "sleigh"])
-def test_condensed_step_solves_the_assembled_system(monkeypatch, system):
-    """At a perturbed, unconverged point of a four-segment solve, the
-    condensed Newton step solves the assembled block-bidiagonal system."""
-    model, problem = _segmented_instance(system)
-    captured = _captured_system(monkeypatch, model, problem, 4)
-    x0 = captured["x"]
-    x = x0 + 0.1 * np.random.default_rng(47).normal(size=x0.size)
-    r, data = captured["evaluate"](x)
-    assert np.linalg.norm(r) > 1e-2
-    delta = captured["correction"](x, r, data)
-    dense = _assembled_jacobian(*data[0])
-    assert delta.shape == x.shape
-    assert np.linalg.norm(dense @ delta + r) <= 1e-10 * np.linalg.norm(r)
-
-
-@pytest.mark.parametrize("system", ["particle", "sleigh"])
 def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
-    """The blocks the probes give, assembled, are the Jacobian of the
+    """The square matrix the probes assemble is the Jacobian of the
     segmented residual (wrapped gaps included): central differences of the
     residual over every unknown agree to the forward-difference error."""
     model, problem = _segmented_instance(system)
@@ -1367,7 +1357,8 @@ def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
     evaluate = captured["evaluate"]
     x0 = captured["x"]
     x = x0 + 0.1 * np.random.default_rng(53).normal(size=x0.size)
-    dense = _assembled_jacobian(*evaluate(x)[1][0])
+    dense = evaluate(x)[1][0]
+    assert dense.shape == (x.size, x.size)
     step = 1e-5
     central = np.column_stack([
         (evaluate(x + step * e)[0] - evaluate(x - step * e)[0]) / (2 * step)
@@ -1451,23 +1442,37 @@ def test_a_failed_solve_reports_its_segment_flows(monkeypatch):
     assert report.residual_norm != np.linalg.norm(r)
 
 
-def test_the_bundled_particle_converges_at_a_long_horizon():
-    """At T = 24 a single flow of the segmented root's costate misses
-    newton_tol by rounding growth alone; the solve reports the accepted
-    point instead, converged, inside a time budget."""
-    budget = 5.0
+def _converges_within(horizon, budget, max_iters=None):
+    """The bundled particle at the given horizon, from a zero costate,
+    converges within newton_tol in under budget seconds (max_iters the
+    config's unless given)."""
     cfg = parse_config(BUNDLED / "particle-case2.cfg")
     model = build_model(cfg)
-    problem = replace(build_problem(cfg, model), horizon_T=24.0)
+    problem = replace(build_problem(cfg, model), horizon_T=horizon)
     settings = ShootingSettings(
-        newton_tol=cfg.solver.newton_tol, max_iters=cfg.solver.max_iters
+        newton_tol=cfg.solver.newton_tol,
+        max_iters=max_iters or cfg.solver.max_iters,
     )
     t0 = time.perf_counter()
     _, _, report = solve_shooting(model, problem, settings=settings)
     elapsed = time.perf_counter() - t0
     assert report.converged, report.message
     assert report.residual_norm <= settings.newton_tol
-    assert elapsed < budget, f"T = 24 solve took {elapsed:.2f} s"
+    assert elapsed < budget, f"T = {horizon:g} solve took {elapsed:.2f} s"
+
+
+def test_the_bundled_particle_converges_at_a_long_horizon():
+    """At T = 24 a single flow of the segmented root's costate misses
+    newton_tol by rounding growth alone; the solve reports the accepted
+    point instead, converged, inside a time budget."""
+    _converges_within(24.0, 5.0)
+
+
+def test_the_bundled_particle_converges_at_horizon_64():
+    """At T = 64 a step condensed through the product of all segment
+    Jacobians stalls the solve; the step of the whole segmented system
+    converges, inside a time budget."""
+    _converges_within(64.0, 15.0, max_iters=12)
 
 
 # ---------------------------------------------------------------------------
