@@ -27,13 +27,14 @@ term (Psi_d, its slot derivatives and the slot gradients of
 L_d + lambda . Psi_d) comes from one function, _interval, which evaluates all
 N intervals of a grid at once on stacked node arrays: the residual is one
 _interval call (with one reference sample per interval midpoint, taken in
-one call), and each finite-difference column of the interval Hessians moves
-that column in all N intervals together, so a Jacobian costs 4(n + k) + 1
-kernel calls whatever N is.  solve_del is a damped Newton iteration on that
-system.  Its Jacobian is the Hessian of the extended discrete action (the
-action sum plus the multiplier-weighted constraints), so it is symmetric; it
-is block-tridiagonal in the node index and is solved by block cyclic
-reduction, one stacked solve per level over log2(N) levels.
+one call).  The interval Hessians have exact velocity-velocity blocks, and
+their position columns come from n central differences, each moving one
+position coordinate at both ends of all N intervals together, so a Jacobian
+costs 2n + 1 kernel calls whatever N is.  solve_del is a damped Newton
+iteration on that system.  Its Jacobian is the Hessian of the extended
+discrete action (the action sum plus the multiplier-weighted constraints), so
+it is symmetric; it is block-tridiagonal in the node index and is solved by
+block cyclic reduction, one stacked solve per level over log2(N) levels.
 """
 from __future__ import annotations
 
@@ -404,12 +405,27 @@ def _interval_hessian(
     psi_variant: str,
 ) -> tuple[tuple[Array, Array, Array, Array], Array]:
     """Slot derivatives of Psi_d at x0 = (q_k, v_k, q_{k+1}, v_{k+1}) and
-    the Hessian of L_d + lam . Psi_d there, by central differences of step
-    FD_STEP of the exact slot gradients, symmetrized.  x0 may stack many
-    intervals, shape (N, 2(n + k)) with lam and ref to match; each column
-    is then moved in all of them at once, so the Hessians of a whole grid
-    take 4(n + k) _interval calls, and the slots one more at x0."""
-    n, nv = model.n, model.n + model.rank
+    the Hessian of L_d + lam . Psi_d there.
+
+    Psi_d's (q_{k+1} - q_k)/h term is linear and every other term sees the
+    nodes only through (midpoint q, midpoint v, difference-quotient v), so
+    the q_k and q_{k+1} columns are equal: one central difference of step
+    FD_STEP of the exact slot gradients, moving q_k[j] and q_{k+1}[j]
+    together, gives both, and their v rows give the q-v blocks.  The v-v
+    blocks are exact, Psi_d being linear in its velocity slot:
+
+        h lambda0 (eps J^T J + P^T (sw I + eps sum_A u_A (Gamma^A + Gamma^A^T)) P)
+
+    with u = vdot + a the control, J = du/d(v_k, v_{k+1}) =
+    [a_v/2 - I/h, a_v/2 + I/h] from geometry.drift's a_v, and P = [I/2, I/2]
+    the midpoint map.  x0 may stack many intervals, shape (N, 2(n + k))
+    with lam and ref to match; a probe then moves all of them at once, so a
+    whole grid takes 2n + 1 _interval calls."""
+    n, kr = model.n, model.rank
+    nv = n + kr
+    # the q_k, q_{k+1} and the v_k, v_{k+1} slot indices
+    qs = np.r_[0:n, nv : nv + n]
+    vs = np.r_[n:nv, nv + n : 2 * nv]
 
     def kernel(x: Array) -> tuple:
         return _interval(
@@ -418,13 +434,28 @@ def _interval_hessian(
         )
 
     hess = np.empty(x0.shape + (2 * nv,))
-    for c in range(2 * nv):
+    for j in range(n):
         xp = x0.copy()
-        xp[..., c] += FD_STEP
+        xp[..., [j, nv + j]] += FD_STEP
         xm = x0.copy()
-        xm[..., c] -= FD_STEP
+        xm[..., [j, nv + j]] -= FD_STEP
         g_p, g_m = (np.concatenate(kernel(x)[2], axis=-1) for x in (xp, xm))
-        hess[..., c] = (g_p - g_m) / (2 * FD_STEP)
+        hess[..., j] = hess[..., nv + j] = (g_p - g_m) / (4 * FD_STEP)
+    hess[..., qs[:, None], vs] = hess[..., vs[:, None], qs].swapaxes(-1, -2)
+
+    q_mid = 0.5 * (x0[..., :n] + x0[..., nv : nv + n])
+    v_mid = 0.5 * (x0[..., n:nv] + x0[..., nv + n :])
+    v_dq = (x0[..., nv + n :] - x0[..., n:nv]) / h
+    a, _, a_v = drift(model, q_mid, v_mid)
+    # gu[B, C] = sum_A u_A Gamma^A_{BC}
+    gu = _vecmat(v_dq + a, model.christoffel(q_mid).reshape(a_v.shape[:-1] + (-1,)))
+    gu = gu.reshape(a_v.shape)
+    eye, eps = np.eye(kr), problem.epsilon
+    jac_u = np.concatenate([0.5 * a_v - eye / h, 0.5 * a_v + eye / h], axis=-1)
+    mid = problem.state_weight * eye + eps * (gu + gu.swapaxes(-1, -2))
+    hess[..., vs[:, None], vs] = h * problem.lambda0 * (
+        eps * jac_u.swapaxes(-1, -2) @ jac_u + np.tile(0.25 * mid, (2, 2))
+    )
     return kernel(x0)[1], 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
