@@ -113,16 +113,6 @@ def _check_state(model: SystemModel, state: AdmissibleState) -> None:
         )
 
 
-def _matvec(mat: Array, vec: Array) -> Array:
-    """mat @ vec over the last axis of vec, with leading axes broadcast."""
-    return np.matvec(mat, vec)
-
-
-def _vecmat(vec: Array, mat: Array) -> Array:
-    """vec @ mat over the last axis of vec, with leading axes broadcast."""
-    return np.vecmat(vec, mat)
-
-
 def _inner(x: Array, y: Array) -> Array:
     """x @ y over the last axis, with leading axes broadcast."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -130,19 +120,19 @@ def _inner(x: Array, y: Array) -> Array:
 
 def _quadratic(gamma: Array, v: Array) -> Array:
     """Gamma^A_{BC} v^B v^C for gamma (..., k, k, k) and v (..., k)."""
-    return _matvec(_matvec(gamma, v[..., None, :]), v)
+    return np.matvec(np.matvec(gamma, v[..., None, :]), v)
 
 
 def admissibility_velocity(model: SystemModel, state: AdmissibleState) -> Array:
     """Configuration velocity qdot = rho(q) v induced by a point of D."""
     _check_state(model, state)
-    return _matvec(model.rho(state.q), state.v)
+    return np.matvec(model.rho(state.q), state.v)
 
 
 def _rates(model: SystemModel, q: Array, v: Array, u: Array) -> tuple[Array, Array]:
     """(qdot, vdot) of the controlled dynamics, unchecked; q, v and u may
     carry leading axes that broadcast."""
-    qdot = _matvec(model.rho(q), v)
+    qdot = np.matvec(model.rho(q), v)
     vdot = -_quadratic(model.christoffel(q), v) - model.potential_grad(q) + u
     return qdot, vdot
 
@@ -197,11 +187,11 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
     # contract the Christoffel Jacobian's C slot, then its B slot, with v;
     # jac_v is laid out (B, A, j)
     jac = model.christoffel_jac(q).swapaxes(-2, -4)
-    jac_v = _vecmat(v, jac.reshape(lead + (k, -1)))
-    a_q = _vecmat(v, jac_v.reshape(lead + (k, -1))).reshape(lead + (k, -1))
+    jac_v = np.vecmat(v, jac.reshape(lead + (k, -1)))
+    a_q = np.vecmat(v, jac_v.reshape(lead + (k, -1))).reshape(lead + (k, -1))
     a_q = a_q + model.potential_grad_jac(q)
     sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
-    a_v = _matvec(sym, v).reshape(lead + (k, k))
+    a_v = np.matvec(sym, v).reshape(lead + (k, k))
     return a, a_q, a_v
 
 
@@ -214,7 +204,7 @@ def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    return _matvec(model.annihilator(q), qdot)
+    return np.matvec(model.annihilator(q), qdot)
 
 
 def christoffel_from_structure(structure: Array) -> Array:
@@ -251,7 +241,7 @@ def restricted_energy(model: SystemModel, state: AdmissibleState) -> float | Arr
     """
     _check_state(model, state)
     g = model.metric_d(state.q)
-    return 0.5 * _inner(_vecmat(state.v, g), state.v)
+    return 0.5 * _inner(np.vecmat(state.v, g), state.v)
 
 
 def wrap_angle(x: Array | float) -> Array | float:

@@ -47,9 +47,7 @@ from .geometry import (
     AdmissibleState,
     SystemModel,
     _inner,
-    _matvec,
     _state_field,
-    _vecmat,
     drift,
     dynamics_rhs,
     state_difference,
@@ -72,15 +70,13 @@ class FlowDivergedError(ArithmeticError):
 
 class SingularJacobianError(ArithmeticError):
     """Shooting Newton system singular: its LU factorization met an exact
-    zero pivot.  cond is the condition number where one is known, else inf."""
+    zero pivot."""
 
-    def __init__(self, cond: float) -> None:
+    def __init__(self) -> None:
         super().__init__(
-            f"shooting Jacobian is singular (condition {cond:.3e}); "
-            "try a larger control regularization epsilon or rescale the "
-            "terminal weight omega"
+            "shooting Jacobian is singular; try a larger control "
+            "regularization epsilon or rescale the terminal weight omega"
         )
-        self.cond = cond
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +516,14 @@ def _make_packed_rhs(
         a, a_q, a_v = drift(model, q, v)
         u = -inv_le * mu
 
-        qdot = _matvec(rho, v)
+        qdot = np.matvec(rho, v)
         vdot = u - a
 
         # sum_{j,A} lambda_j drho^j_A/dq^i v^A
-        pull = _vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
+        pull = np.vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
         pull = pull.reshape(pull.shape[:-1] + (k, n))
-        lamdot = -(track * dq + _vecmat(v, pull) - _vecmat(mu, a_q))
-        mudot = -(track * dv + _vecmat(lam, rho) - _vecmat(mu, a_v))
+        lamdot = -(track * dq + np.vecmat(v, pull) - np.vecmat(mu, a_q))
+        mudot = -(track * dv + np.vecmat(lam, rho) - np.vecmat(mu, a_v))
         return np.concatenate([qdot, vdot, lamdot, mudot], axis=-1)
 
     return rhs
@@ -536,6 +532,18 @@ def _make_packed_rhs(
 def _split(y: Array, n: int, k: int) -> tuple[Array, Array, Array, Array]:
     """The (q, v, lambda, mu) views of a packed vector or stack of them."""
     return y[..., :n], y[..., n : n + k], y[..., n + k : 2 * n + k], y[..., 2 * n + k :]
+
+
+def _costate_vector(model: SystemModel, costate: Costate) -> Array:
+    """The packed (lambda, mu) of a costate; ValueError unless lambda has
+    shape (n,) and mu shape (k,)."""
+    n, k = model.n, model.rank
+    if costate.lam.shape != (n,) or costate.mu.shape != (k,):
+        raise ValueError(
+            f"costate must have lam of shape ({n},) and mu of shape ({k},), "
+            f"got {costate.lam.shape} and {costate.mu.shape}"
+        )
+    return costate.as_vector()
 
 
 def pmp_rhs(
@@ -552,7 +560,7 @@ def pmp_rhs(
     with exact drift derivatives.  Returns ((qdot, vdot), (lambdadot, mudot)).
     """
     rhs = _make_packed_rhs(model, problem)
-    y = np.concatenate([state.q, state.v, costate.lam, costate.mu])
+    y = np.concatenate([state.q, state.v, _costate_vector(model, costate)])
     out = rhs(t, y)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(
@@ -664,7 +672,7 @@ def shooting_residual(
     components are wrapped into (-pi, pi].  Always 2n - m values.
     """
     grid = _resolve_grid(problem, settings)
-    _, ys = _single_flow(model, problem, alpha.as_vector(), grid)
+    _, ys = _single_flow(model, problem, _costate_vector(model, alpha), grid)
     return _terminal_residual(model, problem, ys[-1])
 
 
@@ -780,7 +788,7 @@ def _newton_shoot(
         try:
             return np.linalg.solve(data[0], -r)
         except np.linalg.LinAlgError:
-            raise SingularJacobianError(np.inf) from None
+            raise SingularJacobianError() from None
 
     x, (_, starts_series), report = damped_newton(
         np.concatenate([alpha_vec, nodes.ravel()]), flow, correction,
@@ -842,45 +850,31 @@ def solve_shooting(
     tracks it through soft-terminal (Mayer) solves of growing weight
     before the hard solve.  _stages lists the solves, and one loop runs
     them, each warm-started from the costate and guided by the flow of the
-    one before.  A given alpha0 guides the first by its own flow; with one
-    stage, that flow already within tolerance is returned as it is, with
-    no step.  Otherwise the last stage's accepted point is the answer: its
-    segment flows laid end to end are the returned trajectory, and its
-    segmented residual norm (continuity gaps and terminal residual
-    together, so it bounds every gap) is the reported one, equal to the
-    last iteration record's.  The solve is converged when the last stage
-    converged.  Numerical failures raise ArithmeticErrors
-    (FlowDivergedError; SingularJacobianError when that system is exactly
-    singular); nonconvergence is reported, not raised: the report carries
-    the converged flag, the final residual norm and the log of the last
-    stage, with that stage's message.  Each earlier stage that did not converge appends "ladder
-    stage j of s (T = ...) did not converge: <its message>" to the
-    message.
+    one before.  A given alpha0 is only a guide: it starts the first solve,
+    whose nodes start on alpha0's own flow, and a start already within
+    tolerance returns at 0 iterations.  The answer is always the last
+    stage's accepted point: its segment flows laid end to end are the
+    returned trajectory, and its segmented residual norm (continuity gaps
+    and terminal residual together, so it bounds every gap) is the reported
+    one.  The solve is converged when the last stage converged.
+    Numerical failures raise ArithmeticErrors (FlowDivergedError;
+    SingularJacobianError when that system is exactly singular);
+    nonconvergence is reported, not raised: the report carries the
+    converged flag, the final residual norm and the log of the last stage,
+    with that stage's message.  Each earlier stage that did not converge
+    appends "ladder stage j of s (T = ...) did not converge: <its message>"
+    to the message.
     """
     grid = check_shooting(problem, settings)
     stages = _stages(problem, settings, grid)
-
-    def result(
-        series: tuple[Array, Array], report: ConvergenceReport
-    ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
-        alpha = Costate(lam=alpha_vec[: model.n], mu=alpha_vec[model.n :])
-        return alpha, _trajectory_from_series(model, problem, *series), report
-
     series = None
     if alpha0 is None:
         alpha_vec = Costate.zero(model).as_vector()
     else:
-        alpha_vec = alpha0.as_vector().copy()
+        alpha_vec = _costate_vector(model, alpha0)
         first_problem, first_grid = stages[0]
         with suppress(FlowDivergedError):
             series = _single_flow(model, first_problem, alpha_vec, first_grid)
-            r = _terminal_residual(model, first_problem, series[1][-1])
-            r_norm = float(np.linalg.norm(r))
-            if len(stages) == 1 and r_norm <= settings.newton_tol:
-                # alpha0 already solves the problem: its flow is the answer
-                return result(series, ConvergenceReport(
-                    True, 0, r_norm, (), "initial guess already within tolerance"
-                ))
     missed_stages = []
     for j, (stage_problem, stage_grid) in enumerate(stages, start=1):
         # a failed stage still leaves the best costate and flow found so far
@@ -893,7 +887,8 @@ def solve_shooting(
                 f"(T = {stage_problem.horizon_T:g}) did not converge: {report.message}"
             )
     report = replace(report, message="; ".join([report.message, *missed_stages]))
-    return result(series, report)
+    alpha = Costate(lam=alpha_vec[: model.n], mu=alpha_vec[model.n :])
+    return alpha, _trajectory_from_series(model, problem, *series), report
 
 
 def trajectory_cost(

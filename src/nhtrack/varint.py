@@ -45,9 +45,7 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
-    _matvec,
     _quadratic,
-    _vecmat,
     drift,
     restricted_energy,
     state_difference,
@@ -229,8 +227,8 @@ def _lagrangian_gradients(
     a, du_dq, du_dv = drift(model, q, v)
     u = vdot + a
 
-    grad_q = lam0 * (sw * dq + eps * _vecmat(u, du_dq))
-    grad_v = lam0 * (sw * dv + eps * _vecmat(u, du_dv))
+    grad_q = lam0 * (sw * dq + eps * np.vecmat(u, du_dq))
+    grad_v = lam0 * (sw * dv + eps * np.vecmat(u, du_dv))
     grad_vdot = lam0 * eps * u
     return grad_q, grad_v, grad_vdot
 
@@ -281,10 +279,10 @@ def continuous_optimality_residual(
     q, v, lam = q_series[inner], v_series[inner], lam_series[inner]
     rho = model.rho(q)
     # pull[A, i] = sum_j lambda_j drho^j_A/dq^i
-    pull = _vecmat(lam, model.rho_jac(q).reshape(len(q), n, k * n))
-    res_q = lamdot[inner] - grad_q[inner] + _vecmat(v, pull.reshape(len(q), k, n))
-    res_adm = qdot[inner] - _matvec(rho, v)
-    res_v = pdot[inner] - grad_v[inner] + _vecmat(lam, rho)
+    pull = np.vecmat(lam, model.rho_jac(q).reshape(len(q), n, k * n))
+    res_q = lamdot[inner] - grad_q[inner] + np.vecmat(v, pull.reshape(len(q), k, n))
+    res_adm = qdot[inner] - np.matvec(rho, v)
+    res_v = pdot[inner] - grad_v[inner] + np.vecmat(lam, rho)
     return np.concatenate([res_q, res_adm, res_v], axis=1).ravel()
 
 
@@ -313,7 +311,7 @@ def discrete_constraint(
         v_slot = 0.5 * (node_k.v + node_k1.v)
     else:
         v_slot = (node_k1.v - node_k.v) / h
-    return (node_k1.q - node_k.q) / h - _matvec(model.rho(q_mid), v_slot)
+    return (node_k1.q - node_k.q) / h - np.matvec(model.rho(q_mid), v_slot)
 
 
 def discrete_lagrangian(
@@ -372,12 +370,12 @@ def _interval(
     v_dq = (v_k1 - v_k) / h
     v_slot = v_mid if psi_variant == "midpoint" else v_dq
     rho = model.rho(q_mid)
-    psi = (q_k1 - q_k) / h - _matvec(rho, v_slot)
+    psi = (q_k1 - q_k) / h - np.matvec(rho, v_slot)
     # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
     # per row over the flattened (j, i) slots
     n, lead = model.n, v_slot.shape[:-1]
     rho_jac = model.rho_jac(q_mid).swapaxes(-2, -3).reshape(lead + (-1, n * n))
-    r_mat = _vecmat(v_slot, rho_jac).reshape(lead + (n, n))
+    r_mat = np.vecmat(v_slot, rho_jac).reshape(lead + (n, n))
     eye_h = np.eye(n) / h
     if psi_variant == "midpoint":
         p2 = p4 = -0.5 * rho
@@ -387,10 +385,10 @@ def _interval(
     gq, gv, gvd = _lagrangian_gradients(model, problem, ref, q_mid, v_mid, v_dq)
     l13 = 0.5 * h * gq
     grads = (
-        l13 + _vecmat(lam, slots[0]),
-        0.5 * h * gv - gvd + _vecmat(lam, slots[1]),
-        l13 + _vecmat(lam, slots[2]),
-        0.5 * h * gv + gvd + _vecmat(lam, slots[3]),
+        l13 + np.vecmat(lam, slots[0]),
+        0.5 * h * gv - gvd + np.vecmat(lam, slots[1]),
+        l13 + np.vecmat(lam, slots[2]),
+        0.5 * h * gv + gvd + np.vecmat(lam, slots[3]),
     )
     return psi, slots, grads
 
@@ -448,7 +446,7 @@ def _interval_hessian(
     v_dq = (x0[..., nv + n :] - x0[..., n:nv]) / h
     a, _, a_v = drift(model, q_mid, v_mid)
     # gu[B, C] = sum_A u_A Gamma^A_{BC}
-    gu = _vecmat(v_dq + a, model.christoffel(q_mid).reshape(a_v.shape[:-1] + (-1,)))
+    gu = np.vecmat(v_dq + a, model.christoffel(q_mid).reshape(a_v.shape[:-1] + (-1,)))
     gu = gu.reshape(a_v.shape)
     eye, eps = np.eye(kr), problem.epsilon
     jac_u = np.concatenate([0.5 * a_v - eye / h, 0.5 * a_v + eye / h], axis=-1)

@@ -677,7 +677,7 @@ class TestRunCommand:
         "solver, error, config",
         [
             ("solve_del", RegularityError("singular block"), "equilibrium"),
-            ("solve_shooting", SingularJacobianError(1e15), "particle-case2"),
+            ("solve_shooting", SingularJacobianError(), "particle-case2"),
             ("solve_shooting", FlowDivergedError(0.5), "particle-case2"),
             ("solve_del", IntegrationError(2, 0.5), "equilibrium"),
             ("solve_shooting", OverflowError("math range error"), "particle-case2"),

@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and
-no module-level private name goes unread."""
+"""Source hygiene: no package module imports a name it never uses, no
+module-level private name goes unread, and no function only forwards its
+parameters to another call."""
 from __future__ import annotations
 
 import ast
@@ -126,3 +127,34 @@ def test_only_state_difference_wraps_an_angle():
             and id(sub) not in owner
         ]
     assert not calls, f"wrap_angle called outside state_difference: {', '.join(calls)}"
+
+
+def _forwarded_call(node: ast.stmt) -> bool:
+    """Whether a function's body, after an optional docstring, is one
+    `return` of a call passing exactly its own parameters, in order."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    return (
+        isinstance(call, ast.Call)
+        and not call.keywords
+        and [getattr(a, "id", None) for a in call.args] == params
+    )
+
+
+def test_no_function_only_renames_another():
+    """A module-level function that only forwards its own parameters to
+    another call is an alias: call the target instead."""
+    aliases = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if _forwarded_call(node)
+    )
+    assert not aliases, f"functions that only forward a call: {', '.join(aliases)}"

@@ -11,10 +11,8 @@ import pytest
 
 from nhtrack.geometry import (
     AdmissibleState,
-    _matvec,
     _quadratic,
     _state_field,
-    _vecmat,
     constraint_residual,
     drift,
     dynamics_rhs,
@@ -89,10 +87,10 @@ def test_packed_field_equals_dynamics_rhs_rows(model, lead):
 @pytest.mark.parametrize("lead", LEADS + [(25, 11)], ids=lead_ids["ids"] + ["25x11"])
 @pytest.mark.parametrize("model", MODELS, **ids)
 def test_contraction_helpers_equal_the_matmul_forms(model, lead):
-    """The gufunc helpers give bitwise the matmul forms they replace, on
-    dense random arrays of the shapes the built-ins' callables return and
-    the stack shapes the two routes use (25 x 11 is a segmented shooting
-    stack), so artifacts do not move with them."""
+    """np.matvec, np.vecmat and _quadratic give bitwise the matmul forms
+    they replace, on dense random arrays of the shapes the built-ins'
+    callables return and the stack shapes the two routes use (25 x 11 is a
+    segmented shooting stack), so artifacts do not move with them."""
     def matvec(mat, vec):
         return (mat @ vec[..., None])[..., 0]
 
@@ -108,12 +106,12 @@ def test_contraction_helpers_equal_the_matmul_forms(model, lead):
     )
     n, k = model.n, model.rank
     pairs = [
-        (_matvec(rho, v), matvec(rho, v)),
-        (_vecmat(lam, rho), vecmat(lam, rho)),
-        (_matvec(gamma, v[..., None, :]), matvec(gamma, v[..., None, :])),
-        (_vecmat(v[..., None, None, :], gamma_jac),
+        (np.matvec(rho, v), matvec(rho, v)),
+        (np.vecmat(lam, rho), vecmat(lam, rho)),
+        (np.matvec(gamma, v[..., None, :]), matvec(gamma, v[..., None, :])),
+        (np.vecmat(v[..., None, None, :], gamma_jac),
          vecmat(v[..., None, None, :], gamma_jac)),
-        (_vecmat(lam, rho_jac.reshape(lead + (n, k * n))),
+        (np.vecmat(lam, rho_jac.reshape(lead + (n, k * n))),
          vecmat(lam, rho_jac.reshape(lead + (n, k * n)))),
         (_quadratic(gamma, v), matvec(matvec(gamma, v[..., None, :]), v)),
     ]
@@ -146,11 +144,11 @@ def _drift_per_slice(model, q, v):
     """The drift with one contraction per Christoffel slice, the form the
     row-wide contractions of geometry.drift replace."""
     gam = model.christoffel(q)
-    gam_v = _matvec(gam, v[..., None, :])
-    a = _matvec(gam_v, v) + model.potential_grad(q)
-    jac_v = _vecmat(v[..., None, None, :], model.christoffel_jac(q))
-    a_q = _vecmat(v[..., None, :], jac_v) + model.potential_grad_jac(q)
-    a_v = _matvec(gam + gam.swapaxes(-1, -2), v[..., None, :])
+    gam_v = np.matvec(gam, v[..., None, :])
+    a = np.matvec(gam_v, v) + model.potential_grad(q)
+    jac_v = np.vecmat(v[..., None, None, :], model.christoffel_jac(q))
+    a_q = np.vecmat(v[..., None, :], jac_v) + model.potential_grad_jac(q)
+    a_v = np.matvec(gam + gam.swapaxes(-1, -2), v[..., None, :])
     return a, a_q, a_v
 
 
