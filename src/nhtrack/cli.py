@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 import types
 import typing
 from dataclasses import dataclass, fields, replace
@@ -579,58 +580,82 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # compare pipeline
 
-# RK4 steps per interval of the control re-integration.  Step doubling
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.4): RK4 at h/m and at h/2m
-# differ by about the error of h/m, and on both built-ins that gap stays
-# within 1e-9 and within 1e-6 of the endpoint discrepancy compare measures,
-# the midpoint scheme's own error (tests/test_cli.py checks this).
-REINTEGRATION_SUBSTEPS = 10
+# Largest RK4 step of the control re-integration (the size of
+# pmp.ROLLOUT_STEP) on intervals of h >= SQRT_STEP_BELOW_H; shorter ones take
+# REINTEGRATION_STEP * sqrt(h / SQRT_STEP_BELOW_H).  RK4's error goes as
+# step^4 and the midpoint scheme's as h^2, so their ratio then stays at its
+# h = SQRT_STEP_BELOW_H value (at the full step it grows to 9.4e-6 on the
+# bundled particle at h = 0.01).  Step doubling (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4): RK4 at this step and at half of it agree within 1e-9
+# and within 1e-6 of the endpoint discrepancy compare measures, the midpoint
+# scheme's own error, on both built-ins (tests/test_cli.py checks this).
+REINTEGRATION_STEP = 1e-2
+SQRT_STEP_BELOW_H = 0.05
+
+
+def _substeps(h: float) -> int:
+    """RK4 steps per interval of length h in the control re-integration: the
+    smallest m with h / m within the step above, up to a rounding guard, so
+    that h = 0.07 takes 7 although 0.07 / 0.01 is 7.000000000000001."""
+    step = REINTEGRATION_STEP * min(1.0, math.sqrt(h / SQRT_STEP_BELOW_H))
+    return max(1, math.ceil(h / step - 1e-9))
 
 
 def _reintegrate_from_first_enforced(
     model: SystemModel, *trajs: DiscreteTrajectory
 ) -> list[np.ndarray]:
     """RK4 re-integration of each trajectory's recovered piecewise-constant
-    controls at step h/REINTEGRATION_SUBSTEPS, started at the first node
-    whose outgoing interval carries a constraint: node 0 when the first
-    interval was enforced (lambda_zero is set), else node 1.  Returns, per
-    trajectory, the states from that node to node N as rows (q, v).
+    controls, each interval h split into _substeps(h) steps, started at the
+    first node whose outgoing interval carries a constraint: node 0 when the
+    first interval was enforced (lambda_zero is set), else node 1.  Returns,
+    per trajectory, the states from that node to node N as rows (q, v).
 
-    The trajectories advance as one stack of rows, each with its own step
-    and controls; a row leaves the stack after its last interval and a lone
-    row steps unstacked, so each row equals its own single-trajectory run
-    bit for bit.  A non-finite stage raises IntegrationError at the earliest
-    failing row's own time."""
+    The trajectories advance substep by substep as one stack of rows, each
+    with its own step and its current interval's control; a row leaves the
+    stack after its last substep and a lone row steps unstacked, so each row
+    equals its own single-trajectory run bit for bit.  A non-finite stage
+    raises IntegrationError at the earliest failing row's own time."""
     firsts = [0 if traj.lambda_zero is not None else 1 for traj in trajs]
-    states = [
-        [np.concatenate([traj.q[k], traj.v[k]])] for traj, k in zip(trajs, firsts)
+    subs = [_substeps(traj.h) for traj in trajs]
+    h_sub = np.array([traj.h / m for traj, m in zip(trajs, subs)])
+    # per row, the control of every substep from its first node on
+    controls = [
+        np.repeat(traj.controls[k:], m, axis=0)
+        for traj, k, m in zip(trajs, firsts, subs)
     ]
+    counts = [len(u) for u in controls]
+    # ys[j, r]: row r's state after its substep j, ys[0] its first node
+    ys = np.empty((max(counts) + 1, len(trajs), model.n + model.rank))
+    ys[0] = [np.concatenate([traj.q[k], traj.v[k]]) for traj, k in zip(trajs, firsts)]
+    i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(max(traj.steps - k for traj, k in zip(trajs, firsts))):
-            # the rows that still have an interval i, at their node of it
-            live = [r for r, traj in enumerate(trajs) if firsts[r] + i < traj.steps]
-            nodes = [(trajs[r], firsts[r] + i) for r in live]
-            h_sub = np.array([traj.h for traj, _ in nodes]) / REINTEGRATION_SUBSTEPS
+        # substeps i .. end - 1 run on the rows that have them all
+        for end in sorted(set(counts)):
+            live = [r for r, c in enumerate(counts) if c >= end]
             # a stack of one row steps about 1.5x slower than the row alone
             lead = (len(live),) if len(live) > 1 else ()
-            h = h_sub.reshape(lead + (1,))
-            field = _state_field(
-                model, np.reshape([traj.controls[j] for traj, j in nodes], lead + (-1,))
-            )
-            y = np.reshape([states[r][-1] for r in live], lead + (-1,))
-            for s in range(REINTEGRATION_SUBSTEPS):
+            h = h_sub[live].reshape(lead + (1,))
+            u = np.stack([controls[r][i:end] for r in live], axis=1)
+            u = u.reshape((end - i,) + lead + (-1,))
+            y = ys[i, live].reshape(lead + (-1,))
+            for s in range(end - i):
                 # the field is autonomous, so the stack steps a local clock
                 try:
-                    y = rk4_step(field, 0.0, y, h)
+                    y = rk4_step(_state_field(model, u[s]), 0.0, y, h)
                 except IntegrationError as exc:
                     # re-raised as the single flow of the earliest failing row
-                    t = np.array([float(traj.times[j]) for traj, j in nodes]) + s * h_sub
+                    j = i + s
+                    t = np.array([
+                        trajs[r].times[firsts[r] + j // subs[r]]
+                        + j % subs[r] * h_sub[r]
+                        for r in live
+                    ])
                     raise IntegrationError(
                         exc.stage, float(np.min(t[exc.rows]))
                     ) from exc
-            for r, row in zip(live, y.reshape(len(live), -1)):
-                states[r].append(row)
-    return [np.asarray(rows) for rows in states]
+                ys[i + s + 1, live] = y
+            i = end
+    return [ys[: c + 1 : m, r] for r, (c, m) in enumerate(zip(counts, subs))]
 
 
 def _endpoint_discrepancy(
@@ -678,9 +703,12 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         config_text(cfg).rstrip(),
         "",
         "[comparison]",
-        f"re-integration: RK4 at h/{REINTEGRATION_SUBSTEPS} from node {first}, "
-        "piecewise-constant",
-        "per-interval controls",
+        "re-integration: RK4 at "
+        + " and ".join(
+            f"h/{_substeps(problem.horizon_T / steps)} (N = {steps})"
+            for steps in (grid.steps, 2 * grid.steps)
+        )
+        + f" from node {first}, piecewise-constant per-interval controls",
     ]
 
     header = (
@@ -696,12 +724,17 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     results = {}
     all_converged = True
     try:
+        coarse = None
         for steps in (base_steps, 2 * base_steps):
+            # the 2N solve starts from the prolonged N solution when that
+            # converged, else from the straight line
             traj, report = solve_del(
-                model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings
+                model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings,
+                coarse=coarse,
             )
             results[steps] = traj
             all_converged = all_converged and report.converged
+            coarse = traj if report.converged else None
             report_lines.append(
                 f"solve at N = {steps}: converged "
                 f"{'yes' if report.converged else 'no'} in {report.iterations} "

@@ -562,6 +562,12 @@ def _solve_block_tridiagonal(diag: Array, upper: Array, rhs: Array) -> Array:
     return x.reshape(-1, rhs.shape[-1])
 
 
+def _interpolate(t: Array, t_rows: Array, rows: Array) -> Array:
+    """rows (one per time of t_rows), interpolated linearly at the times t,
+    column by column; held constant outside [t_rows[0], t_rows[-1]]."""
+    return np.stack([np.interp(t, t_rows, col) for col in rows.T], axis=1)
+
+
 class _DelWorkspace:
     """Flat-vector view of the unknowns for the Newton iteration.
 
@@ -591,16 +597,30 @@ class _DelWorkspace:
         # the reference at the interval midpoints, which the Jacobian reuses
         self.ref_mid = problem.reference(self.times[:-1] + 0.5 * self.h)
 
-    def initial_guess(self) -> Array:
-        """The straight line between the pinned end nodes, with zero
-        multipliers."""
+    def initial_guess(self, coarse: DiscreteTrajectory | None = None) -> Array:
+        """The straight line between the pinned end nodes with zero
+        multipliers, or the prolongation of coarse, a solution on half as
+        many intervals: its nodes, their midpoints in between, and its
+        interval multipliers interpolated in interval-midpoint time and
+        scaled by h / coarse.h (a free coarse first interval has none)."""
         n, steps = self.n, self.steps
-        s = np.linspace(0.0, 1.0, steps + 1)[1:-1, None]
-        q = (1 - s) * self.node_first.q + s * self.node_last.q
-        v = (1 - s) * self.node_first.v + s * self.node_last.v
-        blocks = np.concatenate([q, v, np.zeros((steps - 1, n))], axis=1).ravel()
+        if coarse is None:
+            s = np.linspace(0.0, 1.0, steps + 1)[1:-1, None]
+            q = (1 - s) * self.node_first.q + s * self.node_last.q
+            v = (1 - s) * self.node_first.v + s * self.node_last.v
+            lams = np.zeros((steps, n))
+        else:
+            q, v = (_interpolate(self.times[1:-1], coarse.times, y)
+                    for y in (coarse.q, coarse.v))
+            free = coarse.lambda_zero is None
+            lams = (self.h / coarse.h) * _interpolate(
+                self.times[:-1] + 0.5 * self.h,
+                coarse.times[free:-1] + 0.5 * coarse.h,
+                np.vstack([coarse.lambda_zero, coarse.multipliers][free:]),
+            )
+        blocks = np.concatenate([q, v, lams[1:]], axis=1).ravel()
         if self.settings.enforce_first_interval:
-            return np.concatenate([blocks, np.zeros(n)])
+            return np.concatenate([blocks, lams[0]])
         return blocks
 
     def unpack(self, x: Array) -> Nodes:
@@ -731,13 +751,18 @@ def solve_del(
     problem: TrackingProblem,
     grid: TimeGrid,
     settings: DelSettings = DelSettings(),
+    coarse: DiscreteTrajectory | None = None,
 ) -> tuple[DiscreteTrajectory, ConvergenceReport]:
     """Damped Newton on the discrete Euler-Lagrange system.
 
     Boundary nodes are pinned: node 0 to problem.initial_state and node N to
     the reference at the horizon (the terminal state is matched exactly, so
     the problem must be posed with terminal_mode="hard").  Newton starts
-    from the straight line between the pinned nodes with zero multipliers.
+    from the straight line between the pinned nodes with zero multipliers,
+    or, when coarse is given, from its prolongation (mesh sequencing: Betts,
+    Practical Methods for Optimal Control Using Nonlinear Programming, 2nd
+    ed., 4.7).  coarse must be a solution on grid.steps / 2 intervals of the
+    same horizon, else ValueError; see _DelWorkspace.initial_guess.
     The correction solves the block-tridiagonal saddle system directly, by
     block cyclic reduction with the first-interval border eliminated
     through its Schur complement; backtracking halves the step until the
@@ -746,9 +771,16 @@ def solve_del(
     Nonconvergence is reported, not raised.
     """
     check_del(problem, grid)
+    if coarse is not None and (
+        2 * coarse.steps != grid.steps
+        or not np.allclose(coarse.times[[0, -1]], [grid.t0, grid.tf])
+    ):
+        raise ValueError(
+            f"coarse must span [{grid.t0}, {grid.tf}] on {grid.steps / 2} intervals"
+        )
     ws = _DelWorkspace(model, problem, grid, settings)
     x, _, report = damped_newton(
-        ws.initial_guess(), ws.evaluate, ws.correction,
+        ws.initial_guess(coarse), ws.evaluate, ws.correction,
         lambda r: float(np.max(np.abs(r))), "residual max-norm", settings,
     )
     return ws.trajectory(x), report

@@ -814,8 +814,8 @@ class TestCompareCommand:
         assert compare_experiment(parse_config(cfg_path), tmp_path / "cmp") == 0
         report = (tmp_path / "cmp" / "report.txt").read_text()
         assert (
-            f"re-integration: RK4 at h/{cli.REINTEGRATION_SUBSTEPS} from node 0,"
-            in report
+            "re-integration: RK4 at h/10 (N = 10) and h/5 (N = 20) from node 0, "
+            "piecewise-constant per-interval controls\n" in report
         )
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert len(lines) == 1 + 11
@@ -872,12 +872,26 @@ class TestCompareCommand:
             with pytest.raises(IntegrationError):
                 cli._reintegrate_from_first_enforced(model, traj)
 
+    @pytest.mark.parametrize("h, substeps", [
+        # the bundled sleigh at N = 50 and 100; 0.07 / 0.01, which rounds
+        # to 7.000000000000001; the particle-del instance at 400 steps, where
+        # the step shrinks with sqrt(h)
+        (5.0 / 50, 10), (5.0 / 100, 5), (0.07, 7), (4.0 / 400, 3),
+    ])
+    def test_reintegration_substeps(self, h, substeps):
+        assert cli._substeps(h) == substeps
+
     @pytest.mark.parametrize("config, problem_keys, solver_keys", [
         ("sleigh-paper51", {}, {"steps": 50}),
         ("sleigh-paper51", {}, {"steps": 100}),
-        # the particle-del benchmark instance on a 40-step grid
+        # the particle-del benchmark instance on a 40-step grid, and on its
+        # own 400 steps
         ("particle-case2", {"terminal_mode": "hard"}, {
             "method": "variational", "steps": 40, "enforce_first_interval": True,
+            "newton_tol": 1e-10, "max_iters": 100,
+        }),
+        ("particle-case2", {"terminal_mode": "hard"}, {
+            "method": "variational", "steps": 400, "enforce_first_interval": True,
             "newton_tol": 1e-10, "max_iters": 100,
         }),
     ])
@@ -885,8 +899,8 @@ class TestCompareCommand:
         self, monkeypatch, config, problem_keys, solver_keys
     ):
         """Step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-        the re-integration at REINTEGRATION_SUBSTEPS and at twice as many
-        agree within 1e-9, and within 1e-6 of the endpoint discrepancy that
+        the re-integration at REINTEGRATION_STEP and at half of it agree
+        within 1e-9, and within 1e-6 of the endpoint discrepancy that
         compare measures, so the RK4 error stays far below the midpoint
         scheme's own.  A stiffer system fails here instead of quietly
         moving compare's figures."""
@@ -899,15 +913,48 @@ class TestCompareCommand:
         model, problem, settings, grid = cli._build(cfg)
         traj, report = cli.solve_del(model, problem, grid, settings)
         assert report.converged
+        substeps = cli._substeps(traj.h)
         (reint,) = cli._reintegrate_from_first_enforced(model, traj)
         discrepancy = cli._endpoint_discrepancy(model, traj, reint)
-        monkeypatch.setattr(
-            cli, "REINTEGRATION_SUBSTEPS", 2 * cli.REINTEGRATION_SUBSTEPS
-        )
+        monkeypatch.setattr(cli, "REINTEGRATION_STEP", cli.REINTEGRATION_STEP / 2)
+        assert cli._substeps(traj.h) >= 2 * substeps - 1
         (doubled,) = cli._reintegrate_from_first_enforced(model, traj)
         gap = np.max(np.abs(doubled - reint))
-        assert gap < 1e-9
+        # a zero gap would mean the halved step was never taken
+        assert 0 < gap < 1e-9
         assert gap < 1e-6 * discrepancy
+
+    def test_jittered_sleigh_seeds_converge_warm(self, tmp_path):
+        """Within a 10 s budget, the bundled sleigh with jittered starts
+        (bench/instances.py's rule: default_rng(seed).uniform(-0.05, 0.05)
+        added to initial_q, then to initial_v) converges at N = 50 and
+        N = 100 and halves its discrepancy at second order.  From the
+        straight line, seeds 2 and 3 stall at N = 100; compare starts that
+        solve from the prolonged N = 50 solution."""
+        budget = 10.0
+        t0 = time.perf_counter()
+        base = parse_config(BUNDLED / "sleigh-paper51.cfg")
+        for seed in (2, 3):
+            rng = np.random.default_rng(seed)
+            jittered = {}
+            for key in ("initial_q", "initial_v"):
+                values = np.asarray(getattr(base.problem, key))
+                jittered[key] = tuple(
+                    (values + rng.uniform(-0.05, 0.05, values.size)).tolist()
+                )
+            cfg = dataclasses.replace(
+                base, problem=dataclasses.replace(base.problem, **jittered)
+            )
+            out = tmp_path / f"seed-{seed}"
+            assert compare_experiment(cfg, out) == 0
+            report = (out / "report.txt").read_text()
+            solves = re.findall(r"^solve at N = (\d+): converged (\w+)", report, re.M)
+            assert solves == [("50", "yes"), ("100", "yes")]
+            ratio = float(re.search(
+                r"^h-halving discrepancy ratio: (\S+)$", report, re.M
+            ).group(1))
+            assert 3.0 <= ratio <= 5.0
+        assert time.perf_counter() - t0 < budget
 
     def test_reintegrates_each_grid_once(self, tmp_path, monkeypatch):
         """compare re-integrates the N and 2N solutions in one call."""

@@ -1205,6 +1205,106 @@ class TestSolveDel:
             solve_del(model, problem, TimeGrid(0.0, 2.0, 10))
 
 
+def bundled_del_instance(config, **problem_keys):
+    configs = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
+    cfg = parse_config(configs / config)
+    cfg = dataclasses.replace(
+        cfg, problem=dataclasses.replace(cfg.problem, **problem_keys)
+    )
+    model = build_model(cfg)
+    return model, build_problem(cfg, model)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("config, problem_keys, settings, steps", [
+        # the bundled sleigh, first interval free, as compare solves it
+        ("sleigh-paper51.cfg", {}, DelSettings(newton_tol=1e-10), 50),
+        # the bundled particle, hard terminal, first interval enforced
+        ("particle-case2.cfg", {"terminal_mode": "hard"},
+         DelSettings(newton_tol=1e-10, enforce_first_interval=True), 40),
+    ], ids=["sleigh-free", "particle-enforced"])
+    def test_prolonged_coarse_solution_reaches_the_cold_root(
+        self, config, problem_keys, settings, steps
+    ):
+        """From the prolonged N solution, the 2N solve reaches the root of
+        the straight-line start within 1e-12, in no more iterations."""
+        model, problem = bundled_del_instance(config, **problem_keys)
+        grid = TimeGrid(0.0, problem.horizon_T, 2 * steps)
+        coarse, report = solve_del(
+            model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings
+        )
+        assert report.converged
+        cold, cold_report = solve_del(model, problem, grid, settings)
+        warm, warm_report = solve_del(model, problem, grid, settings, coarse=coarse)
+        assert cold_report.converged and warm_report.converged
+        assert warm_report.iterations <= cold_report.iterations
+        for name in ("q", "v", "multipliers"):
+            assert np.max(np.abs(getattr(warm, name) - getattr(cold, name))) <= 1e-12
+        if settings.enforce_first_interval:
+            assert np.max(np.abs(warm.lambda_zero - cold.lambda_zero)) <= 1e-12
+
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_prolongation(self, enforce):
+        """Even nodes are the coarse nodes, odd nodes their midpoints, and
+        the multipliers are interpolated in interval-midpoint time and
+        halved with h; a free coarse first interval is left out of the
+        interpolation, and an enforced one supplies lambda^0."""
+        model = particle_model()
+        problem = particle_case2_problem(horizon=1.0)
+        rng = np.random.default_rng(3)
+        coarse = DiscreteTrajectory(
+            h=0.25, times=0.25 * np.arange(5),
+            q=np.vstack([problem.initial_state.q, rng.normal(size=(3, 3)),
+                         problem.reference(1.0).q]),
+            v=np.vstack([problem.initial_state.v, rng.normal(size=(3, 2)),
+                         problem.reference(1.0).v]),
+            multipliers=rng.normal(size=(3, 3)), controls=np.zeros((4, 2)),
+            lambda_zero=rng.normal(size=3) if enforce else None,
+        )
+        ws = _DelWorkspace(
+            model, problem, TimeGrid(0.0, 1.0, 8),
+            DelSettings(enforce_first_interval=enforce),
+        )
+        q, v, lam, lam0 = ws.unpack(ws.initial_guess(coarse))
+        assert np.array_equal(q[::2], coarse.q) and np.array_equal(v[::2], coarse.v)
+        np.testing.assert_allclose(q[1::2], 0.5 * (coarse.q[:-1] + coarse.q[1:]))
+        np.testing.assert_allclose(v[1::2], 0.5 * (coarse.v[:-1] + coarse.v[1:]))
+        # fine interval i has its midpoint at position i/2 - 1/4 on the coarse
+        # intervals' midpoints, held at the first constrained and the last
+        first = 0 if enforce else 1
+        lam_c = np.vstack([
+            np.zeros(3) if coarse.lambda_zero is None else coarse.lambda_zero,
+            coarse.multipliers,
+        ])
+        pos = np.clip(np.arange(1, 8) / 2 - 0.25, first, 3)
+        lo = np.minimum(pos.astype(int), 2)
+        frac = (pos - lo)[:, None]
+        np.testing.assert_allclose(
+            lam, 0.5 * ((1 - frac) * lam_c[lo] + frac * lam_c[lo + 1])
+        )
+        if enforce:
+            assert np.array_equal(lam0, 0.5 * coarse.lambda_zero)
+        else:
+            assert lam0 is None
+
+    def test_rejects_a_coarse_solution_of_another_grid(self):
+        model = particle_model()
+        problem = particle_case2_problem(horizon=1.0)
+
+        def zero_trajectory(horizon, steps):
+            return DiscreteTrajectory(
+                h=horizon / steps, times=np.linspace(0.0, horizon, steps + 1),
+                q=np.zeros((steps + 1, 3)), v=np.zeros((steps + 1, 2)),
+                multipliers=np.zeros((steps - 1, 3)), controls=np.zeros((steps, 2)),
+            )
+
+        grid = TimeGrid(0.0, 1.0, 10)
+        for coarse in (zero_trajectory(1.0, 4), zero_trajectory(1.0, 10),
+                       zero_trajectory(2.0, 5)):
+            with pytest.raises(ValueError, match="coarse must span"):
+                solve_del(model, problem, grid, coarse=coarse)
+
+
 # ---------------------------------------------------------------------------
 # order of accuracy
 
