@@ -15,10 +15,11 @@ with u eliminated pointwise through the stationarity condition
 lambda0 eps u + mu = 0.  solve_shooting root-finds the terminal residual over
 the unknown initial costate alpha = (lambda(0), mu(0)) by damped Newton with
 finite-difference Jacobians, by multiple shooting: the grid is cut into M
-time segments (at most SEGMENTS) whose flows advance side by side, the
-packed node (q, v, lambda, mu) at each later segment start joins alpha as an
-unknown, and the continuity gaps between segments (angle components wrapped
-into (-pi, pi], as in state_difference) join the terminal residual.  Each
+time segments (SEGMENTS, or one per time unit on a longer horizon) whose
+flows advance side by side, the packed node (q, v, lambda, mu) at each
+later segment start joins alpha as an unknown, and the continuity gaps
+between segments (angle components wrapped into (-pi, pi], as in
+state_difference) join the terminal residual.  Each
 Newton step solves that whole block-bidiagonal system at once by one dense
 LU with pivoting, so no product of segment Jacobians carries the costate's
 growth over the horizon back into the step.  The segment flows at the
@@ -37,7 +38,6 @@ Phi = 1/2 ||gamma(T) - gamma_r(T)||^2 on the full state.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -205,6 +205,9 @@ class TrackingProblem:
     state_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "horizon_T", "omega", "lambda0", "state_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise ValueError(
                 "epsilon must be positive: the epsilon = 0 problem is a "
@@ -258,8 +261,9 @@ class NewtonSettings:
     def __post_init__(self) -> None:
         label = type(self).__name__
         for name in ("newton_tol", "max_iters"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{label}.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{label}.{name} must be positive and finite")
 
 
 CONTINUATIONS = ("none", "horizon", "terminal-weight")
@@ -317,7 +321,8 @@ class ConvergenceReport:
 # a rejected trial step is scaled by DAMPING, and the step scaled
 # MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
 # finite-difference step of both routes' Jacobians; a shooting solve cuts
-# its grid into at most SEGMENTS time segments
+# its grid into SEGMENTS time segments, or more on a horizon past SEGMENTS
+# time units
 DAMPING = 0.5
 MAX_HALVINGS = 30
 FD_STEP = 1e-6
@@ -672,18 +677,11 @@ def shooting_residual(
     components are wrapped into (-pi, pi].  Always 2n - m values.
     """
     grid = _resolve_grid(problem, settings)
-    _, ys = _single_flow(model, problem, _costate_vector(model, alpha), grid)
+    y0 = np.concatenate(
+        [problem.initial_state.as_vector(), _costate_vector(model, alpha)]
+    )
+    ys = _flow(_make_packed_rhs(model, problem), y0, grid.t0, grid.h, grid.steps)
     return _terminal_residual(model, problem, ys[-1])
-
-
-def _single_flow(
-    model: SystemModel, problem: TrackingProblem, alpha_vec: Array, grid: TimeGrid
-) -> tuple[Array, Array]:
-    """(times, ys) of the one flow from (gamma(0), alpha) over the grid;
-    FlowDivergedError on blow-up."""
-    rhs = _make_packed_rhs(model, problem)
-    y0 = np.concatenate([problem.initial_state.as_vector(), alpha_vec])
-    return grid.times(), _flow(rhs, y0, grid.t0, grid.h, grid.steps)
 
 
 def _trajectory_from_series(
@@ -692,6 +690,14 @@ def _trajectory_from_series(
     q, v, lam, mu = _split(ys, model.n, model.rank)
     u = optimal_control(mu, problem.epsilon, problem.lambda0)
     return ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu)
+
+
+def _likely_final(norms: list[float], tol: float) -> bool:
+    """Whether the next accepted point is likely within tol, by the
+    quadratic-convergence estimate r_{k+1} ~ r_k^3 / r_{k-1}^2 from the last
+    two accepted residual norms (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004, ch. 2); False before two are known."""
+    return len(norms) >= 2 and (norms[-1] / norms[-2]) ** 2 * norms[-1] <= tol
 
 
 def _newton_shoot(
@@ -715,18 +721,22 @@ def _newton_shoot(
     its nearest sample where the guide reaches, else at the reference state
     with a zero costate.  The residual is the M - 1 continuity gaps (end of
     segment i minus start of segment i + 1, angle components wrapped as in
-    state_difference), then the terminal residual.  Each trial point runs
-    as one stacked flow of ceil(s / M) RK4 steps, each segment read at its
-    own end (a shorter one flows one step past it): shape (M, 1 + 2(n + k),
-    2(n + k)), row 0 of segment i its start and row 1 + j its
-    forward-difference probe in entry j.  The start point is evaluated the
-    same way, so the correction at every accepted point only solves: one
-    np.linalg.solve of the whole square Jacobian of the residual over the
-    unknowns, which raises SingularJacobianError when exactly singular.  A
-    stacked flow that diverges in any row, start or probe, rejects its
-    trial; at the start point its FlowDivergedError propagates.  Returns
-    the costate at t = 0, the (times, ys) series of the segment flows laid
-    end to end, and the report.
+    state_difference), then the terminal residual.  Each evaluated point
+    runs as one stacked flow of ceil(s / M) RK4 steps, each segment read at
+    its own end (a shorter one flows one step past it): shape (M, 1 +
+    2(n + k), 2(n + k)), row 0 of segment i its start and row 1 + j its
+    forward-difference probe in entry j, so the correction at an accepted
+    point only solves the whole square Jacobian of the residual over the
+    unknowns (np.linalg.solve; SingularJacobianError when exactly
+    singular).  A trial whose Jacobian _likely_final expects to go unused
+    flows its start rows alone, shape (M, 1, 2(n + k)); if it is accepted
+    without having converged, its correction flows the probe rows once,
+    from the same starts and steps.  Each row equals its flow in the full
+    stack bit for bit, so no result depends on the estimate.  A flow that
+    diverges in any row rejects its trial; at the start point, and in a
+    deferred probe flow, its FlowDivergedError propagates.  Returns the
+    costate at t = 0, the (times, ys) series of the segment flows laid end
+    to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
@@ -747,32 +757,44 @@ def _newton_shoot(
         inside = node_times <= guide_times[-1]
         nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
         nodes[inside] = guide_ys[nearest]
+    norms: list[float] = []  # the residual norm at each accepted point
+
+    def norm(r: Array) -> float:
+        return float(np.linalg.norm(r))
 
     def segment_starts(x: Array) -> Array:
         return np.vstack([np.concatenate([y_state, x[:p]]), x[p:].reshape(-1, w)])
 
-    def flow(x: Array) -> tuple[Array, Any]:
-        # z[i] is the start of segment i; its probe j moves entry j by
-        # steps[i, j]
-        z = segment_starts(x)
-        steps = FD_STEP * np.maximum(1.0, np.abs(z))
+    def fd_steps(z: Array) -> Array:
+        # probe j of the start z[i] moves entry j by fd_steps(z)[i, j]
+        return FD_STEP * np.maximum(1.0, np.abs(z))
+
+    def probe_flow(z: Array) -> Array:
         stack = np.concatenate(
-            [z[:, None], z[:, None] + steps[:, :, None] * np.eye(w)], axis=1
+            [z[:, None], z[:, None] + fd_steps(z)[:, :, None] * np.eye(w)], axis=1
         )
-        ys = _flow(rhs, stack, starts, grid.h, span)
-        ends = ys[at_ends]
-        res_T = _terminal_residual(model, problem, ends[-1])
+        return _flow(rhs, stack, starts, grid.h, span)
+
+    def jacobian(z: Array, ends: Array, res_T: Array) -> Array:
         # the Jacobian over every start z_j, by row block i: gap i has G_i
         # = d end_i / d z_i on z_i and -I on z_{i+1}, and the terminal rows
         # fill the first p rows of the last block.  Dropping that block's
         # last p rows and the fixed state columns of z_0 leaves it square
+        steps = fd_steps(z)
         blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
         jac = np.zeros((segments, w, segments, w))
         i = np.arange(segments - 1)
         jac[i, :, i] = blocks.transpose(0, 2, 1)
         jac[i, :, i + 1] = -np.eye(w)
         jac[-1, :p, -1] = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
-        jac = jac.reshape(segments * w, segments * w)[:-p, p:]
+        return jac.reshape(segments * w, segments * w)[:-p, p:]
+
+    def evaluate(x: Array) -> tuple[Array, Any]:
+        z = segment_starts(x)
+        final = _likely_final(norms, settings.newton_tol)
+        ys = _flow(rhs, z[:, None], starts, grid.h, span) if final else probe_flow(z)
+        ends = ys[at_ends]
+        res_T = _terminal_residual(model, problem, ends[-1])
         # the gaps between the starts' flows' ends and the next starts
         dq, dv = state_difference(
             model,
@@ -781,18 +803,26 @@ def _newton_shoot(
         )
         gaps = np.concatenate([dq, dv, ends[:-1, 0, p:] - z[1:, p:]], axis=1)
         r = np.concatenate([gaps.ravel(), res_T[0]])
+        jac = None if final else jacobian(z, ends, res_T)
         # a copy, so that the accepted point does not pin the probe stack
         return r, (jac, ys[:, :, 0].copy())
 
     def correction(x: Array, r: Array, data: Any) -> Array:
+        norms.append(norm(r))
+        jac = data[0]
+        if jac is None:
+            # the estimate took this point for the last one, and it was not
+            z = segment_starts(x)
+            ends = probe_flow(z)[at_ends]
+            jac = jacobian(z, ends, _terminal_residual(model, problem, ends[-1]))
         try:
-            return np.linalg.solve(data[0], -r)
+            return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise SingularJacobianError() from None
 
     x, (_, starts_series), report = damped_newton(
-        np.concatenate([alpha_vec, nodes.ravel()]), flow, correction,
-        lambda r: float(np.linalg.norm(r)), "residual norm", settings,
+        np.concatenate([alpha_vec, nodes.ravel()]), evaluate, correction,
+        norm, "residual norm", settings,
     )
     # each segment's series up to its end, which is the next one's start
     series = np.concatenate(
@@ -837,25 +867,29 @@ def solve_shooting(
 ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
     """Damped-Newton shooting on the terminal residual, by segments.
 
-    Each Newton solve is _newton_shoot on min(SEGMENTS, steps) segments:
-    forward-difference Jacobians (step FD_STEP * max(1, |entry|)) from one
-    stacked flow per trial point, each Newton step one dense solve of the
-    whole segmented system (gaps and terminal residual over the initial
-    costate and every node), and a backtracking line search halving
-    the step until the residual 2-norm decreases (at most MAX_HALVINGS
-    times).  A trial whose flow or any probe flow diverges counts as
-    rejected; a stage whose start point so diverges raises
-    FlowDivergedError.  With settings.continuation = "horizon" the initial
-    costate is first tracked through shortened horizons; "terminal-weight"
-    tracks it through soft-terminal (Mayer) solves of growing weight
-    before the hard solve.  _stages lists the solves, and one loop runs
-    them, each warm-started from the costate and guided by the flow of the
-    one before.  A given alpha0 is only a guide: it starts the first solve,
-    whose nodes start on alpha0's own flow, and a start already within
-    tolerance returns at 0 iterations.  The answer is always the last
-    stage's accepted point: its segment flows laid end to end are the
-    returned trajectory, and its segmented residual norm (continuity gaps
-    and terminal residual together, so it bounds every gap) is the reported
+    Each Newton solve is _newton_shoot on M = max(SEGMENTS, ceil(T))
+    segments, T the solve's horizon, so that a segment spans at most one
+    time unit on a long horizon; M is capped by the grid's steps.
+    Forward-difference Jacobians (step FD_STEP * max(1, |entry|)) come from
+    one stacked flow per evaluated point, without its probe rows where the
+    quadratic-convergence estimate expects the point to be the last (they
+    are flowed at its correction if it is not).  Each Newton step is one
+    dense solve of the whole segmented system (gaps and terminal residual
+    over the initial costate and every node), and a backtracking line
+    search halves the step until the residual 2-norm decreases (at most
+    MAX_HALVINGS times).  A trial whose flow or any probe flow diverges
+    counts as rejected; a stage whose start point or deferred probe flow so
+    diverges raises FlowDivergedError.  With settings.continuation =
+    "horizon" the initial costate is first tracked through shortened
+    horizons; "terminal-weight" tracks it through soft-terminal (Mayer)
+    solves of growing weight before the hard solve.  _stages lists the
+    solves, and one loop runs them, each warm-started from the costate and
+    guided by the flow of the one before.  A given alpha0 only sets the
+    first solve's initial costate; its nodes start at the reference state
+    with a zero costate either way.  The answer is always the last stage's
+    accepted point: its segment flows laid end to end are the returned
+    trajectory, and its segmented residual norm (continuity gaps and
+    terminal residual together, so it bounds every gap) is the reported
     one.  The solve is converged when the last stage converged.
     Numerical failures raise ArithmeticErrors (FlowDivergedError;
     SingularJacobianError when that system is exactly singular);
@@ -868,18 +902,13 @@ def solve_shooting(
     grid = check_shooting(problem, settings)
     stages = _stages(problem, settings, grid)
     series = None
-    if alpha0 is None:
-        alpha_vec = Costate.zero(model).as_vector()
-    else:
-        alpha_vec = _costate_vector(model, alpha0)
-        first_problem, first_grid = stages[0]
-        with suppress(FlowDivergedError):
-            series = _single_flow(model, first_problem, alpha_vec, first_grid)
+    alpha_vec = _costate_vector(model, Costate.zero(model) if alpha0 is None else alpha0)
     missed_stages = []
     for j, (stage_problem, stage_grid) in enumerate(stages, start=1):
         # a failed stage still leaves the best costate and flow found so far
+        segments = max(SEGMENTS, math.ceil(stage_problem.horizon_T))
         alpha_vec, series, report = _newton_shoot(
-            model, stage_problem, alpha_vec, settings, stage_grid, SEGMENTS, series
+            model, stage_problem, alpha_vec, settings, stage_grid, segments, series
         )
         if not report.converged and j < len(stages):
             missed_stages.append(

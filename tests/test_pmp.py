@@ -39,7 +39,7 @@ from nhtrack.pmp import (
     solve_shooting,
 )
 from nhtrack.systems import SleighParams, particle_model, sleigh_model
-from nhtrack.varint import RegularityError
+from nhtrack.varint import DelSettings, RegularityError
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
 SLEIGH_PARAMS = SleighParams(mass_m=1.0, inertia_J=4.0, offset_a=0.2)
@@ -587,7 +587,13 @@ def test_solve_shooting_short_horizon_converges_and_reports():
     np.testing.assert_array_equal(traj.v[0], prob.initial_state.v)
 
 
-def test_solve_shooting_already_converged_returns_zero_iterations():
+def test_solve_shooting_already_converged_returns_zero_iterations(monkeypatch):
+    """By single shooting (SEGMENTS = 1 on a unit horizon) the initial
+    costate is the only unknown, so a root given as alpha0 is a start
+    within tolerance; with nodes, alpha0 sets only the initial costate."""
+    import nhtrack.pmp as pmp
+
+    monkeypatch.setattr(pmp, "SEGMENTS", 1)
     model = particle_model()
     prob = short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
@@ -713,22 +719,20 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
     assert all(g is e for g, e in zip(guides, expected_guides))
 
 
-def test_a_given_costate_guides_the_first_stage_by_its_own_flow(monkeypatch):
-    """With alpha0 given, the first stage's nodes start on the flow of
-    alpha0 over that stage's grid.  A root given as alpha0 is only a
-    guide too: the one segmented solve starts on its flow, returns at once,
-    and its series is the trajectory."""
+def test_a_given_costate_sets_only_the_initial_costate(monkeypatch):
+    """With alpha0 given, the first stage starts from alpha0 with no guide,
+    so its nodes start at the reference state with a zero costate, as
+    without alpha0; the next stage is guided by the first one's series.  A
+    root given as alpha0 leads the segmented solve back to that root."""
     import nhtrack.pmp as pmp
 
-    guides, results = [], []
+    calls = []
     real_shoot = pmp._newton_shoot
 
     def shoot(model, stage, alpha_vec, settings, grid, segments, guide):
-        guides.append(guide)
-        results.append(
-            real_shoot(model, stage, alpha_vec, settings, grid, segments, guide)
-        )
-        return results[-1]
+        result = real_shoot(model, stage, alpha_vec, settings, grid, segments, guide)
+        calls.append((alpha_vec.copy(), guide, result))
+        return result
 
     monkeypatch.setattr(pmp, "_newton_shoot", shoot)
     model, problem = particle_model(), short_case2_problem()
@@ -739,24 +743,21 @@ def test_a_given_costate_guides_the_first_stage_by_its_own_flow(monkeypatch):
     alpha0 = Costate(lam=np.full(3, 0.1), mu=np.full(2, -0.1))
     alpha, _, report = solve_shooting(model, problem, alpha0, settings)
     assert report.converged
-    times, ys = guides[0]
-    np.testing.assert_array_equal(times, TimeGrid(0.0, 0.5, 25).times())
-    packed = np.concatenate([problem.initial_state.as_vector(), alpha0.as_vector()])
-    np.testing.assert_array_equal(ys[0], packed)
+    [(start, guide, first), (_, second_guide, _)] = calls
+    np.testing.assert_array_equal(start, alpha0.as_vector())
+    assert guide is None
+    assert second_guide is first[1]
 
-    guides.clear()
-    results.clear()
-    grid = TimeGrid(0.0, 1.0, 50)
+    calls.clear()
     again, traj, report = solve_shooting(
-        model, problem, alpha, ShootingSettings(inner_grid=grid)
+        model, problem, alpha, ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
     )
-    assert len(guides) == 1
-    own_flow = pmp._single_flow(model, problem, alpha.as_vector(), grid)
-    for got, want in zip(guides[0], own_flow):
-        np.testing.assert_array_equal(got, want)
-    assert (report.converged, report.iterations) == (True, 0)
-    np.testing.assert_array_equal(again.as_vector(), alpha.as_vector())
-    times, ys = results[0][1]
+    [(start, guide, (vec, (times, ys), _))] = calls
+    np.testing.assert_array_equal(start, alpha.as_vector())
+    assert guide is None
+    assert report.converged
+    np.testing.assert_allclose(again.as_vector(), alpha.as_vector(), atol=1e-8)
+    np.testing.assert_array_equal(again.as_vector(), vec)
     np.testing.assert_array_equal(traj.times, times)
     np.testing.assert_array_equal(
         np.concatenate([traj.q, traj.v, traj.lam, traj.mu], axis=1), ys
@@ -849,6 +850,17 @@ def test_tracking_problem_validation(overrides):
         case2_problem(**overrides)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field", ["epsilon", "horizon_T", "omega", "lambda0", "state_weight"]
+)
+def test_tracking_problem_rejects_a_nonfinite_parameter(field, value):
+    """NaN passes every `<= 0` check, so each parameter is checked finite
+    first."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        case2_problem(**{field: value})
+
+
 def test_costate_rejects_nonfinite_entries():
     with pytest.raises(ValueError, match="finite"):
         Costate(lam=[np.nan, 0.0, 0.0], mu=[0.0, 0.0])
@@ -881,6 +893,15 @@ def test_costate_vector_roundtrip():
 def test_shooting_settings_validation(kwargs):
     with pytest.raises(ValueError):
         ShootingSettings(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("settings", [NewtonSettings, ShootingSettings, DelSettings])
+def test_newton_settings_reject_a_nonfinite_newton_tol(settings, value):
+    """A NaN newton_tol would pass a `<= 0` check, and a solve with it could
+    never converge."""
+    with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+        settings(newton_tol=value)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1117,8 @@ def test_stacked_shooting_flow_rows_equal_the_separate_flows(system):
     point equals, bitwise over the whole series, the flow of that segment
     start alone on the segment's own clock, and the probe rows equal the
     flow of the segment's probes alone: integrating the segments side by
-    side, each with its probes, changes no arithmetic."""
+    side, each with its probes, changes no arithmetic.  So do the start
+    rows flowed without their probes, shape (M, 1, 2(n + k))."""
     from nhtrack.pmp import FD_STEP, _flow, _make_packed_rhs
 
     if system == "particle":
@@ -1121,6 +1143,7 @@ def test_stacked_shooting_flow_rows_equal_the_separate_flows(system):
         probes = _flow(rhs, stack[i, 1:], float(starts[i, 0]), h, span)
         assert np.array_equal(ys[:, i, 0], alone)
         assert np.array_equal(ys[:, i, 1:], probes)
+    assert np.array_equal(_flow(rhs, stack[:, :1], starts, h, span), ys[:, :, :1])
 
 
 def _rejected_trials(report):
@@ -1128,34 +1151,75 @@ def _rejected_trials(report):
     return sum(round(-np.log2(rec.damping)) for rec in report.records)
 
 
-@pytest.mark.parametrize("segments, steps", [(1, 100), (4, 100), (25, 101)])
-def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, steps):
-    """The start and every trial step are one stacked (M, 1 + 2(n + k),
-    2(n + k)) flow of ceil(steps / M) steps each, and the correction at an
-    accepted point flows nothing more.  The segment series
-    laid end to end, uneven segments included, is the single flow of the
-    returned costate."""
+def _recorded_shoot(monkeypatch, model, problem, grid, segments, final=None):
+    """_newton_shoot from a zero costate, with its flows and estimates in
+    one log: ("flow", shape, steps) for each _flow call and ("estimate",
+    norms, final) for each _likely_final call.  A given final forces the
+    estimate's answer."""
     import nhtrack.pmp as pmp
 
-    flows = []
-    real_flow = pmp._flow
+    events = []
+    real_flow, real_final = pmp._flow, pmp._likely_final
 
-    def counting_flow(rhs, y0, starts, h, steps):
-        flows.append((y0.shape, steps))
+    def logged_flow(rhs, y0, starts, h, steps):
+        events.append(("flow", y0.shape, steps))
         return real_flow(rhs, y0, starts, h, steps)
 
-    monkeypatch.setattr(pmp, "_flow", counting_flow)
-    model, problem = particle_model(), short_case2_problem()
-    grid = TimeGrid(0.0, 1.0, steps)
+    def logged_final(norms, tol):
+        answer = real_final(norms, tol) if final is None else final
+        events.append(("estimate", list(norms), answer))
+        return answer
+
+    monkeypatch.setattr(pmp, "_flow", logged_flow)
+    monkeypatch.setattr(pmp, "_likely_final", logged_final)
     start = Costate.zero(model).as_vector()
-    vec, (times, ys), report = pmp._newton_shoot(
+    result = pmp._newton_shoot(
         model, problem, start, ShootingSettings(), grid, segments, None
     )
+    return result, events
+
+
+@pytest.mark.parametrize("segments, steps", [(1, 100), (4, 100), (25, 101)])
+def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, steps):
+    """The start and every trial step are one stacked flow of ceil(steps /
+    M) steps each, right after the estimate it follows: (M, 1 + 2(n + k),
+    2(n + k)) with the probes, or (M, 1, 2(n + k)) without them, which only
+    an estimate r_k^3 / r_{k-1}^2 within newton_tol allows.  A probe-free
+    point taken for the last that was not has its probes flowed once at its
+    correction; here the last point is probe-free.  The estimates see the
+    residual norm of every accepted point.  The segment series laid end to
+    end, uneven segments included, is the single flow of the returned
+    costate."""
+    import nhtrack.pmp as pmp
+
+    model, problem = particle_model(), short_case2_problem()
+    grid = TimeGrid(0.0, 1.0, steps)
+    (vec, (times, ys), report), events = _recorded_shoot(
+        monkeypatch, model, problem, grid, segments
+    )
     assert report.converged and report.iterations >= 2
-    assert len(flows) == 1 + report.iterations + _rejected_trials(report)
     width = 2 * (model.n + model.rank)
     span = -(-steps // segments)
-    assert set(flows) == {((segments, 1 + width, width), span)}
+    full, bare = (segments, 1 + width, width), (segments, 1, width)
+    estimates = [e for e in events if e[0] == "estimate"]
+    assert len(estimates) == 1 + report.iterations + _rejected_trials(report)
+    tol = ShootingSettings().newton_tol
+    deferred = 0
+    for before, (kind, shape, span_j) in zip(events, events[1:]):
+        if kind != "flow":
+            continue
+        assert span_j == span
+        if before[0] == "estimate":
+            _, norms, final = before
+            assert shape == (bare if final else full)
+            assert final == (len(norms) >= 2 and norms[-1] ** 3 / norms[-2] ** 2 <= tol)
+        else:  # a deferred probe flow follows the probe-free flow it serves
+            assert (before[1], shape) == (bare, full)
+            deferred += 1
+    assert events[0][0] == "estimate"
+    assert len(events) == 2 * len(estimates) + deferred
+    assert events[-1] == ("flow", bare, span)
+    assert events[-2][1][1:] == [rec.residual_norm for rec in report.records[:-1]]
     np.testing.assert_array_equal(times, grid.times())
     assert ys.shape == (steps + 1, width)
     settings = ShootingSettings(inner_grid=grid)
@@ -1164,8 +1228,54 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, s
         0.0, atol=settings.newton_tol,
     )
     y0 = np.concatenate([problem.initial_state.as_vector(), vec])
-    np.testing.assert_allclose(ys, real_flow(pmp._make_packed_rhs(model, problem),
+    np.testing.assert_allclose(ys, pmp._flow(pmp._make_packed_rhs(model, problem),
                                              y0, 0.0, grid.h, steps), atol=1e-9)
+
+
+@pytest.mark.parametrize("system", ["particle", "sleigh"])
+@pytest.mark.parametrize("final", [True, False])
+def test_the_estimate_moves_cost_not_results(monkeypatch, system, final):
+    """Forcing the estimate to call every point final (each correction then
+    flows its probes), or none, returns the costate, series and report of
+    the default solve bit for bit."""
+    model, problem = _segmented_instance(system)
+    grid = TimeGrid(0.0, 1.0, 100)
+    (vec, (times, ys), report), _ = _recorded_shoot(
+        monkeypatch, model, problem, grid, 4
+    )
+    (f_vec, (f_times, f_ys), f_report), events = _recorded_shoot(
+        monkeypatch, model, problem, grid, 4, final=final
+    )
+    assert all(e[2] == final for e in events if e[0] == "estimate")
+    assert report.converged and report.iterations >= 2
+    assert f_report == report
+    assert np.array_equal(f_vec, vec)
+    assert np.array_equal(f_times, times) and np.array_equal(f_ys, ys)
+
+
+def test_the_bundled_particle_flows_no_probes_at_its_last_point(monkeypatch):
+    """The bundled particle's solve evaluates five points, each one stacked
+    flow of 16 steps over 25 segments; the last converges, and its flow
+    carries no probe rows."""
+    import nhtrack.pmp as pmp
+
+    shapes = []
+    real_flow = pmp._flow
+
+    def counting_flow(rhs, y0, starts, h, steps):
+        shapes.append((y0.shape, steps))
+        return real_flow(rhs, y0, starts, h, steps)
+
+    monkeypatch.setattr(pmp, "_flow", counting_flow)
+    cfg = parse_config(BUNDLED / "particle-case2.cfg")
+    model = build_model(cfg)
+    settings = ShootingSettings(
+        inner_grid=TimeGrid(0.0, cfg.problem.horizon_T, cfg.solver.steps),
+        newton_tol=cfg.solver.newton_tol, max_iters=cfg.solver.max_iters,
+    )
+    _, _, report = solve_shooting(model, build_problem(cfg, model), None, settings)
+    assert (report.converged, report.iterations) == (True, 4)
+    assert shapes == [((25, 11, 10), 16)] * 4 + [((25, 1, 10), 16)]
 
 
 def _blowup_field(column, center, rate=4.0):
@@ -1509,6 +1619,13 @@ def test_the_bundled_particle_converges_at_horizon_64():
     Jacobians stalls the solve; the step of the whole segmented system
     converges, inside a time budget."""
     _converges_within(64.0, 15.0, max_iters=12)
+
+
+def test_the_bundled_particle_converges_at_horizon_128():
+    """At T = 128, 25 segments would each span 5.1 time units, and from a
+    zero costate that solve fails; with one segment per time unit it
+    converges, inside a time budget."""
+    _converges_within(128.0, 15.0)
 
 
 # ---------------------------------------------------------------------------
