@@ -118,6 +118,13 @@ def _inner(x: Array, y: Array) -> Array:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _outer(x: Array, y: Array) -> Array:
+    """x^i y^j for x (..., a) and y (..., b), with leading axes broadcast:
+    one product per entry, taken as a matmul of one-wide cores, which on a
+    stack of rows costs less than the broadcast product."""
+    return x[..., :, None] @ y[..., None, :]
+
+
 def _quadratic(gamma: Array, v: Array) -> Array:
     """Gamma^A_{BC} v^B v^C for gamma (..., k, k, k) and v (..., k)."""
     return np.matvec(np.matvec(gamma, v[..., None, :]), v)
@@ -193,6 +200,34 @@ def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
     sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
     a_v = np.matvec(sym, v).reshape(lead + (k, k))
     return a, a_q, a_v
+
+
+def drift_pullback(
+    model: SystemModel, q: Array, v: Array, w: Array
+) -> tuple[Array, Array, Array]:
+    """The drift a of `drift` with its derivatives pulled back along a
+    covector w on the quasi-velocities.
+
+    Returns (a, w a_q, w a_v): (w a_q)_j = w_A d a^A / d q^j and
+    (w a_v)_A = w_B d a^B / d v^A, with a bitwise drift's a.  These are
+    vector-Jacobian products (Griewank & Walther, Evaluating Derivatives,
+    2nd ed., 2008, ch. 3), so a_q and a_v are never formed: each term is
+    one contraction per row of a flattened outer product of w and v with
+    a flattened view of a model array.  q (..., n), v and w (..., n-m)
+    carry matching leading axes; so do the results.
+    """
+    k, lead = v.shape[-1], v.shape[:-1]
+    gam = model.christoffel(q)
+    a = _quadratic(gam, v) + model.potential_grad(q)
+    # (w v)[B, C] and (w v v)[A, B, C], each flattened into one slot
+    wv = _outer(w, v).reshape(lead + (k * k,))
+    wvv = _outer(wv, v).reshape(lead + (k**3,))
+    jac = model.christoffel_jac(q).reshape(lead + (k**3, -1))
+    w_aq = np.vecmat(wvv, jac) + np.vecmat(w, model.potential_grad_jac(q))
+    # Gamma + Gamma^T is symmetric in its last two slots, so its view with
+    # rows (B, C) and column A holds Gamma^B_{AC} + Gamma^B_{CA}
+    sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
+    return a, w_aq, np.vecmat(wv, sym)
 
 
 def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:

@@ -12,6 +12,8 @@ non-finite one see non-finite input.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +49,17 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
+        for name in ("t0", "tf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"TimeGrid.{name} must be finite, got {getattr(self, name)}"
+                )
+        try:
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(
+                f"TimeGrid.steps must be an integer, got {self.steps!r}"
+            ) from None
         if self.steps <= 0:
             raise ValueError(f"TimeGrid.steps must be positive, got {self.steps}")
         if not self.tf > self.t0:

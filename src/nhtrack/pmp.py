@@ -47,8 +47,9 @@ from .geometry import (
     AdmissibleState,
     SystemModel,
     _inner,
+    _outer,
     _state_field,
-    drift,
+    drift_pullback,
     dynamics_rhs,
     state_difference,
 )
@@ -133,10 +134,9 @@ class RolloutReference:
         horizon: float,
         step: float = ROLLOUT_STEP,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
+        for name, value in (("horizon", horizon), ("step", step)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.model = model
         self.start = start
         self.horizon = float(horizon)
@@ -501,9 +501,11 @@ def _make_packed_rhs(
     y may be one vector of length 2(n + k) or a stack of them, shape
     (m, 2(n + k)), which advances m flows (for example a Newton point with
     the probes of its finite-difference Jacobian) in one evaluation.  The
-    adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv, with the
-    drift derivatives taken exactly from geometry.drift and the tracking
-    difference (angles wrapped) from geometry.state_difference.
+    adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv.  Their drift
+    terms mu da/dq and mu da/dv are exact covector pullbacks from
+    geometry.drift_pullback, which never forms the drift's Jacobians, and
+    the tracking difference (angles wrapped) comes from
+    geometry.state_difference.
     """
     n, k = model.n, model.rank
     rho_f, rho_jac_f = model.rho, model.rho_jac
@@ -515,21 +517,20 @@ def _make_packed_rhs(
     def rhs(t: float, y: Array) -> Array:
         q, v, lam, mu = _split(y, n, k)
         dq, dv = state_difference(model, AdmissibleState(q, v), reference(t))
-
         rho = rho_f(q)
-        rjac = rho_jac_f(q)
-        a, a_q, a_v = drift(model, q, v)
-        u = -inv_le * mu
+        a, mu_aq, mu_av = drift_pullback(model, q, v, mu)
+        # sum_{j,A} lambda_j drho^j_A/dq^i v^A, one contraction per row of
+        # the flattened lambda v against rho_jac viewed as (n k, n)
+        lam_v = _outer(lam, v).reshape(q.shape[:-1] + (n * k,))
+        pull = np.vecmat(lam_v, rho_jac_f(q).reshape(lam_v.shape + (n,)))
 
-        qdot = np.matvec(rho, v)
-        vdot = u - a
-
-        # sum_{j,A} lambda_j drho^j_A/dq^i v^A
-        pull = np.vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
-        pull = pull.reshape(pull.shape[:-1] + (k, n))
-        lamdot = -(track * dq + np.vecmat(v, pull) - np.vecmat(mu, a_q))
-        mudot = -(track * dv + np.vecmat(lam, rho) - np.vecmat(mu, a_v))
-        return np.concatenate([qdot, vdot, lamdot, mudot], axis=-1)
+        out = np.empty(y.shape)
+        qdot, vdot, lamdot, mudot = _split(out, n, k)
+        qdot[...] = np.matvec(rho, v)
+        vdot[...] = -inv_le * mu - a
+        lamdot[...] = mu_aq - track * dq - pull
+        mudot[...] = mu_av - track * dv - np.vecmat(lam, rho)
+        return out
 
     return rhs
 

@@ -33,6 +33,9 @@ class SleighParams:
     offset_a: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("mass_m", "inertia_J", "offset_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mass_m <= 0:
             raise ValueError(f"mass_m must be positive, got {self.mass_m}")
         if self.inertia_J <= 0:

@@ -18,6 +18,28 @@ def test_grid_rejects_bad_parameters():
         TimeGrid(2.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("field", ["t0", "tf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_a_nonfinite_end(field, value):
+    """TimeGrid(0.0, inf, 10) had h = inf."""
+    ends = {"t0": 0.0, "tf": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"TimeGrid.{field} must be finite"):
+        TimeGrid(ends["t0"], ends["tf"], 10)
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, "2"])
+def test_grid_rejects_a_steps_count_that_is_no_integer(steps):
+    """TimeGrid(0.0, 1.0, 2.5).times() ran past tf, to 1.2."""
+    with pytest.raises(ValueError, match="TimeGrid.steps must be an integer"):
+        TimeGrid(0.0, 1.0, steps)
+
+
+def test_grid_takes_a_numpy_integer_steps_count_as_an_int():
+    grid = TimeGrid(0.0, 1.0, np.int64(4))
+    assert type(grid.steps) is int and grid.steps == 4
+    np.testing.assert_array_equal(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 def test_grid_times():
     grid = TimeGrid(1.0, 3.0, 4)
     assert grid.h == pytest.approx(0.5)

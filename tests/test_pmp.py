@@ -1737,3 +1737,15 @@ def test_rollout_reference_validation(kwargs):
     full.update(kwargs)
     with pytest.raises(ValueError):
         RolloutReference(model, start, **full)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["horizon", "step"])
+def test_rollout_reference_rejects_a_nonfinite_parameter(field, value):
+    """An infinite horizon raised OverflowError, an ArithmeticError, which
+    the package reads as a numerical failure; it is a bad argument."""
+    model = particle_model()
+    start = AdmissibleState(q=[0.0, 0.5, 0.0], v=[0.4, 0.8])
+    full = {"horizon": 1.0, "step": 1e-2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        RolloutReference(model, start, **full)

@@ -1,7 +1,9 @@
 """Stacked evaluation of the pointwise formulas: the packed state field, the
-drift, the running cost, the restricted energy, the constraint residual and
-the discrete interval terms each take a stack of points and return, row by
-row, exactly (bitwise) what one point at a time returns."""
+drift and its pullback, the running cost, the restricted energy, the
+constraint residual and the discrete interval terms each take a stack of
+points and return, row by row, exactly (bitwise) what one point at a time
+returns.  The pullback and the packed state-costate field are also checked
+against the forms built from the drift's full Jacobians."""
 from __future__ import annotations
 
 import dataclasses
@@ -15,13 +17,17 @@ from nhtrack.geometry import (
     _state_field,
     constraint_residual,
     drift,
+    drift_pullback,
     dynamics_rhs,
     restricted_energy,
+    state_difference,
 )
 from nhtrack.pmp import (
     AnalyticReference,
     ShootingTrajectory,
     TrackingProblem,
+    _make_packed_rhs,
+    _split,
     running_cost,
     trajectory_cost,
 )
@@ -182,6 +188,97 @@ def test_drift_of_the_builtins_equals_the_per_slice_forms(model, lead):
     for new, old in zip(drift(model, q, v), _drift_per_slice(model, q, v)):
         assert new.shape == old.shape
         assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (25, 11)], ids=["1-D", "N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_MODELS, **ids)
+def test_drift_pullback_equals_the_covector_times_the_drift_jacobians(model, lead):
+    """drift_pullback's products are w a_q and w a_v of geometry.drift,
+    and its a is drift's a bit for bit."""
+    q, v = _points(model, lead, 15)
+    w = np.random.default_rng(16).normal(size=v.shape)
+    a, a_q, a_v = drift(model, q, v)
+    a_p, w_aq, w_av = drift_pullback(model, q, v, w)
+    assert np.array_equal(a_p, a)
+    for new, old in ((w_aq, np.vecmat(w, a_q)), (w_av, np.vecmat(w, a_v))):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("lead", [(7,), (25, 11)], ids=["N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_MODELS + MODELS, **ids)
+def test_drift_pullback_on_stacks_equals_rows(model, lead):
+    """The packed shooting field pulls back a stack of rows and needs each
+    row bitwise equal to the same row alone."""
+    q, v = _points(model, lead, 17)
+    w = np.random.default_rng(18).normal(size=v.shape)
+    stacked = drift_pullback(model, q, v, w)
+    for i, part in enumerate(stacked):
+        _assert_rows(
+            part, lead, lambda idx: drift_pullback(model, q[idx], v[idx], w[idx])[i]
+        )
+
+
+def _packed_rhs_by_jacobians(model, problem):
+    """A reference form of the packed state-costate field: the drift's full
+    Jacobians from geometry.drift, each contracted with mu, the rho_jac
+    pull taken one slot at a time, and the four blocks concatenated."""
+    n, k = model.n, model.rank
+    inv_le = 1.0 / (problem.lambda0 * problem.epsilon)
+    track = problem.lambda0 * problem.state_weight
+
+    def rhs(t, y):
+        q, v, lam, mu = _split(y, n, k)
+        dq, dv = state_difference(
+            model, AdmissibleState(q, v), problem.reference(t)
+        )
+        rho, rjac = model.rho(q), model.rho_jac(q)
+        a, a_q, a_v = drift(model, q, v)
+        pull = np.vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
+        pull = pull.reshape(pull.shape[:-1] + (k, n))
+        lamdot = -(track * dq + np.vecmat(v, pull) - np.vecmat(mu, a_q))
+        mudot = -(track * dv + np.vecmat(lam, rho) - np.vecmat(mu, a_v))
+        return np.concatenate(
+            [np.matvec(rho, v), -inv_le * mu - a, lamdot, mudot], axis=-1
+        )
+
+    return rhs
+
+
+def _dense_field_model(n, k, seed):
+    """_dense_model with a dense random, q-dependent rho too, so every sum
+    of the lambda pull has n k nonzero terms."""
+    rng = np.random.default_rng(seed)
+    r0, r1 = rng.normal(size=(n, k)), rng.normal(size=(n, k, n))
+    return dataclasses.replace(
+        _dense_model(n, k, seed),
+        rho=lambda q: r0 + (r1 * np.sin(q)[..., None, None, :]).sum(-1),
+        rho_jac=lambda q: r1 * np.cos(q)[..., None, None, :],
+    )
+
+
+@pytest.mark.parametrize("lead", [(), (25, 11)], ids=["1-D", "25x11"])
+@pytest.mark.parametrize(
+    "model", [_dense_field_model(3, 2, 22), _dense_field_model(5, 3, 23)] + MODELS,
+    **ids,
+)
+def test_packed_field_matches_the_jacobian_form(model, lead):
+    """The pullback field equals the one built from the drift's Jacobians
+    within 1e-13 relative, each block apart, on segmented stacks whose
+    rows run on their segment's clock."""
+    problem = _problem(model)
+    n, k = model.n, model.rank
+    rng = np.random.default_rng(24)
+    q, v = _points(model, lead, 25)
+    lam, mu = rng.normal(size=lead + (n,)), rng.normal(size=lead + (k,))
+    y = np.concatenate([q, v, lam, mu], axis=-1)
+    t = rng.uniform(0.0, HORIZON, size=lead[:1] + (1,) if lead else ())
+    new = _make_packed_rhs(model, problem)(t, y)
+    old = _packed_rhs_by_jacobians(model, problem)(t, y)
+    assert new.shape == old.shape == y.shape
+    for block_new, block_old in zip(_split(new, n, k), _split(old, n, k)):
+        scale = np.max(np.abs(block_old))
+        assert np.max(np.abs(block_new - block_old)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("lead", LEADS, **lead_ids)

@@ -41,6 +41,15 @@ def test_sleigh_params_validation(kwargs):
         SleighParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mass_m", "inertia_J", "offset_a"])
+def test_sleigh_params_reject_a_nonfinite_parameter(field, value):
+    """NaN passes every `<= 0` check and made eta NaN; an infinite inertia
+    made it 0."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SleighParams(**{field: value})
+
+
 def test_particle_restricted_energy_value():
     model = particle_model()
     state = AdmissibleState(q=[0.0, 1.0, 0.0], v=[1.0, 1.0])
