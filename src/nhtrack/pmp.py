@@ -38,6 +38,7 @@ Phi = 1/2 ||gamma(T) - gamma_r(T)||^2 on the full state.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -320,12 +321,14 @@ class ConvergenceReport:
 
 # a rejected trial step is scaled by DAMPING, and the step scaled
 # MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
-# finite-difference step of both routes' Jacobians; a shooting solve cuts
-# its grid into SEGMENTS time segments, or more on a horizon past SEGMENTS
-# time units
+# finite-difference step of both routes' Jacobians, and it also bounds the
+# error of shooting's coarse probe flow, which takes one RK4 step per
+# PROBE_STRIDE grid steps; a shooting solve cuts its grid into SEGMENTS time
+# segments, or more on a horizon past SEGMENTS time units
 DAMPING = 0.5
 MAX_HALVINGS = 30
 FD_STEP = 1e-6
+PROBE_STRIDE = 4
 SEGMENTS = 25
 
 
@@ -607,7 +610,7 @@ def _flow(
     rhs: Callable[[Any, Array], Array],
     y0: Array,
     starts: float | Array,
-    h: float,
+    h: float | Array,
     steps: int,
 ) -> Array:
     """Integrate the packed flow by `steps` RK4 steps of size h, failing
@@ -616,29 +619,37 @@ def _flow(
     y0 is one packed vector or a stack of them (..., 2(n + k)), and each
     flow runs on its own clock from starts: one start time, or an array of
     them that broadcasts against y0.shape[:-1] (the segments of a grid:
-    shape (M, 1) against (M, rows)).  rk4_step steps the common local time
-    from 0 and rhs sees the absolute times.  The series has shape
-    (steps + 1,) + y0.shape.  Any one diverging row fails the whole stacked
-    flow with a FlowDivergedError at the earliest absolute time at which a
-    row went non-finite or past 1e12.
+    shape (M, 1) against (M, rows)).  h is one step, or an array of steps
+    shaped like starts (each segment its own step); rk4_step then steps the
+    local time in units of steps, on the field scaled by h.  Either way
+    rk4_step sees a scalar local time from 0 and rhs the absolute times.
+    The series has shape (steps + 1,) + y0.shape.  Any one diverging row
+    fails the whole stacked flow with a FlowDivergedError at the earliest
+    absolute time at which a row went non-finite or past 1e12.
     """
-    taus = h * np.arange(steps + 1)
     ys = np.empty((steps + 1,) + y0.shape)
     ys[0] = y0
+    if np.ndim(h):
+        dt, scale = 1.0, np.expand_dims(h, -1)
 
-    def field(tau: float, y: Array) -> Array:
-        return rhs(starts + tau, y)
+        def field(s: float, y: Array) -> Array:
+            return scale * rhs(starts + s * h, y)
+    else:
+        dt = h
+
+        def field(tau: float, y: Array) -> Array:
+            return rhs(starts + tau, y)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             try:
-                y_next = rk4_step(field, taus[j], ys[j], h)
+                y_next = rk4_step(field, j * dt, ys[j], dt)
             except IntegrationError as exc:
-                raise FlowDivergedError(_earliest(starts + taus[j], exc.rows)) from exc
+                raise FlowDivergedError(_earliest(starts + j * h, exc.rows)) from exc
             bounded = np.abs(y_next) <= 1e12  # False on inf and nan too
             if not np.all(bounded):
                 raise FlowDivergedError(
-                    _earliest(starts + taus[j + 1], ~np.all(bounded, axis=-1))
+                    _earliest(starts + (j + 1) * h, ~np.all(bounded, axis=-1))
                 )
             ys[j + 1] = y_next
     return ys
@@ -693,14 +704,6 @@ def _trajectory_from_series(
     return ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu)
 
 
-def _likely_final(norms: list[float], tol: float) -> bool:
-    """Whether the next accepted point is likely within tol, by the
-    quadratic-convergence estimate r_{k+1} ~ r_k^3 / r_{k-1}^2 from the last
-    two accepted residual norms (Deuflhard, Newton Methods for Nonlinear
-    Problems, 2004, ch. 2); False before two are known."""
-    return len(norms) >= 2 and (norms[-1] / norms[-2]) ** 2 * norms[-1] <= tol
-
-
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
@@ -723,21 +726,25 @@ def _newton_shoot(
     with a zero costate.  The residual is the M - 1 continuity gaps (end of
     segment i minus start of segment i + 1, angle components wrapped as in
     state_difference), then the terminal residual.  Each evaluated point
-    runs as one stacked flow of ceil(s / M) RK4 steps, each segment read at
-    its own end (a shorter one flows one step past it): shape (M, 1 +
-    2(n + k), 2(n + k)), row 0 of segment i its start and row 1 + j its
-    forward-difference probe in entry j, so the correction at an accepted
-    point only solves the whole square Jacobian of the residual over the
-    unknowns (np.linalg.solve; SingularJacobianError when exactly
-    singular).  A trial whose Jacobian _likely_final expects to go unused
-    flows its start rows alone, shape (M, 1, 2(n + k)); if it is accepted
-    without having converged, its correction flows the probe rows once,
-    from the same starts and steps.  Each row equals its flow in the full
-    stack bit for bit, so no result depends on the estimate.  A flow that
-    diverges in any row rejects its trial; at the start point, and in a
-    deferred probe flow, its FlowDivergedError propagates.  Returns the
-    costate at t = 0, the (times, ys) series of the segment flows laid end
-    to end, and the report.
+    flows its segment starts alone, shape (M, 1, 2(n + k)), by ceil(s / M)
+    grid steps, each segment read at its own end (a shorter one flows one
+    step past it).  Only a correction, which a converged point never
+    reaches, flows the forward-difference probes: the stack (M, 1 + 2(n +
+    k), 2(n + k)), row 0 of segment i its start and row 1 + j its probe in
+    entry j.  It flows them by P = ceil(span / PROBE_STRIDE) RK4 steps of
+    length_i h / P on segment i, so each segment ends at its own end, and
+    keeps that coarse flow when its start rows land within the probe steps
+    of the grid-step ends, entry by entry.  Otherwise, or when the coarse
+    flow diverges, that correction and every later one flow the stack at
+    the grid step (a coarse flow that missed once has not been seen to fit
+    again), which gives the grid-step Jacobian.  The root is the grid-step
+    residual's either way (an inexact Jacobian only changes the
+    convergence), and the correction solves the whole square Jacobian over
+    the unknowns (np.linalg.solve; SingularJacobianError when exactly
+    singular).  A trial whose flow diverges is rejected; at the start
+    point, and in a grid-step probe flow, FlowDivergedError propagates.
+    Returns the costate at t = 0, the (times, ys) series of the segment
+    flows laid end to end, and the report.
     """
     n, k = model.n, model.rank
     p, w = n + k, 2 * (n + k)
@@ -745,6 +752,8 @@ def _newton_shoot(
     bounds = np.arange(segments + 1) * grid.steps // segments
     lengths = np.diff(bounds)
     span, at_ends = lengths[-1], (lengths, np.arange(segments))
+    coarse = -(-span // PROBE_STRIDE)  # the RK4 steps of a coarse probe flow
+    coarse_fits = True  # until a correction falls back
     starts = grid.t0 + grid.h * bounds[:-1, None]
     rhs = _make_packed_rhs(model, problem)
     y_state = problem.initial_state.as_vector()
@@ -758,7 +767,6 @@ def _newton_shoot(
         inside = node_times <= guide_times[-1]
         nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
         nodes[inside] = guide_ys[nearest]
-    norms: list[float] = []  # the residual norm at each accepted point
 
     def norm(r: Array) -> float:
         return float(np.linalg.norm(r))
@@ -770,11 +778,21 @@ def _newton_shoot(
         # probe j of the start z[i] moves entry j by fd_steps(z)[i, j]
         return FD_STEP * np.maximum(1.0, np.abs(z))
 
-    def probe_flow(z: Array) -> Array:
+    def probe_ends(z: Array, fine: Array) -> Array:
+        # the probe stack's segment ends, from the coarse flow where its
+        # start rows land within the probe steps of the grid-step ends
+        nonlocal coarse_fits
         stack = np.concatenate(
             [z[:, None], z[:, None] + fd_steps(z)[:, :, None] * np.eye(w)], axis=1
         )
-        return _flow(rhs, stack, starts, grid.h, span)
+        if coarse_fits:
+            with suppress(FlowDivergedError):
+                h = grid.h * lengths[:, None] / coarse
+                ends = _flow(rhs, stack, starts, h, coarse)[-1]
+                if np.all(np.abs(ends[:, 0] - fine) <= fd_steps(fine)):
+                    return ends
+            coarse_fits = False
+        return _flow(rhs, stack, starts, grid.h, span)[at_ends]
 
     def jacobian(z: Array, ends: Array, res_T: Array) -> Array:
         # the Jacobian over every start z_j, by row block i: gap i has G_i
@@ -790,38 +808,30 @@ def _newton_shoot(
         jac[-1, :p, -1] = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
         return jac.reshape(segments * w, segments * w)[:-p, p:]
 
-    def evaluate(x: Array) -> tuple[Array, Any]:
+    def evaluate(x: Array) -> tuple[Array, Array]:
         z = segment_starts(x)
-        final = _likely_final(norms, settings.newton_tol)
-        ys = _flow(rhs, z[:, None], starts, grid.h, span) if final else probe_flow(z)
+        ys = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
         ends = ys[at_ends]
         res_T = _terminal_residual(model, problem, ends[-1])
         # the gaps between the starts' flows' ends and the next starts
         dq, dv = state_difference(
             model,
-            AdmissibleState(q=ends[:-1, 0, :n], v=ends[:-1, 0, n:p]),
+            AdmissibleState(q=ends[:-1, :n], v=ends[:-1, n:p]),
             AdmissibleState(q=z[1:, :n], v=z[1:, n:p]),
         )
-        gaps = np.concatenate([dq, dv, ends[:-1, 0, p:] - z[1:, p:]], axis=1)
-        r = np.concatenate([gaps.ravel(), res_T[0]])
-        jac = None if final else jacobian(z, ends, res_T)
-        # a copy, so that the accepted point does not pin the probe stack
-        return r, (jac, ys[:, :, 0].copy())
+        gaps = np.concatenate([dq, dv, ends[:-1, p:] - z[1:, p:]], axis=1)
+        return np.concatenate([gaps.ravel(), res_T]), ys
 
-    def correction(x: Array, r: Array, data: Any) -> Array:
-        norms.append(norm(r))
-        jac = data[0]
-        if jac is None:
-            # the estimate took this point for the last one, and it was not
-            z = segment_starts(x)
-            ends = probe_flow(z)[at_ends]
-            jac = jacobian(z, ends, _terminal_residual(model, problem, ends[-1]))
+    def correction(x: Array, r: Array, ys: Array) -> Array:
+        z = segment_starts(x)
+        ends = probe_ends(z, ys[at_ends])
+        jac = jacobian(z, ends, _terminal_residual(model, problem, ends[-1]))
         try:
             return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise SingularJacobianError() from None
 
-    x, (_, starts_series), report = damped_newton(
+    x, starts_series, report = damped_newton(
         np.concatenate([alpha_vec, nodes.ravel()]), evaluate, correction,
         norm, "residual norm", settings,
     )
@@ -872,27 +882,26 @@ def solve_shooting(
     segments, T the solve's horizon, so that a segment spans at most one
     time unit on a long horizon; M is capped by the grid's steps.
     Forward-difference Jacobians (step FD_STEP * max(1, |entry|)) come from
-    one stacked flow per evaluated point, without its probe rows where the
-    quadratic-convergence estimate expects the point to be the last (they
-    are flowed at its correction if it is not).  Each Newton step is one
-    dense solve of the whole segmented system (gaps and terminal residual
-    over the initial costate and every node), and a backtracking line
-    search halves the step until the residual 2-norm decreases (at most
-    MAX_HALVINGS times).  A trial whose flow or any probe flow diverges
-    counts as rejected; a stage whose start point or deferred probe flow so
-    diverges raises FlowDivergedError.  With settings.continuation =
-    "horizon" the initial costate is first tracked through shortened
-    horizons; "terminal-weight" tracks it through soft-terminal (Mayer)
-    solves of growing weight before the hard solve.  _stages lists the
-    solves, and one loop runs them, each warm-started from the costate and
-    guided by the flow of the one before.  A given alpha0 only sets the
-    first solve's initial costate; its nodes start at the reference state
-    with a zero costate either way.  The answer is always the last stage's
-    accepted point: its segment flows laid end to end are the returned
-    trajectory, and its segmented residual norm (continuity gaps and
-    terminal residual together, so it bounds every gap) is the reported
-    one.  The solve is converged when the last stage converged.
-    Numerical failures raise ArithmeticErrors (FlowDivergedError;
+    one probe flow per Newton step, at one RK4 step per PROBE_STRIDE grid
+    steps while that flow lands within the probe steps of the grid-step
+    one, else at the grid step.  Each Newton step is one dense solve of the
+    whole segmented system (gaps and terminal residual over the initial
+    costate and every node), and a backtracking line search halves the
+    step until the residual 2-norm decreases (at most MAX_HALVINGS times).
+    A trial whose flow diverges counts as rejected; a stage whose start
+    point or grid-step probe flow so diverges raises FlowDivergedError.
+    With settings.continuation = "horizon" the initial costate is first
+    tracked through shortened horizons; "terminal-weight" tracks it through
+    soft-terminal (Mayer) solves of growing weight before the hard solve.
+    _stages lists the solves, and one loop runs them, each warm-started
+    from the costate and guided by the flow of the one before.  A given
+    alpha0 only sets the first solve's initial costate; its nodes start at
+    the reference state with a zero costate either way.  The answer is
+    always the last stage's accepted point: its segment flows laid end to
+    end are the returned trajectory, and its segmented residual norm
+    (continuity gaps and terminal residual together, so it bounds every
+    gap) is the reported one.  The solve is converged when the last stage
+    converged.  Numerical failures raise ArithmeticErrors (FlowDivergedError;
     SingularJacobianError when that system is exactly singular);
     nonconvergence is reported, not raised: the report carries the
     converged flag, the final residual norm and the log of the last stage,

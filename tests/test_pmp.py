@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 import time
-from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -1151,27 +1150,54 @@ def _rejected_trials(report):
     return sum(round(-np.log2(rec.damping)) for rec in report.records)
 
 
-def _recorded_shoot(monkeypatch, model, problem, grid, segments, final=None):
-    """_newton_shoot from a zero costate, with its flows and estimates in
-    one log: ("flow", shape, steps) for each _flow call and ("estimate",
-    norms, final) for each _likely_final call.  A given final forces the
-    estimate's answer."""
+def _logged_flows(monkeypatch):
+    """Log each pmp._flow call, in order, as (shape, steps, coarse): coarse
+    marks a flow whose segments take steps of their own length, the coarse
+    probe flow."""
     import nhtrack.pmp as pmp
 
     events = []
-    real_flow, real_final = pmp._flow, pmp._likely_final
+    real_flow = pmp._flow
 
     def logged_flow(rhs, y0, starts, h, steps):
-        events.append(("flow", y0.shape, steps))
+        events.append((y0.shape, steps, np.ndim(h) > 0))
         return real_flow(rhs, y0, starts, h, steps)
 
-    def logged_final(norms, tol):
-        answer = real_final(norms, tol) if final is None else final
-        events.append(("estimate", list(norms), answer))
-        return answer
-
     monkeypatch.setattr(pmp, "_flow", logged_flow)
-    monkeypatch.setattr(pmp, "_likely_final", logged_final)
+    return events
+
+
+def _letters(events):
+    """One letter per logged flow: b for the segment starts alone, c for a
+    coarse probe flow, f for a grid-step probe flow.  A correction's flows
+    read c where it keeps the coarse flow, cf where it falls back, and f
+    once an earlier correction of its solve fell back."""
+    return "".join(
+        "c" if coarse else "b" if shape[-2] == 1 else "f"
+        for shape, _, coarse in events
+    )
+
+
+def _force_grid_step_probes(monkeypatch):
+    """Make every coarse probe flow diverge, so that each correction flows
+    its probes at the grid step."""
+    import nhtrack.pmp as pmp
+
+    real_flow = pmp._flow
+
+    def coarse_diverges(rhs, y0, starts, h, steps):
+        if np.ndim(h):
+            raise FlowDivergedError(0.0)
+        return real_flow(rhs, y0, starts, h, steps)
+
+    monkeypatch.setattr(pmp, "_flow", coarse_diverges)
+
+
+def _recorded_shoot(monkeypatch, model, problem, grid, segments):
+    """_newton_shoot from a zero costate, and its _logged_flows."""
+    import nhtrack.pmp as pmp
+
+    events = _logged_flows(monkeypatch)
     start = Costate.zero(model).as_vector()
     result = pmp._newton_shoot(
         model, problem, start, ShootingSettings(), grid, segments, None
@@ -1181,15 +1207,14 @@ def _recorded_shoot(monkeypatch, model, problem, grid, segments, final=None):
 
 @pytest.mark.parametrize("segments, steps", [(1, 100), (4, 100), (25, 101)])
 def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, steps):
-    """The start and every trial step are one stacked flow of ceil(steps /
-    M) steps each, right after the estimate it follows: (M, 1 + 2(n + k),
-    2(n + k)) with the probes, or (M, 1, 2(n + k)) without them, which only
-    an estimate r_k^3 / r_{k-1}^2 within newton_tol allows.  A probe-free
-    point taken for the last that was not has its probes flowed once at its
-    correction; here the last point is probe-free.  The estimates see the
-    residual norm of every accepted point.  The segment series laid end to
-    end, uneven segments included, is the single flow of the returned
-    costate."""
+    """The start and every trial step are one flow of the segment starts
+    alone, (M, 1, 2(n + k)) by ceil(steps / M) grid steps.  Each correction
+    follows the flow of the point it serves with one coarse flow of the
+    probe stack, (M, 1 + 2(n + k), 2(n + k)) by ceil(span / PROBE_STRIDE)
+    steps, and keeps it here: uneven segments too end their coarse flows
+    at their own ends.  The converged last point flows no probes.  The
+    segment series laid end to end, uneven segments included, is the
+    single flow of the returned costate."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
@@ -1200,26 +1225,13 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, s
     assert report.converged and report.iterations >= 2
     width = 2 * (model.n + model.rank)
     span = -(-steps // segments)
-    full, bare = (segments, 1 + width, width), (segments, 1, width)
-    estimates = [e for e in events if e[0] == "estimate"]
-    assert len(estimates) == 1 + report.iterations + _rejected_trials(report)
-    tol = ShootingSettings().newton_tol
-    deferred = 0
-    for before, (kind, shape, span_j) in zip(events, events[1:]):
-        if kind != "flow":
-            continue
-        assert span_j == span
-        if before[0] == "estimate":
-            _, norms, final = before
-            assert shape == (bare if final else full)
-            assert final == (len(norms) >= 2 and norms[-1] ** 3 / norms[-2] ** 2 <= tol)
-        else:  # a deferred probe flow follows the probe-free flow it serves
-            assert (before[1], shape) == (bare, full)
-            deferred += 1
-    assert events[0][0] == "estimate"
-    assert len(events) == 2 * len(estimates) + deferred
-    assert events[-1] == ("flow", bare, span)
-    assert events[-2][1][1:] == [rec.residual_norm for rec in report.records[:-1]]
+    bare = ((segments, 1, width), span, False)
+    coarse = ((segments, 1 + width, width), -(-span // pmp.PROBE_STRIDE), True)
+    assert set(events) <= {bare, coarse}
+    letters = _letters(events)
+    assert re.fullmatch("b(cb+)*", letters), letters
+    assert letters.count("b") == 1 + report.iterations + _rejected_trials(report)
+    assert letters.count("c") == report.iterations
     np.testing.assert_array_equal(times, grid.times())
     assert ys.shape == (steps + 1, width)
     settings = ShootingSettings(inner_grid=grid)
@@ -1233,49 +1245,87 @@ def test_newton_shoot_runs_one_flow_per_evaluated_point(monkeypatch, segments, s
 
 
 @pytest.mark.parametrize("system", ["particle", "sleigh"])
-@pytest.mark.parametrize("final", [True, False])
-def test_the_estimate_moves_cost_not_results(monkeypatch, system, final):
-    """Forcing the estimate to call every point final (each correction then
-    flows its probes), or none, returns the costate, series and report of
-    the default solve bit for bit."""
-    model, problem = _segmented_instance(system)
-    grid = TimeGrid(0.0, 1.0, 100)
-    (vec, (times, ys), report), _ = _recorded_shoot(
-        monkeypatch, model, problem, grid, 4
-    )
-    (f_vec, (f_times, f_ys), f_report), events = _recorded_shoot(
-        monkeypatch, model, problem, grid, 4, final=final
-    )
-    assert all(e[2] == final for e in events if e[0] == "estimate")
-    assert report.converged and report.iterations >= 2
-    assert f_report == report
-    assert np.array_equal(f_vec, vec)
-    assert np.array_equal(f_times, times) and np.array_equal(f_ys, ys)
-
-
-def test_the_bundled_particle_flows_no_probes_at_its_last_point(monkeypatch):
-    """The bundled particle's solve evaluates five points, each one stacked
-    flow of 16 steps over 25 segments; the last converges, and its flow
-    carries no probe rows."""
+@pytest.mark.parametrize("segments", [1, 4])
+def test_the_coarse_probe_flow_moves_the_path_not_the_root(
+    monkeypatch, system, segments,
+):
+    """Every correction keeps its coarse probe flow here; forced to the
+    grid-step probes instead (each coarse flow diverging), the solve takes
+    as many iterations to the same root of the grid-step residual: the
+    costates and the segment series agree within 1e-10 (measured: 2.0e-12
+    at most)."""
     import nhtrack.pmp as pmp
 
-    shapes = []
-    real_flow = pmp._flow
+    model, problem = _segmented_instance(system)
+    grid = TimeGrid(0.0, 1.0, 100)
+    (vec, (_, ys), report), events = _recorded_shoot(
+        monkeypatch, model, problem, grid, segments
+    )
+    assert report.converged and "f" not in _letters(events)
+    _force_grid_step_probes(monkeypatch)
+    start = Costate.zero(model).as_vector()
+    f_vec, (_, f_ys), f_report = pmp._newton_shoot(
+        model, problem, start, ShootingSettings(), grid, segments, None
+    )
+    assert f_report.converged and f_report.iterations == report.iterations
+    np.testing.assert_allclose(f_vec, vec, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(f_ys, ys, rtol=0, atol=1e-10)
 
-    def counting_flow(rhs, y0, starts, h, steps):
-        shapes.append((y0.shape, steps))
-        return real_flow(rhs, y0, starts, h, steps)
 
-    monkeypatch.setattr(pmp, "_flow", counting_flow)
+def _bundled_particle_solve(monkeypatch, steps=None, **overrides):
+    """The bundled particle config's shooting solve, its problem fields and
+    grid steps overridden where given, and its _logged_flows."""
+    events = _logged_flows(monkeypatch)
     cfg = parse_config(BUNDLED / "particle-case2.cfg")
     model = build_model(cfg)
     settings = ShootingSettings(
-        inner_grid=TimeGrid(0.0, cfg.problem.horizon_T, cfg.solver.steps),
+        inner_grid=TimeGrid(0.0, cfg.problem.horizon_T, steps or cfg.solver.steps),
         newton_tol=cfg.solver.newton_tol, max_iters=cfg.solver.max_iters,
     )
-    _, _, report = solve_shooting(model, build_problem(cfg, model), None, settings)
+    problem = replace(build_problem(cfg, model), **overrides)
+    _, _, report = solve_shooting(model, problem, None, settings)
+    return report, events
+
+
+def test_the_bundled_particle_keeps_the_coarse_probe_flow_at_every_correction(
+    monkeypatch,
+):
+    """The bundled particle's solve evaluates five points, each a flow of
+    its 25 segment starts alone by 16 grid steps; each of its four
+    corrections keeps its coarse probe flow of 4 steps, and the last point,
+    converged, flows no probes."""
+    report, events = _bundled_particle_solve(monkeypatch)
     assert (report.converged, report.iterations) == (True, 4)
-    assert shapes == [((25, 11, 10), 16)] * 4 + [((25, 1, 10), 16)]
+    bare, coarse = ((25, 1, 10), 16, False), ((25, 11, 10), 4, True)
+    assert events == [bare, coarse] * 4 + [bare]
+
+
+def test_the_bundled_particle_at_a_small_epsilon_falls_back_at_every_correction(
+    monkeypatch,
+):
+    """At epsilon = 0.001 on 100 steps, the first coarse probe flow of the
+    bundled particle lands outside the probe steps of the grid-step flow,
+    so that correction and every later one flow their probes at the grid
+    step, and the solve keeps the log of grid-step Jacobians bit for bit:
+    10 iterations with the same step lengths, to the residual of the solve
+    whose every correction is forced to the grid-step probes.  That last
+    residual is rounding noise of the linear algebra: 8.830137e-11 with
+    single-threaded OpenBLAS, 8.829182e-11 with two threads."""
+    report, events = _bundled_particle_solve(monkeypatch, steps=100, epsilon=0.001)
+    events = list(events)  # the forced solve below logs into the same list
+    _force_grid_step_probes(monkeypatch)
+    f_report, _ = _bundled_particle_solve(monkeypatch, steps=100, epsilon=0.001)
+    assert (report.converged, report.iterations) == (True, 10)
+    assert f_report == report
+    assert [rec.damping for rec in report.records] == [
+        0.125, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
+    ]
+    assert set(events) == {
+        ((25, 1, 10), 4, False), ((25, 11, 10), 1, True), ((25, 11, 10), 4, False)
+    }
+    letters = _letters(events)
+    assert re.fullmatch("bcfb+(fb+)*", letters), letters
+    assert letters.count("f") == 10
 
 
 def _blowup_field(column, center, rate=4.0):
@@ -1308,11 +1358,12 @@ def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
     monkeypatch, segments,
 ):
     """Probe 1 of the start diverges inside the first segment (at t =
-    1 / (2M)) while the start itself stays finite: the start's stacked flow
-    diverges, so the solve raises FlowDivergedError naming the time of the
-    blow-up, as it does for a start whose point diverges.  The guide puts
-    every later segment start on the start's own packed value, so each of
-    them, too, stays finite while its probe diverges."""
+    1 / (2M)) while the start itself stays finite: the start's flow is
+    accepted, but its correction's probe flow diverges at the coarse step
+    and then at the grid step, so the solve raises FlowDivergedError naming
+    the time of the blow-up, as it does for a start whose point diverges.
+    The guide puts every later segment start on the start's own packed
+    value, so each of them, too, stays finite while its probe diverges."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
@@ -1335,50 +1386,45 @@ def test_newton_shoot_stops_when_a_probe_of_a_finite_point_diverges(
     assert f"near t = {info.value.t:.6g}" in str(info.value)
 
 
-@pytest.mark.parametrize("segments, reach, offset", [(1, 1.0, 1.45), (4, 1.5, 5.5)])
-def test_newton_shoot_rejects_a_trial_whose_probe_diverges(
-    monkeypatch, segments, reach, offset,
-):
-    """A row that starts more than w = reach * FD_STEP above the field's
-    center blows up within its segment, so a probe (step FD_STEP) of a
-    finite start near the blow-up diverges; the root's terminal costate
-    lies 0.15 w / M below the center.  From offset * w / M below it, the
-    solve meets a trial whose segment starts all flow finite while a probe
-    diverges, and whose residual norm is below its iterate's: the trial is
-    rejected all the same, and the solve converges."""
+def test_newton_shoot_falls_back_when_the_coarse_probe_flow_diverges(monkeypatch):
+    """A row d = 1.1 below the field's center decays toward it, and its
+    grid steps (u = rate h d = 0.825) stay stable, while a coarse step of
+    4 h (u = 3.3) overshoots past the center and blows up.  The first
+    correction's coarse probe flow diverges, so it and every later
+    correction flow their probes at the grid step, and the solve converges.
+    A trial is rejected only when its own flow diverges, so none is
+    rejected here."""
     import nhtrack.pmp as pmp
-    from nhtrack.pmp import FD_STEP
 
     model, problem = particle_model(), short_case2_problem()
     n, k = model.n, model.rank
     grid = TimeGrid(0.0, 1.0, 100)
-    width = reach * FD_STEP
     start = _terminal_target(model, problem)
-    center = start[1] + 0.15 * width / segments
-    start[1] = center - offset * width / segments
-    packed = np.concatenate([problem.initial_state.as_vector(), start])
-    guide = (grid.times(), np.tile(packed, (101, 1)))
+    center = start[1] + 1.0 / 76.0  # the flow from 1 below it ends 1 / 76 below
+    start[1] = center - 1.1
     monkeypatch.setattr(
-        pmp, "_make_packed_rhs",
-        _blowup_field(n + k + 1, center=center, rate=segments / width),
+        pmp, "_make_packed_rhs", _blowup_field(n + k + 1, center=center, rate=75.0)
     )
-    real_flow, probe_only = pmp._flow, []
+    real_flow, diverged = pmp._flow, []
 
     def recording_flow(rhs, y0, starts, h, steps):
         try:
             return real_flow(rhs, y0, starts, h, steps)
         except FlowDivergedError:
-            with suppress(FlowDivergedError):
-                real_flow(rhs, y0[:, :1], starts, h, steps)  # the starts alone
-                probe_only.append(True)
+            diverged.append((y0.shape, np.ndim(h) > 0))
             raise
 
     monkeypatch.setattr(pmp, "_flow", recording_flow)
+    events = _logged_flows(monkeypatch)
     _, _, report = pmp._newton_shoot(
-        model, problem, start, ShootingSettings(), grid, segments, guide,
+        model, problem, start, ShootingSettings(), grid, 1, None,
     )
-    assert probe_only
-    assert report.converged
+    assert report.converged and report.iterations >= 2
+    assert _rejected_trials(report) == 0
+    coarse, fine = ((1, 11, 10), 25, True), ((1, 11, 10), 100, False)
+    assert diverged == [((1, 11, 10), True)]
+    probes = [e for e in events if e[0] != (1, 1, 10)]
+    assert probes == [coarse] + [fine] * report.iterations
 
 
 @pytest.mark.parametrize("segments", [1, 4])
@@ -1466,6 +1512,41 @@ def test_flow_names_the_earliest_absolute_time_a_row_blew_up():
     assert info.value.t == pytest.approx(0.3)
 
 
+def test_a_flow_with_a_step_per_segment_runs_each_on_its_own_clock(monkeypatch):
+    """With one step per segment, segment i takes the given number of RK4
+    steps of its own length from its own start: y' = t, which RK4
+    integrates exactly, ends each segment at its own end time, and a row
+    that blows up names its absolute time.  rk4_step sees a scalar local
+    time from 0.0 either way."""
+    import nhtrack.pmp as pmp
+
+    local_times, real_step = [], pmp.rk4_step
+
+    def recording_step(f, t, y, h):
+        local_times.append(t)
+        return real_step(f, t, y, h)
+
+    monkeypatch.setattr(pmp, "rk4_step", recording_step)
+
+    def clock(t, y):
+        return np.broadcast_to(t[..., None], y.shape)
+
+    starts, h = np.array([[0.0], [0.3]]), np.array([[0.1], [0.125]])
+    ys = pmp._flow(clock, np.zeros((2, 3, 1)), starts, h, 4)
+    assert ys.shape == (5, 2, 3, 1)
+    np.testing.assert_allclose(ys[-1, :, :, 0], [[0.08] * 3, [0.275] * 3], rtol=1e-14)
+    assert local_times[0] == 0.0 and len(local_times) == 4
+    assert all(type(t) is float for t in local_times)
+
+    def squared(t, y):  # y' = y^2 from y(0) = 2.5 blows up after 0.4
+        return y * y
+
+    with pytest.raises(FlowDivergedError) as info:
+        pmp._flow(squared, np.array([[[2.5]], [[0.0]]]), np.array([[0.5], [0.0]]),
+                  np.array([[0.01], [0.02]]), 50)
+    assert 0.9 <= info.value.t <= 0.92
+
+
 def _captured_system(monkeypatch, model, problem, segments):
     """The evaluate and correction of one _newton_shoot on a 100-step grid
     over [0, 1], and its start point, caught at the Newton driver."""
@@ -1495,22 +1576,41 @@ def _segmented_instance(system):
 
 @pytest.mark.parametrize("system", ["particle", "sleigh"])
 def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
-    """The square matrix the probes assemble is the Jacobian of the
-    segmented residual (wrapped gaps included): central differences of the
-    residual over every unknown agree to the forward-difference error."""
+    """The square matrix the grid-step probes assemble is the Jacobian of
+    the segmented residual (wrapped gaps included): central differences of
+    the residual over every unknown agree to the forward-difference error.
+    The coarse probe flow, which the correction keeps here, assembles a
+    Jacobian within 1e-8 of the grid-step one, relative to its largest
+    entry (measured: 4.1e-9 on the particle, 3.8e-9 on the sleigh), well
+    inside that forward-difference error (3e-8 and 1e-7)."""
     model, problem = _segmented_instance(system)
     captured = _captured_system(monkeypatch, model, problem, 4)
-    evaluate = captured["evaluate"]
+    evaluate, correction = captured["evaluate"], captured["correction"]
     x0 = captured["x"]
     x = x0 + 0.1 * np.random.default_rng(53).normal(size=x0.size)
-    dense = evaluate(x)[1][0]
+    r, ys = evaluate(x)
+    solved, real_solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        solved.append(a)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    events = _logged_flows(monkeypatch)
+    correction(x, r, ys)
+    assert _letters(events) == "c"
+    _force_grid_step_probes(monkeypatch)
+    correction(x, r, ys)
+    coarse, dense = solved
     assert dense.shape == (x.size, x.size)
     step = 1e-5
     central = np.column_stack([
         (evaluate(x + step * e)[0] - evaluate(x - step * e)[0]) / (2 * step)
         for e in np.eye(x.size)
     ])
-    assert np.max(np.abs(dense - central)) <= 1e-5 * max(1.0, np.max(np.abs(dense)))
+    scale = max(1.0, np.max(np.abs(dense)))
+    assert np.max(np.abs(dense - central)) <= 1e-5 * scale
+    assert np.max(np.abs(coarse - dense)) <= 1e-8 * scale
 
 
 def test_single_shooting_finds_the_segmented_root(monkeypatch):
@@ -1591,7 +1691,7 @@ def test_a_failed_solve_reports_its_segment_flows(monkeypatch):
 def _converges_within(horizon, budget, max_iters=None):
     """The bundled particle at the given horizon, from a zero costate,
     converges within newton_tol in under budget seconds (max_iters the
-    config's unless given)."""
+    config's unless given); returns the report."""
     cfg = parse_config(BUNDLED / "particle-case2.cfg")
     model = build_model(cfg)
     problem = replace(build_problem(cfg, model), horizon_T=horizon)
@@ -1605,6 +1705,7 @@ def _converges_within(horizon, budget, max_iters=None):
     assert report.converged, report.message
     assert report.residual_norm <= settings.newton_tol
     assert elapsed < budget, f"T = {horizon:g} solve took {elapsed:.2f} s"
+    return report
 
 
 def test_the_bundled_particle_converges_at_a_long_horizon():
@@ -1621,11 +1722,15 @@ def test_the_bundled_particle_converges_at_horizon_64():
     _converges_within(64.0, 15.0, max_iters=12)
 
 
-def test_the_bundled_particle_converges_at_horizon_128():
+def test_the_bundled_particle_converges_at_horizon_128(monkeypatch):
     """At T = 128, 25 segments would each span 5.1 time units, and from a
     zero costate that solve fails; with one segment per time unit it
-    converges, inside a time budget."""
-    _converges_within(128.0, 15.0)
+    converges, inside a time budget, and every correction keeps its coarse
+    probe flow."""
+    events = _logged_flows(monkeypatch)
+    report = _converges_within(128.0, 15.0)
+    assert _letters(events).count("c") == report.iterations
+    assert "f" not in _letters(events)
 
 
 # ---------------------------------------------------------------------------
