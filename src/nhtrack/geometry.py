@@ -125,11 +125,6 @@ def _outer(x: Array, y: Array) -> Array:
     return x[..., :, None] @ y[..., None, :]
 
 
-def _quadratic(gamma: Array, v: Array) -> Array:
-    """Gamma^A_{BC} v^B v^C for gamma (..., k, k, k) and v (..., k)."""
-    return np.matvec(np.matvec(gamma, v[..., None, :]), v)
-
-
 def admissibility_velocity(model: SystemModel, state: AdmissibleState) -> Array:
     """Configuration velocity qdot = rho(q) v induced by a point of D."""
     _check_state(model, state)
@@ -139,9 +134,7 @@ def admissibility_velocity(model: SystemModel, state: AdmissibleState) -> Array:
 def _rates(model: SystemModel, q: Array, v: Array, u: Array) -> tuple[Array, Array]:
     """(qdot, vdot) of the controlled dynamics, unchecked; q, v and u may
     carry leading axes that broadcast."""
-    qdot = np.matvec(model.rho(q), v)
-    vdot = -_quadratic(model.christoffel(q), v) - model.potential_grad(q) + u
-    return qdot, vdot
+    return np.matvec(model.rho(q), v), u - drift(model, q, v)[0]
 
 
 def dynamics_rhs(
@@ -175,59 +168,40 @@ def _state_field(model: SystemModel, u: Array) -> Callable[[float, Array], Array
     return field
 
 
-def drift(model: SystemModel, q: Array, v: Array) -> tuple[Array, Array, Array]:
-    """Drift a = Gamma(q) v v + potential_grad(q) of vdot = u - a, with its
-    derivatives.
+def drift(
+    model: SystemModel, q: Array, v: Array
+) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
+    """Drift a = Gamma(q) v v + potential_grad(q) of vdot = u - a, with the
+    pullback of its derivatives along a covector.
 
-    Returns (a, a_q, a_v): a_q[A, j] = d a^A / d q^j from the exact
-    Christoffel and potential-gradient Jacobians, a_v[B, A] = d a^B / d v^A =
-    (Gamma^B_{AC} + Gamma^B_{CA}) v^C.  q (..., n) and v (..., n-m) may
-    carry matching leading axes; so do the results.
+    Returns (a, pullback).  pullback(w), for a covector w on the
+    quasi-velocities, returns (w a_q, w a_v): (w a_q)_j = w_A d a^A / d q^j
+    from the exact Christoffel and potential-gradient Jacobians, and
+    (w a_v)_A = w_B d a^B / d v^A = w_B (Gamma^B_{AC} + Gamma^B_{CA}) v^C.
+    These are vector-Jacobian products (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., 2008, ch. 3), so a_q and a_v are never formed, and
+    the model's Jacobians are read only when pullback is called.  q (..., n),
+    v and w (..., n-m) carry matching leading axes (q and v may broadcast
+    when only a is read); so do the results.
     """
-    # a is the Gamma v v of _rates.  Each derivative contraction is one
-    # matrix per row: the free slots of Gamma and of its Jacobian are
-    # flattened into one axis, so a stack of rows costs one BLAS call per
-    # row and contraction, not one per slice
-    k, lead = v.shape[-1], v.shape[:-1]
     gam = model.christoffel(q)
-    a = _quadratic(gam, v) + model.potential_grad(q)
-    # contract the Christoffel Jacobian's C slot, then its B slot, with v;
-    # jac_v is laid out (B, A, j)
-    jac = model.christoffel_jac(q).swapaxes(-2, -4)
-    jac_v = np.vecmat(v, jac.reshape(lead + (k, -1)))
-    a_q = np.vecmat(v, jac_v.reshape(lead + (k, -1))).reshape(lead + (k, -1))
-    a_q = a_q + model.potential_grad_jac(q)
-    sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
-    a_v = np.matvec(sym, v).reshape(lead + (k, k))
-    return a, a_q, a_v
+    a = np.matvec(np.matvec(gam, v[..., None, :]), v) + model.potential_grad(q)
 
+    def pullback(w: Array) -> tuple[Array, Array]:
+        # each term is one contraction per row of a flattened outer product
+        # of w and v, (w v)[B, C] and (w v v)[A, B, C], with a flattened
+        # view of a model array
+        k, lead = v.shape[-1], v.shape[:-1]
+        wv = _outer(w, v).reshape(lead + (k * k,))
+        wvv = _outer(wv, v).reshape(lead + (k**3,))
+        jac = model.christoffel_jac(q).reshape(lead + (k**3, -1))
+        w_aq = np.vecmat(wvv, jac) + np.vecmat(w, model.potential_grad_jac(q))
+        # Gamma + Gamma^T is symmetric in its last two slots, so its view
+        # with rows (B, C) and column A holds Gamma^B_{AC} + Gamma^B_{CA}
+        sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
+        return w_aq, np.vecmat(wv, sym)
 
-def drift_pullback(
-    model: SystemModel, q: Array, v: Array, w: Array
-) -> tuple[Array, Array, Array]:
-    """The drift a of `drift` with its derivatives pulled back along a
-    covector w on the quasi-velocities.
-
-    Returns (a, w a_q, w a_v): (w a_q)_j = w_A d a^A / d q^j and
-    (w a_v)_A = w_B d a^B / d v^A, with a bitwise drift's a.  These are
-    vector-Jacobian products (Griewank & Walther, Evaluating Derivatives,
-    2nd ed., 2008, ch. 3), so a_q and a_v are never formed: each term is
-    one contraction per row of a flattened outer product of w and v with
-    a flattened view of a model array.  q (..., n), v and w (..., n-m)
-    carry matching leading axes; so do the results.
-    """
-    k, lead = v.shape[-1], v.shape[:-1]
-    gam = model.christoffel(q)
-    a = _quadratic(gam, v) + model.potential_grad(q)
-    # (w v)[B, C] and (w v v)[A, B, C], each flattened into one slot
-    wv = _outer(w, v).reshape(lead + (k * k,))
-    wvv = _outer(wv, v).reshape(lead + (k**3,))
-    jac = model.christoffel_jac(q).reshape(lead + (k**3, -1))
-    w_aq = np.vecmat(wvv, jac) + np.vecmat(w, model.potential_grad_jac(q))
-    # Gamma + Gamma^T is symmetric in its last two slots, so its view with
-    # rows (B, C) and column A holds Gamma^B_{AC} + Gamma^B_{CA}
-    sym = (gam + gam.swapaxes(-1, -2)).reshape(lead + (k * k, k))
-    return a, w_aq, np.vecmat(wv, sym)
+    return a, pullback
 
 
 def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:

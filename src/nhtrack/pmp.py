@@ -50,7 +50,7 @@ from .geometry import (
     _inner,
     _outer,
     _state_field,
-    drift_pullback,
+    drift,
     dynamics_rhs,
     state_difference,
 )
@@ -115,6 +115,16 @@ class AnalyticReference:
         )
 
 
+def _check_time(t: Array, horizon: float, name: str) -> None:
+    """ValueError, naming the first offending time and the name of the
+    horizon, unless every sample time lies in [0, horizon]."""
+    outside = (t < -1e-9) | (t > horizon + 1e-9)
+    if np.any(outside):
+        raise ValueError(
+            f"t = {t[outside].flat[0]} outside the {name} horizon [0, {horizon}]"
+        )
+
+
 class RolloutReference:
     """Uncontrolled rollout of a model from a start state, sampled anywhere
     on [0, horizon].
@@ -152,12 +162,7 @@ class RolloutReference:
 
     def __call__(self, t: float | Array) -> AdmissibleState:
         t = np.asarray(t, dtype=float)
-        outside = (t < -1e-9) | (t > self.horizon + 1e-9)
-        if np.any(outside):
-            raise ValueError(
-                f"sample time {t[outside].flat[0]} outside the rollout horizon "
-                f"[0, {self.horizon}]"
-            )
+        _check_time(t, self.horizon, "rollout")
         j = np.clip((t / self._h).astype(int), 0, len(self._times) - 2)
         s = (t - self._times[j]) / self._h
         # guard against floor/roundoff disagreement
@@ -420,15 +425,6 @@ class ShootingTrajectory:
 # pointwise quantities
 
 
-def _check_time(problem: TrackingProblem, t: Array) -> None:
-    outside = (t < -1e-9) | (t > problem.horizon_T + 1e-9)
-    if np.any(outside):
-        raise ValueError(
-            f"t = {t[outside].flat[0]} outside the problem horizon "
-            f"[0, {problem.horizon_T}]"
-        )
-
-
 def running_cost(
     model: SystemModel,
     problem: TrackingProblem,
@@ -445,7 +441,7 @@ def running_cost(
     reference is sampled once, at the array of times.
     """
     t = np.asarray(t, dtype=float)
-    _check_time(problem, t)
+    _check_time(t, problem.horizon_T, "problem")
     dq, dv = state_difference(model, state, problem.reference(t))
     u = np.asarray(u, dtype=float)
     sw = problem.state_weight
@@ -506,8 +502,8 @@ def _make_packed_rhs(
     the probes of its finite-difference Jacobian) in one evaluation.  The
     adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv.  Their drift
     terms mu da/dq and mu da/dv are exact covector pullbacks from
-    geometry.drift_pullback, which never forms the drift's Jacobians, and
-    the tracking difference (angles wrapped) comes from
+    geometry.drift's pullback(mu), which never forms the drift's Jacobians,
+    and the tracking difference (angles wrapped) comes from
     geometry.state_difference.
     """
     n, k = model.n, model.rank
@@ -521,7 +517,8 @@ def _make_packed_rhs(
         q, v, lam, mu = _split(y, n, k)
         dq, dv = state_difference(model, AdmissibleState(q, v), reference(t))
         rho = rho_f(q)
-        a, mu_aq, mu_av = drift_pullback(model, q, v, mu)
+        a, pullback = drift(model, q, v)
+        mu_aq, mu_av = pullback(mu)
         # sum_{j,A} lambda_j drho^j_A/dq^i v^A, one contraction per row of
         # the flattened lambda v against rho_jac viewed as (n k, n)
         lam_v = _outer(lam, v).reshape(q.shape[:-1] + (n * k,))

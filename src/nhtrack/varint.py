@@ -45,7 +45,6 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
-    _quadratic,
     drift,
     restricted_energy,
     state_difference,
@@ -189,7 +188,7 @@ def reconstructed_control(model: SystemModel, q: Array, v: Array, vdot: Array) -
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
-    return vdot + _quadratic(model.christoffel(q), v) + model.potential_grad(q)
+    return vdot + drift(model, q, v)[0]
 
 
 def ocp_lagrangian(
@@ -224,11 +223,12 @@ def _lagrangian_gradients(
     eps = problem.epsilon
     sw = problem.state_weight
     dq, dv = state_difference(model, AdmissibleState(q=q, v=v), ref)
-    a, du_dq, du_dv = drift(model, q, v)
+    a, pullback = drift(model, q, v)
     u = vdot + a
+    u_aq, u_av = pullback(u)
 
-    grad_q = lam0 * (sw * dq + eps * np.vecmat(u, du_dq))
-    grad_v = lam0 * (sw * dv + eps * np.vecmat(u, du_dv))
+    grad_q = lam0 * (sw * dq + eps * u_aq)
+    grad_v = lam0 * (sw * dv + eps * u_av)
     grad_vdot = lam0 * eps * u
     return grad_q, grad_v, grad_vdot
 
@@ -414,11 +414,13 @@ def _interval_hessian(
 
         h lambda0 (eps J^T J + P^T (sw I + eps sum_A u_A (Gamma^A + Gamma^A^T)) P)
 
-    with u = vdot + a the control, J = du/d(v_k, v_{k+1}) =
-    [a_v/2 - I/h, a_v/2 + I/h] from geometry.drift's a_v, and P = [I/2, I/2]
-    the midpoint map.  x0 may stack many intervals, shape (N, 2(n + k))
-    with lam and ref to match; a probe then moves all of them at once, so a
-    whole grid takes 2n + 1 _interval calls."""
+    with u = vdot + a the control from reconstructed_control, J =
+    du/d(v_k, v_{k+1}) = [a_v/2 - I/h, a_v/2 + I/h] with a_v = da/dv, and
+    P = [I/2, I/2] the midpoint map; a_v and the sum over A both come from
+    Gamma + Gamma^T of one christoffel call, with no model Jacobian.  x0
+    may stack many intervals, shape (N, 2(n + k)) with lam and ref to
+    match; a probe then moves all of them at once, so a whole grid takes
+    2n + 1 _interval calls."""
     n, kr = model.n, model.rank
     nv = n + kr
     # the q_k, q_{k+1} and the v_k, v_{k+1} slot indices
@@ -444,13 +446,18 @@ def _interval_hessian(
     q_mid = 0.5 * (x0[..., :n] + x0[..., nv : nv + n])
     v_mid = 0.5 * (x0[..., n:nv] + x0[..., nv + n :])
     v_dq = (x0[..., nv + n :] - x0[..., n:nv]) / h
-    a, _, a_v = drift(model, q_mid, v_mid)
-    # gu[B, C] = sum_A u_A Gamma^A_{BC}
-    gu = np.vecmat(v_dq + a, model.christoffel(q_mid).reshape(a_v.shape[:-1] + (-1,)))
-    gu = gu.reshape(a_v.shape)
+    u = reconstructed_control(model, q_mid, v_mid, v_dq)
+    lead = u.shape[:-1]
+    gam = model.christoffel(q_mid)
+    # sym[A, B, C] = Gamma^A_{BC} + Gamma^A_{CB}: its (A B, C) view times v
+    # is a_v[A, B] = d a^A / d v^B, and u times its (A, B C) view is
+    # gu[B, C] = sum_A u_A sym[A, B, C]
+    sym = gam + gam.swapaxes(-1, -2)
+    a_v = np.matvec(sym.reshape(lead + (kr * kr, kr)), v_mid).reshape(lead + (kr, kr))
+    gu = np.vecmat(u, sym.reshape(lead + (kr, kr * kr))).reshape(lead + (kr, kr))
     eye, eps = np.eye(kr), problem.epsilon
     jac_u = np.concatenate([0.5 * a_v - eye / h, 0.5 * a_v + eye / h], axis=-1)
-    mid = problem.state_weight * eye + eps * (gu + gu.swapaxes(-1, -2))
+    mid = problem.state_weight * eye + eps * gu
     hess[..., vs[:, None], vs] = h * problem.lambda0 * (
         eps * jac_u.swapaxes(-1, -2) @ jac_u + np.tile(0.25 * mid, (2, 2))
     )

@@ -296,12 +296,17 @@ def test_model_jacobian_is_required(missing):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_drift_matches_dynamics_and_finite_differences(model):
+    """a is minus the zero-control acceleration, and pullback(e_A) is row A
+    of a_q and of a_v, each entry checked against central differences."""
     delta = 1e-6
     for state in _random_states(model, 25, seed=31):
         q, v = state.q, state.v
-        a, a_q, a_v = drift(model, q, v)
+        a, pullback = drift(model, q, v)
         _, vdot = dynamics_rhs(model, state, np.zeros(model.rank))
         np.testing.assert_allclose(a, -vdot, rtol=1e-14, atol=1e-14)
+        rows = [pullback(e_a) for e_a in np.eye(model.rank)]
+        a_q = np.array([row[0] for row in rows])
+        a_v = np.array([row[1] for row in rows])
         for j in range(model.n):
             e = np.zeros(model.n)
             e[j] = delta
@@ -318,24 +323,27 @@ def test_drift_matches_dynamics_and_finite_differences(model):
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_drift_on_stacked_points_equals_rows(model, lead):
     """drift on q (..., n), v (..., k) returns per row what the contraction
-    formulas give at that single point."""
+    formulas give at that single point, and so does its pullback along a
+    covector w (..., k)."""
     rng = np.random.default_rng(17)
     q = rng.uniform(-2.0, 2.0, size=lead + (model.n,))
     v = rng.uniform(-2.0, 2.0, size=lead + (model.rank,))
-    a, a_q, a_v = drift(model, q, v)
+    w = rng.uniform(-2.0, 2.0, size=lead + (model.rank,))
+    a, pullback = drift(model, q, v)
+    w_aq, w_av = pullback(w)
     assert a.shape == lead + (model.rank,)
-    assert a_q.shape == lead + (model.rank, model.n)
-    assert a_v.shape == lead + (model.rank, model.rank)
+    assert w_aq.shape == lead + (model.n,)
+    assert w_av.shape == lead + (model.rank,)
     for idx in np.ndindex(*lead):
-        qi, vi = q[idx], v[idx]
+        qi, vi, wi = q[idx], v[idx], w[idx]
         gam = model.christoffel(qi)
         expected = (
             np.einsum("abc,b,c->a", gam, vi, vi) + model.potential_grad(qi),
-            np.einsum("abcj,b,c->aj", model.christoffel_jac(qi), vi, vi)
-            + model.potential_grad_jac(qi),
-            np.einsum("bac,c->ba", gam + gam.transpose(0, 2, 1), vi),
+            np.einsum("a,abcj,b,c->j", wi, model.christoffel_jac(qi), vi, vi)
+            + wi @ model.potential_grad_jac(qi),
+            np.einsum("b,bac,c->a", wi, gam + gam.transpose(0, 2, 1), vi),
         )
-        for got, want in zip((a[idx], a_q[idx], a_v[idx]), expected):
+        for got, want in zip((a[idx], w_aq[idx], w_av[idx]), expected):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 

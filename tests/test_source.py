@@ -129,6 +129,30 @@ def test_only_state_difference_wraps_an_angle():
     assert not calls, f"wrap_angle called outside state_difference: {', '.join(calls)}"
 
 
+def test_only_drift_reads_the_model_jacobians():
+    """geometry.drift owns the drift's derivatives: no other code in the
+    package reads a model's christoffel_jac or potential_grad_jac, except
+    cli.model_checks, which checks them against central differences."""
+    owners = {("geometry.py", "drift"), ("cli.py", "model_checks")}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in owners
+            for sub in ast.walk(node)
+        }
+        reads += [
+            f"{path.name}:{sub.lineno} {sub.attr}"
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr in ("christoffel_jac", "potential_grad_jac")
+            and id(sub) not in owned
+        ]
+    assert not reads, f"model Jacobian read outside geometry.drift: {', '.join(reads)}"
+
+
 def _forwarded_call(node: ast.stmt) -> bool:
     """Whether a function's body, after an optional docstring, is one
     `return` of a call passing exactly its own parameters, in order."""

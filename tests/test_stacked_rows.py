@@ -13,11 +13,9 @@ import pytest
 
 from nhtrack.geometry import (
     AdmissibleState,
-    _quadratic,
     _state_field,
     constraint_residual,
     drift,
-    drift_pullback,
     dynamics_rhs,
     restricted_energy,
     state_difference,
@@ -93,7 +91,7 @@ def test_packed_field_equals_dynamics_rhs_rows(model, lead):
 @pytest.mark.parametrize("lead", LEADS + [(25, 11)], ids=lead_ids["ids"] + ["25x11"])
 @pytest.mark.parametrize("model", MODELS, **ids)
 def test_contraction_helpers_equal_the_matmul_forms(model, lead):
-    """np.matvec, np.vecmat and _quadratic give bitwise the matmul forms
+    """np.matvec and np.vecmat give bitwise the matmul forms
     they replace, on dense random arrays of the shapes the built-ins'
     callables return and the stack shapes the two routes use (25 x 11 is a
     segmented shooting stack), so artifacts do not move with them."""
@@ -119,7 +117,6 @@ def test_contraction_helpers_equal_the_matmul_forms(model, lead):
          vecmat(v[..., None, None, :], gamma_jac)),
         (np.vecmat(lam, rho_jac.reshape(lead + (n, k * n))),
          vecmat(lam, rho_jac.reshape(lead + (n, k * n)))),
-        (_quadratic(gamma, v), matvec(matvec(gamma, v[..., None, :]), v)),
     ]
     for new, old in pairs:
         assert new.shape == old.shape
@@ -147,8 +144,9 @@ DENSE_MODELS = [_dense_model(3, 2, 20), _dense_model(5, 3, 21)]
 
 
 def _drift_per_slice(model, q, v):
-    """The drift with one contraction per Christoffel slice, the form the
-    row-wide contractions of geometry.drift replace."""
+    """The drift with its full Jacobians a_q and a_v, one contraction per
+    Christoffel slice: the reference form for geometry.drift's a and the
+    covector pullback that replaces the Jacobians."""
     gam = model.christoffel(q)
     gam_v = np.matvec(gam, v[..., None, :])
     a = np.matvec(gam_v, v) + model.potential_grad(q)
@@ -158,51 +156,61 @@ def _drift_per_slice(model, q, v):
     return a, a_q, a_v
 
 
+def _drift_and_pullback(model, q, v, seed):
+    """geometry.drift's a and its pullback along a random covector w, with
+    the w a_q and w a_v of the per-slice Jacobians."""
+    w = np.random.default_rng(seed).normal(size=v.shape)
+    a, pullback = drift(model, q, v)
+    old_a, a_q, a_v = _drift_per_slice(model, q, v)
+    return (a, *pullback(w)), (old_a, np.vecmat(w, a_q), np.vecmat(w, a_v))
+
+
 @pytest.mark.parametrize("lead", [(7,), (25, 11)], ids=["N", "25x11"])
 @pytest.mark.parametrize("model", DENSE_MODELS, **ids)
 def test_drift_on_stacks_equals_rows(model, lead):
     """Segmented shooting flows a stack of rows and needs each row bitwise
     equal to the same row alone, for any model."""
     q, v = _points(model, lead, 12)
-    stacked = drift(model, q, v)
-    for i, part in enumerate(stacked):
-        _assert_rows(part, lead, lambda idx: drift(model, q[idx], v[idx])[i])
+    a = drift(model, q, v)[0]
+    _assert_rows(a, lead, lambda idx: drift(model, q[idx], v[idx])[0])
 
 
 @pytest.mark.parametrize("lead", [(), (7,), (25, 11)], ids=["1-D", "N", "25x11"])
 @pytest.mark.parametrize("model", DENSE_MODELS, **ids)
 def test_drift_matches_the_per_slice_forms(model, lead):
     q, v = _points(model, lead, 13)
-    for new, old in zip(drift(model, q, v), _drift_per_slice(model, q, v)):
-        assert new.shape == old.shape
-        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+    new, old = drift(model, q, v)[0], _drift_per_slice(model, q, v)[0]
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("lead", LEADS + [(25, 11)], ids=lead_ids["ids"] + ["25x11"])
 @pytest.mark.parametrize("model", MODELS, **ids)
 def test_drift_of_the_builtins_equals_the_per_slice_forms(model, lead):
-    """Every Christoffel and Christoffel-Jacobian sum of the built-ins has a
-    single nonzero term, so the row-wide contractions leave their bits, and
-    the artifacts, unchanged."""
+    """Every Christoffel sum of the built-ins has a single nonzero term, so
+    the drift a keeps its bits, and the artifacts, unchanged.  The pullback
+    sums over the covector's slots in another order than w a_q and w a_v of
+    the per-slice Jacobians, so it is held to 1e-15 of their largest entry
+    (measured: at most 1.8e-16)."""
     q, v = _points(model, lead, 14)
-    for new, old in zip(drift(model, q, v), _drift_per_slice(model, q, v)):
-        assert new.shape == old.shape
-        assert np.array_equal(new, old)
+    (a, *new), (old_a, *old) = _drift_and_pullback(model, q, v, 19)
+    assert a.shape == old_a.shape
+    assert np.array_equal(a, old_a)
+    for got, want in zip(new, old):
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lead", [(), (7,), (25, 11)], ids=["1-D", "N", "25x11"])
 @pytest.mark.parametrize("model", DENSE_MODELS, **ids)
 def test_drift_pullback_equals_the_covector_times_the_drift_jacobians(model, lead):
-    """drift_pullback's products are w a_q and w a_v of geometry.drift,
-    and its a is drift's a bit for bit."""
+    """pullback(w) returns w a_q and w a_v of the per-slice Jacobians."""
     q, v = _points(model, lead, 15)
-    w = np.random.default_rng(16).normal(size=v.shape)
-    a, a_q, a_v = drift(model, q, v)
-    a_p, w_aq, w_av = drift_pullback(model, q, v, w)
-    assert np.array_equal(a_p, a)
-    for new, old in ((w_aq, np.vecmat(w, a_q)), (w_av, np.vecmat(w, a_v))):
-        assert new.shape == old.shape
-        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+    (_, *new), (_, *old) = _drift_and_pullback(model, q, v, 16)
+    for got, want in zip(new, old):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lead", [(7,), (25, 11)], ids=["N", "25x11"])
@@ -212,16 +220,16 @@ def test_drift_pullback_on_stacks_equals_rows(model, lead):
     row bitwise equal to the same row alone."""
     q, v = _points(model, lead, 17)
     w = np.random.default_rng(18).normal(size=v.shape)
-    stacked = drift_pullback(model, q, v, w)
+    stacked = drift(model, q, v)[1](w)
     for i, part in enumerate(stacked):
         _assert_rows(
-            part, lead, lambda idx: drift_pullback(model, q[idx], v[idx], w[idx])[i]
+            part, lead, lambda idx: drift(model, q[idx], v[idx])[1](w[idx])[i]
         )
 
 
 def _packed_rhs_by_jacobians(model, problem):
     """A reference form of the packed state-costate field: the drift's full
-    Jacobians from geometry.drift, each contracted with mu, the rho_jac
+    Jacobians from _drift_per_slice, each contracted with mu, the rho_jac
     pull taken one slot at a time, and the four blocks concatenated."""
     n, k = model.n, model.rank
     inv_le = 1.0 / (problem.lambda0 * problem.epsilon)
@@ -233,7 +241,7 @@ def _packed_rhs_by_jacobians(model, problem):
             model, AdmissibleState(q, v), problem.reference(t)
         )
         rho, rjac = model.rho(q), model.rho_jac(q)
-        a, a_q, a_v = drift(model, q, v)
+        a, a_q, a_v = _drift_per_slice(model, q, v)
         pull = np.vecmat(lam, rjac.reshape(rjac.shape[:-3] + (n, k * n)))
         pull = pull.reshape(pull.shape[:-1] + (k, n))
         lamdot = -(track * dq + np.vecmat(v, pull) - np.vecmat(mu, a_q))

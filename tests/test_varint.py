@@ -635,12 +635,17 @@ class TestDelResidual:
             ("particle", False, "difference-quotient"),
             ("sleigh", False, "midpoint"),
             ("sleigh", True, "difference-quotient"),
+            ("potential", False, "midpoint"),
+            ("potential", True, "difference-quotient"),
         ],
     )
     def test_is_gradient_of_extended_action(self, system, enforce, psi_variant):
-        if system == "particle":
-            model = particle_model()
-            problem = particle_case2_problem(horizon=1.0)
+        """The residual equals central differences of the extended action;
+        the potential case checks the u d(potential_grad)/dq term, which
+        both built-ins lack."""
+        if system != "sleigh":
+            make = particle_with_potential if system == "potential" else particle_model
+            model, problem = make(), particle_case2_problem(horizon=1.0)
         else:
             model = sleigh_model(SLEIGH_PARAMS)
             problem = mild_sleigh_problem(model)
