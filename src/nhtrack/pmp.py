@@ -732,14 +732,15 @@ def _newton_shoot(
     length_i h / P on segment i, so each segment ends at its own end, and
     keeps that coarse flow when its start rows land within the probe steps
     of the grid-step ends, entry by entry.  Otherwise, or when the coarse
-    flow diverges, that correction and every later one flow the stack at
-    the grid step (a coarse flow that missed once has not been seen to fit
-    again), which gives the grid-step Jacobian.  The root is the grid-step
-    residual's either way (an inexact Jacobian only changes the
-    convergence), and the correction solves the whole square Jacobian over
-    the unknowns (np.linalg.solve; SingularJacobianError when exactly
-    singular).  A trial whose flow diverges is rejected; at the start
-    point, and in a grid-step probe flow, FlowDivergedError propagates.
+    flow diverges, that correction and every later one flow the probe rows
+    alone at the grid step (a coarse flow that missed once has not been
+    seen to fit again), row 0 being the evaluation's own ends, which gives
+    the grid-step Jacobian.  The root is the grid-step residual's either
+    way (an inexact Jacobian only changes the convergence), and the
+    correction solves the whole square Jacobian over the unknowns
+    (np.linalg.solve; SingularJacobianError when exactly singular).  A
+    trial whose flow diverges is rejected; at the start point, and in a
+    grid-step probe flow, FlowDivergedError propagates.
     Returns the costate at t = 0, the (times, ys) series of the segment
     flows laid end to end, and the report.
     """
@@ -789,7 +790,9 @@ def _newton_shoot(
                 if np.all(np.abs(ends[:, 0] - fine) <= fd_steps(fine)):
                     return ends
             coarse_fits = False
-        return _flow(rhs, stack, starts, grid.h, span)[at_ends]
+        # the start rows' grid-step ends are fine already: flow the probes
+        probes = _flow(rhs, stack[:, 1:], starts, grid.h, span)[at_ends]
+        return np.concatenate([fine[:, None], probes], axis=1)
 
     def jacobian(z: Array, ends: Array, res_T: Array) -> Array:
         # the Jacobian over every start z_j, by row block i: gap i has G_i

@@ -1306,11 +1306,13 @@ def test_the_bundled_particle_at_a_small_epsilon_falls_back_at_every_correction(
     """At epsilon = 0.001 on 100 steps, the first coarse probe flow of the
     bundled particle lands outside the probe steps of the grid-step flow,
     so that correction and every later one flow their probes at the grid
-    step, and the solve keeps the log of grid-step Jacobians bit for bit:
-    10 iterations with the same step lengths, to the residual of the solve
-    whose every correction is forced to the grid-step probes.  That last
-    residual is rounding noise of the linear algebra: 8.830137e-11 with
-    single-threaded OpenBLAS, 8.829182e-11 with two threads."""
+    step, the 2(n + k) probe rows alone (the starts' ends are the
+    evaluation's), and the solve keeps the log of grid-step Jacobians bit
+    for bit: 10 iterations with the same step lengths, to the residual of
+    the solve whose every correction is forced to the grid-step probes.
+    That last residual is rounding noise of the linear algebra:
+    8.830137e-11 with single-threaded OpenBLAS, 8.829182e-11 with two
+    threads."""
     report, events = _bundled_particle_solve(monkeypatch, steps=100, epsilon=0.001)
     events = list(events)  # the forced solve below logs into the same list
     _force_grid_step_probes(monkeypatch)
@@ -1321,7 +1323,7 @@ def test_the_bundled_particle_at_a_small_epsilon_falls_back_at_every_correction(
         0.125, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
     ]
     assert set(events) == {
-        ((25, 1, 10), 4, False), ((25, 11, 10), 1, True), ((25, 11, 10), 4, False)
+        ((25, 1, 10), 4, False), ((25, 11, 10), 1, True), ((25, 10, 10), 4, False)
     }
     letters = _letters(events)
     assert re.fullmatch("bcfb+(fb+)*", letters), letters
@@ -1391,9 +1393,9 @@ def test_newton_shoot_falls_back_when_the_coarse_probe_flow_diverges(monkeypatch
     grid steps (u = rate h d = 0.825) stay stable, while a coarse step of
     4 h (u = 3.3) overshoots past the center and blows up.  The first
     correction's coarse probe flow diverges, so it and every later
-    correction flow their probes at the grid step, and the solve converges.
-    A trial is rejected only when its own flow diverges, so none is
-    rejected here."""
+    correction flow their probe rows alone at the grid step, and the solve
+    converges.  A trial is rejected only when its own flow diverges, so
+    none is rejected here."""
     import nhtrack.pmp as pmp
 
     model, problem = particle_model(), short_case2_problem()
@@ -1421,7 +1423,7 @@ def test_newton_shoot_falls_back_when_the_coarse_probe_flow_diverges(monkeypatch
     )
     assert report.converged and report.iterations >= 2
     assert _rejected_trials(report) == 0
-    coarse, fine = ((1, 11, 10), 25, True), ((1, 11, 10), 100, False)
+    coarse, fine = ((1, 11, 10), 25, True), ((1, 10, 10), 100, False)
     assert diverged == [((1, 11, 10), True)]
     probes = [e for e in events if e[0] != (1, 1, 10)]
     assert probes == [coarse] + [fine] * report.iterations

@@ -153,6 +153,34 @@ def test_only_drift_reads_the_model_jacobians():
     assert not reads, f"model Jacobian read outside geometry.drift: {', '.join(reads)}"
 
 
+def test_only_the_process_entry_touches_the_collector():
+    """cli.entry owns the process's GC state: no other code in the package
+    imports gc or reads a gc attribute, so importing or calling the library
+    never changes a caller's collector."""
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {
+            id(sub)
+            for node in tree.body
+            if path.name == "cli.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name == "entry"
+            for sub in ast.walk(node)
+        }
+        uses += [
+            f"{path.name}:{sub.lineno}"
+            for sub in ast.walk(tree)
+            if (
+                isinstance(sub, ast.Import) and any(a.name == "gc" for a in sub.names)
+                or isinstance(sub, ast.ImportFrom) and sub.module == "gc"
+                or isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "gc"
+            )
+            and id(sub) not in owned
+        ]
+    assert not uses, f"gc used outside cli.entry: {', '.join(uses)}"
+
+
 def _forwarded_call(node: ast.stmt) -> bool:
     """Whether a function's body, after an optional docstring, is one
     `return` of a call passing exactly its own parameters, in order."""
