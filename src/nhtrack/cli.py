@@ -3,7 +3,7 @@ report artifacts out.
 
 A config is an INI file with [system], [problem], [solver], [output] and an
 optional [compare] section; `nhtrack presets` lists the bundled ones.  The
-block dataclasses below are the schema: each field is a key of its
+block NamedTuples below are the schema: each field is a key of its
 section, with the field's type and default.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
@@ -19,7 +19,6 @@ import itertools
 import math
 import types
 import typing
-from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -69,8 +68,7 @@ class ConfigError(ValueError):
 # configuration schema
 
 
-@dataclass(frozen=True)
-class SystemBlock:
+class SystemBlock(typing.NamedTuple):
     """The [system] section: the model preset and its parameters."""
 
     preset: str = "particle"
@@ -79,8 +77,7 @@ class SystemBlock:
     offset_a: float | None = None
 
 
-@dataclass(frozen=True)
-class ProblemBlock:
+class ProblemBlock(typing.NamedTuple):
     """The [problem] section: reference, initial state, horizon and weights."""
 
     reference: str = "analytic"
@@ -101,8 +98,7 @@ class ProblemBlock:
     state_weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class SolverBlock:
+class SolverBlock(typing.NamedTuple):
     """The [solver] section: the method and its Newton and grid settings."""
 
     method: str = "pmp-shooting"
@@ -116,24 +112,21 @@ class SolverBlock:
     enforce_first_interval: bool = False
 
 
-@dataclass(frozen=True)
-class OutputBlock:
+class OutputBlock(typing.NamedTuple):
     """The [output] section: artifact root and CSV float precision."""
 
     directory: str | None = None
     precision: int = 17
 
 
-@dataclass(frozen=True)
-class CompareBlock:
+class CompareBlock(typing.NamedTuple):
     """The [compare] section: the optional shooting side of `compare`."""
 
     pmp: bool = False
     pmp_steps: int | None = None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(typing.NamedTuple):
     """A whole config file: one block per INI section."""
 
     system: SystemBlock
@@ -198,7 +191,7 @@ def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path)
     key left at its field default."""
     block = SECTIONS[name]
     section = parser[name] if name in parser else {}
-    known = {parser.optionxform(f.name) for f in fields(block)}
+    known = {parser.optionxform(key) for key in block._fields}
     unknown = sorted(set(section) - known)
     if unknown:
         raise ConfigError(
@@ -206,9 +199,9 @@ def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path)
         )
     hints = typing.get_type_hints(block)
     return block(**{
-        f.name: _parse_value(f.name, section[f.name], hints[f.name])
-        for f in fields(block)
-        if f.name in section
+        key: _parse_value(key, section[key], hints[key])
+        for key in block._fields
+        if key in section
     })
 
 
@@ -237,7 +230,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     blocks = {name: _parse_block(parser, name, path) for name in SECTIONS}
     solver = blocks["solver"]
     defaults = ShootingSettings if solver.method == "pmp-shooting" else DelSettings
-    blocks["solver"] = replace(solver, **{
+    blocks["solver"] = solver._replace(**{
         key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
         if getattr(solver, key) is None
     })

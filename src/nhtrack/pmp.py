@@ -38,9 +38,10 @@ Phi = 1/2 ||gamma(T) - gamma_r(T)||^2 on the full state.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class AnalyticReference:
 def _check_time(t: Array, horizon: float, name: str) -> None:
     """ValueError, naming the first offending time and the name of the
     horizon, unless every sample time lies in [0, horizon]."""
-    outside = (t < -1e-9) | (t > horizon + 1e-9)
+    outside = ~((t >= -1e-9) & (t <= horizon + 1e-9))  # NaN is outside
     if np.any(outside):
         raise ValueError(
             f"t = {t[outside].flat[0]} outside the {name} horizon [0, {horizon}]"
@@ -266,10 +267,22 @@ class NewtonSettings:
 
     def __post_init__(self) -> None:
         label = type(self).__name__
-        for name in ("newton_tol", "max_iters"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{label}.{name} must be positive and finite")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"{label}.newton_tol must be positive and finite")
+        _check_count(self, "max_iters")
+
+
+def _check_count(settings: NewtonSettings, name: str) -> None:
+    """ValueError naming the field unless it is a positive integer; as for
+    TimeGrid.steps, operator.index decides what is an integer, so a
+    fractional count fails here and not inside the solve."""
+    value = getattr(settings, name)
+    with suppress(TypeError):
+        if operator.index(value) > 0:
+            return
+    raise ValueError(
+        f"{type(settings).__name__}.{name} must be a positive integer, got {value!r}"
+    )
 
 
 CONTINUATIONS = ("none", "horizon", "terminal-weight")
@@ -304,19 +317,16 @@ class ShootingSettings(NewtonSettings):
                 f"continuation must be one of {CONTINUATIONS}, "
                 f"got {self.continuation!r}"
             )
-        if self.continuation_stages <= 0:
-            raise ValueError("continuation_stages must be positive")
+        _check_count(self, "continuation_stages")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     residual_norm: float
     damping: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     converged: bool
     iterations: int
     residual_norm: float
@@ -409,8 +419,7 @@ def damped_newton(
     )
 
 
-@dataclass(frozen=True)
-class ShootingTrajectory:
+class ShootingTrajectory(NamedTuple):
     """State, costate, and control series of one shooting flow."""
 
     times: Array
@@ -693,14 +702,6 @@ def shooting_residual(
     return _terminal_residual(model, problem, ys[-1])
 
 
-def _trajectory_from_series(
-    model: SystemModel, problem: TrackingProblem, times: Array, ys: Array
-) -> ShootingTrajectory:
-    q, v, lam, mu = _split(ys, model.n, model.rank)
-    u = optimal_control(mu, problem.epsilon, problem.lambda0)
-    return ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu)
-
-
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
@@ -925,9 +926,12 @@ def solve_shooting(
                 f"ladder stage {j} of {len(stages)} "
                 f"(T = {stage_problem.horizon_T:g}) did not converge: {report.message}"
             )
-    report = replace(report, message="; ".join([report.message, *missed_stages]))
+    report = report._replace(message="; ".join([report.message, *missed_stages]))
     alpha = Costate(lam=alpha_vec[: model.n], mu=alpha_vec[model.n :])
-    return alpha, _trajectory_from_series(model, problem, *series), report
+    times, ys = series
+    q, v, lam, mu = _split(ys, model.n, model.rank)
+    u = optimal_control(mu, problem.epsilon, problem.lambda0)
+    return alpha, ShootingTrajectory(times=times, q=q, v=v, u=u, lam=lam, mu=mu), report
 
 
 def trajectory_cost(
@@ -961,8 +965,7 @@ def trajectory_cost(
 # abnormal-extremal diagnostic
 
 
-@dataclass(frozen=True)
-class AbnormalReport:
+class AbnormalReport(NamedTuple):
     """Whether the zero-cost adjoint system lambda . rho(q(t)) = 0 admits a
     nonzero solution along a trajectory (smallest/largest singular value of
     the stacked, transported constraint matrix)."""

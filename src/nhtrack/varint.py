@@ -22,23 +22,25 @@ h L(t_{k+1/2}, midpoint q, midpoint v, difference-quotient vdot), the
 interval constraint Psi_d = (q_{k+1} - q_k)/h - rho(midpoint q) (midpoint v),
 and the constrained discrete Euler-Lagrange system over interior nodes with
 multipliers lambda^k for k = 1 .. N-1 (the first interval is unconstrained by
-default because the initial state is prescribed admissible).  Every interval
-term (Psi_d, its slot derivatives and the slot gradients of
-L_d + lambda . Psi_d) comes from one function, _interval, which evaluates all
-N intervals of a grid at once on stacked node arrays: the residual is one
+default because the initial state is prescribed admissible).  Psi_d and its
+slot derivatives come from one function, _psi, and the slot gradients of
+L_d + lambda . Psi_d from _interval, which calls it; both evaluate all N
+intervals of a grid at once on stacked node arrays: the residual is one
 _interval call (with one reference sample per interval midpoint, taken in
 one call).  The interval Hessians have exact velocity-velocity blocks, and
 their position columns come from n central differences, each moving one
 position coordinate at both ends of all N intervals together, so a Jacobian
-costs 2n + 1 kernel calls whatever N is.  solve_del is a damped Newton
-iteration on that system.  Its Jacobian is the Hessian of the extended
-discrete action (the action sum plus the multiplier-weighted constraints), so
-it is symmetric; it is block-tridiagonal in the node index and is solved by
-block cyclic reduction, one stacked solve per level over log2(N) levels.
+costs 2n _interval calls and one _psi call whatever N is.  solve_del is a
+damped Newton iteration on that system.  Its Jacobian is the Hessian of the
+extended discrete action (the action sum plus the multiplier-weighted
+constraints), so it is symmetric; it is block-tridiagonal in the node index
+and is solved by block cyclic reduction, one stacked solve per level over
+log2(N) levels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,14 +159,12 @@ class DiscreteTrajectory:
         return AdmissibleState(q=self.q[k].copy(), v=self.v[k].copy())
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     condition: float
     nonsingular: bool
 
 
-@dataclass(frozen=True)
-class DiagnosticSeries:
+class DiagnosticSeries(NamedTuple):
     """Per-node series emitted for CSV: running cost (control from the
     interval starting at the node, last node reuses the final interval),
     cumulative action, restricted energy, and the interval constraint
@@ -290,6 +290,38 @@ def continuous_optimality_residual(
 # midpoint discretization
 
 
+def _midpoint(q_k: Array, v_k: Array, q_k1: Array, v_k1: Array, h: float) -> tuple:
+    """(midpoint q, midpoint v, difference-quotient v) of an interval's end
+    nodes, or of stacked intervals, one per row."""
+    return 0.5 * (q_k + q_k1), 0.5 * (v_k + v_k1), (v_k1 - v_k) / h
+
+
+def _psi(
+    model: SystemModel, q_k: Array, v_k: Array, q_k1: Array, v_k1: Array,
+    h: float, psi_variant: str, slots: bool = True,
+) -> tuple[Array, tuple[Array, Array, Array, Array] | None]:
+    """Psi_d of stacked intervals and its slot derivatives (D1, D2, D3, D4)
+    in q_k, v_k, q_{k+1}, v_{k+1}: D1/D3 (n, n), D2/D4 (n, n-m).  With
+    slots = False they are None, and rho_jac is not called."""
+    q_mid, v_mid, v_dq = _midpoint(q_k, v_k, q_k1, v_k1, h)
+    v_slot = v_mid if psi_variant == "midpoint" else v_dq
+    rho = model.rho(q_mid)
+    psi = (q_k1 - q_k) / h - np.matvec(rho, v_slot)
+    if not slots:
+        return psi, None
+    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
+    # per row over the flattened (j, i) slots
+    n, lead = model.n, v_slot.shape[:-1]
+    rho_jac = model.rho_jac(q_mid).swapaxes(-2, -3).reshape(lead + (-1, n * n))
+    r_mat = np.vecmat(v_slot, rho_jac).reshape(lead + (n, n))
+    eye_h = np.eye(n) / h
+    if psi_variant == "midpoint":
+        p2 = p4 = -0.5 * rho
+    else:
+        p2, p4 = rho / h, -rho / h
+    return psi, (-eye_h - 0.5 * r_mat, p2, eye_h - 0.5 * r_mat, p4)
+
+
 def discrete_constraint(
     model: SystemModel,
     node_k: AdmissibleState,
@@ -306,12 +338,8 @@ def discrete_constraint(
         raise ValueError(f"h must be positive, got {h}")
     if psi_variant not in PSI_VARIANTS:
         raise ValueError(f"psi_variant must be one of {PSI_VARIANTS}")
-    q_mid = 0.5 * (node_k.q + node_k1.q)
-    if psi_variant == "midpoint":
-        v_slot = 0.5 * (node_k.v + node_k1.v)
-    else:
-        v_slot = (node_k1.v - node_k.v) / h
-    return (node_k1.q - node_k.q) / h - np.matvec(model.rho(q_mid), v_slot)
+    ends = node_k.q, node_k.v, node_k1.q, node_k1.v
+    return _psi(model, *ends, h, psi_variant, slots=False)[0]
 
 
 def discrete_lagrangian(
@@ -330,12 +358,8 @@ def discrete_lagrangian(
     the reference sampled once, at the array of midpoints."""
     if h == 0:
         raise ValueError("h must be nonzero")
-    q_mid = 0.5 * (node_k.q + node_k1.q)
-    v_mid = 0.5 * (node_k.v + node_k1.v)
-    v_dq = (node_k1.v - node_k.v) / h
-    return abs(h) * ocp_lagrangian(
-        model, problem, t_k + 0.5 * h, q_mid, v_mid, v_dq
-    )
+    mid = _midpoint(node_k.q, node_k.v, node_k1.q, node_k1.v, h)
+    return abs(h) * ocp_lagrangian(model, problem, t_k + 0.5 * h, *mid)
 
 
 # ---------------------------------------------------------------------------
@@ -360,29 +384,12 @@ def _interval(
     nodes of many intervals (q_k of shape (N, n), and so on, with lam
     (N, n) and ref sampled at the N midpoint times); every result then
     carries the same leading axes.  ref is the reference at the interval
-    midpoint t_k + h/2.  Returns (Psi_d, its slot derivatives, the slot
-    gradients of L_d + lam . Psi_d); slots are (D1, D2, D3, D4), the
-    derivatives with respect to q_k, v_k, q_{k+1}, v_{k+1} through the
-    midpoint arguments, with D1/D3 of Psi_d (n, n) and D2/D4 (n, n-m).
+    midpoint t_k + h/2.  Returns (Psi_d, its slot derivatives (D1, D2, D3,
+    D4) from _psi, the slot gradients of L_d + lam . Psi_d).
     """
-    q_mid = 0.5 * (q_k + q_k1)
-    v_mid = 0.5 * (v_k + v_k1)
-    v_dq = (v_k1 - v_k) / h
-    v_slot = v_mid if psi_variant == "midpoint" else v_dq
-    rho = model.rho(q_mid)
-    psi = (q_k1 - q_k) / h - np.matvec(rho, v_slot)
-    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
-    # per row over the flattened (j, i) slots
-    n, lead = model.n, v_slot.shape[:-1]
-    rho_jac = model.rho_jac(q_mid).swapaxes(-2, -3).reshape(lead + (-1, n * n))
-    r_mat = np.vecmat(v_slot, rho_jac).reshape(lead + (n, n))
-    eye_h = np.eye(n) / h
-    if psi_variant == "midpoint":
-        p2 = p4 = -0.5 * rho
-    else:
-        p2, p4 = rho / h, -rho / h
-    slots = (-eye_h - 0.5 * r_mat, p2, eye_h - 0.5 * r_mat, p4)
-    gq, gv, gvd = _lagrangian_gradients(model, problem, ref, q_mid, v_mid, v_dq)
+    psi, slots = _psi(model, q_k, v_k, q_k1, v_k1, h, psi_variant)
+    mid = _midpoint(q_k, v_k, q_k1, v_k1, h)
+    gq, gv, gvd = _lagrangian_gradients(model, problem, ref, *mid)
     l13 = 0.5 * h * gq
     grads = (
         l13 + np.vecmat(lam, slots[0]),
@@ -420,18 +427,19 @@ def _interval_hessian(
     Gamma + Gamma^T of one christoffel call, with no model Jacobian.  x0
     may stack many intervals, shape (N, 2(n + k)) with lam and ref to
     match; a probe then moves all of them at once, so a whole grid takes
-    2n + 1 _interval calls."""
+    2n _interval calls, and one _psi call for the slots at x0."""
     n, kr = model.n, model.rank
     nv = n + kr
     # the q_k, q_{k+1} and the v_k, v_{k+1} slot indices
     qs = np.r_[0:n, nv : nv + n]
     vs = np.r_[n:nv, nv + n : 2 * nv]
 
-    def kernel(x: Array) -> tuple:
-        return _interval(
-            model, problem, x[..., :n], x[..., n:nv], x[..., nv : nv + n],
-            x[..., nv + n :], lam, ref, h, psi_variant,
-        )
+    def ends(x: Array) -> tuple[Array, Array, Array, Array]:
+        return x[..., :n], x[..., n:nv], x[..., nv : nv + n], x[..., nv + n :]
+
+    def grads(x: Array) -> Array:
+        g = _interval(model, problem, *ends(x), lam, ref, h, psi_variant)[2]
+        return np.concatenate(g, axis=-1)
 
     hess = np.empty(x0.shape + (2 * nv,))
     for j in range(n):
@@ -439,13 +447,10 @@ def _interval_hessian(
         xp[..., [j, nv + j]] += FD_STEP
         xm = x0.copy()
         xm[..., [j, nv + j]] -= FD_STEP
-        g_p, g_m = (np.concatenate(kernel(x)[2], axis=-1) for x in (xp, xm))
-        hess[..., j] = hess[..., nv + j] = (g_p - g_m) / (4 * FD_STEP)
+        hess[..., j] = hess[..., nv + j] = (grads(xp) - grads(xm)) / (4 * FD_STEP)
     hess[..., qs[:, None], vs] = hess[..., vs[:, None], qs].swapaxes(-1, -2)
 
-    q_mid = 0.5 * (x0[..., :n] + x0[..., nv : nv + n])
-    v_mid = 0.5 * (x0[..., n:nv] + x0[..., nv + n :])
-    v_dq = (x0[..., nv + n :] - x0[..., n:nv]) / h
+    q_mid, v_mid, v_dq = _midpoint(*ends(x0), h)
     u = reconstructed_control(model, q_mid, v_mid, v_dq)
     lead = u.shape[:-1]
     gam = model.christoffel(q_mid)
@@ -461,7 +466,8 @@ def _interval_hessian(
     hess[..., vs[:, None], vs] = h * problem.lambda0 * (
         eps * jac_u.swapaxes(-1, -2) @ jac_u + np.tile(0.25 * mid, (2, 2))
     )
-    return kernel(x0)[1], 0.5 * (hess + hess.swapaxes(-1, -2))
+    slots = _psi(model, *ends(x0), h, psi_variant)[1]
+    return slots, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def del_residual(
@@ -634,25 +640,19 @@ class _DelWorkspace:
         n, kr, steps = self.n, self.kr, self.steps
         size = (steps - 1) * (2 * n + kr)
         blocks = x[:size].reshape(steps - 1, 2 * n + kr)
-        q = np.empty((steps + 1, n))
-        v = np.empty((steps + 1, kr))
-        q[0], v[0] = self.node_first.q, self.node_first.v
-        q[-1], v[-1] = self.node_last.q, self.node_last.v
-        q[1:-1] = blocks[:, :n]
-        v[1:-1] = blocks[:, n : n + kr]
+        first, last = self.node_first, self.node_last
+        q = np.vstack([first.q, blocks[:, :n], last.q])
+        v = np.vstack([first.v, blocks[:, n : n + kr], last.v])
         lam = blocks[:, n + kr :].copy()
         lam0 = x[size:].copy() if self.settings.enforce_first_interval else None
         return q, v, lam, lam0
 
     def trajectory(self, x: Array) -> DiscreteTrajectory:
         q, v, lam, lam0 = self.unpack(x)
-        q_mid = 0.5 * (q[:-1] + q[1:])
-        v_mid = 0.5 * (v[:-1] + v[1:])
-        v_dq = (v[1:] - v[:-1]) / self.h
-        controls = reconstructed_control(self.model, q_mid, v_mid, v_dq)
+        mid = _midpoint(q[:-1], v[:-1], q[1:], v[1:], self.h)
         return DiscreteTrajectory(
             h=self.h, times=self.times.copy(), q=q, v=v, multipliers=lam,
-            controls=controls, lambda_zero=lam0,
+            controls=reconstructed_control(self.model, *mid), lambda_zero=lam0,
         )
 
     def evaluate(self, x: Array) -> tuple[Array, Nodes]:

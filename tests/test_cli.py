@@ -116,16 +116,14 @@ class TestParsing:
         cfg = parse_config(BUNDLED / "particle-case2.cfg")
         assert cfg.solver.continuation == "none"
         assert "continuation_stages" not in config_text(cfg)
-        ladder = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, continuation="horizon")
-        )
+        ladder = cfg._replace(solver=cfg.solver._replace(continuation="horizon"))
         echo = config_text(ladder)
         assert "continuation_stages = 4\n" in echo
         assert parse_config(write_cfg(tmp_path, "ladder.cfg", echo)) == ladder
         # the same rule for compare's pmp_steps, which only pmp = yes reads
-        off = dataclasses.replace(cfg, compare=CompareBlock(pmp=False, pmp_steps=50))
+        off = cfg._replace(compare=CompareBlock(pmp=False, pmp_steps=50))
         assert "pmp_steps" not in config_text(off)
-        on = dataclasses.replace(cfg, compare=CompareBlock(pmp=True, pmp_steps=50))
+        on = cfg._replace(compare=CompareBlock(pmp=True, pmp_steps=50))
         assert "[compare]\npmp = yes\npmp_steps = 50\n" in config_text(on)
 
     def test_echo_is_idempotent(self, tmp_path):
@@ -308,7 +306,7 @@ class TestParsing:
     def test_every_solver_setting_is_a_config_key(self, settings):
         """A settings field no [solver] key reaches is a knob without a
         caller; inner_grid is the one exception, which steps sets."""
-        keys = {f.name for f in dataclasses.fields(SolverBlock)} | {"inner_grid"}
+        keys = set(SolverBlock._fields) | {"inner_grid"}
         fields = {f.name for f in dataclasses.fields(settings)}
         assert fields <= keys, sorted(fields - keys)
 
@@ -401,9 +399,7 @@ class TestRunCommand:
         assert run_experiment(cfg, tmp_path / "none") == 0
         assert time.perf_counter() - t0 < budget
         assert horizons == [4.0]
-        ladder = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, continuation="horizon")
-        )
+        ladder = cfg._replace(solver=cfg.solver._replace(continuation="horizon"))
         assert run_experiment(ladder, tmp_path / "ladder") == 0
         assert horizons == [4.0, 1.0, 2.0, 3.0, 4.0]
 
@@ -769,9 +765,7 @@ class TestCompareCommand:
         error."""
         budget = 30.0
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
-        cfg = dataclasses.replace(
-            cfg, compare=CompareBlock(pmp=True, pmp_steps=pmp_steps)
-        )
+        cfg = cfg._replace(compare=CompareBlock(pmp=True, pmp_steps=pmp_steps))
         t0 = time.perf_counter()
         compare_experiment(cfg, tmp_path / "out")
         assert time.perf_counter() - t0 < budget
@@ -905,10 +899,9 @@ class TestCompareCommand:
         scheme's own.  A stiffer system fails here instead of quietly
         moving compare's figures."""
         cfg = parse_config(BUNDLED / f"{config}.cfg")
-        cfg = dataclasses.replace(
-            cfg,
-            problem=dataclasses.replace(cfg.problem, **problem_keys),
-            solver=dataclasses.replace(cfg.solver, **solver_keys),
+        cfg = cfg._replace(
+            problem=cfg.problem._replace(**problem_keys),
+            solver=cfg.solver._replace(**solver_keys),
         )
         model, problem, settings, grid = cli._build(cfg)
         traj, report = cli.solve_del(model, problem, grid, settings)
@@ -942,9 +935,7 @@ class TestCompareCommand:
                 jittered[key] = tuple(
                     (values + rng.uniform(-0.05, 0.05, values.size)).tolist()
                 )
-            cfg = dataclasses.replace(
-                base, problem=dataclasses.replace(base.problem, **jittered)
-            )
+            cfg = base._replace(problem=base.problem._replace(**jittered))
             out = tmp_path / f"seed-{seed}"
             assert compare_experiment(cfg, out) == 0
             report = (out / "report.txt").read_text()
@@ -985,10 +976,9 @@ class TestCompareCommand:
         row, the same bits as each re-integrated alone, through the common
         intervals and the longer one's tail."""
         cfg = parse_config(BUNDLED / f"{config}.cfg")
-        cfg = dataclasses.replace(
-            cfg,
-            problem=dataclasses.replace(cfg.problem, **problem_keys),
-            solver=dataclasses.replace(cfg.solver, **solver_keys),
+        cfg = cfg._replace(
+            problem=cfg.problem._replace(**problem_keys),
+            solver=cfg.solver._replace(**solver_keys),
         )
         model, problem, settings, grid = cli._build(cfg)
         trajs = []
@@ -1129,11 +1119,9 @@ def test_rollout_step_passes_step_doubling():
     times on [0, 5], the bound the compare re-integration meets."""
     cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
     assert cfg.problem.horizon_T == 5.0
-    halved = dataclasses.replace(
-        cfg, problem=dataclasses.replace(
-            cfg.problem, rollout_step=cfg.problem.rollout_step / 2
-        ),
-    )
+    halved = cfg._replace(problem=cfg.problem._replace(
+        rollout_step=cfg.problem.rollout_step / 2
+    ))
     times = np.linspace(0.0, 5.0, 401)
     coarse = cli._build(cfg)[1].reference(times)
     fine = cli._build(halved)[1].reference(times)

@@ -903,6 +903,22 @@ def test_newton_settings_reject_a_nonfinite_newton_tol(settings, value):
         settings(newton_tol=value)
 
 
+@pytest.mark.parametrize(
+    "settings, field, extra",
+    [
+        (ShootingSettings, "max_iters", {}),
+        (ShootingSettings, "continuation_stages", {"continuation": "horizon"}),
+        (DelSettings, "max_iters", {}),
+    ],
+)
+def test_settings_reject_a_fractional_count(settings, field, extra):
+    """A fractional count passed the positivity check, and the solve then
+    died in range() with a TypeError."""
+    match = rf"{settings.__name__}\.{field} must be a positive integer, got 2\.5"
+    with pytest.raises(ValueError, match=match):
+        settings(**{field: 2.5}, **extra)
+
+
 # ---------------------------------------------------------------------------
 # trajectory cost quadrature
 
@@ -1834,6 +1850,25 @@ def test_rollout_reference_rejects_out_of_range_times():
         ref(-0.1)
     with pytest.raises(ValueError, match="horizon"):
         ref(1.1)
+
+
+@pytest.mark.parametrize(
+    "t", [np.nan, np.array([0.1, np.nan, 0.3])], ids=["scalar", "array"]
+)
+def test_a_nan_time_is_outside_every_horizon(t):
+    """A NaN time fails both `t < 0` and `t > horizon`, so a check for
+    times outside the range let it through: the rollout reference cast it
+    to an int (a RuntimeWarning) and running_cost returned nan."""
+    model = particle_model()
+    start = AdmissibleState(q=[0.0, 0.5, 0.0], v=[0.4, 0.8])
+    ref = RolloutReference(model, start, horizon=1.0, step=1e-2)
+    with pytest.raises(ValueError, match="t = nan outside the rollout horizon"):
+        ref(t)
+    prob = case2_problem()
+    lead = np.shape(t)
+    state = prob.reference(np.zeros(lead))
+    with pytest.raises(ValueError, match="t = nan outside the problem horizon"):
+        running_cost(model, prob, t, state, np.zeros(lead + (2,)))
 
 
 @pytest.mark.parametrize("kwargs", [{"horizon": 0.0}, {"horizon": -1.0}, {"step": 0.0}])

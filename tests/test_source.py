@@ -1,9 +1,11 @@
 """Source hygiene: no package module imports a name it never uses, no
-module-level private name goes unread, and no function only forwards its
-parameters to another call."""
+module-level private name goes unread, no function only forwards its
+parameters to another call, and a record is a dataclass only to check its
+fields."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -210,3 +212,45 @@ def test_no_function_only_renames_another():
         if _forwarded_call(node)
     )
     assert not aliases, f"functions that only forward a call: {', '.join(aliases)}"
+
+
+def test_every_dataclass_checks_its_fields():
+    """A record is a dataclass only for its __post_init__ checks: one that
+    checks nothing is a typing.NamedTuple, which refuses assignment too and
+    costs a fraction of a frozen dataclass to create at import."""
+    unchecked = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+            for d in (getattr(dec, "func", dec) for dec in node.decorator_list)
+        )
+        and not any(
+            isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+            for stmt in node.body
+        )
+    )
+    assert not unchecked, f"dataclasses without __post_init__: {', '.join(unchecked)}"
+
+
+RECORDS = [
+    ("cli", "SystemBlock"), ("cli", "ProblemBlock"), ("cli", "SolverBlock"),
+    ("cli", "OutputBlock"), ("cli", "CompareBlock"), ("cli", "ExperimentConfig"),
+    ("pmp", "IterationRecord"), ("pmp", "ConvergenceReport"),
+    ("pmp", "ShootingTrajectory"), ("pmp", "AbnormalReport"),
+    ("varint", "RegularityReport"), ("varint", "DiagnosticSeries"),
+]
+
+
+@pytest.mark.parametrize("module, name", RECORDS, ids=[name for _, name in RECORDS])
+def test_a_record_refuses_assignment(module, name):
+    """The records that check nothing are NamedTuples, immutable like the
+    frozen dataclasses they replace: every field refuses assignment."""
+    cls = getattr(importlib.import_module(f"nhtrack.{module}"), name)
+    assert issubclass(cls, tuple)
+    record = cls(*[0] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)

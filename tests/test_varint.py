@@ -1016,6 +1016,21 @@ class TestNewtonJacobian:
             calls.append(count[0])
         assert calls == [2 * base.n + 1] * 2
 
+    @pytest.mark.parametrize("system", ["particle", "sleigh"])
+    def test_a_jacobian_differentiates_the_drift_in_its_probes_only(self, system):
+        """christoffel_jac runs once per paired q probe, 2n times: the slot
+        derivatives at the nodes come from Psi_d alone, which has no drift."""
+        ws = newton_workspace(system, False, 8)
+        christoffel_jac, count = ws.model.christoffel_jac, [0]
+
+        def counted(q):
+            count[0] += 1
+            return christoffel_jac(q)
+
+        ws.model = dataclasses.replace(ws.model, christoffel_jac=counted)
+        ws.jacobian_blocks(*ws.unpack(ws.initial_guess()))
+        assert count[0] == 2 * ws.model.n
+
 
 @pytest.mark.parametrize(
     "system, enforce", [("particle", False), ("sleigh", False), ("particle", True)]
@@ -1050,9 +1065,7 @@ def test_newton_path_of_the_bundled_variational_instances():
     configs = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
     t0 = time.perf_counter()
     cfg = parse_config(configs / "particle-case2.cfg")
-    cfg = dataclasses.replace(
-        cfg, problem=dataclasses.replace(cfg.problem, terminal_mode="hard")
-    )
+    cfg = cfg._replace(problem=cfg.problem._replace(terminal_mode="hard"))
     model = build_model(cfg)
     problem = build_problem(cfg, model)
     _, report = solve_del(
@@ -1213,9 +1226,7 @@ class TestSolveDel:
 def bundled_del_instance(config, **problem_keys):
     configs = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
     cfg = parse_config(configs / config)
-    cfg = dataclasses.replace(
-        cfg, problem=dataclasses.replace(cfg.problem, **problem_keys)
-    )
+    cfg = cfg._replace(problem=cfg.problem._replace(**problem_keys))
     model = build_model(cfg)
     return model, build_problem(cfg, model)
 
