@@ -45,22 +45,6 @@ from .systems import (
     resolve_system,
     sleigh_model,
 )
-from .varint import (
-    DelSettings,
-    DiagnosticSeries,
-    DiscreteTrajectory,
-    RegularityError,
-    RegularityReport,
-    continuous_optimality_residual,
-    del_residual,
-    diagnostics,
-    discrete_constraint,
-    discrete_lagrangian,
-    ocp_lagrangian,
-    reconstructed_control,
-    regularity_check,
-    solve_del,
-)
 
 __all__ = [
     "AdmissibleState",
@@ -116,3 +100,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the names of __all__ not imported above are varint's: the route loads
+    # on the first read of one of them (PEP 562), so shooting never loads it
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import varint
+
+    return getattr(varint, name)

@@ -9,20 +9,21 @@ section, with the field's type and default.  Artifacts land in
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
 convergence, 2 when the solver fails to converge or fails numerically (every
 numerical failure is an ArithmeticError; artifacts are still written), 1 on
-configuration or usage errors, among them an unknown section or key, and
-on an artifact directory that cannot be created.
+configuration or usage errors (a missing config file, an unknown section,
+key, command or option) and on an artifact directory that cannot be created.
 """
 from __future__ import annotations
 
+import argparse
 import configparser
 import itertools
 import math
+import sys
 import types
 import typing
 from importlib import resources
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .geometry import (
@@ -36,6 +37,7 @@ from .geometry import dynamics_rhs  # noqa: F401  (wrapped by bench/trace.py)
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from .pmp import (
     CONTINUATIONS,
+    PSI_VARIANTS,
     ROLLOUT_STEP,
     AnalyticReference,
     RolloutReference,
@@ -47,17 +49,30 @@ from .pmp import (
     trajectory_cost,
 )
 from .systems import available_systems, resolve_system
-from .varint import (
-    DelSettings,
-    DiscreteTrajectory,
-    PSI_VARIANTS,
-    check_del,
-    diagnostics,
-    regularity_check,
-    solve_del,
-)
+
+if typing.TYPE_CHECKING:
+    from .varint import DiscreteTrajectory
 
 METHODS = ("pmp-shooting", "variational")
+# bound here on first use by _varint, so that shooting never imports varint
+_VARINT_NAMES = ("DelSettings", "check_del", "diagnostics", "regularity_check",
+                 "solve_del")
+
+
+def _varint(name: str):
+    """Bind _VARINT_NAMES here and return name's binding.  A name already
+    bound (a wrapper of bench/trace.py, a test's monkeypatch) stays."""
+    from . import varint
+
+    for key in _VARINT_NAMES:
+        globals().setdefault(key, getattr(varint, key))
+    return globals()[name]
+
+
+def __getattr__(name: str):  # PEP 562: a varint name read from outside
+    if name not in _VARINT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _varint(name)
 
 
 class ConfigError(ValueError):
@@ -229,7 +244,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             )
     blocks = {name: _parse_block(parser, name, path) for name in SECTIONS}
     solver = blocks["solver"]
-    defaults = ShootingSettings if solver.method == "pmp-shooting" else DelSettings
+    defaults = (ShootingSettings if solver.method == "pmp-shooting"
+                else _varint("DelSettings"))
     blocks["solver"] = solver._replace(**{
         key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
         if getattr(solver, key) is None
@@ -404,7 +420,7 @@ def _build(cfg: ExperimentConfig) -> tuple[
             )
             check_shooting(problem, settings)
         else:
-            settings = DelSettings(
+            settings = _varint("DelSettings")(
                 newton_tol=blk.newton_tol,
                 max_iters=blk.max_iters,
                 psi_variant=blk.psi_variant,
@@ -920,6 +936,7 @@ def model_checks(
         terminal_mode="hard",
     )
     regular = []
+    regularity_check = _varint("regularity_check")
     for _ in range(10):
         node_k = AdmissibleState(q=rng.normal(size=model.n), v=rng.normal(size=model.rank))
         node_k1 = AdmissibleState(q=rng.normal(size=model.n), v=rng.normal(size=model.rank))
@@ -944,12 +961,7 @@ def model_checks(
 
 
 # ---------------------------------------------------------------------------
-# command group
-
-
-@click.group()
-def main():
-    """Optimal trajectory tracking for nonholonomic systems."""
+# command line
 
 
 def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
@@ -957,15 +969,7 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
     return Path(base) / stem
 
 
-@main.command()
-@click.option(
-    "--config", "configs", multiple=True, required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Experiment config file; repeatable.",
-)
-@click.option("--out", default=None, type=click.Path(file_okay=False),
-              help="Artifact root (default: config's output.directory or ./out).")
-def run(configs, out):
+def run(configs: list[str], out: str | None) -> int:
     """Solve each config and write trajectory/diagnostics/report artifacts.
 
     A config that fails to parse or build, or whose artifacts cannot be
@@ -979,60 +983,48 @@ def run(configs, out):
         try:
             cfg = parse_config(path)
         except ConfigError as exc:
-            click.echo(f"Error: {path}: {exc}", err=True)
+            print(f"Error: {path}: {exc}", file=sys.stderr)
             failed = True
             continue
         target = _resolve_out(cfg, out, Path(path).stem)
         key = target.resolve()
         if key in targets:
-            click.echo(
+            print(
                 f"Error: {targets[key]} and {path} both write to {target}; "
                 "give them distinct file names or output directories",
-                err=True,
+                file=sys.stderr,
             )
-            raise SystemExit(1)
+            return 1
         targets[key] = path
         jobs.append((path, cfg, target))
     for path, cfg, target in jobs:
         try:
             code = run_experiment(cfg, target)
         except (ConfigError, OSError) as exc:
-            click.echo(f"Error: {path}: {exc}", err=True)
+            print(f"Error: {path}: {exc}", file=sys.stderr)
             failed = True
             continue
         status = "converged" if code == 0 else "did not converge"
-        click.echo(f"{path}: {status}; artifacts in {target}")
+        print(f"{path}: {status}; artifacts in {target}", flush=True)
         worst = max(worst, code)
-    raise SystemExit(1 if failed else worst)
+    return 1 if failed else worst
 
 
-@main.command()
-@click.option(
-    "--config", "config_path", required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Variational experiment config.",
-)
-@click.option("--out", default=None, type=click.Path(file_okay=False),
-              help="Artifact root (default: config's output.directory or ./out).")
-def compare(config_path, out):
+def compare(config_path: str, out: str | None) -> int:
     """Re-integrate recovered controls and report the h-halving ratio."""
     try:
         cfg = parse_config(config_path)
         target = _resolve_out(cfg, out, Path(config_path).stem)
         code = compare_experiment(cfg, target)
     except (ConfigError, OSError) as exc:
-        raise click.ClickException(f"{config_path}: {exc}")
+        print(f"Error: {config_path}: {exc}", file=sys.stderr)
+        return 1
     status = "ok" if code == 0 else "nonconvergence"
-    click.echo(f"{config_path}: {status}; artifacts in {target}")
-    raise SystemExit(code)
+    print(f"{config_path}: {status}; artifacts in {target}")
+    return code
 
 
-@main.command()
-@click.option("--system", "system_name", default="all", show_default=True,
-              help="Preset to check, or 'all'.")
-@click.option("--seed", default=0, show_default=True, type=int,
-              help="Seed for the randomized probes.")
-def check(system_name, seed):
+def check(system_name: str, seed: int) -> int:
     """Run the structural invariant suite on a system preset."""
     if system_name == "all":
         # sleigh:custom is a parameterized template, not a runnable preset
@@ -1044,21 +1036,21 @@ def check(system_name, seed):
         try:
             results = model_checks(name, seed=seed)
         except ValueError as exc:
-            raise click.ClickException(str(exc))
-        click.echo(f"[{name}]")
+            print(f"Error: {exc}", file=sys.stderr)
+            return 1
+        print(f"[{name}]")
         for label, ok, detail in results:
-            click.echo(f"  {'PASS' if ok else 'FAIL'} {label} ({detail})")
+            print(f"  {'PASS' if ok else 'FAIL'} {label} ({detail})")
             failed += 0 if ok else 1
-    raise SystemExit(0 if failed == 0 else 2)
+    return 0 if failed == 0 else 2
 
 
-@main.command()
-def presets():
+def presets() -> None:
     """List bundled system presets and experiment configs."""
-    click.echo("systems:")
+    print("systems:")
     for name in available_systems():
-        click.echo(f"  {name}")
-    click.echo("configs:")
+        print(f"  {name}")
+    print("configs:")
     config_dir = resources.files("nhtrack") / "configs"
     for entry in sorted(config_dir.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".cfg"):
@@ -1067,21 +1059,58 @@ def presets():
         lines = entry.read_text(encoding="utf-8").splitlines()
         header = itertools.takewhile(lambda line: line.startswith("#"), lines)
         note = " ".join(line.lstrip("# ") for line in header)
-        click.echo(f"  {entry.name}: {note}" if note else f"  {entry.name}")
+        print(f"  {entry.name}: {note}" if note else f"  {entry.name}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like config errors (2 is a failed solve)."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        print(f"Error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None):
+    """Optimal trajectory tracking for nonholonomic systems."""
+    parser = _Parser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    config = dict(required=True, metavar="FILE")
+    out = dict(metavar="DIR",
+               help="Artifact root (default: config's output.directory or ./out).")
+    for command, options in (
+        (run, {"--config": dict(config, dest="configs", action="append",
+                                help="Experiment config file; repeatable."),
+               "--out": out}),
+        (compare, {"--config": dict(config, dest="config_path",
+                                    help="Variational experiment config."),
+                   "--out": out}),
+        (check, {"--system": dict(dest="system_name", default="all", metavar="NAME",
+                                  help="Preset to check, or 'all' (default: all)."),
+                 "--seed": dict(type=int, default=0,
+                                help="Seed for the randomized probes (default: 0).")}),
+        (presets, {}),
+    ):
+        sub = commands.add_parser(command.__name__, help=command.__doc__.split("\n")[0],
+                                  description=command.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=command)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+    opts = vars(parser.parse_args(args))
+    raise SystemExit(opts.pop("command")(**opts))
 
 
 def entry():
     """The `nhtrack` process: `main` with the import-time heap frozen.
 
-    Every module is imported by now, and no run collects that object graph,
-    so gc.freeze() moves it out of the collector's reach; the exit-time
-    collections then skip it instead of tearing it down.  Only a process
-    that is about to end may do this, so in-process callers of `main` (the
-    tests' CliRunner, bench/trace.py) keep their own GC state."""
+    Every module but varint is imported by now, and no run collects that
+    object graph, so gc.freeze() moves it out of the collector's reach; the
+    exit-time collections then skip it instead of tearing it down.  Only a
+    process about to end may do this, so in-process callers of `main` (the
+    tests' invoke helper, bench/trace.py) keep their own GC state."""
     import gc
 
     gc.freeze()
-    main()
+    main(prog_name="nhtrack")
 
 
 if __name__ == "__main__":

@@ -286,6 +286,8 @@ def _check_count(settings: NewtonSettings, name: str) -> None:
 
 
 CONTINUATIONS = ("none", "horizon", "terminal-weight")
+# the variational route's Psi_d forms (varint.DelSettings.psi_variant)
+PSI_VARIANTS = ("midpoint", "difference-quotient")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .geometry import (
 from .ode import TimeGrid
 from .pmp import (
     FD_STEP,
+    PSI_VARIANTS,
     ConvergenceReport,
     NewtonSettings,
     TrackingProblem,
@@ -65,8 +66,6 @@ from .pmp import (
 Array = np.ndarray
 # the unpacked Newton unknowns (q, v, lambda, lambda^0) of _DelWorkspace
 Nodes = tuple[Array, Array, Array, Array | None]
-
-PSI_VARIANTS = ("midpoint", "difference-quotient")
 
 # condition-estimate ceiling for calling the one-step matrix nonsingular
 REGULARITY_COND_LIMIT = 1e12

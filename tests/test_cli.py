@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from nhtrack import cli, pmp
 from nhtrack.cli import (
@@ -27,7 +27,6 @@ from nhtrack.cli import (
     SystemBlock,
     compare_experiment,
     config_text,
-    main,
     model_checks,
     parse_config,
     run_experiment,
@@ -344,9 +343,7 @@ class TestParsing:
 
 class TestRunCommand:
     def test_sleigh_bundled_run(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(BUNDLED / "sleigh-paper51.cfg"),
              "--out", str(tmp_path)],
         )
@@ -364,9 +361,7 @@ class TestRunCommand:
         assert diag_header == "t,cost,action,energy,constraint_residual"
 
     def test_particle_bundled_run_reports_terminal_error(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(BUNDLED / "particle-case2.cfg"),
              "--out", str(tmp_path)],
         )
@@ -477,8 +472,7 @@ class TestRunCommand:
             method = pmp-shooting
             """,
         )
-        runner = CliRunner()
-        result = runner.invoke(main, ["run", "--config", str(path)])
+        result = invoke(["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "singular" in result.output
 
@@ -512,8 +506,8 @@ class TestRunCommand:
         if line not in lines:  # a key the bundled config leaves out
             lines.append(line)
         path = write_cfg(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        result = invoke(
+            ["run", "--config", str(path), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 1, result.output
         assert key in result.output
@@ -544,9 +538,8 @@ class TestRunCommand:
             newton_tol = 1e-10
             """,
         )
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["run", "--config", str(cfg_path), "--out", str(tmp_path)]
+        result = invoke(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path)]
         )
         assert result.exit_code == 2
         out = tmp_path / "hopeless"
@@ -560,9 +553,7 @@ class TestRunCommand:
             tmp_path, "second.cfg",
             (BUNDLED / "sleigh-paper51.cfg").read_text(),
         )
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(first), "--config", str(second),
              "--out", str(tmp_path / "multi")],
         )
@@ -578,8 +569,7 @@ class TestRunCommand:
             ),
         )
         good = equilibrium_cfg(tmp_path)
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(bad), "--config", str(good),
              "--out", str(tmp_path / "multi")],
         )
@@ -598,8 +588,7 @@ class TestRunCommand:
         bad = write_cfg(
             tmp_path, "dup.cfg", "[system]\npreset = particle\npreset = sleigh\n"
         )
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(bad),
              "--config", str(BUNDLED / "particle-case2.cfg"),
              "--out", str(tmp_path / "multi")],
@@ -618,8 +607,7 @@ class TestRunCommand:
         (tmp_path / "b").mkdir()
         first = write_cfg(tmp_path / "a", "x.cfg", text)
         second = write_cfg(tmp_path / "b", "x.cfg", text)
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(first), "--config", str(second),
              "--out", str(tmp_path / "multi")],
         )
@@ -638,8 +626,7 @@ class TestRunCommand:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "particle-case2").write_text("in the way\n")
         good = equilibrium_cfg(tmp_path)
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(BUNDLED / "particle-case2.cfg"),
              "--config", str(good), "--out", str(tmp_path / "out")],
         )
@@ -655,8 +642,7 @@ class TestRunCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"# caf\xe9\n[system]\npreset = particle\n")
         good = equilibrium_cfg(tmp_path)
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["run", "--config", str(bad), "--config", str(good),
              "--out", str(tmp_path / "out")],
         )
@@ -690,8 +676,8 @@ class TestRunCommand:
             path = equilibrium_cfg(tmp_path)
         else:
             path = BUNDLED / f"{config}.cfg"
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        result = invoke(
+            ["run", "--config", str(path), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2, result.output
         out = tmp_path / "out" / config
@@ -743,9 +729,8 @@ class TestCompareCommand:
             pmp_steps = 100
             """,
         )
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["compare", "--config", str(cfg_path), "--out", str(tmp_path)]
+        result = invoke(
+            ["compare", "--config", str(cfg_path), "--out", str(tmp_path)]
         )
         assert result.exit_code == 0, result.output
         report = (tmp_path / "mild" / "report.txt").read_text()
@@ -826,8 +811,8 @@ class TestCompareCommand:
 
         monkeypatch.setattr(cli, "solve_del", fail)
         path = equilibrium_cfg(tmp_path)
-        result = CliRunner().invoke(
-            main, ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        result = invoke(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2, result.output
         out = tmp_path / "out" / "equilibrium"
@@ -841,8 +826,8 @@ class TestCompareCommand:
             cli, "_state_field", lambda model, u: lambda t, y: np.full_like(y, np.nan)
         )
         path = equilibrium_cfg(tmp_path)
-        result = CliRunner().invoke(
-            main, ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        result = invoke(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2, result.output
         out = tmp_path / "out" / "equilibrium"
@@ -1033,9 +1018,7 @@ class TestCompareCommand:
         assert str(stacked.value) == str(alone.value)
 
     def test_rejects_shooting_config(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["compare", "--config", str(BUNDLED / "particle-case2.cfg"),
              "--out", str(tmp_path)],
         )
@@ -1046,8 +1029,8 @@ class TestCompareCommand:
         cfg = equilibrium_cfg(tmp_path)
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "equilibrium").write_text("in the way\n")
-        result = CliRunner().invoke(
-            main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        result = invoke(
+            ["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 1, result.output
         assert f"Error: {cfg}: " in result.output
@@ -1067,8 +1050,8 @@ def test_overflowing_rollout_reference_exits_one(tmp_path, command):
     path = _bundled_sleigh_with(
         tmp_path, "rollout_v = 0.3333333333333333 1.0", "rollout_v = 1e200 1e200"
     )
-    result = CliRunner().invoke(
-        main, [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    result = invoke(
+        [command, "--config", str(path), "--out", str(tmp_path / "out")]
     )
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
@@ -1083,8 +1066,8 @@ def test_nonpositive_rollout_step_is_an_error_naming_the_key(tmp_path, value):
     path = _bundled_sleigh_with(
         tmp_path, "rollout_step = 0.01", f"rollout_step = {value}"
     )
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    result = invoke(
+        ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     )
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
@@ -1103,14 +1086,62 @@ def test_retired_initial_guess_mode_is_an_unknown_key(tmp_path, command):
     path = _bundled_sleigh_with(
         tmp_path, "[solver]\n", "[solver]\ninitial_guess_mode = linear-interpolation\n"
     )
-    result = CliRunner().invoke(
-        main, [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    result = invoke(
+        [command, "--config", str(path), "--out", str(tmp_path / "out")]
     )
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "unknown key(s) in [solver]" in result.output
     assert "initial_guess_mode" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["run", "--config", "{tmp}/absent.cfg"], "config file not found"),
+    (["compare", "--config", "{tmp}/absent.cfg"], "config file not found"),
+    (["run", "--config", "{tmp}"], "config file not found"),
+    (["run", "--config", "{particle}", "--out", "{tmp}/file"], "Not a directory"),
+    (["run"], "required: --config"),
+    (["compare", "--out", "{tmp}"], "required: --config"),
+    (["solve", "--config", "{particle}"], "invalid choice: 'solve'"),
+    ([], "required: COMMAND"),
+    (["run", "--config", "{particle}", "--outdir", "{tmp}"], "unrecognized"),
+    (["check", "--seed", "x"], "invalid int value: 'x'"),
+], ids=[
+    "absent-config", "compare-absent-config", "config-directory", "out-file",
+    "no-config", "compare-no-config", "unknown-command", "no-command",
+    "unknown-option", "bad-seed",
+])
+def test_usage_error_exits_one_with_one_error_line(
+    tmp_path, monkeypatch, capsys, argv, problem
+):
+    """A usage error is a configuration error, exit code 1, not 2 (a solve
+    that failed): one Error: line on stderr naming the problem, nothing on
+    stdout and no artifact directory, not even the default ./out."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    particle = BUNDLED / "particle-case2.cfg"
+    args = [arg.format(tmp=tmp_path, particle=particle) for arg in argv]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args, prog_name="nhtrack")
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("Error: ") and problem in line, line
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--help"], ["compare", "--help"], ["check", "--help"],
+    ["presets", "--help"],
+])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv, prog_name="nhtrack")
+    assert exit_.value.code == 0
+    usage = " ".join(["usage: nhtrack", *argv[:-1]])
+    assert capsys.readouterr().out.lower().startswith(usage + " ")
 
 
 def test_rollout_step_passes_step_doubling():
@@ -1152,16 +1183,14 @@ def test_rollout_reference_passes_step_doubling_at_its_nodes_and_midpoints():
 
 class TestCheckAndPresets:
     def test_check_all_passes(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["check"])
+        result = invoke(["check"])
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
         assert "[particle]" in result.output
         assert "[sleigh:paper-5.1]" in result.output
 
     def test_check_unknown_system(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["check", "--system", "unicycle"])
+        result = invoke(["check", "--system", "unicycle"])
         assert result.exit_code == 1
 
     def test_model_checks_structure(self):
@@ -1233,8 +1262,7 @@ class TestCheckAndPresets:
         assert failed == [label]
 
     def test_presets_lists_systems_and_configs(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["presets"])
+        result = invoke(["presets"])
         assert result.exit_code == 0
         assert "particle" in result.output
         assert "sleigh:custom" in result.output

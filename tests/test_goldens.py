@@ -10,9 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
-from nhtrack.cli import main, parse_config
+from nhtrack.cli import parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -36,8 +36,8 @@ def test_seed_zero_instance_matches_goldens(tmp_path, name):
     workload = instances.WORKLOADS[name]
     config = instances.write_config(workload, 0, tmp_path / "cfg", root=REPO)
     out = tmp_path / "out"
-    result = CliRunner().invoke(
-        main, [workload.command, "--config", str(config), "--out", str(out)]
+    result = invoke(
+        [workload.command, "--config", str(config), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
     artifacts = out / config.stem

@@ -5,9 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from nhtrack.cli import main
+from conftest import invoke
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,8 +20,8 @@ def _block(lang: str) -> str:
 def test_readme_config_runs_with_the_variational_newton_defaults(tmp_path):
     config = tmp_path / "readme.cfg"
     config.write_text(_block("ini"), encoding="utf-8")
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    result = invoke(
+        ["run", "--config", str(config), "--out", str(tmp_path / "out")]
     )
     assert result.exit_code == 0, result.output
     report = (tmp_path / "out" / "readme" / "report.txt").read_text("utf-8")

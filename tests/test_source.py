@@ -1,16 +1,19 @@
 """Source hygiene: no package module imports a name it never uses, no
 module-level private name goes unread, no function only forwards its
 parameters to another call, and a record is a dataclass only to check its
-fields."""
+fields.  Dependencies: numpy is the only one, and neither the package nor
+cli imports the variational route before its first use."""
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nhtrack"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "nhtrack"
 # __init__.py imports to re-export through __all__
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -254,3 +257,71 @@ def test_a_record_refuses_assignment(module, name):
     for field in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, 1)
+
+
+def test_no_module_imports_click():
+    """The command line is argparse: click is no dependency of the package."""
+    imports = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "click" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "click"
+    )
+    assert not imports, f"click imported at {', '.join(imports)}"
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_package_and_cli_import_varint_only_on_first_use(name):
+    """A shooting run never loads the variational route: neither the
+    package nor cli imports varint when it is imported, only inside a
+    function (or under `if TYPE_CHECKING:`, which never runs)."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    deferred = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        or isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for sub in ast.walk(node)
+    }
+    eager = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in deferred
+        and (
+            isinstance(node, ast.ImportFrom)
+            and (
+                node.module in ("varint", "nhtrack.varint")
+                or node.module in (None, "nhtrack")
+                and any(a.name == "varint" for a in node.names)
+            )
+            or isinstance(node, ast.Import)
+            and any(a.name == "nhtrack.varint" for a in node.names)
+        )
+    ]
+    assert not eager, f"{name} imports varint at import time, line(s) {eager}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    (deps,) = re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    names = [re.match(r"[\w.-]+", dep).group() for dep in re.findall(r'"(.*?)"', deps)]
+    assert names == ["numpy"], deps
+
+
+def test_psi_variants_has_one_definition():
+    """The Psi_d forms are defined once, in pmp beside CONTINUATIONS, so
+    that cli validates the key without importing varint."""
+    definitions = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and "PSI_VARIANTS" in [
+            getattr(t, "id", None)
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        ]
+    ]
+    assert [where.split(":")[0] for where in definitions] == ["pmp.py"], definitions
