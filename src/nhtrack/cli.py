@@ -224,14 +224,22 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     # no interpolation: a % in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
+    # opened here, not by parser.read, which skips a file it cannot open
     try:
-        read = parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file is a directory: {path}") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"config file {path} cannot be read: {exc.strerror}"
+        ) from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
 
     for required in ("system", "problem", "solver"):
         if required not in parser:

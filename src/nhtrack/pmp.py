@@ -14,17 +14,17 @@ state (q, v) and costate (lambda, mu):
 with u eliminated pointwise through the stationarity condition
 lambda0 eps u + mu = 0.  solve_shooting root-finds the terminal residual over
 the unknown initial costate alpha = (lambda(0), mu(0)) by damped Newton with
-finite-difference Jacobians, by multiple shooting: the grid is cut into M
-time segments (SEGMENTS, or one per time unit on a longer horizon) whose
-flows advance side by side, the packed node (q, v, lambda, mu) at each
-later segment start joins alpha as an unknown, and the continuity gaps
-between segments (angle components wrapped into (-pi, pi], as in
-state_difference) join the terminal residual.  Each
-Newton step solves that whole block-bidiagonal system at once by one dense
-LU with pivoting, so no product of segment Jacobians carries the costate's
-growth over the horizon back into the step.  The segment flows at the
-accepted point, laid end to end, are the returned trajectory, and the
-2-norm of the gaps and terminal residual together is the reported
+finite-difference Jacobians, by multiple shooting: the grid is cut into
+time segments PROBE_STRIDE grid steps long whose flows advance side by
+side, the packed node (q, v, lambda, mu) at each later segment start joins
+alpha as an unknown, and the continuity gaps between segments (angle
+components wrapped into (-pi, pi], as in state_difference) join the
+terminal residual.  Each Newton step solves that whole block-bidiagonal
+system by structured-QR cyclic reduction, batched across the segments
+(_segmented_solve), so no product of segment Jacobians carries the
+costate's growth over the horizon back into the step.  The segment flows
+at the accepted point, laid end to end, are the returned trajectory, and
+the 2-norm of the gaps and terminal residual together is the reported
 residual.
 
 Sign conventions: the adjoint flow is -lambdadot = dH*/dq, -mudot = dH*/dv.
@@ -72,8 +72,8 @@ class FlowDivergedError(ArithmeticError):
 
 
 class SingularJacobianError(ArithmeticError):
-    """Shooting Newton system singular: its LU factorization met an exact
-    zero pivot."""
+    """Shooting Newton system singular: a solve of its block elimination
+    met an exactly zero pivot."""
 
     def __init__(self) -> None:
         super().__init__(
@@ -340,13 +340,12 @@ class ConvergenceReport(NamedTuple):
 # MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
 # finite-difference step of both routes' Jacobians, and it also bounds the
 # error of shooting's coarse probe flow, which takes one RK4 step per
-# PROBE_STRIDE grid steps; a shooting solve cuts its grid into SEGMENTS time
-# segments, or more on a horizon past SEGMENTS time units
+# PROBE_STRIDE grid steps; a shooting solve cuts its grid into segments
+# PROBE_STRIDE grid steps long, so that flow is one RK4 step per segment
 DAMPING = 0.5
 MAX_HALVINGS = 30
 FD_STEP = 1e-6
 PROBE_STRIDE = 4
-SEGMENTS = 25
 
 
 def damped_newton(
@@ -704,6 +703,60 @@ def shooting_residual(
     return _terminal_residual(model, problem, ys[-1])
 
 
+def _segmented_solve(jumps: Array, terminal: Array, b: Array) -> Array:
+    """The solution x of a multiple-shooting Newton system J x = b.
+
+    The nodes are z_0 .. z_K, each of width w; x is all of them but the
+    first p = w / 2 entries of z_0 (the fixed initial state, held at zero).
+    The rows are the K gaps G_i z_i - z_{i+1} = b_i, jumps[i] = G_i of
+    shape (w, w), then the p terminal rows T z_K = b_T, terminal = T of
+    shape (p, w).  Structured-QR cyclic reduction (S. J. Wright, SIAM J.
+    Sci. Stat. Comput. 13, 1992): each level takes the equations in pairs
+    and makes one stacked complete QR of the (2w, w) column of each pair's
+    shared node z_m.  Q^T turns the pair into R z_m + E z_l + F z_r = d,
+    kept for the way back, and one equation between z_l and z_r for the
+    next level; an odd count carries its last equation up.  The equation
+    left over between z_0 and z_K, with the p fixed-state rows and the
+    terminal rows, is one 2w-square solve with partial pivoting; stacked
+    solves on the kept R recover the eliminated nodes level by level.  No
+    product of the G_i is formed.  LinAlgError when any solve meets an
+    exactly zero pivot.
+    """
+    k, p = len(jumps), len(terminal)
+    w = 2 * p
+    fixed = np.eye(p, w)  # the rows [I_p 0] that pin the state part of z_0
+    if k == 0:  # one segment: the terminal rows act on z_0 itself
+        square = np.vstack([fixed, terminal])
+        return np.linalg.solve(square, np.r_[np.zeros(p), b])[p:]
+    left, right = jumps, np.broadcast_to(-np.eye(w), jumps.shape)
+    rhs, nodes = b[:-p].reshape(k, w), np.arange(k + 1)
+    levels = []
+    while len(left) > 1:  # equation e links z at nodes[e] and at nodes[e + 1]
+        e = len(left) // 2 * 2
+        q, r = np.linalg.qr(
+            np.concatenate([right[:e:2], left[1:e:2]], axis=1), mode="complete"
+        )
+        qt = q.mT
+        outer_l, outer_r = qt[..., :w] @ left[:e:2], qt[..., w:] @ right[1:e:2]
+        d = np.matvec(qt, np.concatenate([rhs[:e:2], rhs[1:e:2]], axis=1))
+        levels.append((nodes[1:e:2], nodes[:e:2], nodes[2 : e + 1 : 2],
+                       r[:, :w], outer_l[:, :w], outer_r[:, :w], d[:, :w]))
+        left = np.concatenate([outer_l[:, w:], left[e:]])
+        right = np.concatenate([outer_r[:, w:], right[e:]])
+        rhs = np.concatenate([d[:, w:], rhs[e:]])
+        nodes = np.concatenate([nodes[: e + 1 : 2], nodes[e + 1 :]])
+    final = np.block([
+        [left[0], right[0]], [fixed, np.zeros((p, w))], [np.zeros((p, w)), terminal]
+    ])
+    pair = np.linalg.solve(final, np.r_[rhs[0], np.zeros(p), b[-p:]])
+    z = np.empty((k + 1, w))
+    z[0], z[-1] = pair[:w], pair[w:]
+    for mid, lo, hi, r, e_l, e_r, d in reversed(levels):
+        known = d - np.matvec(e_l, z[lo]) - np.matvec(e_r, z[hi])
+        z[mid] = np.linalg.solve(r, known[..., None])[..., 0]
+    return z.ravel()[p:]
+
+
 def _newton_shoot(
     model: SystemModel,
     problem: TrackingProblem,
@@ -739,9 +792,10 @@ def _newton_shoot(
     alone at the grid step (a coarse flow that missed once has not been
     seen to fit again), row 0 being the evaluation's own ends, which gives
     the grid-step Jacobian.  The root is the grid-step residual's either
-    way (an inexact Jacobian only changes the convergence), and the
-    correction solves the whole square Jacobian over the unknowns
-    (np.linalg.solve; SingularJacobianError when exactly singular).  A
+    way (an inexact Jacobian only changes the convergence).  The correction
+    hands the segment Jacobians G_i and the terminal rows to
+    _segmented_solve, a block elimination batched across the segments
+    (SingularJacobianError when one of its solves is exactly singular).  A
     trial whose flow diverges is rejected; at the start point, and in a
     grid-step probe flow, FlowDivergedError propagates.
     Returns the costate at t = 0, the (times, ys) series of the segment
@@ -797,20 +851,6 @@ def _newton_shoot(
         probes = _flow(rhs, stack[:, 1:], starts, grid.h, span)[at_ends]
         return np.concatenate([fine[:, None], probes], axis=1)
 
-    def jacobian(z: Array, ends: Array, res_T: Array) -> Array:
-        # the Jacobian over every start z_j, by row block i: gap i has G_i
-        # = d end_i / d z_i on z_i and -I on z_{i+1}, and the terminal rows
-        # fill the first p rows of the last block.  Dropping that block's
-        # last p rows and the fixed state columns of z_0 leaves it square
-        steps = fd_steps(z)
-        blocks = (ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]
-        jac = np.zeros((segments, w, segments, w))
-        i = np.arange(segments - 1)
-        jac[i, :, i] = blocks.transpose(0, 2, 1)
-        jac[i, :, i + 1] = -np.eye(w)
-        jac[-1, :p, -1] = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
-        return jac.reshape(segments * w, segments * w)[:-p, p:]
-
     def evaluate(x: Array) -> tuple[Array, Array]:
         z = segment_starts(x)
         ys = _flow(rhs, z[:, None], starts, grid.h, span)[:, :, 0]
@@ -828,9 +868,14 @@ def _newton_shoot(
     def correction(x: Array, r: Array, ys: Array) -> Array:
         z = segment_starts(x)
         ends = probe_ends(z, ys[at_ends])
-        jac = jacobian(z, ends, _terminal_residual(model, problem, ends[-1]))
+        # G_i = d end_i / d z_i by forward differences, column j from probe
+        # j, and the terminal rows' columns likewise from the last segment
+        steps = fd_steps(z)
+        jumps = ((ends[:-1, 1:] - ends[:-1, :1]) / steps[:-1, :, None]).mT
+        res_T = _terminal_residual(model, problem, ends[-1])
+        terminal = ((res_T[1:] - res_T[0]) / steps[-1][:, None]).T
         try:
-            return np.linalg.solve(jac, -r)
+            return _segmented_solve(jumps, terminal, -r)
         except np.linalg.LinAlgError:
             raise SingularJacobianError() from None
 
@@ -881,16 +926,17 @@ def solve_shooting(
 ) -> tuple[Costate, ShootingTrajectory, ConvergenceReport]:
     """Damped-Newton shooting on the terminal residual, by segments.
 
-    Each Newton solve is _newton_shoot on M = max(SEGMENTS, ceil(T))
-    segments, T the solve's horizon, so that a segment spans at most one
-    time unit on a long horizon; M is capped by the grid's steps.
-    Forward-difference Jacobians (step FD_STEP * max(1, |entry|)) come from
-    one probe flow per Newton step, at one RK4 step per PROBE_STRIDE grid
-    steps while that flow lands within the probe steps of the grid-step
-    one, else at the grid step.  Each Newton step is one dense solve of the
-    whole segmented system (gaps and terminal residual over the initial
-    costate and every node), and a backtracking line search halves the
-    step until the residual 2-norm decreases (at most MAX_HALVINGS times).
+    Each Newton solve is _newton_shoot on M = ceil(s / PROBE_STRIDE)
+    segments, s the steps of the solve's grid, so that a segment spans
+    PROBE_STRIDE grid steps (some one fewer where s is not a multiple of
+    it).  Forward-difference Jacobians (step FD_STEP * max(1,
+    |entry|)) come from one probe flow per Newton step, at one RK4 step per
+    segment while that flow lands within the probe steps of the grid-step
+    one, else at the grid step.  Each Newton step solves the whole
+    segmented system (gaps and terminal residual over the initial costate
+    and every node) by a block elimination batched across the segments,
+    and a backtracking line search halves the step until the residual
+    2-norm decreases (at most MAX_HALVINGS times).
     A trial whose flow diverges counts as rejected; a stage whose start
     point or grid-step probe flow so diverges raises FlowDivergedError.
     With settings.continuation = "horizon" the initial costate is first
@@ -919,7 +965,7 @@ def solve_shooting(
     missed_stages = []
     for j, (stage_problem, stage_grid) in enumerate(stages, start=1):
         # a failed stage still leaves the best costate and flow found so far
-        segments = max(SEGMENTS, math.ceil(stage_problem.horizon_T))
+        segments = -(-stage_grid.steps // PROBE_STRIDE)
         alpha_vec, series, report = _newton_shoot(
             model, stage_problem, alpha_vec, settings, stage_grid, segments, series
         )

@@ -135,6 +135,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/path.cfg")
 
+    def test_a_path_that_cannot_be_opened_is_named_for_what_it_is(self, tmp_path):
+        """parse_config opens the file itself, so a path that exists but
+        cannot be read is not reported as a missing file."""
+        with pytest.raises(ConfigError, match="config file is a directory"):
+            parse_config(tmp_path)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot be read: Not a directory"):
+            parse_config(tmp_path / "file" / "run.cfg")
+
     def test_missing_section(self, tmp_path):
         path = write_cfg(tmp_path, "bad.cfg", "[system]\npreset = particle\n")
         with pytest.raises(ConfigError, match=r"missing \[problem\]"):
@@ -406,6 +415,33 @@ class TestRunCommand:
             costate_at_0(tmp_path / "none"), costate_at_0(tmp_path / "ladder"),
             rtol=0, atol=1e-8,
         )
+
+    @pytest.mark.parametrize(
+        "horizon, epsilon", [(4.0, 3e-4), (12.0, 0.01), (12.0, 1e-3)]
+    )
+    def test_hard_terminal_particle_shoots_at_a_small_control_weight(
+        self, tmp_path, horizon, epsilon
+    ):
+        """The bundled particle pinned at T (terminal_mode = hard, 100 steps
+        per time unit, max_iters = 20) converges by `run` from a zero
+        costate at control weights where 25 segments failed (no convergence
+        in 20 iterations, or a start point whose flow diverged), within
+        1.35 s: half of what the T = 12, epsilon = 1e-3 solve took with a
+        dense Newton step on 300 segments."""
+        text = (BUNDLED / "particle-case2.cfg").read_text(encoding="utf-8")
+        for key, value in [("horizon_T", horizon), ("epsilon", epsilon),
+                           ("terminal_mode", "hard"), ("steps", round(100 * horizon)),
+                           ("max_iters", 20)]:
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "hard.cfg"
+        path.write_text(text, encoding="utf-8")
+        t0 = time.perf_counter()
+        result = invoke(["run", "--config", str(path), "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - t0
+        assert result.exit_code == 0, result.output
+        report = (tmp_path / "hard" / "report.txt").read_text(encoding="utf-8")
+        assert "converged: yes" in report and "continuation = none" in report
+        assert elapsed < 1.35, f"T = {horizon:g}, epsilon = {epsilon:g}: {elapsed:.2f} s"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(BUNDLED / "sleigh-paper51.cfg")
@@ -1099,7 +1135,7 @@ def test_retired_initial_guess_mode_is_an_unknown_key(tmp_path, command):
 @pytest.mark.parametrize("argv, problem", [
     (["run", "--config", "{tmp}/absent.cfg"], "config file not found"),
     (["compare", "--config", "{tmp}/absent.cfg"], "config file not found"),
-    (["run", "--config", "{tmp}"], "config file not found"),
+    (["run", "--config", "{tmp}"], "config file is a directory"),
     (["run", "--config", "{particle}", "--out", "{tmp}/file"], "Not a directory"),
     (["run"], "required: --config"),
     (["compare", "--out", "{tmp}"], "required: --config"),

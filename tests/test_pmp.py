@@ -586,13 +586,24 @@ def test_solve_shooting_short_horizon_converges_and_reports():
     np.testing.assert_array_equal(traj.v[0], prob.initial_state.v)
 
 
-def test_solve_shooting_already_converged_returns_zero_iterations(monkeypatch):
-    """By single shooting (SEGMENTS = 1 on a unit horizon) the initial
-    costate is the only unknown, so a root given as alpha0 is a start
-    within tolerance; with nodes, alpha0 sets only the initial costate."""
+def _single_shooting(monkeypatch):
+    """Make every Newton solve of solve_shooting single shooting: the
+    real _newton_shoot on one segment, whatever M the solve asks for."""
     import nhtrack.pmp as pmp
 
-    monkeypatch.setattr(pmp, "SEGMENTS", 1)
+    real_shoot = pmp._newton_shoot
+
+    def shoot(model, problem, alpha_vec, settings, grid, segments, guide):
+        return real_shoot(model, problem, alpha_vec, settings, grid, 1, guide)
+
+    monkeypatch.setattr(pmp, "_newton_shoot", shoot)
+
+
+def test_solve_shooting_already_converged_returns_zero_iterations(monkeypatch):
+    """By single shooting the initial costate is the only unknown, so a
+    root given as alpha0 is a start within tolerance; with nodes, alpha0
+    sets only the initial costate."""
+    _single_shooting(monkeypatch)
     model = particle_model()
     prob = short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 50))
@@ -659,22 +670,22 @@ def test_solve_shooting_names_each_ladder_stage_that_did_not_converge():
 @pytest.mark.parametrize(
     "continuation, stages, mode, expected",
     [
-        ("none", 4, "mayer", [(4.0, 1.0, "mayer", 400, 25)]),
-        ("horizon", 1, "mayer", [(4.0, 1.0, "mayer", 400, 25)]),
+        ("none", 4, "mayer", [(4.0, 1.0, "mayer", 400, 100)]),
+        ("horizon", 1, "mayer", [(4.0, 1.0, "mayer", 400, 100)]),
         (
             "horizon", 4, "mayer",
-            [(1.0, 1.0, "mayer", 100, 25), (2.0, 1.0, "mayer", 200, 25),
-             (3.0, 1.0, "mayer", 300, 25), (4.0, 1.0, "mayer", 400, 25)],
+            [(1.0, 1.0, "mayer", 100, 25), (2.0, 1.0, "mayer", 200, 50),
+             (3.0, 1.0, "mayer", 300, 75), (4.0, 1.0, "mayer", 400, 100)],
         ),
         (
             "terminal-weight", 3, "hard",
-            [(4.0 / 3.0, 1.0, "mayer", 133, 25), (8.0 / 3.0, 1.0, "mayer", 267, 25),
-             (4.0, 1.0, "mayer", 400, 25), (4.0, 10.0, "mayer", 400, 25),
-             (4.0, 100.0, "mayer", 400, 25), (4.0, 1.0, "hard", 400, 25)],
+            [(4.0 / 3.0, 1.0, "mayer", 133, 34), (8.0 / 3.0, 1.0, "mayer", 267, 67),
+             (4.0, 1.0, "mayer", 400, 100), (4.0, 10.0, "mayer", 400, 100),
+             (4.0, 100.0, "mayer", 400, 100), (4.0, 1.0, "hard", 400, 100)],
         ),
         (
             "terminal-weight", 1, "hard",
-            [(4.0, 1.0, "mayer", 400, 25), (4.0, 1.0, "hard", 400, 25)],
+            [(4.0, 1.0, "mayer", 400, 100), (4.0, 1.0, "hard", 400, 100)],
         ),
     ],
 )
@@ -683,7 +694,8 @@ def test_solve_shooting_runs_the_continuation_stages_in_order(
 ):
     """The horizon ladder T j/s, the Mayer relaxation with omega scaled by
     10 per stage, then the problem itself: (horizon_T, omega, terminal_mode,
-    grid.steps, segments) of every Newton solve on a 400-step grid.  Each
+    grid.steps, segments) of every Newton solve on a 400-step grid, with
+    segments = ceil(steps / PROBE_STRIDE), one per four grid steps.  Each
     stub solve returns its costate plus one, so the starts show the
     warm-start chain; each stage is guided by the flow of the stage before
     it."""
@@ -1307,12 +1319,12 @@ def test_the_bundled_particle_keeps_the_coarse_probe_flow_at_every_correction(
     monkeypatch,
 ):
     """The bundled particle's solve evaluates five points, each a flow of
-    its 25 segment starts alone by 16 grid steps; each of its four
-    corrections keeps its coarse probe flow of 4 steps, and the last point,
+    its 100 segment starts alone by 4 grid steps; each of its four
+    corrections keeps its coarse probe flow of 1 step, and the last point,
     converged, flows no probes."""
     report, events = _bundled_particle_solve(monkeypatch)
     assert (report.converged, report.iterations) == (True, 4)
-    bare, coarse = ((25, 1, 10), 16, False), ((25, 11, 10), 4, True)
+    bare, coarse = ((100, 1, 10), 4, False), ((100, 11, 10), 1, True)
     assert events == [bare, coarse] * 4 + [bare]
 
 
@@ -1327,8 +1339,7 @@ def test_the_bundled_particle_at_a_small_epsilon_falls_back_at_every_correction(
     for bit: 10 iterations with the same step lengths, to the residual of
     the solve whose every correction is forced to the grid-step probes.
     That last residual is rounding noise of the linear algebra:
-    8.830137e-11 with single-threaded OpenBLAS, 8.829182e-11 with two
-    threads."""
+    8.829578e-11 with one OpenBLAS thread and with two."""
     report, events = _bundled_particle_solve(monkeypatch, steps=100, epsilon=0.001)
     events = list(events)  # the forced solve below logs into the same list
     _force_grid_step_probes(monkeypatch)
@@ -1478,13 +1489,14 @@ def test_singular_jacobian_error_suggests_regularization():
     assert not hasattr(err, "cond")
 
 
-@pytest.mark.parametrize("segments", [1, 4])
+@pytest.mark.parametrize("segments", [1, 4, 25])
 def test_a_system_blind_to_the_costate_raises_singular_jacobian(
     monkeypatch, segments
 ):
     """Under a zero field the hard terminal rows ignore every costate
     column, so the Newton system is singular and the solve raises, with
-    one segment and with several."""
+    one segment and with several, the block elimination running five
+    levels at M = 25."""
     import nhtrack.pmp as pmp
 
     monkeypatch.setattr(
@@ -1592,6 +1604,87 @@ def _segmented_instance(system):
     return sleigh_model(SLEIGH_PARAMS), _sleigh_problem()
 
 
+def _assembled(jumps, terminal):
+    """The dense square matrix of _segmented_solve's system: row block i
+    has G_i on z_i and -I on z_{i+1}, the terminal rows fill the first p
+    rows of the last block on z_K, and the last block's other p rows and
+    the fixed-state columns of z_0 are dropped."""
+    k, p = len(jumps), len(terminal)
+    w, m = 2 * p, k + 1
+    jac = np.zeros((m, w, m, w))
+    i = np.arange(k)
+    jac[i, :, i] = jumps
+    jac[i, :, i + 1] = -np.eye(w)
+    jac[-1, :p, -1] = terminal
+    return jac.reshape(m * w, m * w)[:-p, p:]
+
+
+def _recorded_segmented_solves(monkeypatch):
+    """Log the (jumps, terminal, b) of every pmp._segmented_solve call."""
+    import nhtrack.pmp as pmp
+
+    systems, real_solve = [], pmp._segmented_solve
+
+    def recording_solve(jumps, terminal, b):
+        systems.append((jumps.copy(), terminal.copy(), b.copy()))
+        return real_solve(jumps, terminal, b)
+
+    monkeypatch.setattr(pmp, "_segmented_solve", recording_solve)
+    return systems
+
+
+def _relative_gap(x, reference):
+    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("gaps", [0, 1, 2, 3, 24, 99])
+def test_segmented_solve_matches_the_dense_solve(gaps):
+    """On random systems with K gap equations, odd and even K, the block
+    elimination solves what np.linalg.solve of the assembled matrix does,
+    within 1e-12 relative, at a normwise backward error within 1e-15.  The
+    G_i are I + 0.2 N(0, 1): a segment a few grid steps long moves its
+    start little (the assembled matrices' condition numbers reach 1e5)."""
+    from nhtrack.pmp import _segmented_solve
+
+    rng = np.random.default_rng(gaps)
+    p, w = 5, 10
+    jumps = np.eye(w) + 0.2 * rng.normal(size=(gaps, w, w))
+    terminal = rng.normal(size=(p, w))
+    b = rng.normal(size=gaps * w + p)
+    x = _segmented_solve(jumps, terminal, b)
+    dense = _assembled(jumps, terminal)
+    assert x.shape == b.shape
+    assert _relative_gap(x, np.linalg.solve(dense, b)) <= 1e-12
+    backward = np.linalg.norm(dense @ x - b) / (
+        np.linalg.norm(dense, 2) * np.linalg.norm(x) + np.linalg.norm(b)
+    )
+    assert backward <= 1e-15
+
+
+@pytest.mark.parametrize("system", ["particle", "sleigh"])
+def test_segmented_solve_matches_the_dense_solve_on_real_newton_systems(
+    monkeypatch, system
+):
+    """Every Newton system of a real solve (the bundled particle on 100
+    segments; the short sleigh instance on 25) solves as np.linalg.solve of
+    the assembled matrix does, within 1e-12 relative."""
+    from nhtrack.pmp import _segmented_solve
+
+    systems = _recorded_segmented_solves(monkeypatch)
+    if system == "particle":
+        report, _ = _bundled_particle_solve(monkeypatch)
+        assert len(systems[0][0]) == 99
+    else:
+        model, problem = _segmented_instance(system)
+        settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 100))
+        _, _, report = solve_shooting(model, problem, settings=settings)
+        assert len(systems[0][0]) == 24
+    assert report.converged and len(systems) == report.iterations
+    for jumps, terminal, b in systems:
+        dense = np.linalg.solve(_assembled(jumps, terminal), b)
+        assert _relative_gap(_segmented_solve(jumps, terminal, b), dense) <= 1e-12
+
+
 @pytest.mark.parametrize("system", ["particle", "sleigh"])
 def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
     """The square matrix the grid-step probes assemble is the Jacobian of
@@ -1607,19 +1700,13 @@ def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
     x0 = captured["x"]
     x = x0 + 0.1 * np.random.default_rng(53).normal(size=x0.size)
     r, ys = evaluate(x)
-    solved, real_solve = [], np.linalg.solve
-
-    def recording_solve(a, b):
-        solved.append(a)
-        return real_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    systems = _recorded_segmented_solves(monkeypatch)
     events = _logged_flows(monkeypatch)
     correction(x, r, ys)
     assert _letters(events) == "c"
     _force_grid_step_probes(monkeypatch)
     correction(x, r, ys)
-    coarse, dense = solved
+    coarse, dense = (_assembled(jumps, terminal) for jumps, terminal, _ in systems)
     assert dense.shape == (x.size, x.size)
     step = 1e-5
     central = np.column_stack([
@@ -1632,24 +1719,22 @@ def test_assembled_jacobian_matches_central_differences(monkeypatch, system):
 
 
 def test_single_shooting_finds_the_segmented_root(monkeypatch):
-    """With SEGMENTS = 1 every solve is single shooting; on the same grid it
-    lands on the root of the segmented solve."""
-    import nhtrack.pmp as pmp
-
+    """Forced to one segment every solve is single shooting; on the same
+    grid it lands on the root of the segmented solve."""
     model, problem = particle_model(), short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 100))
     segmented, _, report = solve_shooting(model, problem, settings=settings)
     assert report.converged
-    monkeypatch.setattr(pmp, "SEGMENTS", 1)
+    _single_shooting(monkeypatch)
     single, _, report = solve_shooting(model, problem, settings=settings)
     assert report.converged
     np.testing.assert_allclose(single.as_vector(), segmented.as_vector(), atol=1e-8)
 
 
 def test_a_prime_step_count_solves_by_uneven_segments(monkeypatch):
-    """101 steps have no divisor from 2 to SEGMENTS: the solve still runs
-    SEGMENTS segments of 4 and 5 steps, and it lands on the root that
-    single shooting alone finds on that grid."""
+    """101 steps are prime: the solve runs ceil(101 / PROBE_STRIDE) = 26
+    segments of 3 and 4 steps, and it lands on the root that single
+    shooting alone finds on that grid."""
     import nhtrack.pmp as pmp
 
     calls = []
@@ -1663,12 +1748,12 @@ def test_a_prime_step_count_solves_by_uneven_segments(monkeypatch):
     model, problem = particle_model(), short_case2_problem()
     settings = ShootingSettings(inner_grid=TimeGrid(0.0, 1.0, 101))
     alpha, traj, report = solve_shooting(model, problem, settings=settings)
-    assert calls == [pmp.SEGMENTS]
+    assert calls == [26]
     assert report.converged
     assert traj.times.shape == (102,)
     assert report.residual_norm == report.records[-1].residual_norm
 
-    monkeypatch.setattr(pmp, "SEGMENTS", 1)
+    _single_shooting(monkeypatch)
     single, _, report = solve_shooting(model, problem, settings=settings)
     assert report.converged
     np.testing.assert_allclose(alpha.as_vector(), single.as_vector(), atol=1e-8)
@@ -1742,9 +1827,9 @@ def test_the_bundled_particle_converges_at_horizon_64():
 
 def test_the_bundled_particle_converges_at_horizon_128(monkeypatch):
     """At T = 128, 25 segments would each span 5.1 time units, and from a
-    zero costate that solve fails; with one segment per time unit it
-    converges, inside a time budget, and every correction keeps its coarse
-    probe flow."""
+    zero costate that solve fails; with a segment per four grid steps (3200
+    of them) it converges, inside a time budget, and every correction keeps
+    its coarse probe flow."""
     events = _logged_flows(monkeypatch)
     report = _converges_within(128.0, 15.0)
     assert _letters(events).count("c") == report.iterations
