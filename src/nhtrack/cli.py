@@ -201,7 +201,7 @@ def _parse_value(key: str, raw: str, hint):
     return value
 
 
-def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path):
+def _parse_block(parser: configparser.ConfigParser, name: str):
     """One section as its block: each key typed by its field, each absent
     key left at its field default."""
     block = SECTIONS[name]
@@ -209,9 +209,7 @@ def _parse_block(parser: configparser.ConfigParser, name: str, path: str | Path)
     known = {parser.optionxform(key) for key in block._fields}
     unknown = sorted(set(section) - known)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in [{name}] of {path}: {', '.join(unknown)}"
-        )
+        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
     hints = typing.get_type_hints(block)
     return block(**{
         key: _parse_value(key, section[key], hints[key])
@@ -228,29 +226,33 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
+    # one line each, without the path, which the caller prints before it
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError("config file not found") from None
     except IsADirectoryError:
-        raise ConfigError(f"config file is a directory: {path}") from None
+        raise ConfigError("config file is a directory") from None
     except OSError as exc:
-        raise ConfigError(
-            f"config file {path} cannot be read: {exc.strerror}"
-        ) from None
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ConfigError(f"config file cannot be read: {exc.strerror}") from None
+    except configparser.Error as exc:  # its text spans lines and names the file
+        if isinstance(exc, configparser.MissingSectionHeaderError):
+            lineno, what = exc.lineno, "comes before any [section] header"
+        elif isinstance(exc, configparser.ParsingError):
+            lineno, what = exc.errors[0][0], f"cannot parse {exc.errors[0][1]}"
+        else:  # a repeated section or option
+            lineno, what = exc.lineno, str(exc).partition("]: ")[2]
+        raise ConfigError(f"malformed config file, line {lineno}: {what}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+        raise ConfigError(f"config file is not UTF-8: {exc}") from exc
 
     for required in ("system", "problem", "solver"):
         if required not in parser:
-            raise ConfigError(f"missing [{required}] section in {path}")
+            raise ConfigError(f"missing [{required}] section")
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(
-                f"unknown section [{section}] in {path}; "
-                f"known: {', '.join(SECTIONS)}"
+                f"unknown section [{section}]; known: {', '.join(SECTIONS)}"
             )
-    blocks = {name: _parse_block(parser, name, path) for name in SECTIONS}
+    blocks = {name: _parse_block(parser, name) for name in SECTIONS}
     solver = blocks["solver"]
     defaults = (ShootingSettings if solver.method == "pmp-shooting"
                 else _varint("DelSettings"))

@@ -259,8 +259,8 @@ class Costate:
 class NewtonSettings:
     """Damped-Newton settings shared by the shooting and variational solves:
     newton_tol bounds the residual norm at convergence, max_iters the Newton
-    steps.  The line search and finite-difference constants are the module
-    constants DAMPING, MAX_HALVINGS and FD_STEP."""
+    steps, fewer if the solve stalls (damped_newton).  The line search and
+    finite-difference constants are DAMPING, MAX_HALVINGS and FD_STEP."""
 
     newton_tol: float = 1e-8
     max_iters: int = 50
@@ -336,14 +336,13 @@ class ConvergenceReport(NamedTuple):
     message: str
 
 
-# a rejected trial step is scaled by DAMPING, and the step scaled
-# MAX_HALVINGS + 1 times is taken whatever its residual; FD_STEP is the
+# a rejected trial step is scaled by DAMPING, at most MAX_HALVINGS times
+# (2^-20, about 1e-6), else the solve has stalled; FD_STEP is the
 # finite-difference step of both routes' Jacobians, and it also bounds the
-# error of shooting's coarse probe flow, which takes one RK4 step per
-# PROBE_STRIDE grid steps; a shooting solve cuts its grid into segments
-# PROBE_STRIDE grid steps long, so that flow is one RK4 step per segment
+# error of shooting's coarse probe flow, one RK4 step per shooting segment,
+# which is PROBE_STRIDE grid steps long
 DAMPING = 0.5
-MAX_HALVINGS = 30
+MAX_HALVINGS = 20
 FD_STEP = 1e-6
 PROBE_STRIDE = 4
 
@@ -364,11 +363,12 @@ def damped_newton(
     data that evaluate returned there (so an evaluation can carry the
     Jacobian of its point, or the unpacked unknowns, to the step that
     follows it).  Each iteration tries x + beta delta for beta =
-    DAMPING^halving, halving = 0 .. MAX_HALVINGS + 1, and accepts the first
+    DAMPING^halving, halving = 0 .. MAX_HALVINGS, and accepts the first
     trial whose residual norm decreases; a trial whose evaluation fails
-    numerically (ArithmeticError) counts as no decrease.  The last trial is
-    taken anyway, decrease or not; if it fails to evaluate, the solve stops
-    unconverged at the current iterate with a message naming the error.
+    numerically (ArithmeticError) counts as no decrease.  When none
+    decreases it, the solve stops unconverged at the current iterate as
+    "stalled at iteration k: ...", naming the smallest scale tried, the
+    norm and any failed trial's error (Nocedal & Wright, 2nd ed., 3.1).
     An error raised by evaluate at the start point or by correction
     propagates.  Returns (x, data, report).
     """
@@ -381,9 +381,7 @@ def damped_newton(
         converged: bool, iterations: int, message: str
     ) -> tuple[Array, Any, ConvergenceReport]:
         # the current iterate, its data and the log so far
-        report = ConvergenceReport(
-            converged, iterations, r_norm, tuple(records), message
-        )
+        report = ConvergenceReport(converged, iterations, r_norm, tuple(records), message)
         return x, data, report
 
     if r_norm <= settings.newton_tol:
@@ -391,24 +389,24 @@ def damped_newton(
 
     for iteration in range(1, settings.max_iters + 1):
         delta = correction(x, r, data)
-        for halving in range(MAX_HALVINGS + 2):
+        failure = ""
+        for halving in range(MAX_HALVINGS + 1):
             beta = DAMPING**halving
             cand = x + beta * delta
             try:
                 r_c, data_c = evaluate(cand)
             except ArithmeticError as exc:
-                if halving > MAX_HALVINGS:
-                    return result(
-                        False, iteration - 1,
-                        f"no step could be evaluated at iteration {iteration}: "
-                        f"{exc} ({norm_name} {r_norm:.3e})",
-                    )
+                failure = f"; last failed trial: {exc}"
                 continue
-            if norm(r_c) < r_norm:
+            if (c_norm := norm(r_c)) < r_norm:
                 break
-
-        x, r, data = cand, r_c, data_c
-        r_norm = norm(r)
+        else:
+            return result(
+                False, iteration - 1,
+                f"stalled at iteration {iteration}: no step scale down to "
+                f"{beta:.3e} decreased the {norm_name} {r_norm:.3e}{failure}",
+            )
+        x, r, data, r_norm = cand, r_c, data_c, c_norm
         records.append(IterationRecord(iteration, r_norm, beta))
         if r_norm <= settings.newton_tol:
             return result(True, iteration, "converged")
@@ -936,7 +934,7 @@ def solve_shooting(
     segmented system (gaps and terminal residual over the initial costate
     and every node) by a block elimination batched across the segments,
     and a backtracking line search halves the step until the residual
-    2-norm decreases (at most MAX_HALVINGS times).
+    2-norm decreases, at most MAX_HALVINGS times, else the stage stalls.
     A trial whose flow diverges counts as rejected; a stage whose start
     point or grid-step probe flow so diverges raises FlowDivergedError.
     With settings.continuation = "horizon" the initial costate is first

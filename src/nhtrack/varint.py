@@ -772,9 +772,9 @@ def solve_del(
     The correction solves the block-tridiagonal saddle system directly, by
     block cyclic reduction with the first-interval border eliminated
     through its Schur complement; backtracking halves the step until the
-    residual max-norm decreases, and a trial step whose residual fails
-    numerically (ArithmeticError) counts as a rejected step.
-    Nonconvergence is reported, not raised.
+    residual max-norm decreases, at most MAX_HALVINGS times, else the solve
+    stalls, and a trial whose residual fails numerically (ArithmeticError)
+    counts as rejected.  Nonconvergence is reported, not raised.
     """
     check_del(problem, grid)
     if coarse is not None and (

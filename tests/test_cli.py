@@ -132,16 +132,19 @@ class TestParsing:
         assert config_text(parse_config(echoed)) == once
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
+        # the caller names the file, so the message does not
+        with pytest.raises(ConfigError, match="^config file not found$"):
             parse_config("/nonexistent/path.cfg")
 
     def test_a_path_that_cannot_be_opened_is_named_for_what_it_is(self, tmp_path):
         """parse_config opens the file itself, so a path that exists but
         cannot be read is not reported as a missing file."""
-        with pytest.raises(ConfigError, match="config file is a directory"):
+        with pytest.raises(ConfigError, match="^config file is a directory$"):
             parse_config(tmp_path)
         (tmp_path / "file").write_text("", encoding="utf-8")
-        with pytest.raises(ConfigError, match="cannot be read: Not a directory"):
+        with pytest.raises(
+            ConfigError, match="^config file cannot be read: Not a directory$"
+        ):
             parse_config(tmp_path / "file" / "run.cfg")
 
     def test_missing_section(self, tmp_path):
@@ -330,16 +333,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^{key}: .* is not finite"):
             parse_config(path)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["[system]\npreset = particle\npreset = sleigh\n",
-         "preset = particle\n[system]\n"],
-    )
-    def test_malformed_file_is_named(self, tmp_path, text):
+    @pytest.mark.parametrize("text, message", [
+        ("[system]\npreset = particle\npreset = sleigh\n",
+         "line 3: option 'preset' in section 'system' already exists"),
+        ("[system]\n[system]\n", "line 2: section 'system' already exists"),
+        ("preset = particle\n[system]\n", "line 1: comes before any [section] header"),
+        ("[system]\npreset particle\n", "line 2: cannot parse 'preset particle\\n'"),
+    ], ids=["repeated-option", "repeated-section", "no-section", "no-delimiter"])
+    def test_malformed_file_is_named(self, tmp_path, text, message):
+        """configparser's own text spans lines and names the file; the
+        Error line names it once, with a one-line message after it."""
         path = write_cfg(tmp_path, "malformed.cfg", text)
-        named = f"malformed config file {re.escape(str(path))}"
-        with pytest.raises(ConfigError, match=named):
+        message = f"malformed config file, {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(path)
+        result = invoke(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}: {message}\n"
 
     def test_percent_in_a_value_is_literal(self, tmp_path):
         text = equilibrium_cfg(tmp_path).read_text()

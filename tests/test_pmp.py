@@ -650,8 +650,33 @@ def test_solve_shooting_horizon_continuation_reaches_full_horizon():
     assert np.linalg.norm(r) <= settings.newton_tol
 
 
-def test_solve_shooting_names_each_ladder_stage_that_did_not_converge():
+@pytest.mark.parametrize("first_stage, missed_message", [
+    ("capped", r"no convergence in 1 iterations \(residual norm \S+\)"),
+    ("stalled", r"stalled at iteration 1: no step scale down to 9\.537e-07 "
+                r"decreased the residual norm \S+"),
+], ids=["capped", "stalled"])
+def test_solve_shooting_names_each_ladder_stage_that_did_not_converge(
+    monkeypatch, first_stage, missed_message
+):
+    """Stage 1 of a two-stage horizon ladder ends unconverged, either at
+    max_iters = 1 or stalled by a zero Newton step that no trial improves;
+    either way its costate starts stage 2 and its message is named."""
+    import nhtrack.pmp as pmp
+
     model = particle_model()
+    p = model.n + model.rank
+    starts, ends = [], []
+
+    def logged(x, evaluate, correction, *args):
+        if first_stage == "stalled" and not starts:
+            def correction(x, r, data):
+                return np.zeros_like(x)
+        starts.append(x[:p].copy())
+        result = damped_newton(x, evaluate, correction, *args)
+        ends.append(result[0][:p].copy())
+        return result
+
+    monkeypatch.setattr(pmp, "damped_newton", logged)
     settings = ShootingSettings(
         inner_grid=TimeGrid(0.0, 4.0, 100), max_iters=1,
         continuation="horizon", continuation_stages=2,
@@ -661,10 +686,10 @@ def test_solve_shooting_names_each_ladder_stage_that_did_not_converge():
     last, missed = report.message.split("; ")
     assert re.fullmatch(r"no convergence in 1 iterations \(residual norm \S+\)", last)
     assert re.fullmatch(
-        r"ladder stage 1 of 2 \(T = 2\) did not converge: "
-        r"no convergence in 1 iterations \(residual norm \S+\)",
-        missed,
+        r"ladder stage 1 of 2 \(T = 2\) did not converge: " + missed_message, missed
     )
+    assert len(starts) == 2 and np.array_equal(starts[1], ends[0])
+    assert np.array_equal(ends[0], starts[0]) == (first_stage == "stalled")
 
 
 @pytest.mark.parametrize(
@@ -1006,47 +1031,59 @@ def test_damped_newton_backtracks_past_a_trial_that_fails_to_evaluate():
     assert data == x[0]
 
 
-def test_damped_newton_reports_when_no_trial_step_evaluates():
-    evaluate, correction = _square_root_problem(lambda x: x != 1.0)
-    x, data, report = damped_newton(
-        np.array([1.0]), evaluate, correction, _abs_norm, "residual norm",
-        NewtonSettings(),
-    )
-    assert not report.converged
-    assert report.iterations == 0
-    assert report.records == ()
-    assert report.residual_norm == 3.0
-    assert "no step could be evaluated at iteration 1" in report.message
-    assert "(residual norm 3.000e+00)" in report.message
-    assert x[0] == 1.0 and data == 1.0
-
-
-def test_damped_newton_takes_the_smallest_step_when_no_trial_decreases():
-    """An ascent direction: every trial evaluates, none decreases |r|.  The
-    search tries beta = 1, DAMPING, ..., DAMPING^(MAX_HALVINGS + 1) and takes
-    the last one anyway."""
-    from nhtrack.pmp import MAX_HALVINGS
-
-    evaluate, _ = _square_root_problem(lambda x: False)
+def _counted(evaluate):
+    """evaluate, logging each point it is called at."""
     calls = []
 
     def counted(x):
         calls.append(x[0])
         return evaluate(x)
 
+    return counted, calls
+
+
+def _assert_stalled_at_the_start(x, data, report, calls):
+    """One evaluation at the start, then MAX_HALVINGS + 1 trials, beta = 1
+    .. DAMPING^MAX_HALVINGS, none taken: the solve ends at its start."""
+    from nhtrack.pmp import MAX_HALVINGS
+
+    assert len(calls) == 1 + (MAX_HALVINGS + 1) == 22
+    assert x[0] == 1.0 and data == 1.0
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.records == ()
+    assert report.residual_norm == 3.0
+    assert report.message.startswith("stalled at iteration 1: ")
+    assert "residual norm 3.000e+00" in report.message
+
+
+def test_damped_newton_stalls_when_no_trial_step_evaluates():
+    evaluate, correction = _square_root_problem(lambda x: x != 1.0)
+    counted, calls = _counted(evaluate)
+    x, data, report = damped_newton(
+        np.array([1.0]), counted, correction, _abs_norm, "residual norm",
+        NewtonSettings(),
+    )
+    _assert_stalled_at_the_start(x, data, report, calls)
+    assert f"cannot evaluate at x = {calls[-1]}" in report.message
+
+
+def test_damped_newton_stalls_when_no_trial_decreases():
+    """An ascent direction: every trial evaluates, none decreases |r|, so
+    no step is taken, not even the smallest."""
+    evaluate, _ = _square_root_problem(lambda x: False)
+    counted, calls = _counted(evaluate)
+
     def ascent(x, r, data):
         return r / (2.0 * x)
 
     x, data, report = damped_newton(
         np.array([1.0]), counted, ascent, _abs_norm, "residual norm",
-        NewtonSettings(max_iters=1),
+        NewtonSettings(),
     )
-    assert len(calls) == 1 + (MAX_HALVINGS + 2) == 33
-    assert report.records[0].damping == 0.5**31
-    assert x[0] == 1.0 + 0.5**31 * (-1.5)
-    assert data == x[0]
-    assert not report.converged
-    assert report.message.startswith("no convergence in 1 iterations")
+    _assert_stalled_at_the_start(x, data, report, calls)
+    assert "9.537e-07" in report.message
+    assert "failed" not in report.message
 
 
 def test_damped_newton_lets_an_error_of_the_correction_propagate():
@@ -1834,6 +1871,31 @@ def test_the_bundled_particle_converges_at_horizon_128(monkeypatch):
     report = _converges_within(128.0, 15.0)
     assert _letters(events).count("c") == report.iterations
     assert "f" not in _letters(events)
+
+
+def test_a_shooting_solve_that_cannot_progress_stalls():
+    """The bundled particle with a pinned endpoint at epsilon = 1e-5 has no
+    step that decreases the residual after a few iterations: the solve
+    ends stalled, well before max_iters and inside a time budget, instead
+    of crawling at the smallest step scale to its last iteration."""
+    cfg = parse_config(BUNDLED / "particle-case2.cfg")
+    cfg = cfg._replace(
+        problem=cfg.problem._replace(terminal_mode="hard", epsilon=1e-5),
+        solver=cfg.solver._replace(max_iters=30),
+    )
+    model = build_model(cfg)
+    problem = build_problem(cfg, model)
+    settings = ShootingSettings(
+        newton_tol=cfg.solver.newton_tol, max_iters=cfg.solver.max_iters,
+        inner_grid=TimeGrid(0.0, problem.horizon_T, cfg.solver.steps),
+    )
+    t0 = time.perf_counter()
+    _, _, report = solve_shooting(model, problem, settings=settings)
+    elapsed = time.perf_counter() - t0
+    assert not report.converged
+    assert report.message.startswith("stalled at iteration "), report.message
+    assert report.iterations < settings.max_iters
+    assert elapsed < 15.0, f"the stalled solve took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

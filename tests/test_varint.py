@@ -1087,6 +1087,30 @@ def test_newton_path_of_the_bundled_variational_instances():
     assert time.perf_counter() - t0 < budget
 
 
+def test_a_variational_solve_that_cannot_progress_stalls():
+    """The bundled sleigh at N = 800 reaches a point that no step improves:
+    the solve ends stalled, well before max_iters and inside a time
+    budget, instead of crawling at the smallest step scale to its last
+    iteration."""
+    configs = Path(__file__).resolve().parents[1] / "src" / "nhtrack" / "configs"
+    cfg = parse_config(configs / "sleigh-paper51.cfg")
+    cfg = cfg._replace(solver=cfg.solver._replace(steps=800))
+    model = build_model(cfg)
+    problem = build_problem(cfg, model)
+    settings = DelSettings(
+        newton_tol=cfg.solver.newton_tol, max_iters=cfg.solver.max_iters
+    )
+    t0 = time.perf_counter()
+    _, report = solve_del(
+        model, problem, TimeGrid(0.0, problem.horizon_T, cfg.solver.steps), settings
+    )
+    elapsed = time.perf_counter() - t0
+    assert not report.converged
+    assert report.message.startswith("stalled at iteration "), report.message
+    assert report.iterations < settings.max_iters
+    assert elapsed < 15.0, f"the stalled solve took {elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------------------
 # solve_del
 
