@@ -641,52 +641,40 @@ def _reintegrate_from_first_enforced(
     first interval was enforced (lambda_zero is set), else node 1.  Returns,
     per trajectory, the states from that node to node N as rows (q, v).
 
-    The trajectories advance substep by substep as one stack of rows, each
-    with its own step and its current interval's control; a row leaves the
-    stack after its last substep and a lone row steps unstacked, so each row
-    equals its own single-trajectory run bit for bit.  A non-finite stage
-    raises IntegrationError at the earliest failing row's own time."""
-    firsts = [0 if traj.lambda_zero is not None else 1 for traj in trajs]
-    subs = [_substeps(traj.h) for traj in trajs]
-    h_sub = np.array([traj.h / m for traj, m in zip(trajs, subs)])
-    # per row, the control of every substep from its first node on
-    controls = [
-        np.repeat(traj.controls[k:], m, axis=0)
-        for traj, k, m in zip(trajs, firsts, subs)
-    ]
-    counts = [len(u) for u in controls]
-    # ys[j, r]: row r's state after its substep j, ys[0] its first node
-    ys = np.empty((max(counts) + 1, len(trajs), model.n + model.rank))
+    The trajectories advance as one stack through T substeps, T the most
+    any row has.  A row of c substeps joins late: for its first T - c it
+    keeps its first node, at step 0 and its first interval's control, so it
+    evaluates the field only where its own first substep does.  Each row
+    thus equals its own single-trajectory run bit for bit.  A non-finite
+    stage raises IntegrationError at the earliest failing row's own time."""
+    firsts = np.array([0 if traj.lambda_zero is not None else 1 for traj in trajs])
+    subs = np.array([_substeps(traj.h) for traj in trajs])
+    h_sub = np.array([traj.h for traj in trajs]) / subs
+    counts = (np.array([traj.steps for traj in trajs]) - firsts) * subs
+    T = counts.max()
+    waits = T - counts
+    h = np.where(np.arange(T)[:, None] < waits, 0.0, h_sub)[..., None]
+    u = np.stack([
+        np.pad(np.repeat(traj.controls[k:], m, axis=0), ((wait, 0), (0, 0)), "edge")
+        for traj, k, m, wait in zip(trajs, firsts, subs, waits)
+    ], axis=1)
+    # ys[j, r]: row r after substep j, ys[0] its first node
+    ys = np.empty((T + 1, len(trajs), model.n + model.rank))
     ys[0] = [np.concatenate([traj.q[k], traj.v[k]]) for traj, k in zip(trajs, firsts)]
-    i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # substeps i .. end - 1 run on the rows that have them all
-        for end in sorted(set(counts)):
-            live = [r for r, c in enumerate(counts) if c >= end]
-            # a stack of one row steps about 1.5x slower than the row alone
-            lead = (len(live),) if len(live) > 1 else ()
-            h = h_sub[live].reshape(lead + (1,))
-            u = np.stack([controls[r][i:end] for r in live], axis=1)
-            u = u.reshape((end - i,) + lead + (-1,))
-            y = ys[i, live].reshape(lead + (-1,))
-            for s in range(end - i):
-                # the field is autonomous, so the stack steps a local clock
-                try:
-                    y = rk4_step(_state_field(model, u[s]), 0.0, y, h)
-                except IntegrationError as exc:
-                    # re-raised as the single flow of the earliest failing row
-                    j = i + s
-                    t = np.array([
-                        trajs[r].times[firsts[r] + j // subs[r]]
-                        + j % subs[r] * h_sub[r]
-                        for r in live
-                    ])
-                    raise IntegrationError(
-                        exc.stage, float(np.min(t[exc.rows]))
-                    ) from exc
-                ys[i + s + 1, live] = y
-            i = end
-    return [ys[: c + 1 : m, r] for r, (c, m) in enumerate(zip(counts, subs))]
+        for j in range(T):
+            # the field is autonomous, so the stack steps a local clock
+            try:
+                step = rk4_step(_state_field(model, u[j]), 0.0, ys[j], h[j])
+            except IntegrationError as exc:
+                # each row's time at its own substep; a waiting row's first
+                own = np.maximum(j - waits, 0)
+                nodes = [traj.times[k] for traj, k in zip(trajs, firsts + own // subs)]
+                t = (np.array(nodes) + own % subs * h_sub)[exc.rows]
+                raise IntegrationError(exc.stage, float(t.min())) from exc
+            # a waiting row keeps its node: a zero step turns a -0.0 into 0.0
+            ys[j + 1] = np.where(h[j] > 0, step, ys[j])
+    return [ys[wait::m, r] for r, (wait, m) in enumerate(zip(waits, subs))]
 
 
 def _endpoint_discrepancy(
@@ -1080,6 +1068,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """check's --seed: an int of at least 0, as numpy's default_rng needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def main(args: list[str] | None = None, prog_name: str | None = None):
     """Optimal trajectory tracking for nonholonomic systems."""
     parser = _Parser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
@@ -1096,7 +1095,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
                    "--out": out}),
         (check, {"--system": dict(dest="system_name", default="all", metavar="NAME",
                                   help="Preset to check, or 'all' (default: all)."),
-                 "--seed": dict(type=int, default=0,
+                 "--seed": dict(type=_seed, default=0,
                                 help="Seed for the randomized probes (default: 0).")}),
         (presets, {}),
     ):

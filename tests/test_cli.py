@@ -999,6 +999,12 @@ class TestCompareCommand:
             "method": "variational", "steps": 40, "enforce_first_interval": True,
             "newton_tol": 1e-10, "max_iters": 100,
         }, 0),
+        # the CI particle-del instance, 400 and 800 steps: 1200 and 1600
+        # substeps, so the N row waits 400 substeps before it joins
+        ("particle-case2", {"terminal_mode": "hard"}, {
+            "method": "variational", "steps": 400, "enforce_first_interval": True,
+            "newton_tol": 1e-10, "max_iters": 100,
+        }, 0),
     ])
     def test_stacked_reintegration_rows_equal_single_runs(
         self, config, problem_keys, solver_keys, first
@@ -1032,7 +1038,9 @@ class TestCompareCommand:
         # a quiet first row (blow-up at t = 10) and a second row that blows
         # up in the intervals the two share
         ([(4, 0.5, 0.1), (2, 0.75, 1.0)], 1, (0.75, 1.5)),
-    ], ids=["longer-tail", "common-interval"])
+        # the second row overflows at its first stage, while it waits to join
+        ([(4, 0.5, 0.1), (2, 0.75, 1e200)], 1, (0.0, 0.75)),
+    ], ids=["longer-tail", "common-interval", "waiting-row"])
     def test_blow_up_names_the_failing_rows_time(
         self, monkeypatch, rows, failing, window
     ):
@@ -1062,6 +1070,28 @@ class TestCompareCommand:
         assert window[0] <= stacked.value.t < window[1]
         assert stacked.value.t == alone.value.t
         assert str(stacked.value) == str(alone.value)
+
+    def test_a_waiting_row_keeps_its_first_node_bit_for_bit(self, monkeypatch):
+        """The shorter row waits 50 substeps to join.  Its first node, -0.0
+        in every entry, comes back with the sign bit its single run keeps,
+        although a zero step from it returns 0.0."""
+        monkeypatch.setattr(cli, "_state_field", lambda model, u: lambda t, y: y**2)
+        model = particle_model()
+        trajs = [
+            DiscreteTrajectory(
+                h=h, times=h * np.arange(steps + 1),
+                q=np.full((steps + 1, model.n), -0.0),
+                v=np.full((steps + 1, model.rank), -0.0),
+                multipliers=np.zeros((steps - 1, model.corank)),
+                controls=np.zeros((steps, model.rank)),
+                lambda_zero=np.zeros(model.corank),
+            )
+            for steps, h in ((4, 0.5), (2, 0.75))
+        ]
+        _, waiting = cli._reintegrate_from_first_enforced(model, *trajs)
+        (alone,) = cli._reintegrate_from_first_enforced(model, trajs[1])
+        assert np.signbit(alone[0]).all()
+        assert waiting.tobytes() == alone.tobytes()
 
     def test_rejects_shooting_config(self, tmp_path):
         result = invoke(
@@ -1153,10 +1183,11 @@ def test_retired_initial_guess_mode_is_an_unknown_key(tmp_path, command):
     ([], "required: COMMAND"),
     (["run", "--config", "{particle}", "--outdir", "{tmp}"], "unrecognized"),
     (["check", "--seed", "x"], "invalid int value: 'x'"),
+    (["check", "--seed", "-1"], "--seed"),
 ], ids=[
     "absent-config", "compare-absent-config", "config-directory", "out-file",
     "no-config", "compare-no-config", "unknown-command", "no-command",
-    "unknown-option", "bad-seed",
+    "unknown-option", "bad-seed", "negative-seed",
 ])
 def test_usage_error_exits_one_with_one_error_line(
     tmp_path, monkeypatch, capsys, argv, problem
