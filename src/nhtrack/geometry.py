@@ -113,11 +113,6 @@ def _check_state(model: SystemModel, state: AdmissibleState) -> None:
         )
 
 
-def _inner(x: Array, y: Array) -> Array:
-    """x @ y over the last axis, with leading axes broadcast."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _outer(x: Array, y: Array) -> Array:
     """x^i y^j for x (..., a) and y (..., b), with leading axes broadcast:
     one product per entry, taken as a matmul of one-wide cores, which on a
@@ -250,7 +245,7 @@ def restricted_energy(model: SystemModel, state: AdmissibleState) -> float | Arr
     """
     _check_state(model, state)
     g = model.metric_d(state.q)
-    return 0.5 * _inner(np.vecmat(state.v, g), state.v)
+    return 0.5 * np.vecdot(np.vecmat(state.v, g), state.v)
 
 
 def wrap_angle(x: Array | float) -> Array | float:

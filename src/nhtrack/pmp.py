@@ -48,7 +48,6 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
-    _inner,
     _outer,
     _state_field,
     drift,
@@ -454,7 +453,8 @@ def running_cost(
     u = np.asarray(u, dtype=float)
     sw = problem.state_weight
     return 0.5 * (
-        sw * _inner(dq, dq) + sw * _inner(dv, dv) + problem.epsilon * _inner(u, u)
+        sw * np.vecdot(dq, dq) + sw * np.vecdot(dv, dv)
+        + problem.epsilon * np.vecdot(u, u)
     )
 
 
@@ -821,9 +821,6 @@ def _newton_shoot(
         nearest = np.abs(guide_times[:, None] - node_times[inside]).argmin(axis=0)
         nodes[inside] = guide_ys[nearest]
 
-    def norm(r: Array) -> float:
-        return float(np.linalg.norm(r))
-
     def segment_starts(x: Array) -> Array:
         return np.vstack([np.concatenate([y_state, x[:p]]), x[p:].reshape(-1, w)])
 
@@ -879,7 +876,7 @@ def _newton_shoot(
 
     x, starts_series, report = damped_newton(
         np.concatenate([alpha_vec, nodes.ravel()]), evaluate, correction,
-        norm, "residual norm", settings,
+        np.linalg.norm, "residual norm", settings,
     )
     # each segment's series up to its end, which is the next one's start
     series = np.concatenate(

@@ -297,17 +297,14 @@ def _midpoint(q_k: Array, v_k: Array, q_k1: Array, v_k1: Array, h: float) -> tup
 
 def _psi(
     model: SystemModel, q_k: Array, v_k: Array, q_k1: Array, v_k1: Array,
-    h: float, psi_variant: str, slots: bool = True,
-) -> tuple[Array, tuple[Array, Array, Array, Array] | None]:
+    h: float, psi_variant: str,
+) -> tuple[Array, tuple[Array, Array, Array, Array]]:
     """Psi_d of stacked intervals and its slot derivatives (D1, D2, D3, D4)
-    in q_k, v_k, q_{k+1}, v_{k+1}: D1/D3 (n, n), D2/D4 (n, n-m).  With
-    slots = False they are None, and rho_jac is not called."""
+    in q_k, v_k, q_{k+1}, v_{k+1}: D1/D3 (n, n), D2/D4 (n, n-m), per row."""
     q_mid, v_mid, v_dq = _midpoint(q_k, v_k, q_k1, v_k1, h)
     v_slot = v_mid if psi_variant == "midpoint" else v_dq
     rho = model.rho(q_mid)
     psi = (q_k1 - q_k) / h - np.matvec(rho, v_slot)
-    if not slots:
-        return psi, None
     # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
     # per row over the flattened (j, i) slots
     n, lead = model.n, v_slot.shape[:-1]
@@ -338,7 +335,7 @@ def discrete_constraint(
     if psi_variant not in PSI_VARIANTS:
         raise ValueError(f"psi_variant must be one of {PSI_VARIANTS}")
     ends = node_k.q, node_k.v, node_k1.q, node_k1.v
-    return _psi(model, *ends, h, psi_variant, slots=False)[0]
+    return _psi(model, *ends, h, psi_variant)[0]
 
 
 def discrete_lagrangian(

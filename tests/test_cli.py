@@ -539,6 +539,13 @@ class TestRunCommand:
                          "pmp_steps", id="sleigh-paper51-pmp_steps = -3-pmp_steps"),
             pytest.param("sleigh-paper51", "[compare]\npmp = yes\npmp_steps = 0",
                          "pmp_steps", id="sleigh-paper51-pmp_steps = 0-pmp_steps"),
+            ("sleigh-paper51", "enforce_first_interval = maybe",
+             "enforce_first_interval"),
+            ("sleigh-paper51", "reference = analytic", "reference"),
+            ("particle-case2", "epsilon = abc", "epsilon"),
+            ("particle-case2", "initial_q =", "initial_q"),
+            ("particle-case2", "precision = 18", "precision"),
+            ("particle-case2", "preset = sleigh:nosuch", "preset"),
         ],
     )
     def test_rejected_value_exits_one_without_artifacts(
@@ -864,6 +871,30 @@ class TestCompareCommand:
         out = tmp_path / "out" / "equilibrium"
         assert (out / "compare.csv").exists()
         assert "solver failure: singular block" in (out / "report.txt").read_text()
+
+    def test_shooting_failure_keeps_the_variational_series(
+        self, tmp_path, monkeypatch
+    ):
+        """With pmp = yes, a shooting solve that fails numerically exits 2
+        after the variational side: compare.csv keeps its 50 rows and the
+        report ends naming the failure."""
+        def fail(*args, **kwargs):
+            raise FlowDivergedError(0.5)
+
+        monkeypatch.setattr(cli, "solve_shooting", fail)
+        path = write_cfg(
+            tmp_path, "sleigh-pmp.cfg",
+            (BUNDLED / "sleigh-paper51.cfg").read_text() + "\n[compare]\npmp = yes\n",
+        )
+        result = invoke(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        out = tmp_path / "out" / "sleigh-pmp"
+        assert len((out / "compare.csv").read_text().splitlines()) == 1 + 50
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[-2:] == [f"solver failure: {FlowDivergedError(0.5)}",
+                               "exit code: 2"]
 
     def test_nonfinite_reintegration_exits_two_with_artifacts(
         self, tmp_path, monkeypatch
@@ -1259,12 +1290,25 @@ def test_rollout_reference_passes_step_doubling_at_its_nodes_and_midpoints():
 
 
 class TestCheckAndPresets:
-    def test_check_all_passes(self):
-        result = invoke(["check"])
+    @pytest.mark.parametrize(
+        "args, presets",
+        [
+            (["check"], ["particle", "sleigh:paper-5.1"]),
+            (["check", "--system", "sleigh", "--seed", "3"], ["sleigh"]),
+        ],
+        ids=["all", "sleigh-seed-3"],
+    )
+    def test_check_all_passes(self, args, presets):
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
-        assert "[particle]" in result.output
-        assert "[sleigh:paper-5.1]" in result.output
+        for preset in presets:
+            assert f"[{preset}]" in result.output
+        assert result.output.count("  PASS ") == 10 * len(presets)
+        # the Jacobian table follows the stacked-q check
+        assert result.output.index("stacked q") < result.output.index(
+            "Christoffel Jacobian"
+        )
 
     def test_check_unknown_system(self):
         result = invoke(["check", "--system", "unicycle"])

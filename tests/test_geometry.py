@@ -2,6 +2,8 @@
 residuals, and the structure-constant Christoffel helper."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,21 @@ def test_christoffel_jac_matches_finite_differences(model):
                 model.christoffel(state.q + e) - model.christoffel(state.q - e)
             ) / (2 * delta)
             np.testing.assert_allclose(jac[:, :, :, j], fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (dict(n=0), "n must be positive"),
+        (dict(corank=0), r"corank must lie in \(0, n\)"),
+        (dict(corank=3), r"corank must lie in \(0, n\)"),
+        (dict(angle_indices=frozenset({3})), r"angle_indices out of range: \[3\]"),
+    ],
+)
+def test_model_rejects_bad_dimensions(change, match):
+    model = particle_model()
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(model, **change)
 
 
 @pytest.mark.parametrize("missing", ["christoffel_jac", "potential_grad_jac"])

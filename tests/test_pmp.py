@@ -995,6 +995,17 @@ def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
     )
 
 
+def test_trajectory_cost_needs_two_samples():
+    from nhtrack.pmp import ShootingTrajectory, trajectory_cost
+
+    one = ShootingTrajectory(
+        times=np.zeros(1), q=np.zeros((1, 3)), v=np.zeros((1, 2)),
+        u=np.zeros((1, 2)), lam=np.zeros((1, 3)), mu=np.zeros((1, 2)),
+    )
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        trajectory_cost(particle_model(), case2_problem(horizon_T=1.0), one)
+
+
 # ---------------------------------------------------------------------------
 # damped-Newton driver on a toy scalar residual r(x) = x^2 - 4
 

@@ -1625,6 +1625,11 @@ class TestContainers:
             DiscreteTrajectory(**{**ok, "multipliers": np.zeros((3, 3))})
         with pytest.raises(ValueError):
             DiscreteTrajectory(**{**ok, "controls": np.zeros((4, 2))})
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            DiscreteTrajectory(**{**ok, "times": times[:2]})
+        for key, nodes in (("q", np.zeros((5, 3))), ("v", np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match="node count mismatch"):
+                DiscreteTrajectory(**{**ok, key: nodes})
 
     def test_node_returns_copies(self):
         times = np.linspace(0.0, 1.0, 4)
