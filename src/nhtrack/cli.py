@@ -34,42 +34,37 @@ from .geometry import (
 )
 from .geometry import dynamics_rhs  # noqa: F401  (wrapped by bench/trace.py)
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
-from .pmp import (
+from . import _ROUTES, _from_route
+from .problem import (
     CONTINUATIONS,
     PSI_VARIANTS,
     ROLLOUT_STEP,
     AnalyticReference,
     RolloutReference,
-    ShootingSettings,
     TrackingProblem,
-    check_shooting,
     running_cost,
-    solve_shooting,
-    trajectory_cost,
 )
 from .systems import available_systems, resolve_system
 
 if typing.TYPE_CHECKING:
-    from .varint import DiscreteTrajectory
+    from .pmp import ShootingSettings
+    from .varint import DelSettings, DiscreteTrajectory
 
 METHODS = ("pmp-shooting", "variational")
-# each bound here on its first use by _varint, so that shooting never imports varint
-_VARINT_NAMES = ("DelSettings", "check_del", "diagnostics", "regularity_check",
-                 "solve_del")
 
 
-def _varint(name: str):
-    """Bind name here and return its binding.  A name already bound (a
-    wrapper of bench/trace.py, a test's monkeypatch) stays."""
-    from . import varint
+def _route(name: str):
+    """Bind name, a solver route's (nhtrack._ROUTES), here on its first use
+    and return its binding, so that a process imports only the route it
+    runs.  A name already bound (a wrapper of bench/trace.py, a test's
+    monkeypatch) stays."""
+    return globals().setdefault(name, _from_route(name))
 
-    return globals().setdefault(name, getattr(varint, name))
 
-
-def __getattr__(name: str):  # PEP 562: a varint name read from outside
-    if name not in _VARINT_NAMES:
+def __getattr__(name: str):  # PEP 562: a route's name read from outside
+    if name not in _ROUTES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _varint(name)
+    return _route(name)
 
 
 class ConfigError(ValueError):
@@ -251,8 +246,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             )
     blocks = {name: _parse_block(parser, name) for name in SECTIONS}
     solver = blocks["solver"]
-    defaults = (ShootingSettings if solver.method == "pmp-shooting"
-                else _varint("DelSettings"))
+    defaults = _route("ShootingSettings" if solver.method == "pmp-shooting"
+                      else "DelSettings")
     blocks["solver"] = solver._replace(**{
         key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
         if getattr(solver, key) is None
@@ -418,22 +413,22 @@ def _build(cfg: ExperimentConfig) -> tuple[
         grid = (None if blk.steps is None
                 else TimeGrid(0.0, problem.horizon_T, blk.steps))
         if blk.method == "pmp-shooting":
-            settings = ShootingSettings(
+            settings = _route("ShootingSettings")(
                 newton_tol=blk.newton_tol,
                 max_iters=blk.max_iters,
                 inner_grid=grid,
                 continuation=blk.continuation,
                 continuation_stages=blk.continuation_stages,
             )
-            check_shooting(problem, settings)
+            _route("check_shooting")(problem, settings)
         else:
-            settings = _varint("DelSettings")(
+            settings = _route("DelSettings")(
                 newton_tol=blk.newton_tol,
                 max_iters=blk.max_iters,
                 psi_variant=blk.psi_variant,
                 enforce_first_interval=blk.enforce_first_interval,
             )
-            _varint("check_del")(problem, grid)
+            _route("check_del")(problem, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return model, problem, settings, grid
@@ -506,7 +501,7 @@ def _shooting_route(model, problem, settings, grid, terminal):
     """Shooting adapter of run_experiment: solve_shooting (its grid rides in
     settings), then (report, trajectory, trajectory rows, diagnostics rows,
     closing report lines)."""
-    _, traj, report = solve_shooting(model, problem, None, settings)
+    _, traj, report = _route("solve_shooting")(model, problem, None, settings)
     states = AdmissibleState(q=traj.q, v=traj.v)
     cost = problem.lambda0 * running_cost(model, problem, traj.times, states, traj.u)
     dt = np.diff(traj.times)
@@ -516,7 +511,8 @@ def _shooting_route(model, problem, settings, grid, terminal):
     cres = np.max(np.abs(constraint_residual(model, traj.q, qdot)), axis=-1)
     rows = np.column_stack([traj.times, traj.q, traj.v, traj.u, traj.lam, traj.mu])
     diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
-    closing = [f"total cost (Simpson): {trajectory_cost(model, problem, traj):.12g}"]
+    total = _route("trajectory_cost")(model, problem, traj)
+    closing = [f"total cost (Simpson): {total:.12g}"]
     return report, traj, rows, diag_rows, closing
 
 
@@ -524,7 +520,7 @@ def _del_route(model, problem, settings, grid, terminal):
     """Variational adapter of run_experiment: solve_del on grid, then the
     same five results as _shooting_route; the closing lines say whether the
     final node equals terminal, the reference endpoint."""
-    traj, report = _varint("solve_del")(model, problem, grid, settings)
+    traj, report = _route("solve_del")(model, problem, grid, settings)
     steps = traj.steps
     lam = np.zeros((steps + 1, model.n))  # no multiplier at the last node
     if traj.lambda_zero is not None:
@@ -532,7 +528,7 @@ def _del_route(model, problem, settings, grid, terminal):
     lam[1:steps] = traj.multipliers
     u = traj.controls[np.minimum(np.arange(steps + 1), steps - 1)]
     rows = np.column_stack([traj.times, traj.q, traj.v, u, lam])
-    series = _varint("diagnostics")(
+    series = _route("diagnostics")(
         model, problem, traj, psi_variant=settings.psi_variant)
     diag_rows = np.column_stack([
         series.times, series.cost, series.action, series.energy,
@@ -610,7 +606,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # compare pipeline
 
 # Largest RK4 step of the control re-integration (the size of
-# pmp.ROLLOUT_STEP) on intervals of h >= SQRT_STEP_BELOW_H; shorter ones take
+# problem.ROLLOUT_STEP) on intervals of h >= SQRT_STEP_BELOW_H; shorter ones take
 # REINTEGRATION_STEP * sqrt(h / SQRT_STEP_BELOW_H).  RK4's error goes as
 # step^4 and the midpoint scheme's as h^2, so their ratio then stays at its
 # h = SQRT_STEP_BELOW_H value (at the full step it grows to 9.4e-6 on the
@@ -694,7 +690,7 @@ def _cross_method_settings(
     continuation; the segmented solve reaches the pinned endpoint of
     compare's variational problem from a zero costate."""
     steps = cfg.compare.pmp_steps
-    return ShootingSettings(
+    return _route("ShootingSettings")(
         inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps),
         continuation="none",
     )
@@ -745,7 +741,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         for steps in (base_steps, 2 * base_steps):
             # the 2N solve starts from the prolonged N solution when that
             # converged, else from the straight line
-            traj, report = _varint("solve_del")(
+            traj, report = _route("solve_del")(
                 model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings,
                 coarse=coarse,
             )
@@ -786,18 +782,18 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
 
     if pmp_settings is not None:
-        series = _varint("diagnostics")(
+        series = _route("diagnostics")(
             model, problem, traj, psi_variant=settings.psi_variant)
         j_var = float(series.action[-1])
         try:
-            _, pmp_traj, pmp_report = solve_shooting(
+            _, pmp_traj, pmp_report = _route("solve_shooting")(
                 model, problem, None, pmp_settings
             )
         except ArithmeticError as exc:
             # compare.csv already holds the variational series
             return _solver_failure(out_dir, {}, report_lines, exc, precision)
         all_converged = all_converged and pmp_report.converged
-        j_pmp = trajectory_cost(model, problem, pmp_traj)
+        j_pmp = _route("trajectory_cost")(model, problem, pmp_traj)
         rel = abs(j_var - j_pmp) / max(abs(j_pmp), 1e-30)
         report_lines += [
             "",
@@ -927,7 +923,7 @@ def model_checks(
         terminal_mode="hard",
     )
     regular = []
-    regularity_check = _varint("regularity_check")
+    regularity_check = _route("regularity_check")
     for _ in range(10):
         node_k = AdmissibleState(q=rng.normal(size=model.n), v=rng.normal(size=model.rank))
         node_k1 = AdmissibleState(q=rng.normal(size=model.n), v=rng.normal(size=model.rank))
@@ -1107,9 +1103,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
 def entry():
     """The `nhtrack` process: `main` with the import-time heap frozen.
 
-    Every module but varint is imported by now, and no run collects that
-    object graph, so gc.freeze() moves it out of the collector's reach; the
-    exit-time collections then skip it instead of tearing it down.  Only a
+    cli and every module it imports are loaded by now, but neither solver
+    route: a command imports its route after the freeze, on the route's
+    first use (_route).  No run collects the frozen object graph, so
+    gc.freeze() moves it out of the collector's reach; the exit-time
+    collections then skip it instead of tearing it down.  Only a
     process about to end may do this, so in-process callers of `main` (the
     tests' invoke helper, bench/trace.py) keep their own GC state."""
     import gc

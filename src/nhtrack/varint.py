@@ -52,7 +52,7 @@ from .geometry import (
     state_difference,
 )
 from .ode import TimeGrid
-from .pmp import (
+from .problem import (
     FD_STEP,
     PSI_VARIANTS,
     ConvergenceReport,
@@ -669,8 +669,13 @@ class _DelWorkspace:
         enforced, else 0).  The border couples only to block 1, with a zero
         corner, so it is eliminated through the w x w Schur complement of
         the tridiagonal part; with w = 0 that is an empty solve.  nodes are
-        the unpacked unknowns that evaluate returned at x."""
-        diag, upper, col = self.jacobian_blocks(*nodes)
+        the unpacked unknowns that evaluate returned at x.  A Jacobian that
+        overflows raises ArithmeticError, as del_residual does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = self.jacobian_blocks(*nodes)
+        if not all(np.all(np.isfinite(b)) for b in blocks):
+            raise ArithmeticError("non-finite discrete Euler-Lagrange Jacobian")
+        diag, upper, col = blocks
         block, w = col.shape  # the Psi(0) rows come first
         rhs = np.zeros((self.steps - 1, block, 1 + w))
         rhs[:, :, 0] = -r[w:].reshape(self.steps - 1, block)

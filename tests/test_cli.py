@@ -1168,6 +1168,33 @@ def test_overflowing_rollout_reference_exits_one(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, csvs", [("run", ["diagnostics.csv", "trajectory.csv"]),
+                      ("compare", ["compare.csv"])],
+)
+def test_overflowing_newton_matrix_is_a_quiet_solver_failure(tmp_path, command, csvs):
+    """At epsilon = 1e308 the variational Newton matrix overflows while the
+    residual stays finite: the correction raises ArithmeticError, so the
+    command exits 2 with header-only CSVs and a report naming the failure,
+    and prints no RuntimeWarning (the suite would raise it)."""
+    path = _bundled_sleigh_with(tmp_path, "epsilon = 1.0\n", "epsilon = 1e308\n")
+    result = invoke(
+        [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [
+        f"{path}: {'did not converge' if command == 'run' else 'nonconvergence'}; "
+        f"artifacts in {tmp_path / 'out' / 'sleigh'}"
+    ]
+    out = tmp_path / "out" / "sleigh"
+    for name in csvs:
+        assert len((out / name).read_text().splitlines()) == 1
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[-2:] == [
+        "solver failure: non-finite discrete Euler-Lagrange Jacobian", "exit code: 2"
+    ]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_rollout_step_is_an_error_naming_the_key(tmp_path, value):
     path = _bundled_sleigh_with(

@@ -1,8 +1,9 @@
 """The `nhtrack` process entry: `python -m nhtrack.cli` and the console
 script go through `cli.entry`, which freezes the import-time heap before it
 dispatches to `main`; in-process callers of `main` keep their GC state.
-A fresh process loads only the route it runs: click never, `varint` only
-for a variational command.  Each subprocess test runs one bundled config
+A fresh process loads only the route it runs: click never, `pmp` only
+for a shooting command or a compare with a shooting side, `varint` only
+for a variational command or `check`.  Each subprocess test runs one bundled config
 (the particle is the benchmark's seed-0 `particle-shoot` instance), `check`
 or `presets`, in about a second."""
 from __future__ import annotations
@@ -124,6 +125,7 @@ def test_variational_child_loads_varint_and_writes_the_in_process_artifacts(
     args = [command, "--config", str(SLEIGH), "--out"]
     modules, _ = _loaded(tmp_path, *args, str(tmp_path / "child"))
     assert "nhtrack.varint" in modules
+    assert "nhtrack.pmp" not in modules
     result = invoke([*args, str(tmp_path / "inproc")])
     assert result.exit_code == 0, result.output
     child = _files(tmp_path / "child" / SLEIGH.stem)
@@ -134,8 +136,9 @@ def test_variational_child_loads_varint_and_writes_the_in_process_artifacts(
 @pytest.mark.parametrize("argv", [["check"], ["presets"]])
 def test_fresh_child_prints_the_in_process_output(tmp_path, argv):
     # a fresh process has not imported varint, as this one has: `check`
-    # must bind regularity_check itself
-    _, stdout = _loaded(tmp_path, *argv)
+    # must bind regularity_check itself; neither command loads pmp
+    modules, stdout = _loaded(tmp_path, *argv)
+    assert "nhtrack.pmp" not in modules
     result = invoke(argv)
     assert result.exit_code == 0, result.output
     assert stdout == result.output
@@ -167,16 +170,50 @@ def test_replacements_set_before_first_use_are_the_ones_a_run_calls(tmp_path):
     assert calls.read_text() == "solve_del diagnostics"
 
 
+def test_shooting_replacements_set_before_first_use_are_the_ones_compare_calls(
+    tmp_path
+):
+    """bench/trace.py replaces cli.solve_shooting and cli.trajectory_cost;
+    compare's shooting side, bound on its first use, calls the replacements."""
+    config = tmp_path / "sleigh-pmp.cfg"
+    config.write_text(SLEIGH.read_text() + "\n[compare]\npmp = yes\n")
+    calls = tmp_path / "calls"
+    code = textwrap.dedent(f"""\
+        import pathlib, sys
+        from nhtrack import cli, pmp
+        assert "solve_shooting" not in vars(cli)
+        assert "trajectory_cost" not in vars(cli)
+        calls = []
+        def solve_shooting(*args, **kwargs):
+            calls.append("solve_shooting")
+            return pmp.solve_shooting(*args, **kwargs)
+        def trajectory_cost(*args, **kwargs):
+            calls.append("trajectory_cost")
+            return pmp.trajectory_cost(*args, **kwargs)
+        cli.solve_shooting, cli.trajectory_cost = solve_shooting, trajectory_cost
+        try:
+            cli.main(sys.argv[1:])
+        finally:
+            pathlib.Path({str(calls)!r}).write_text(" ".join(calls))
+    """)
+    _child("-c", code, "compare", "--config", str(config), "--out", str(tmp_path))
+    assert calls.read_text() == "solve_shooting trajectory_cost"
+
+
 def test_lazy_names_resolve_on_read():
-    """The package's varint names and cli's varint bindings are served on
-    first read (PEP 562); any other missing name is still an AttributeError."""
+    """The package's route names and cli's route bindings are served on
+    first read (PEP 562), and the package never binds them; any other
+    missing name is still an AttributeError."""
     import nhtrack
-    from nhtrack import varint
+    from nhtrack import pmp, varint
 
     assert len(nhtrack.__all__) == 50
     assert all(getattr(nhtrack, name) is not None for name in nhtrack.__all__)
+    assert not set(vars(nhtrack)) & set(nhtrack._ROUTES)
     assert nhtrack.solve_del is varint.solve_del
+    assert nhtrack.solve_shooting is pmp.solve_shooting
     assert cli.regularity_check is varint.regularity_check
+    assert cli.trajectory_cost is pmp.trajectory_cost
     for module in (nhtrack, cli):
         with pytest.raises(AttributeError):
             getattr(module, "no_such_name")

@@ -2,7 +2,7 @@
 module-level private name goes unread, no function only forwards its
 parameters to another call, and a record is a dataclass only to check its
 fields.  Dependencies: numpy is the only one, and neither the package nor
-cli imports the variational route before its first use."""
+cli imports a solver route before its first use."""
 from __future__ import annotations
 
 import ast
@@ -241,7 +241,7 @@ def test_every_dataclass_checks_its_fields():
 RECORDS = [
     ("cli", "SystemBlock"), ("cli", "ProblemBlock"), ("cli", "SolverBlock"),
     ("cli", "OutputBlock"), ("cli", "CompareBlock"), ("cli", "ExperimentConfig"),
-    ("pmp", "IterationRecord"), ("pmp", "ConvergenceReport"),
+    ("problem", "IterationRecord"), ("problem", "ConvergenceReport"),
     ("pmp", "ShootingTrajectory"), ("pmp", "AbnormalReport"),
     ("varint", "RegularityReport"), ("varint", "DiagnosticSeries"),
 ]
@@ -273,11 +273,12 @@ def test_no_module_imports_click():
     assert not imports, f"click imported at {', '.join(imports)}"
 
 
+@pytest.mark.parametrize("route", ["pmp", "varint"])
 @pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
-def test_package_and_cli_import_varint_only_on_first_use(name):
-    """A shooting run never loads the variational route: neither the
-    package nor cli imports varint when it is imported, only inside a
-    function (or under `if TYPE_CHECKING:`, which never runs)."""
+def test_package_and_cli_import_each_route_only_on_first_use(name, route):
+    """A run never loads the route it does not run: neither the package nor
+    cli imports pmp or varint when it is imported, only inside a function
+    (or under `if TYPE_CHECKING:`, which never runs)."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     deferred = {
         id(sub)
@@ -293,15 +294,15 @@ def test_package_and_cli_import_varint_only_on_first_use(name):
         and (
             isinstance(node, ast.ImportFrom)
             and (
-                node.module in ("varint", "nhtrack.varint")
+                node.module in (route, f"nhtrack.{route}")
                 or node.module in (None, "nhtrack")
-                and any(a.name == "varint" for a in node.names)
+                and any(a.name == route for a in node.names)
             )
             or isinstance(node, ast.Import)
-            and any(a.name == "nhtrack.varint" for a in node.names)
+            and any(a.name == f"nhtrack.{route}" for a in node.names)
         )
     ]
-    assert not eager, f"{name} imports varint at import time, line(s) {eager}"
+    assert not eager, f"{name} imports {route} at import time, line(s) {eager}"
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -312,8 +313,8 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_psi_variants_has_one_definition():
-    """The Psi_d forms are defined once, in pmp beside CONTINUATIONS, so
-    that cli validates the key without importing varint."""
+    """The Psi_d forms are defined once, in problem beside CONTINUATIONS, so
+    that cli validates the key without importing either route."""
     definitions = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -324,4 +325,4 @@ def test_psi_variants_has_one_definition():
             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
         ]
     ]
-    assert [where.split(":")[0] for where in definitions] == ["pmp.py"], definitions
+    assert [where.split(":")[0] for where in definitions] == ["problem.py"], definitions
