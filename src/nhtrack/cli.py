@@ -246,6 +246,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             )
     blocks = {name: _parse_block(parser, name) for name in SECTIONS}
     solver = blocks["solver"]
+    # each method's own keys; the other method's must be absent or default
+    unread = (("psi_variant", "enforce_first_interval")
+              if solver.method == "pmp-shooting"
+              else ("continuation", "continuation_stages"))
+    for key in unread:
+        if getattr(solver, key) != SolverBlock._field_defaults[key]:
+            raise ConfigError(f"{key} is not read by method {solver.method}")
     defaults = _route("ShootingSettings" if solver.method == "pmp-shooting"
                       else "DelSettings")
     blocks["solver"] = solver._replace(**{
@@ -261,10 +268,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             "mass_m/inertia_J/offset_a apply to preset sleigh:custom only; "
             f"preset {system.preset!r} carries its own parameters"
         )
-    try:
-        build_model(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if problem.epsilon <= 0:
         raise ConfigError(
             "epsilon must be positive: epsilon = 0 is the singular tracking "
@@ -503,7 +506,7 @@ def _shooting_route(model, problem, settings, grid, terminal):
     closing report lines)."""
     _, traj, report = _route("solve_shooting")(model, problem, None, settings)
     states = AdmissibleState(q=traj.q, v=traj.v)
-    cost = problem.lambda0 * running_cost(model, problem, traj.times, states, traj.u)
+    cost = running_cost(model, problem, traj.times, states, traj.u)
     dt = np.diff(traj.times)
     action = np.concatenate(([0.0], np.cumsum(0.5 * dt * (cost[:-1] + cost[1:]))))
     energy = restricted_energy(model, states)
@@ -512,7 +515,7 @@ def _shooting_route(model, problem, settings, grid, terminal):
     rows = np.column_stack([traj.times, traj.q, traj.v, traj.u, traj.lam, traj.mu])
     diag_rows = np.column_stack([traj.times, cost, action, energy, cres])
     total = _route("trajectory_cost")(model, problem, traj)
-    closing = [f"total cost (Simpson): {total:.12g}"]
+    closing = [f"running-cost integral (Simpson): {total:.12g}"]
     return report, traj, rows, diag_rows, closing
 
 
@@ -605,8 +608,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # compare pipeline
 
-# Largest RK4 step of the control re-integration (the size of
-# problem.ROLLOUT_STEP) on intervals of h >= SQRT_STEP_BELOW_H; shorter ones take
+# Largest RK4 step of the control re-integration, on intervals of
+# h >= SQRT_STEP_BELOW_H; shorter ones take
 # REINTEGRATION_STEP * sqrt(h / SQRT_STEP_BELOW_H).  RK4's error goes as
 # step^4 and the midpoint scheme's as h^2, so their ratio then stays at its
 # h = SQRT_STEP_BELOW_H value (at the full step it grows to 9.4e-6 on the
@@ -614,7 +617,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # Solving ODEs I, II.4): RK4 at this step and at half of it agree within 1e-9
 # and within 1e-6 of the endpoint discrepancy compare measures, the midpoint
 # scheme's own error, on both built-ins (tests/test_cli.py checks this).
-REINTEGRATION_STEP = 1e-2
+REINTEGRATION_STEP = ROLLOUT_STEP
 SQRT_STEP_BELOW_H = 0.05
 
 

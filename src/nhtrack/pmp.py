@@ -2,7 +2,7 @@
 
 The tracking cost is
 
-    J = int_0^T 1/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2) dt
+    J = int_0^T lambda0/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2) dt
         + omega * Phi(gamma(T))
 
 minimized over admissible controlled trajectories of a SystemModel.  The
@@ -192,7 +192,7 @@ def hamiltonian(
     """Control Hamiltonian lambda0 C + lambda . qdot + mu . vdot."""
     qdot, vdot = dynamics_rhs(model, state, u)
     return (
-        problem.lambda0 * running_cost(model, problem, t, state, u)
+        running_cost(model, problem, t, state, u)
         + float(costate.lam @ qdot)
         + float(costate.mu @ vdot)
     )
@@ -685,14 +685,14 @@ def solve_shooting(
 def trajectory_cost(
     model: SystemModel, problem: TrackingProblem, trajectory: ShootingTrajectory
 ) -> float:
-    """Total cost lambda0 * integral of the running cost along a stored
-    trajectory, by composite Simpson over the (uniform) sample grid; a
-    trailing odd interval is closed with the trapezoid rule."""
+    """Integral of the running cost along a stored trajectory, by
+    composite Simpson over the (uniform) sample grid; a trailing odd
+    interval is closed with the trapezoid rule."""
     ts = np.asarray(trajectory.times, dtype=float)
     if ts.size < 2:
         raise ValueError("need at least 2 samples to integrate a cost")
     states = AdmissibleState(q=trajectory.q, v=trajectory.v)
-    vals = problem.lambda0 * running_cost(model, problem, ts, states, trajectory.u)
+    vals = running_cost(model, problem, ts, states, trajectory.u)
     h = ts[1] - ts[0]
     pairs = (ts.size - 1) // 2
     total = 0.0

@@ -2,7 +2,7 @@
 
 A TrackingProblem is one instance of the tracking cost
 
-    J = int_0^T 1/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2) dt
+    J = int_0^T lambda0/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2) dt
         + omega * Phi(gamma(T))
 
 on a fixed horizon, around a reference gamma_r sampled from an
@@ -320,8 +320,8 @@ def running_cost(
     state: AdmissibleState,
     u: Array,
 ) -> float | Array:
-    """Running cost 1/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2), with
-    angle components differenced into (-pi, pi].
+    """Running cost lambda0/2 (||q - q_r||^2 + ||v - v_r||^2 + eps ||u||^2),
+    with angle components differenced into (-pi, pi].
 
     One time and one point give a scalar.  An array of times with a stack
     of points and controls (leading axes of the shape of t on q, v and u)
@@ -333,10 +333,10 @@ def running_cost(
     dq, dv = state_difference(model, state, problem.reference(t))
     u = np.asarray(u, dtype=float)
     sw = problem.state_weight
-    return 0.5 * (
+    return problem.lambda0 * (0.5 * (
         sw * np.vecdot(dq, dq) + sw * np.vecdot(dv, dv)
         + problem.epsilon * np.vecdot(u, u)
-    )
+    ))
 
 
 def _check_span(grid: TimeGrid, problem: TrackingProblem, name: str) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SystemModel
+from .geometry import SystemModel, christoffel_from_structure
 
 Array = np.ndarray
 
@@ -141,11 +141,10 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
 
         v1dot = -eta v1 v2 + u1,    v2dot = eta (v1)^2 + u2.
 
-    The stored Gamma is the orthonormal-frame structure-constant output
-    (Gamma^1_{12} = eta, Gamma^2_{11} = -eta), which contracts to exactly
-    these equations.
+    Gamma is christoffel_from_structure of sleigh_structure_constants, the
+    orthonormal-frame formula (Gamma^1_{12} = eta, Gamma^2_{11} = -eta),
+    which contracts to exactly these equations.
     """
-    eta = params.eta
     inv_s = 1.0 / math.sqrt(params.inertia_J + params.mass_m * params.offset_a**2)
     inv_sm = 1.0 / math.sqrt(params.mass_m)
 
@@ -164,9 +163,7 @@ def sleigh_model(params: SleighParams = SleighParams()) -> SystemModel:
         jac[..., 1, 1, 2] = np.cos(th) * inv_sm
         return jac
 
-    gamma_const = np.zeros((2, 2, 2))
-    gamma_const[0, 0, 1] = eta
-    gamma_const[1, 0, 0] = -eta
+    gamma_const = christoffel_from_structure(sleigh_structure_constants(params))
 
     def christoffel(q: Array) -> Array:
         return np.zeros(q.shape[:-1] + (2, 2, 2)) + gamma_const

@@ -203,7 +203,7 @@ def ocp_lagrangian(
     with matching leading axes on q, v and vdot gives one value per row."""
     u = reconstructed_control(model, q, v, vdot)
     state = AdmissibleState(q=q, v=v)
-    return problem.lambda0 * running_cost(model, problem, t, state, u)
+    return running_cost(model, problem, t, state, u)
 
 
 def _lagrangian_gradients(
@@ -817,23 +817,27 @@ def regularity_check(
              [D3 Psi, D4 Psi, 0]],
 
     Lt = L_d + lam . Psi_d (lam defaults to zero).  Returns the condition
-    estimate and whether it stays below the nonsingularity ceiling.  The
-    estimate depends on the probe step h: the singular eps -> 0 limit is
-    visible only for small h (the constraint rows scale as 1/h), so sweeps
-    should fix a fine probe step rather than the solver's own coarse one.
+    estimate and whether it stays below the nonsingularity ceiling; an M
+    that overflows raises ArithmeticError.  The estimate depends on the
+    probe step h: the singular eps -> 0 limit is visible only for small h
+    (the constraint rows scale as 1/h), so sweeps should fix a fine probe
+    step rather than the solver's own coarse one.
     """
     n, nv = model.n, model.n + model.rank
     lam = np.zeros(n) if lam is None else np.asarray(lam, dtype=float)
     ends = np.concatenate([node_k.q, node_k.v, node_k1.q, node_k1.v])
-    (p1, p2, p3, p4), hess = _interval_hessian(
-        model, problem, ends, lam, problem.reference(t_k + 0.5 * h), h, "midpoint"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        (p1, p2, p3, p4), hess = _interval_hessian(
+            model, problem, ends, lam, problem.reference(t_k + 0.5 * h), h, "midpoint"
+        )
     m = np.zeros((nv + n, nv + n))
     m[:nv, :nv] = hess[:nv, nv:]
     m[:n, nv:] = p1.T
     m[n:nv, nv:] = p2.T
     m[nv:, :n] = p3
     m[nv:, n:nv] = p4
+    if not np.all(np.isfinite(m)):
+        raise ArithmeticError("non-finite one-step matrix: its Hessian overflowed")
     cond = float(np.linalg.cond(m))
     return RegularityReport(
         condition=cond,

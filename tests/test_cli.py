@@ -1195,6 +1195,78 @@ def test_overflowing_newton_matrix_is_a_quiet_solver_failure(tmp_path, command, 
     ]
 
 
+@pytest.mark.parametrize("bundled, key, value, method", [
+    ("sleigh-paper51.cfg", "continuation_stages", "0", "variational"),
+    ("sleigh-paper51.cfg", "continuation", "horizon", "variational"),
+    ("particle-case2.cfg", "psi_variant", "difference-quotient", "pmp-shooting"),
+    ("particle-case2.cfg", "enforce_first_interval", "yes", "pmp-shooting"),
+])
+def test_a_solver_key_of_the_other_method_is_a_config_error(
+    tmp_path, bundled, key, value, method
+):
+    """A [solver] key that only the other method reads, set away from its
+    default, is a config error naming the key and the method."""
+    text = (BUNDLED / bundled).read_text()
+    path = write_cfg(tmp_path, bundled, text.replace(
+        "[solver]\n", f"[solver]\n{key} = {value}\n"))
+    result = invoke(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert errors == [f"Error: {path}: {key} is not read by method {method}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("continuation", "none"), ("continuation_stages", "4"),
+])
+def test_the_other_methods_key_at_its_default_is_accepted(tmp_path, key, value):
+    path = _bundled_sleigh_with(tmp_path, "[solver]\n", f"[solver]\n{key} = {value}\n")
+    assert parse_config(path) == parse_config(BUNDLED / "sleigh-paper51.cfg")
+
+
+@pytest.mark.parametrize("method", ["pmp-shooting", "variational"])
+def test_diagnostics_cost_integrates_to_the_action_at_lambda0_two(tmp_path, method):
+    """diagnostics.csv's cost column is the lambda0-weighted running cost on
+    both routes, so at lambda0 = 2 its trapezoid integral is the action
+    column's last value: exactly on the shooting route, whose action is
+    that trapezoid, and within the midpoint scheme's discretisation error
+    for the variational route's discrete action (the particle-del
+    instance).  The shooting report's Simpson line is the same integral."""
+    text = (BUNDLED / "particle-case2.cfg").read_text()
+    edits = [("lambda0 = 1.0\n", "lambda0 = 2.0\n")]
+    if method == "variational":
+        edits += [
+            ("terminal_mode = mayer", "terminal_mode = hard"),
+            ("method = pmp-shooting",
+             "method = variational\nenforce_first_interval = yes"),
+            ("newton_tol = 1e-08", "newton_tol = 1e-10"),
+            ("max_iters = 50", "max_iters = 100"),
+        ]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, "weighted.cfg", text)
+    result = invoke(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out" / "weighted"
+    t, cost, action = np.loadtxt(
+        out / "diagnostics.csv", delimiter=",", skiprows=1, usecols=(0, 1, 2),
+        unpack=True,
+    )
+    integral = float(np.sum(0.5 * np.diff(t) * (cost[:-1] + cost[1:])))
+    if method == "variational":
+        assert integral == pytest.approx(action[-1], rel=1e-2)
+        return
+    assert integral == pytest.approx(action[-1], rel=1e-12)
+    simpson = float(re.search(
+        r"^running-cost integral \(Simpson\): (\S+)$",
+        (out / "report.txt").read_text(), re.M,
+    ).group(1))
+    assert simpson == pytest.approx(integral, rel=1e-3)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_rollout_step_is_an_error_naming_the_key(tmp_path, value):
     path = _bundled_sleigh_with(

@@ -178,12 +178,21 @@ def test_structure_formula_particle_frame():
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
-def test_structure_formula_sleigh_frame_matches_stored_gamma():
-    params = SleighParams(mass_m=1.0, inertia_J=4.0, offset_a=0.2)
+@pytest.mark.parametrize("params", [
+    SleighParams(mass_m=1.0, inertia_J=4.0, offset_a=0.2),  # paper-5.1
+    SleighParams(mass_m=2.5, inertia_J=0.7, offset_a=1.3),
+], ids=["paper-5.1", "custom"])
+def test_structure_formula_sleigh_frame_matches_stored_gamma(params):
+    """Orthonormal frame: formula output and stored tensor agree bitwise,
+    at every q of a stack, and hold Gamma^1_12 = eta, Gamma^2_11 = -eta."""
     model = sleigh_model(params)
     out = christoffel_from_structure(sleigh_structure_constants(params))
-    # orthonormal frame: formula output and stored tensor agree exactly
-    assert np.array_equal(out, model.christoffel(np.zeros(3)))
+    qs = np.random.default_rng(5).normal(size=(4, 3))
+    assert np.array_equal(model.christoffel(qs), np.broadcast_to(out, (4, 2, 2, 2)))
+    expected = np.zeros((2, 2, 2))
+    expected[0, 0, 1] = params.eta
+    expected[1, 0, 0] = -params.eta
+    assert np.array_equal(out, expected)
 
 
 def _brute_force_formula(s):

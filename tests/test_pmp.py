@@ -146,15 +146,16 @@ def test_running_cost_zero_on_reference():
     assert running_cost(model, prob, 1.7, state, np.zeros(2)) == 0.0
 
 
-def test_running_cost_arithmetic():
-    # |dq|^2 = 4, |dv|^2 = 1, eps = 9, |u|^2 = 2 -> (4 + 1 + 18)/2 = 11.5
+@pytest.mark.parametrize("lambda0", [1.0, 2.0])
+def test_running_cost_arithmetic(lambda0):
+    # |dq|^2 = 4, |dv|^2 = 1, eps = 9, |u|^2 = 2 -> lambda0 (4 + 1 + 18)/2
     model = particle_model()
-    prob = case2_problem(epsilon=9.0)
+    prob = case2_problem(epsilon=9.0, lambda0=lambda0)
     ref = prob.reference(0.0)
     state = AdmissibleState(q=ref.q + [2.0, 0.0, 0.0], v=ref.v + [1.0, 0.0])
     u = np.array([1.0, 1.0])
     assert running_cost(model, prob, 0.0, state, u) == pytest.approx(
-        11.5, abs=1e-14
+        11.5 * lambda0, abs=1e-14
     )
 
 
@@ -964,7 +965,8 @@ def test_settings_reject_a_fractional_count(settings, field, extra):
 def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
     """Simpson over the first 2 floor(steps/2) intervals; an odd step count
     adds the trapezoid rule on the last interval.  The expected sum is
-    built here from one running_cost call per sample."""
+    built here from one running_cost call per sample of the same problem
+    at lambda0 = 1, times the lambda0 = 2 weight."""
     from nhtrack.pmp import ShootingTrajectory, trajectory_cost
 
     model = particle_model()
@@ -979,8 +981,9 @@ def test_trajectory_cost_is_composite_simpson_closed_by_a_trapezoid(steps):
         lam=np.zeros((steps + 1, 3)),
         mu=np.zeros((steps + 1, 2)),
     )
+    unit = replace(problem, lambda0=1.0)
     vals = [
-        2.0 * running_cost(model, problem, t, AdmissibleState(q=q, v=v), u)
+        2.0 * running_cost(model, unit, t, AdmissibleState(q=q, v=v), u)
         for t, q, v, u in zip(times, traj.q, traj.v, traj.u)
     ]
     h = 1.0 / steps

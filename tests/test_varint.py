@@ -1505,6 +1505,26 @@ class TestRegularityCheck:
             assert conditions[1e-6] > conditions[1.0]
             assert conditions[1e-12] / conditions[1.0] >= 1e6
 
+    def test_overflowing_matrix_raises_arithmetic_error(self):
+        """At epsilon = 1e308 the one-step matrix overflows: an
+        ArithmeticError naming it, with no RuntimeWarning on the way (the
+        suite would raise it)."""
+        sleigh = sleigh_model(SLEIGH_PARAMS)
+        reference = AnalyticReference(
+            q_base=[0.0, 0.0, 0.0], q_slope=[0.0, 0.0, 0.0],
+            v_base=[0.0, 0.0], v_slope=[0.0, 0.0],
+        )
+        problem = TrackingProblem(
+            reference=reference, horizon_T=1.0, epsilon=1e308, omega=1.0,
+            initial_state=AdmissibleState(q=[0.0, 0.0, 0.0], v=[0.0, 0.0]),
+            terminal_mode="hard",
+        )
+        rng = np.random.default_rng(0)
+        node_k = AdmissibleState(q=rng.normal(size=3), v=rng.normal(size=2))
+        node_k1 = AdmissibleState(q=rng.normal(size=3), v=rng.normal(size=2))
+        with pytest.raises(ArithmeticError, match="non-finite one-step matrix"):
+            regularity_check(sleigh, problem, node_k, node_k1, h=0.1)
+
     def test_solved_trajectory_nodes_all_nonsingular(self):
         sleigh = sleigh_model(SLEIGH_PARAMS)
         problem = sleigh_tracking_problem(sleigh)
@@ -1584,6 +1604,19 @@ class TestDiagnostics:
             psi = discrete_constraint(sleigh, traj.node(j), traj.node(j + 1),
                                       traj.h)
             assert series.constraint_residual[k] == np.max(np.abs(psi))
+
+    def test_cost_and_action_carry_lambda0(self):
+        """The cost column is the lambda0-weighted running cost, like the
+        action it sits beside: at lambda0 = 2 both are twice their lambda0 =
+        1 values on the same trajectory."""
+        sleigh = sleigh_model(SLEIGH_PARAMS)
+        problem = mild_sleigh_problem(sleigh)
+        traj, report = solve_del(sleigh, problem, TimeGrid(0.0, 1.0, 10))
+        assert report.converged
+        unit = diagnostics(sleigh, problem, traj)
+        double = diagnostics(sleigh, dataclasses.replace(problem, lambda0=2.0), traj)
+        assert np.array_equal(double.cost, 2.0 * unit.cost)
+        assert np.array_equal(double.action, 2.0 * unit.action)
 
     def test_psi_variant_passthrough(self):
         sleigh = sleigh_model(SLEIGH_PARAMS)
