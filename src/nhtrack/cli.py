@@ -4,7 +4,9 @@ report artifacts out.
 A config is an INI file with [system], [problem], [solver], [output] and an
 optional [compare] section; `nhtrack presets` lists the bundled ones.  The
 block NamedTuples below are the schema: each field is a key of its
-section, with the field's type and default.  Artifacts land in
+section, with the field's type and default.  A key that the config's route
+does not read (_unread) must be absent or at its default; the report's
+echo (config_text) lists every other set key.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
 convergence, 2 when the solver fails to converge or fails numerically (every
@@ -101,8 +103,8 @@ class ProblemBlock(typing.NamedTuple):
     epsilon: float = 1.0
     omega: float = 1.0
     lambda0: float = 1.0
-    terminal_mode: str = "mayer"
     state_weight: float = 1.0
+    terminal_mode: str = "mayer"
 
 
 class SolverBlock(typing.NamedTuple):
@@ -245,14 +247,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 f"unknown section [{section}]; known: {', '.join(SECTIONS)}"
             )
     blocks = {name: _parse_block(parser, name) for name in SECTIONS}
+    for (section, key), setting in _unread(ExperimentConfig(**blocks)).items():
+        if getattr(blocks[section], key) != SECTIONS[section]._field_defaults[key]:
+            raise ConfigError(f"{key} is not read by {setting}")
     solver = blocks["solver"]
-    # each method's own keys; the other method's must be absent or default
-    unread = (("psi_variant", "enforce_first_interval")
-              if solver.method == "pmp-shooting"
-              else ("continuation", "continuation_stages"))
-    for key in unread:
-        if getattr(solver, key) != SolverBlock._field_defaults[key]:
-            raise ConfigError(f"{key} is not read by method {solver.method}")
     defaults = _route("ShootingSettings" if solver.method == "pmp-shooting"
                       else "DelSettings")
     blocks["solver"] = solver._replace(**{
@@ -261,13 +259,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     })
     cfg = ExperimentConfig(**blocks)
 
-    system, problem = cfg.system, cfg.problem
-    params = (system.mass_m, system.inertia_J, system.offset_a)
-    if system.preset != "sleigh:custom" and params != (None, None, None):
-        raise ConfigError(
-            "mass_m/inertia_J/offset_a apply to preset sleigh:custom only; "
-            f"preset {system.preset!r} carries its own parameters"
-        )
+    problem = cfg.problem
     if problem.epsilon <= 0:
         raise ConfigError(
             "epsilon must be positive: epsilon = 0 is the singular tracking "
@@ -293,59 +285,55 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _fmt_vec(values) -> str:
-    return " ".join(repr(float(x)) for x in values)
+def _unread(cfg: ExperimentConfig) -> dict[tuple[str, str], str]:
+    """Each (section, key) that cfg's route does not read, mapped to the
+    setting that leaves it unread, such as ("solver", "continuation_stages")
+    -> "continuation none".  parse_config refuses such a key set away from
+    its default, and config_text leaves it out."""
+    problem, solver = cfg.problem, cfg.solver
+    rules = [
+        ("problem", f"reference {problem.reference}",
+         REFERENCE_VECTORS["rollout"] + ("rollout_step",)
+         if problem.reference == "analytic" else REFERENCE_VECTORS["analytic"]),
+        ("solver", "continuation none",
+         ("continuation_stages",) if solver.continuation == "none" else ()),
+        # after the ladder's rule: on the variational route the method is
+        # what leaves continuation_stages unread
+        ("solver", f"method {solver.method}",
+         ("psi_variant", "enforce_first_interval") if solver.method == "pmp-shooting"
+         else ("continuation", "continuation_stages")),
+        ("compare", "pmp no", () if cfg.compare.pmp else ("pmp_steps",)),
+    ]
+    return {(section, key): setting
+            for section, setting, keys in rules for key in keys}
+
+
+def _fmt(value) -> str:
+    """One config value as parse_config reads it back."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return " ".join(repr(float(x)) for x in value)
+    return repr(value)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical text form of a parsed config.  A key its route ignores is
-    left out: rollout_step is echoed only for a rollout reference,
-    continuation_stages only when continuation is not "none", and the
-    [compare] section only with pmp = yes.  Parsing the
-    text again reproduces the same ExperimentConfig, any such key at its
-    default (the round-trip the report relies on)."""
-    lines = ["[system]", f"preset = {cfg.system.preset}"]
-    for key in ("mass_m", "inertia_J", "offset_a"):
-        value = getattr(cfg.system, key)
-        if value is not None:
-            lines.append(f"{key} = {value!r}")
-
-    lines += ["", "[problem]", f"reference = {cfg.problem.reference}"]
-    for key in REFERENCE_VECTORS[cfg.problem.reference]:
-        lines.append(f"{key} = {_fmt_vec(getattr(cfg.problem, key))}")
-    if cfg.problem.reference == "rollout":
-        lines.append(f"rollout_step = {cfg.problem.rollout_step!r}")
-    lines.append(f"initial_q = {_fmt_vec(cfg.problem.initial_q)}")
-    lines.append(f"initial_v = {_fmt_vec(cfg.problem.initial_v)}")
-    for key in ("horizon_T", "epsilon", "omega", "lambda0", "state_weight"):
-        lines.append(f"{key} = {getattr(cfg.problem, key)!r}")
-    lines.append(f"terminal_mode = {cfg.problem.terminal_mode}")
-
-    lines += ["", "[solver]", f"method = {cfg.solver.method}"]
-    lines.append(f"newton_tol = {cfg.solver.newton_tol!r}")
-    lines.append(f"max_iters = {cfg.solver.max_iters}")
-    if cfg.solver.steps is not None:
-        lines.append(f"steps = {cfg.solver.steps}")
-    if cfg.solver.method == "pmp-shooting":
-        lines.append(f"continuation = {cfg.solver.continuation}")
-        if cfg.solver.continuation != "none":
-            lines.append(f"continuation_stages = {cfg.solver.continuation_stages}")
-    else:
-        lines.append(f"psi_variant = {cfg.solver.psi_variant}")
-        enforce = "yes" if cfg.solver.enforce_first_interval else "no"
-        lines.append(f"enforce_first_interval = {enforce}")
-
-    lines += ["", "[output]"]
-    if cfg.output.directory is not None:
-        lines.append(f"directory = {cfg.output.directory}")
-    lines.append(f"precision = {cfg.output.precision}")
-
-    if cfg.compare.pmp:
-        lines += ["", "[compare]", "pmp = yes"]
-        if cfg.compare.pmp_steps is not None:
-            lines.append(f"pmp_steps = {cfg.compare.pmp_steps}")
-
-    return "\n".join(lines) + "\n"
+    """Canonical text form of a parsed config: each section's set keys (not
+    None), in block field order, except those _unread names; the [compare]
+    section only with pmp = yes.  Parsing the text again reproduces the
+    same ExperimentConfig (the round-trip the report relies on)."""
+    unread = _unread(cfg)
+    lines = []
+    for section, block in cfg._asdict().items():
+        if section == "compare" and not block.pmp:
+            continue
+        lines += ["", f"[{section}]"] + [
+            f"{key} = {_fmt(value)}" for key, value in block._asdict().items()
+            if value is not None and (section, key) not in unread
+        ]
+    return "\n".join(lines[1:]) + "\n"
 
 
 # ---------------------------------------------------------------------------

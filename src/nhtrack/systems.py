@@ -228,34 +228,31 @@ def resolve_system(
 
     Accepted names: "particle", "sleigh" (default parameters),
     "sleigh:<preset>" for a named parameter set, or "sleigh:custom" with all
-    of mass_m, inertia_J, offset_a supplied.
+    of mass_m, inertia_J, offset_a supplied; any other preset carries its
+    own parameters and refuses these.
     """
+    params = {"mass_m": mass_m, "inertia_J": inertia_J, "offset_a": offset_a}
+    if name == "sleigh:custom":
+        missing = [field for field, value in params.items() if value is None]
+        if missing:
+            raise ValueError(f"sleigh:custom requires parameters {', '.join(missing)}")
+        return sleigh_model(SleighParams(**params))
     if name == "particle":
-        return particle_model()
-    if name == "sleigh":
-        return sleigh_model()
-    if name.startswith("sleigh:"):
+        model = particle_model()
+    elif name == "sleigh":
+        model = sleigh_model()
+    elif name.startswith("sleigh:"):
         key = name.split(":", 1)[1]
-        if key == "custom":
-            missing = [
-                field
-                for field, value in (
-                    ("mass_m", mass_m),
-                    ("inertia_J", inertia_J),
-                    ("offset_a", offset_a),
-                )
-                if value is None
-            ]
-            if missing:
-                raise ValueError(
-                    f"sleigh:custom requires parameters {', '.join(missing)}"
-                )
-            return sleigh_model(
-                SleighParams(mass_m=mass_m, inertia_J=inertia_J, offset_a=offset_a)
+        if key not in SLEIGH_PRESETS:
+            raise ValueError(
+                f"unknown sleigh preset {key!r}; known: {sorted(SLEIGH_PRESETS)}"
             )
-        if key in SLEIGH_PRESETS:
-            return sleigh_model(SLEIGH_PRESETS[key])
+        model = sleigh_model(SLEIGH_PRESETS[key])
+    else:
+        raise ValueError(f"unknown system {name!r}; known: {available_systems()}")
+    if set(params.values()) != {None}:
         raise ValueError(
-            f"unknown sleigh preset {key!r}; known: {sorted(SLEIGH_PRESETS)}"
+            "mass_m/inertia_J/offset_a apply to preset sleigh:custom only; "
+            f"preset {name!r} carries its own parameters"
         )
-    raise ValueError(f"unknown system {name!r}; known: {available_systems()}")
+    return model

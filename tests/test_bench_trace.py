@@ -44,7 +44,7 @@ EQUILIBRIUM = PROBLEM.format(
 # a short shooting solve from a start off the (resting) reference
 SHOOTING = PROBLEM.format(
     q0="0.2 1.8 0.0", terminal="mayer",
-    solver="method = pmp-shooting\nsteps = 20\ncontinuation_stages = 1",
+    solver="method = pmp-shooting\nsteps = 20",
 )
 
 

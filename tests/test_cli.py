@@ -93,23 +93,78 @@ class TestParsing:
         "path", sorted(BUNDLED.glob("*.cfg")), ids=lambda path: path.name
     )
     def test_bundled_config_sets_no_key_its_route_ignores(self, path):
-        cfg = parse_config(path)
-        solver, reference = cfg.solver, cfg.problem.reference
-        if solver.method == "pmp-shooting":
-            ignored = {"psi_variant", "enforce_first_interval"}
-            if solver.continuation == "none":
-                ignored.add("continuation_stages")
-        else:
-            ignored = {"continuation", "continuation_stages"}
-        for kind, vectors in cli.REFERENCE_VECTORS.items():
-            if kind != reference:
-                ignored.update(vectors)
-        if reference != "rollout":
-            ignored.add("rollout_step")
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(path, encoding="utf-8")
-        keys = {key for name in parser.sections() for key in parser[name]}
-        assert keys & ignored == set()
+        keys = {(name, key) for name in parser.sections() for key in parser[name]}
+        assert keys & set(cli._unread(parse_config(path))) == set()
+
+    @pytest.mark.parametrize("name, expected", [
+        ("particle-case2.cfg", """\
+            [system]
+            preset = particle
+
+            [problem]
+            reference = analytic
+            q_base = 1.0 0.0 1.0
+            q_slope = 0.0 0.0 1.0
+            v_base = 0.0 1.0
+            v_slope = 0.0 0.0
+            initial_q = 0.5 0.2 0.7
+            initial_v = 0.5 0.4
+            horizon_T = 4.0
+            epsilon = 7.0
+            omega = 1.0
+            lambda0 = 1.0
+            state_weight = 1.0
+            terminal_mode = mayer
+
+            [solver]
+            method = pmp-shooting
+            newton_tol = 1e-08
+            max_iters = 50
+            steps = 400
+            continuation = none
+
+            [output]
+            precision = 17
+            """),
+        ("sleigh-paper51.cfg", """\
+            [system]
+            preset = sleigh:custom
+            mass_m = 1.0
+            inertia_J = 4.0
+            offset_a = 0.2
+
+            [problem]
+            reference = rollout
+            rollout_q = 0.0 0.5 0.0
+            rollout_v = 0.3333333333333333 1.0
+            rollout_step = 0.01
+            initial_q = 0.0 0.0 4.1887902047863905
+            initial_v = 0.25 1.0
+            horizon_T = 5.0
+            epsilon = 1.0
+            omega = 1.0
+            lambda0 = 1.0
+            state_weight = 1.0
+            terminal_mode = hard
+
+            [solver]
+            method = variational
+            newton_tol = 1e-10
+            max_iters = 100
+            steps = 50
+            psi_variant = midpoint
+            enforce_first_interval = no
+
+            [output]
+            precision = 17
+            """),
+    ])
+    def test_echo_layout_of_the_bundled_configs(self, name, expected):
+        """The echo's key order is the block field order, and every
+        report.txt carries it: a reordered field would move them all."""
+        assert config_text(parse_config(BUNDLED / name)) == textwrap.dedent(expected)
 
     def test_echo_leaves_out_continuation_stages_without_a_ladder(self, tmp_path):
         cfg = parse_config(BUNDLED / "particle-case2.cfg")
@@ -193,8 +248,9 @@ class TestParsing:
             method = pmp-shooting
             """,
         )
+        cfg = parse_config(path)
         with pytest.raises(ConfigError, match="sleigh:custom only"):
-            parse_config(path)
+            cli._build(cfg)
 
     def test_unknown_key_is_named(self, tmp_path):
         text = equilibrium_cfg(tmp_path).read_text()
@@ -1195,26 +1251,39 @@ def test_overflowing_newton_matrix_is_a_quiet_solver_failure(tmp_path, command, 
     ]
 
 
-@pytest.mark.parametrize("bundled, key, value, method", [
-    ("sleigh-paper51.cfg", "continuation_stages", "0", "variational"),
-    ("sleigh-paper51.cfg", "continuation", "horizon", "variational"),
-    ("particle-case2.cfg", "psi_variant", "difference-quotient", "pmp-shooting"),
-    ("particle-case2.cfg", "enforce_first_interval", "yes", "pmp-shooting"),
+@pytest.mark.parametrize("bundled, key, value, setting", [
+    ("sleigh-paper51.cfg", "continuation_stages", "0", "method variational"),
+    ("sleigh-paper51.cfg", "continuation", "horizon", "method variational"),
+    ("particle-case2.cfg", "psi_variant", "difference-quotient", "method pmp-shooting"),
+    ("particle-case2.cfg", "enforce_first_interval", "yes", "method pmp-shooting"),
+    ("particle-case2.cfg", "continuation_stages", "9", "continuation none"),
+    ("particle-case2.cfg", "rollout_q", "0 0 0", "reference analytic"),
+    ("particle-case2.cfg", "rollout_v", "0 0", "reference analytic"),
+    ("particle-case2.cfg", "rollout_step", "0.005", "reference analytic"),
+    ("sleigh-paper51.cfg", "q_base", "0 0 0", "reference rollout"),
+    ("sleigh-paper51.cfg", "v_slope", "0 0", "reference rollout"),
+    ("sleigh-paper51.cfg", "pmp_steps", "50", "pmp no"),
 ])
 def test_a_solver_key_of_the_other_method_is_a_config_error(
-    tmp_path, bundled, key, value, method
+    tmp_path, bundled, key, value, setting
 ):
-    """A [solver] key that only the other method reads, set away from its
-    default, is a config error naming the key and the method."""
+    """A key that this config's route does not read (the other method's
+    [solver] key, a ladder key without a ladder, the other reference's
+    [problem] key, pmp_steps without pmp = yes), set away from its default,
+    is a config error naming the key and the setting that leaves it
+    unread."""
+    section = next(name for name, block in cli.SECTIONS.items() if key in block._fields)
     text = (BUNDLED / bundled).read_text()
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
     path = write_cfg(tmp_path, bundled, text.replace(
-        "[solver]\n", f"[solver]\n{key} = {value}\n"))
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     result = invoke(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines()
               if line.startswith("Error:")]
-    assert errors == [f"Error: {path}: {key} is not read by method {method}"]
+    assert errors == [f"Error: {path}: {key} is not read by {setting}"]
     assert not (tmp_path / "out").exists()
 
 

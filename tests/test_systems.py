@@ -142,6 +142,14 @@ def test_resolve_sleigh_custom_missing_params():
         resolve_system("sleigh:custom", mass_m=1.0, offset_a=0.1)
 
 
+@pytest.mark.parametrize("name", ["particle", "sleigh", "sleigh:paper-5.1"])
+def test_resolve_fixed_preset_refuses_parameters(name):
+    """A preset that carries its own parameters refuses any, rather than
+    silently returning its own model."""
+    with pytest.raises(ValueError, match="apply to preset sleigh:custom only"):
+        resolve_system(name, inertia_J=9.0)
+
+
 def test_resolve_unknown_names():
     with pytest.raises(ValueError, match="unknown system"):
         resolve_system("pendulum")
