@@ -5,8 +5,9 @@ A config is an INI file with [system], [problem], [solver], [output] and an
 optional [compare] section; `nhtrack presets` lists the bundled ones.  The
 block NamedTuples below are the schema: each field is a key of its
 section, with the field's type and default.  A key that the config's route
-does not read (_unread) must be absent or at its default; the report's
-echo (config_text) lists every other set key.  Artifacts land in
+does not read (_unread) must be absent or at its default; [compare] is
+read by `compare` only, so `run` refuses it away from its defaults.  The
+report's echo (config_text) lists every other set key.  Artifacts land in
 <out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
 report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
 convergence, 2 when the solver fails to converge or fails numerically (every
@@ -145,14 +146,9 @@ class ExperimentConfig(typing.NamedTuple):
     compare: CompareBlock
 
 
-# config section -> the block whose field names are its keys
-SECTIONS = {
-    "system": SystemBlock,
-    "problem": ProblemBlock,
-    "solver": SolverBlock,
-    "output": OutputBlock,
-    "compare": CompareBlock,
-}
+# config section -> the block whose field names are its keys; globals(), as
+# runpy.run_module(run_name="__main__") leaves this module out of sys.modules
+SECTIONS = typing.get_type_hints(ExperimentConfig, globals())
 
 
 # fixed-choice keys and their allowed values; a reference kind names the
@@ -177,12 +173,10 @@ def _parse_value(key: str, raw: str, hint):
     cast = typing.get_origin(hint) or hint
     raw = raw.strip()
     if cast is bool:
-        lowered = raw.lower()
-        if lowered in ("yes", "true", "1", "on"):
-            return True
-        if lowered in ("no", "false", "0", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a yes/no value, got {raw!r}")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigError(f"{key}: expected a yes/no value, got {raw!r}")
+        return states[raw.lower()]
     try:
         value = tuple(float(tok) for tok in raw.split()) if cast is tuple else cast(raw)
     except ValueError as exc:
@@ -246,40 +240,21 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown section [{section}]; known: {', '.join(SECTIONS)}"
             )
-    blocks = {name: _parse_block(parser, name) for name in SECTIONS}
-    for (section, key), setting in _unread(ExperimentConfig(**blocks)).items():
-        if getattr(blocks[section], key) != SECTIONS[section]._field_defaults[key]:
-            raise ConfigError(f"{key} is not read by {setting}")
-    solver = blocks["solver"]
+    cfg = ExperimentConfig(**{name: _parse_block(parser, name) for name in SECTIONS})
+    _refuse_set(cfg, _unread(cfg))
+    solver = cfg.solver
     defaults = _route("ShootingSettings" if solver.method == "pmp-shooting"
                       else "DelSettings")
-    blocks["solver"] = solver._replace(**{
+    cfg = cfg._replace(solver=solver._replace(**{
         key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
         if getattr(solver, key) is None
-    })
-    cfg = ExperimentConfig(**blocks)
-
-    problem = cfg.problem
-    if problem.epsilon <= 0:
-        raise ConfigError(
-            "epsilon must be positive: epsilon = 0 is the singular tracking "
-            "problem, which this toolkit excludes (the control-effort weight "
-            "is what keeps the one-step and shooting systems nonsingular)"
-        )
-    missing = [
-        key for key in REFERENCE_VECTORS[problem.reference]
-        if getattr(problem, key) is None
-    ]
-    if missing:
-        raise ConfigError(f"{problem.reference} reference needs {', '.join(missing)}")
-    if not problem.initial_q or not problem.initial_v:
-        raise ConfigError("problem needs initial_q and initial_v")
+    }))
     if cfg.solver.method == "variational" and cfg.solver.steps is None:
         raise ConfigError("variational solver needs an explicit steps count")
     if not 1 <= cfg.output.precision <= 17:
         raise ConfigError(f"precision must be in [1, 17], got {cfg.output.precision}")
-    if problem.rollout_step <= 0:
-        raise ConfigError(f"rollout_step must be positive, got {problem.rollout_step}")
+    if cfg.problem.rollout_step <= 0:
+        raise ConfigError(f"rollout_step must be positive, got {cfg.problem.rollout_step}")
     if cfg.compare.pmp_steps is not None and cfg.compare.pmp_steps <= 0:
         raise ConfigError(f"pmp_steps must be positive, got {cfg.compare.pmp_steps}")
     return cfg
@@ -306,6 +281,14 @@ def _unread(cfg: ExperimentConfig) -> dict[tuple[str, str], str]:
     ]
     return {(section, key): setting
             for section, setting, keys in rules for key in keys}
+
+
+def _refuse_set(cfg: ExperimentConfig, unread: dict[tuple[str, str], str]) -> None:
+    """Refuse the first key of unread (as _unread maps it) set away from its default."""
+    for (section, key), setting in unread.items():
+        block = getattr(cfg, section)
+        if getattr(block, key) != block._field_defaults[key]:
+            raise ConfigError(f"{key} is not read by {setting}")
 
 
 def _fmt(value) -> str:
@@ -353,7 +336,7 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
     blk = cfg.problem
     for key in REFERENCE_VECTORS[blk.reference] + ("initial_q", "initial_v"):
         size = model.n if "q" in key else model.rank  # q or v vector
-        got = len(getattr(blk, key))
+        got = len(getattr(blk, key) or ())  # an absent vector has none
         if got != size:
             raise ConfigError(
                 f"{key} needs {size} entries for system {cfg.system.preset}, "
@@ -538,6 +521,7 @@ def _del_route(model, problem, settings, grid, terminal):
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Solve one config and write trajectory.csv, diagnostics.csv and
     report.txt into out_dir.  Returns the process exit code."""
+    _refuse_set(cfg, {("compare", key): "command run" for key in CompareBlock._fields})
     model, problem, settings, grid = _build(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     precision = cfg.output.precision

@@ -20,7 +20,8 @@ def _zeros(*shape: int):
 
 @dataclass(frozen=True)
 class SleighParams:
-    """Physical parameters of the Chaplygin sleigh.
+    """Physical parameters of the Chaplygin sleigh; the defaults are the
+    paper's section 5.1 values (preset sleigh:paper-5.1).
 
     mass_m: body mass (kg), inertia_J: moment of inertia about the contact
     point axis (kg m^2), offset_a: distance from the contact point to the
@@ -204,9 +205,7 @@ def sleigh_structure_constants(params: SleighParams) -> Array:
     return c
 
 
-SLEIGH_PRESETS: dict[str, SleighParams] = {
-    "paper-5.1": SleighParams(mass_m=1.0, inertia_J=4.0, offset_a=0.2),
-}
+SLEIGH_PRESETS: dict[str, SleighParams] = {"paper-5.1": SleighParams()}
 
 
 def available_systems() -> list[str]:
@@ -226,8 +225,8 @@ def resolve_system(
 ) -> SystemModel:
     """Resolve a system preset name into a SystemModel.
 
-    Accepted names: "particle", "sleigh" (default parameters),
-    "sleigh:<preset>" for a named parameter set, or "sleigh:custom" with all
+    Accepted names: "particle", "sleigh:<preset>" for a named parameter set
+    ("sleigh" is "sleigh:paper-5.1"), or "sleigh:custom" with all
     of mass_m, inertia_J, offset_a supplied; any other preset carries its
     own parameters and refuses these.
     """
@@ -237,12 +236,11 @@ def resolve_system(
         if missing:
             raise ValueError(f"sleigh:custom requires parameters {', '.join(missing)}")
         return sleigh_model(SleighParams(**params))
+    head, colon, key = name.partition(":")
     if name == "particle":
         model = particle_model()
-    elif name == "sleigh":
-        model = sleigh_model()
-    elif name.startswith("sleigh:"):
-        key = name.split(":", 1)[1]
+    elif head == "sleigh":
+        key = key if colon else "paper-5.1"  # "sleigh:" names no preset
         if key not in SLEIGH_PRESETS:
             raise ValueError(
                 f"unknown sleigh preset {key!r}; known: {sorted(SLEIGH_PRESETS)}"

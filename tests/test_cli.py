@@ -227,7 +227,7 @@ class TestParsing:
             """,
         )
         with pytest.raises(ConfigError, match="singular"):
-            parse_config(path)
+            cli._build(parse_config(path))
 
     def test_rejects_parameters_on_fixed_presets(self, tmp_path):
         path = write_cfg(
@@ -1263,15 +1263,17 @@ def test_overflowing_newton_matrix_is_a_quiet_solver_failure(tmp_path, command, 
     ("sleigh-paper51.cfg", "q_base", "0 0 0", "reference rollout"),
     ("sleigh-paper51.cfg", "v_slope", "0 0", "reference rollout"),
     ("sleigh-paper51.cfg", "pmp_steps", "50", "pmp no"),
+    ("sleigh-paper51.cfg", "pmp", "yes", "command run"),
+    ("particle-case2.cfg", "pmp", "yes", "command run"),
 ])
 def test_a_solver_key_of_the_other_method_is_a_config_error(
     tmp_path, bundled, key, value, setting
 ):
     """A key that this config's route does not read (the other method's
     [solver] key, a ladder key without a ladder, the other reference's
-    [problem] key, pmp_steps without pmp = yes), set away from its default,
-    is a config error naming the key and the setting that leaves it
-    unread."""
+    [problem] key, pmp_steps without pmp = yes, any [compare] key on `run`),
+    set away from its default, is a config error naming the key and the
+    setting that leaves it unread."""
     section = next(name for name, block in cli.SECTIONS.items() if key in block._fields)
     text = (BUNDLED / bundled).read_text()
     if f"[{section}]\n" not in text:
@@ -1284,6 +1286,26 @@ def test_a_solver_key_of_the_other_method_is_a_config_error(
     errors = [line for line in result.output.splitlines()
               if line.startswith("Error:")]
     assert errors == [f"Error: {path}: {key} is not read by {setting}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bundled, key", [
+    ("particle-case2.cfg", "q_slope"),
+    ("sleigh-paper51.cfg", "rollout_v"),
+    ("particle-case2.cfg", "initial_v"),
+])
+def test_a_missing_vector_is_a_config_error(tmp_path, bundled, key):
+    """A vector that the config's reference or initial state needs, left
+    out, is one config error naming the key, before any artifact exists."""
+    text = (BUNDLED / bundled).read_text()
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    assert len(lines) == len(text.splitlines()) - 1
+    path = write_cfg(tmp_path, bundled, "\n".join(lines) + "\n")
+    result = invoke(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and key in errors[0], errors
     assert not (tmp_path / "out").exists()
 
 

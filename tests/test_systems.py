@@ -153,8 +153,18 @@ def test_resolve_fixed_preset_refuses_parameters(name):
 def test_resolve_unknown_names():
     with pytest.raises(ValueError, match="unknown system"):
         resolve_system("pendulum")
-    with pytest.raises(ValueError, match="unknown sleigh preset"):
-        resolve_system("sleigh:nope")
+    for name in ("sleigh:nope", "sleigh:"):
+        with pytest.raises(ValueError, match="unknown sleigh preset"):
+            resolve_system(name)
+
+
+def test_plain_sleigh_is_the_paper_preset():
+    """The name "sleigh" is sleigh:paper-5.1: the same frame and
+    Christoffel coefficients at four random q."""
+    plain, paper = resolve_system("sleigh"), resolve_system("sleigh:paper-5.1")
+    qs = np.random.default_rng(0).normal(size=(4, 3))
+    assert np.array_equal(plain.rho(qs), paper.rho(qs))
+    assert np.array_equal(plain.christoffel(qs), paper.christoffel(qs))
 
 
 def test_available_systems_lists_presets():
