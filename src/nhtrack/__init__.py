@@ -35,76 +35,31 @@ from .systems import (
     sleigh_model,
 )
 
-__all__ = [
-    "AdmissibleState",
-    "AnalyticReference",
-    "ConvergenceReport",
-    "Costate",
-    "DelSettings",
-    "DiagnosticSeries",
-    "DiscreteTrajectory",
-    "FlowDivergedError",
-    "IntegrationError",
-    "RegularityError",
-    "RegularityReport",
-    "RolloutReference",
-    "ShootingSettings",
-    "ShootingTrajectory",
-    "SingularJacobianError",
-    "SleighParams",
-    "SystemModel",
-    "TimeGrid",
-    "TrackingProblem",
-    "abnormal_diagnostic",
-    "admissibility_velocity",
-    "available_systems",
-    "christoffel_from_structure",
-    "constraint_residual",
-    "continuous_optimality_residual",
-    "del_residual",
-    "diagnostics",
-    "discrete_constraint",
-    "discrete_lagrangian",
-    "dynamics_rhs",
-    "hamiltonian",
-    "integrate",
-    "ocp_lagrangian",
-    "optimal_control",
-    "optimal_hamiltonian",
-    "particle_model",
-    "pmp_rhs",
-    "reconstructed_control",
-    "regularity_check",
-    "resolve_system",
-    "restricted_energy",
-    "rk4_step",
-    "running_cost",
-    "shooting_residual",
-    "sleigh_model",
-    "solve_del",
-    "solve_shooting",
-    "state_difference",
-    "trajectory_cost",
-    "wrap_angle",
-]
-
 __version__ = "0.1.0"
-
 
 # the names that live in one solver route, each with the module of its route;
 # the route loads on the first read of one of them, here through __getattr__
 # and in cli through its own, so a process loads only the route it runs
 _ROUTES = dict.fromkeys((
     "Costate", "FlowDivergedError", "ShootingSettings", "ShootingTrajectory",
-    "SingularJacobianError", "abnormal_diagnostic", "check_shooting",
-    "hamiltonian", "optimal_control", "optimal_hamiltonian", "pmp_rhs",
-    "shooting_residual", "solve_shooting", "trajectory_cost",
+    "SingularJacobianError", "abnormal_diagnostic", "hamiltonian",
+    "optimal_control", "optimal_hamiltonian", "pmp_rhs", "shooting_residual",
+    "solve_shooting", "trajectory_cost",
 ), "pmp") | dict.fromkeys((
     "DelSettings", "DiagnosticSeries", "DiscreteTrajectory", "RegularityError",
-    "RegularityReport", "check_del", "continuous_optimality_residual",
-    "del_residual", "diagnostics", "discrete_constraint", "discrete_lagrangian",
+    "RegularityReport", "continuous_optimality_residual", "del_residual",
+    "diagnostics", "discrete_constraint", "discrete_lagrangian",
     "ocp_lagrangian", "reconstructed_control", "regularity_check", "solve_del",
 ), "varint")
+
+# the public names: those imported above (the submodules they come from are
+# not callable) and the route names
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if callable(value) and not name.startswith("_")] + list(_ROUTES)
+)
+# the routes' entry checks, for cli only
+_ROUTES |= {"check_shooting": "pmp", "check_del": "varint"}
 
 
 def _from_route(name: str):

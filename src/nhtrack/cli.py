@@ -3,17 +3,20 @@ report artifacts out.
 
 A config is an INI file with [system], [problem], [solver], [output] and an
 optional [compare] section; `nhtrack presets` lists the bundled ones.  The
-block NamedTuples below are the schema: each field is a key of its
-section, with the field's type and default.  A key that the config's route
-does not read (_unread) must be absent or at its default; [compare] is
-read by `compare` only, so `run` refuses it away from its defaults.  The
-report's echo (config_text) lists every other set key.  Artifacts land in
-<out>/<config-stem>/: `run` writes trajectory.csv, diagnostics.csv and
-report.txt; `compare` writes compare.csv and report.txt.  Exit codes: 0 on
-convergence, 2 when the solver fails to converge or fails numerically (every
-numerical failure is an ArithmeticError; artifacts are still written), 1 on
-configuration or usage errors (a missing config file, an unknown section,
-key, command or option) and on an artifact directory that cannot be created.
+block NamedTuples below are the schema: each field is a key of its section,
+with the field's type and default; a route's own choices, such as
+continuation, are checked by its settings (_build).  A key that the
+config's route does not read (_unread) must be absent or at its default;
+[compare] is read by `compare` only, so `run` refuses it away from its
+defaults.  The report's echo (config_text) lists every other set key.
+Artifacts land in <out>/<config-stem>/: `run` writes trajectory.csv,
+diagnostics.csv and report.txt; `compare` writes compare.csv and
+report.txt.  Exit codes: 0 on convergence, 2 when the solver fails to
+converge or fails numerically (every numerical failure is an
+ArithmeticError; artifacts are still written), 1 on configuration or usage
+errors (a missing config file, an unknown section, key, command or option,
+a value the model, problem or grid cannot be built from) and on an
+artifact directory that cannot be created.
 """
 from __future__ import annotations
 
@@ -39,8 +42,6 @@ from .geometry import dynamics_rhs  # noqa: F401  (wrapped by bench/trace.py)
 from .ode import IntegrationError, TimeGrid, integrate, rk4_step
 from . import _ROUTES, _from_route
 from .problem import (
-    CONTINUATIONS,
-    PSI_VARIANTS,
     ROLLOUT_STEP,
     AnalyticReference,
     RolloutReference,
@@ -151,18 +152,14 @@ class ExperimentConfig(typing.NamedTuple):
 SECTIONS = typing.get_type_hints(ExperimentConfig, globals())
 
 
-# fixed-choice keys and their allowed values; a reference kind names the
-# vector keys it needs
+# cli's fixed-choice keys and their allowed values (a route's own choices,
+# such as continuation, are checked by its settings); a reference kind names
+# the vector keys it needs
 REFERENCE_VECTORS = {
     "analytic": ("q_base", "q_slope", "v_base", "v_slope"),
     "rollout": ("rollout_q", "rollout_v"),
 }
-CHOICES = {
-    "reference": tuple(REFERENCE_VECTORS),
-    "method": METHODS,
-    "continuation": CONTINUATIONS,
-    "psi_variant": PSI_VARIANTS,
-}
+CHOICES = {"reference": tuple(REFERENCE_VECTORS), "method": METHODS}
 
 
 def _parse_value(key: str, raw: str, hint):
@@ -377,8 +374,10 @@ def _build(cfg: ExperimentConfig) -> tuple[
     The grid spans the horizon in `steps` intervals (None when steps is
     unset).  A value the library rejects while building them or at the
     solver's entry checks, such as a negative omega, a zero
-    continuation_stages, a rollout reference that overflows or a Mayer
-    problem on the variational route, becomes a ConfigError.
+    continuation_stages, an unknown psi_variant, a rollout reference that
+    overflows or a Mayer problem on the variational route, becomes a
+    ConfigError, and so does one they cannot be built from (an
+    ArithmeticError, such as a horizon_T whose grid count overflows).
     """
     blk = cfg.solver
     try:
@@ -403,7 +402,7 @@ def _build(cfg: ExperimentConfig) -> tuple[
                 enforce_first_interval=blk.enforce_first_interval,
             )
             _route("check_del")(problem, grid)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
     return model, problem, settings, grid
 
@@ -666,8 +665,7 @@ def _cross_method_settings(
     compare's variational problem from a zero costate."""
     steps = cfg.compare.pmp_steps
     return _route("ShootingSettings")(
-        inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps),
-        continuation="none",
+        inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps)
     )
 
 
@@ -932,14 +930,12 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None, stem: str) -> Path:
     return Path(base) / stem
 
 
-def run(configs: list[str], out: str | None) -> int:
-    """Solve each config and write trajectory/diagnostics/report artifacts.
-
-    A config that fails to parse or build, or whose artifacts cannot be
-    written, prints its error and the rest still run; the exit code is 1
-    if any config failed so, else the worst solver code.  Two configs that
-    would write to the same artifact directory are rejected, exit code 1,
-    before any of them runs."""
+def _each_config(configs: list[str], out: str | None, experiment, statuses) -> int:
+    """The loop of run and compare: parse every config, then call
+    experiment(cfg, target) on each and print its status, statuses[0] on
+    exit code 0, else statuses[1]; run's docstring gives the errors and the
+    exit code.  The callers read experiment from this module's globals at
+    call time, so a wrapper that bench/trace.py sets there is the one run."""
     worst, failed = 0, False
     jobs, targets = [], {}
     for path in configs:
@@ -962,29 +958,30 @@ def run(configs: list[str], out: str | None) -> int:
         jobs.append((path, cfg, target))
     for path, cfg, target in jobs:
         try:
-            code = run_experiment(cfg, target)
+            code = experiment(cfg, target)
         except (ConfigError, OSError) as exc:
             print(f"Error: {path}: {exc}", file=sys.stderr)
             failed = True
             continue
-        status = "converged" if code == 0 else "did not converge"
-        print(f"{path}: {status}; artifacts in {target}", flush=True)
+        print(f"{path}: {statuses[code != 0]}; artifacts in {target}", flush=True)
         worst = max(worst, code)
     return 1 if failed else worst
 
 
+def run(configs: list[str], out: str | None) -> int:
+    """Solve each config and write trajectory/diagnostics/report artifacts.
+
+    A config that fails to parse or build, or whose artifacts cannot be
+    written, prints its error and the rest still run; the exit code is 1
+    if any config failed so, else the worst solver code.  Two configs that
+    would write to the same artifact directory are rejected, exit code 1,
+    before any of them runs."""
+    return _each_config(configs, out, run_experiment, ("converged", "did not converge"))
+
+
 def compare(config_path: str, out: str | None) -> int:
     """Re-integrate recovered controls and report the h-halving ratio."""
-    try:
-        cfg = parse_config(config_path)
-        target = _resolve_out(cfg, out, Path(config_path).stem)
-        code = compare_experiment(cfg, target)
-    except (ConfigError, OSError) as exc:
-        print(f"Error: {config_path}: {exc}", file=sys.stderr)
-        return 1
-    status = "ok" if code == 0 else "nonconvergence"
-    print(f"{config_path}: {status}; artifacts in {target}")
-    return code
+    return _each_config([config_path], out, compare_experiment, ("ok", "nonconvergence"))
 
 
 def check(system_name: str, seed: int) -> int:

@@ -57,7 +57,6 @@ from .geometry import (
 )
 from .ode import IntegrationError, TimeGrid, rk4_step
 from .problem import (
-    CONTINUATIONS,
     FD_STEP,
     ConvergenceReport,
     NewtonSettings,
@@ -118,6 +117,10 @@ class Costate:
     @staticmethod
     def zero(model: SystemModel) -> "Costate":
         return Costate(lam=np.zeros(model.n), mu=np.zeros(model.rank))
+
+
+# the globalizations of ShootingSettings.continuation
+CONTINUATIONS = ("none", "horizon", "terminal-weight")
 
 
 @dataclass(frozen=True)
@@ -299,8 +302,9 @@ def pmp_rhs(
 
 
 def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
-    steps = max(1, round(problem.horizon_T / 0.01))  # default: h of about 0.01
-    grid = settings.inner_grid or TimeGrid(0.0, problem.horizon_T, steps)
+    # default: h of about 0.01
+    grid = settings.inner_grid or TimeGrid(
+        0.0, problem.horizon_T, max(1, round(problem.horizon_T / 0.01)))
     _check_span(grid, problem, "inner_grid")
     return grid
 

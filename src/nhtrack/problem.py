@@ -210,12 +210,6 @@ def _check_count(settings: NewtonSettings, name: str) -> None:
     )
 
 
-# the shooting route's globalizations (pmp.ShootingSettings.continuation)
-CONTINUATIONS = ("none", "horizon", "terminal-weight")
-# the variational route's Psi_d forms (varint.DelSettings.psi_variant)
-PSI_VARIANTS = ("midpoint", "difference-quotient")
-
-
 class IterationRecord(NamedTuple):
     iteration: int
     residual_norm: float

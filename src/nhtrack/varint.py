@@ -54,7 +54,6 @@ from .geometry import (
 from .ode import TimeGrid
 from .problem import (
     FD_STEP,
-    PSI_VARIANTS,
     ConvergenceReport,
     NewtonSettings,
     TrackingProblem,
@@ -69,6 +68,8 @@ Nodes = tuple[Array, Array, Array, Array | None]
 
 # condition-estimate ceiling for calling the one-step matrix nonsingular
 REGULARITY_COND_LIMIT = 1e12
+# the Psi_d forms of DelSettings.psi_variant
+PSI_VARIANTS = ("midpoint", "difference-quotient")
 
 
 class RegularityError(ArithmeticError):

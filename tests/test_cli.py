@@ -302,19 +302,23 @@ class TestParsing:
             [solver]
             {solver}
             """
-        for key, value in (
-            ("reference", "spline"),
-            ("method", "collocation"),
-            ("continuation", "arclength"),
-            ("psi_variant", "trapezoid"),
+        # cli's own choices fail the parse; a route's fail its settings,
+        # built by _build on a config whose method reads the key
+        for key, value, solver in (
+            ("reference", "spline", ()),
+            ("method", "collocation", ()),
+            ("continuation", "arclength", ()),
+            ("psi_variant", "trapezoid", ("method = variational", "steps = 10")),
         ):
+            if key != "reference":
+                solver += (f"{key} = {value}",)
             text = base.format(
                 reference=value if key == "reference" else "analytic",
-                solver="" if key == "reference" else f"{key} = {value}",
+                solver="\n            ".join(solver),
             )
             path = write_cfg(tmp_path, f"{key}.cfg", text)
             with pytest.raises(ConfigError, match=rf"^{key} must be one of .*{value}"):
-                parse_config(path)
+                cli._build(parse_config(path))
 
     def test_required_keys_only_parse_to_block_defaults(self, tmp_path):
         path = write_cfg(
@@ -1200,10 +1204,20 @@ class TestCompareCommand:
         assert isinstance(result.exception, SystemExit)
 
 
+def _bundled_with(
+    tmp_path: Path, stem: str, *edits: tuple[str, str], name: str | None = None
+) -> Path:
+    """The bundled config stem with each (old, new) edit made once, written
+    as name.cfg (default: stem.cfg)."""
+    text = (BUNDLED / f"{stem}.cfg").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return write_cfg(tmp_path, f"{name or stem}.cfg", text)
+
+
 def _bundled_sleigh_with(tmp_path: Path, old: str, new: str) -> Path:
-    text = (BUNDLED / "sleigh-paper51.cfg").read_text()
-    assert text.count(old) == 1
-    return write_cfg(tmp_path, "sleigh.cfg", text.replace(old, new))
+    return _bundled_with(tmp_path, "sleigh-paper51", (old, new), name="sleigh")
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1222,6 +1236,57 @@ def test_overflowing_rollout_reference_exits_one(tmp_path, command):
               if line.startswith("Error:")]
     assert len(errors) == 1 and "rollout reference" in errors[0]
     assert not (tmp_path / "out").exists()
+
+
+SLEIGH_HORIZON = ("sleigh-paper51", [("horizon_T = 5.0\n", "horizon_T = 1e308\n")])
+SLEIGH_OFFSET = ("sleigh-paper51", [("offset_a = 0.2\n", "offset_a = 1e308\n")])
+
+
+@pytest.mark.parametrize("command, stem, edits", [
+    # math.ceil in RolloutReference
+    pytest.param("run", *SLEIGH_HORIZON, id="run-sleigh-horizon"),
+    pytest.param("compare", *SLEIGH_HORIZON, id="compare-sleigh-horizon"),
+    # sleigh_model
+    pytest.param("run", *SLEIGH_OFFSET, id="run-sleigh-offset"),
+    pytest.param("compare", *SLEIGH_OFFSET, id="compare-sleigh-offset"),
+    # the shooting solver's default grid
+    pytest.param("run", "particle-case2", [("horizon_T = 4.0\n", "horizon_T = 1e308\n"),
+                                           ("steps = 400\n", "")],
+                 id="run-particle-horizon"),
+])
+def test_build_time_overflow_exits_one(tmp_path, command, stem, edits):
+    """A value the model, problem or grid cannot be built from overflows in
+    the library (an ArithmeticError), and that is a config error: one
+    Error: line, exit code 1, no traceback and no artifact directory."""
+    path = _bundled_with(tmp_path, stem, *edits)
+    result = invoke([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {path}: "), result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_given_shooting_grid_skips_the_default(tmp_path):
+    """With its own steps, a horizon whose default grid count would
+    overflow solves on the given grid: the flow diverges, a solver failure
+    with exit code 2 and header-only artifacts."""
+    path = _bundled_with(
+        tmp_path, "particle-case2", ("horizon_T = 4.0\n", "horizon_T = 1e308\n")
+    )
+    result = invoke(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    out = tmp_path / "out" / "particle-case2"
+    assert result.output.splitlines() == [
+        f"{path}: did not converge; artifacts in {out}"
+    ]
+    for name in ("trajectory.csv", "diagnostics.csv"):
+        assert len((out / name).read_text().splitlines()) == 1
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[-2].startswith(
+        "solver failure: state-costate flow diverged near t = 0"
+    ), report[-2]
+    assert report[-1] == "exit code: 2"
 
 
 @pytest.mark.parametrize(

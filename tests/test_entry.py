@@ -202,8 +202,9 @@ def test_shooting_replacements_set_before_first_use_are_the_ones_compare_calls(
 
 def test_lazy_names_resolve_on_read():
     """The package's route names and cli's route bindings are served on
-    first read (PEP 562), and the package never binds them; any other
-    missing name is still an AttributeError."""
+    first read (PEP 562), and the package never binds them; a route's entry
+    check is cli's only, and any other missing name is still an
+    AttributeError."""
     import nhtrack
     from nhtrack import pmp, varint
 
@@ -214,6 +215,9 @@ def test_lazy_names_resolve_on_read():
     assert nhtrack.solve_shooting is pmp.solve_shooting
     assert cli.regularity_check is varint.regularity_check
     assert cli.trajectory_cost is pmp.trajectory_cost
+    assert cli.check_del is varint.check_del
+    with pytest.raises(AttributeError):
+        nhtrack.check_del
     for module in (nhtrack, cli):
         with pytest.raises(AttributeError):
             getattr(module, "no_such_name")

@@ -313,16 +313,18 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_psi_variants_has_one_definition():
-    """The Psi_d forms are defined once, in problem beside CONTINUATIONS, so
-    that cli validates the key without importing either route."""
-    definitions = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        and "PSI_VARIANTS" in [
-            getattr(t, "id", None)
-            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    """A route's choice list is defined once, in its route beside the
+    settings that check it: PSI_VARIANTS in varint and CONTINUATIONS in
+    pmp; cli leaves both to those settings."""
+    for name, owner in (("PSI_VARIANTS", "varint.py"), ("CONTINUATIONS", "pmp.py")):
+        definitions = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and name in [
+                getattr(t, "id", None)
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ]
         ]
-    ]
-    assert [where.split(":")[0] for where in definitions] == ["problem.py"], definitions
+        assert [where.split(":")[0] for where in definitions] == [owner], definitions
