@@ -352,8 +352,9 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
                 horizon=blk.horizon_T,
                 step=blk.rollout_step,
             )
-        except IntegrationError as exc:
-            raise ConfigError(f"rollout reference: {exc}") from exc
+        except (IntegrationError, ValueError) as exc:
+            keys = f"horizon_T = {blk.horizon_T}, rollout_step = {blk.rollout_step}"
+            raise ConfigError(f"rollout reference ({keys}): {exc}") from exc
     return TrackingProblem(
         reference=reference,
         horizon_T=blk.horizon_T,
@@ -890,10 +891,7 @@ def model_checks(
     )
     problem = TrackingProblem(
         reference=reference, horizon_T=1.0, epsilon=1.0, omega=1.0,
-        initial_state=AdmissibleState(
-            q=np.zeros(model.n), v=np.zeros(model.rank)
-        ),
-        terminal_mode="hard",
+        initial_state=reference(0.0), terminal_mode="hard",
     )
     regular = []
     regularity_check = _route("regularity_check")

@@ -31,20 +31,20 @@ class SystemModel:
     for q of shape (N, n), rho(q) has shape (N, n, n-m) and rho(q)[i] equals
     rho(q[i]).  The solvers rely on this to evaluate a whole grid of nodes,
     or a stack of probe flows, in one call; `nhtrack check` verifies it.
-    Index conventions (single point, the leading axes omitted):
+    Index conventions (single point, the leading axes omitted); the three
+    Jacobians are required and exact, and each is read by the one geometry
+    function named after it alone (and by `nhtrack check`, which tests it):
 
     - rho(q)[i, A] = rho^i_A
-    - rho_jac(q)[i, A, j] = d rho^i_A / d q^j
+    - rho_jac(q)[i, A, j] = d rho^i_A / d q^j (frame_derivative)
     - christoffel(q)[A, B, C] = Gamma^A_{BC}, contracted as
       Gamma^A_{BC} v^B v^C in the dynamics
     - metric_d(q)[A, B] = (G_D)_{AB}, symmetric positive definite
     - potential_grad(q)[A] = (G_D)^{AB} rho^i_B dV/dq^i (zero for the
       built-in models, which carry no potential)
-    - potential_grad_jac(q)[A, j] = d potential_grad^A / d q^j, exact
-      (required, like christoffel_jac)
+    - potential_grad_jac(q)[A, j] = d potential_grad^A / d q^j (drift)
     - annihilator(q)[a, i] = mu^a_i
-    - christoffel_jac(q)[A, B, C, j] = d Gamma^A_{BC} / d q^j, exact
-      (required: both solver routes differentiate the drift with it)
+    - christoffel_jac(q)[A, B, C, j] = d Gamma^A_{BC} / d q^j (drift)
     """
 
     n: int
@@ -197,6 +197,22 @@ def drift(
         return w_aq, np.vecmat(wv, sym)
 
     return a, pullback
+
+
+def frame_derivative(
+    model: SystemModel, q: Array, v: Array, w: Array | None = None
+) -> Array:
+    """Frame derivative R = d(rho v)/dq, R[j, i] = sum_A d rho^j_A/dq^i v^A,
+    of shape (..., n, n), from the exact rho_jac; given a covector w (..., n),
+    its pullback w R instead, one contraction of the flattened w v against
+    rho_jac viewed as (n k, n).  q, v and w carry matching leading axes."""
+    n, lead = model.n, v.shape[:-1]
+    jac = model.rho_jac(q)
+    if w is None:
+        jac = jac.swapaxes(-2, -3).reshape(lead + (-1, n * n))
+        return np.vecmat(v, jac).reshape(lead + (n, n))
+    wv = _outer(w, v).reshape(lead + (-1,))
+    return np.vecmat(wv, jac.reshape(wv.shape + (n,)))
 
 
 def constraint_residual(model: SystemModel, q: Array, qdot: Array) -> Array:

@@ -50,9 +50,9 @@ import numpy as np
 from .geometry import (
     AdmissibleState,
     SystemModel,
-    _outer,
     drift,
     dynamics_rhs,
+    frame_derivative,
     state_difference,
 )
 from .ode import IntegrationError, TimeGrid, rk4_step
@@ -225,14 +225,13 @@ def _make_packed_rhs(
     y may be one vector of length 2(n + k) or a stack of them, shape
     (m, 2(n + k)), which advances m flows (for example a Newton point with
     the probes of its finite-difference Jacobian) in one evaluation.  The
-    adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv.  Their drift
-    terms mu da/dq and mu da/dv are exact covector pullbacks from
-    geometry.drift's pullback(mu), which never forms the drift's Jacobians,
-    and the tracking difference (angles wrapped) comes from
+    adjoint rows are -lambdadot = dH*/dq and -mudot = dH*/dv.  Their terms
+    mu da/dq, mu da/dv and lambda d(rho v)/dq are exact covector pullbacks
+    from geometry.drift's pullback(mu) and geometry.frame_derivative, which
+    form no Jacobian, and the tracking difference (angles wrapped) comes from
     geometry.state_difference.
     """
     n, k = model.n, model.rank
-    rho_f, rho_jac_f = model.rho, model.rho_jac
     reference = problem.reference
     lam0 = problem.lambda0
     inv_le = 1.0 / (lam0 * problem.epsilon)
@@ -241,19 +240,15 @@ def _make_packed_rhs(
     def rhs(t: float, y: Array) -> Array:
         q, v, lam, mu = _split(y, n, k)
         dq, dv = state_difference(model, AdmissibleState(q, v), reference(t))
-        rho = rho_f(q)
+        rho = model.rho(q)
         a, pullback = drift(model, q, v)
         mu_aq, mu_av = pullback(mu)
-        # sum_{j,A} lambda_j drho^j_A/dq^i v^A, one contraction per row of
-        # the flattened lambda v against rho_jac viewed as (n k, n)
-        lam_v = _outer(lam, v).reshape(q.shape[:-1] + (n * k,))
-        pull = np.vecmat(lam_v, rho_jac_f(q).reshape(lam_v.shape + (n,)))
 
         out = np.empty(y.shape)
         qdot, vdot, lamdot, mudot = _split(out, n, k)
         qdot[...] = np.matvec(rho, v)
         vdot[...] = -inv_le * mu - a
-        lamdot[...] = mu_aq - track * dq - pull
+        lamdot[...] = mu_aq - track * dq - frame_derivative(model, q, v, lam)
         mudot[...] = mu_av - track * dv - np.vecmat(lam, rho)
         return out
 
@@ -302,9 +297,11 @@ def pmp_rhs(
 
 
 def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
-    # default: h of about 0.01
-    grid = settings.inner_grid or TimeGrid(
-        0.0, problem.horizon_T, max(1, round(problem.horizon_T / 0.01)))
+    grid = settings.inner_grid
+    if grid is None:  # default: h of about 0.01
+        if not np.isfinite(steps := problem.horizon_T / 0.01):
+            raise ValueError(f"horizon_T = {problem.horizon_T:g} overflows the default grid")
+        grid = TimeGrid(0.0, problem.horizon_T, max(1, round(steps)))
     _check_span(grid, problem, "inner_grid")
     return grid
 
@@ -746,12 +743,6 @@ def abnormal_diagnostic(
     times = np.asarray(times, dtype=float)
     q_series = np.asarray(q_series, dtype=float)
     v_series = np.asarray(v_series, dtype=float)
-
-    def a_matrix(q: Array, v: Array) -> Array:
-        # lambdadot = A lambda with A_ij = -sum_A rho_jac[j, A, i] v^A
-        r = np.tensordot(model.rho_jac(q), v, axes=([1], [0]))  # (n, n): [j, i]
-        return -r.T
-
     blocks = [model.rho(q_series[0]).T]  # Phi(0) = I
     phi = np.eye(n)
     for idx in range(len(times) - 1):
@@ -763,7 +754,7 @@ def abnormal_diagnostic(
             s = 0.0 if h_loc == 0 else (t - t0) / h_loc
             q = (1 - s) * q0 + s * q1
             v = (1 - s) * v0 + s * v1
-            return (a_matrix(q, v) @ y.reshape(n, n)).ravel()
+            return (-frame_derivative(model, q, v).T @ y.reshape(n, n)).ravel()
 
         phi = rk4_step(f, times[idx], phi.ravel(), h).reshape(n, n)
         blocks.append(model.rho(q_series[idx + 1]).T @ phi)

@@ -36,6 +36,8 @@ Array = np.ndarray
 # build at this step and one at half of it agree within 1e-12 at every node
 # and interval midpoint (tests/test_cli.py checks this).
 ROLLOUT_STEP = 1e-2
+# the most RK4 steps a rollout reference takes, refused before allocating
+MAX_ROLLOUT_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,13 @@ class RolloutReference:
         for name, value in (("horizon", horizon), ("step", step)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        self.horizon = float(horizon)
+        if (steps := self.horizon / float(step)) > MAX_ROLLOUT_STEPS:
+            raise ValueError(f"horizon / step = {steps:.6g} exceeds {MAX_ROLLOUT_STEPS}")
         self.model = model
         self.start = start
-        self.horizon = float(horizon)
         f = _state_field(model, np.zeros(model.rank))
-        steps = max(1, math.ceil(self.horizon / step))
-        grid = TimeGrid(0.0, self.horizon, steps)
+        grid = TimeGrid(0.0, self.horizon, max(1, math.ceil(steps)))
         self._times, self._ys = integrate(f, start.as_vector(), grid)
         # the field is autonomous: the slopes of all nodes in one call
         self._slopes = f(0.0, self._ys)

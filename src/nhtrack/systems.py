@@ -43,6 +43,8 @@ class SleighParams:
             raise ValueError(f"inertia_J must be positive, got {self.inertia_J}")
         if self.offset_a < 0:
             raise ValueError(f"offset_a must be nonnegative, got {self.offset_a}")
+        if not math.isfinite(self.inertia_J + self.offset_a * self.offset_a * self.mass_m):
+            raise ValueError(f"inertia_J + mass_m * offset_a**2 overflows: {self}")
 
     @property
     def eta(self) -> float:

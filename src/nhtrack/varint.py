@@ -48,6 +48,7 @@ from .geometry import (
     AdmissibleState,
     SystemModel,
     drift,
+    frame_derivative,
     restricted_energy,
     state_difference,
 )
@@ -126,13 +127,8 @@ class DiscreteTrajectory:
     lambda_zero: Array | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(
-            self, "multipliers", np.asarray(self.multipliers, dtype=float)
-        )
-        object.__setattr__(self, "controls", np.asarray(self.controls, dtype=float))
+        for name in ("times", "q", "v", "multipliers", "controls"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.h <= 0:
             raise ValueError(f"h must be positive, got {self.h}")
         nodes = len(self.times)
@@ -278,9 +274,7 @@ def continuous_optimality_residual(
     inner = slice(1, -1)
     q, v, lam = q_series[inner], v_series[inner], lam_series[inner]
     rho = model.rho(q)
-    # pull[A, i] = sum_j lambda_j drho^j_A/dq^i
-    pull = np.vecmat(lam, model.rho_jac(q).reshape(len(q), n, k * n))
-    res_q = lamdot[inner] - grad_q[inner] + np.vecmat(v, pull.reshape(len(q), k, n))
+    res_q = lamdot[inner] - grad_q[inner] + frame_derivative(model, q, v, lam)
     res_adm = qdot[inner] - np.matvec(rho, v)
     res_v = pdot[inner] - grad_v[inner] + np.vecmat(lam, rho)
     return np.concatenate([res_q, res_adm, res_v], axis=1).ravel()
@@ -306,12 +300,8 @@ def _psi(
     v_slot = v_mid if psi_variant == "midpoint" else v_dq
     rho = model.rho(q_mid)
     psi = (q_k1 - q_k) / h - np.matvec(rho, v_slot)
-    # R[j, i] = sum_A drho^j_A/dq^i (at the midpoint) v_slot^A, one vecmat
-    # per row over the flattened (j, i) slots
-    n, lead = model.n, v_slot.shape[:-1]
-    rho_jac = model.rho_jac(q_mid).swapaxes(-2, -3).reshape(lead + (-1, n * n))
-    r_mat = np.vecmat(v_slot, rho_jac).reshape(lead + (n, n))
-    eye_h = np.eye(n) / h
+    r_mat = frame_derivative(model, q_mid, v_slot)
+    eye_h = np.eye(model.n) / h
     if psi_variant == "midpoint":
         p2 = p4 = -0.5 * rho
     else:

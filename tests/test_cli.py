@@ -1238,32 +1238,40 @@ def test_overflowing_rollout_reference_exits_one(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
-SLEIGH_HORIZON = ("sleigh-paper51", [("horizon_T = 5.0\n", "horizon_T = 1e308\n")])
-SLEIGH_OFFSET = ("sleigh-paper51", [("offset_a = 0.2\n", "offset_a = 1e308\n")])
+SLEIGH_HORIZON = ("sleigh-paper51", [("horizon_T = 5.0\n", "horizon_T = 1e308\n")],
+                  "horizon_T")
+SLEIGH_OFFSET = ("sleigh-paper51", [("offset_a = 0.2\n", "offset_a = 1e308\n")],
+                 "offset_a")
 
 
-@pytest.mark.parametrize("command, stem, edits", [
-    # math.ceil in RolloutReference
+@pytest.mark.parametrize("command, stem, edits, key", [
+    # the step count of RolloutReference
     pytest.param("run", *SLEIGH_HORIZON, id="run-sleigh-horizon"),
     pytest.param("compare", *SLEIGH_HORIZON, id="compare-sleigh-horizon"),
-    # sleigh_model
+    # SleighParams
     pytest.param("run", *SLEIGH_OFFSET, id="run-sleigh-offset"),
     pytest.param("compare", *SLEIGH_OFFSET, id="compare-sleigh-offset"),
     # the shooting solver's default grid
     pytest.param("run", "particle-case2", [("horizon_T = 4.0\n", "horizon_T = 1e308\n"),
                                            ("steps = 400\n", "")],
-                 id="run-particle-horizon"),
+                 "horizon_T", id="run-particle-horizon"),
+    # a rollout grid of 5e12 steps, refused before it is allocated
+    pytest.param("run", "sleigh-paper51", [("rollout_step = 0.01\n",
+                                            "rollout_step = 1e-12\n")],
+                 "rollout_step", id="run-sleigh-rollout-step"),
 ])
-def test_build_time_overflow_exits_one(tmp_path, command, stem, edits):
-    """A value the model, problem or grid cannot be built from overflows in
-    the library (an ArithmeticError), and that is a config error: one
-    Error: line, exit code 1, no traceback and no artifact directory."""
+def test_build_time_overflow_exits_one(tmp_path, command, stem, edits, key):
+    """A value the model, problem or grid cannot be built from (a count or
+    parameter that overflows, or a rollout grid too large to allocate) is a
+    config error: one Error: line naming the key, exit code 1, no traceback
+    and no artifact directory."""
     path = _bundled_with(tmp_path, stem, *edits)
     result = invoke([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"Error: {path}: "), result.output
+    assert key in lines[0], result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -134,28 +134,33 @@ def test_only_state_difference_wraps_an_angle():
     assert not calls, f"wrap_angle called outside state_difference: {', '.join(calls)}"
 
 
-def test_only_drift_reads_the_model_jacobians():
-    """geometry.drift owns the drift's derivatives: no other code in the
-    package reads a model's christoffel_jac or potential_grad_jac, except
+def test_only_geometry_reads_the_model_jacobians():
+    """Each model Jacobian has one owner in geometry, which turns it into a
+    derivative of the dynamics: drift reads christoffel_jac and
+    potential_grad_jac, frame_derivative reads rho_jac.  No other code in the
+    package, and so no solver route, reads any of them, except
     cli.model_checks, which checks them against central differences."""
-    owners = {("geometry.py", "drift"), ("cli.py", "model_checks")}
+    owners = {"christoffel_jac": "drift", "potential_grad_jac": "drift",
+              "rho_jac": "frame_derivative"}
     reads = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owned = {
-            id(sub)
+            (id(sub), attr)
             for node in tree.body
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in owners
+            if isinstance(node, ast.FunctionDef)
+            for attr, owner in owners.items()
+            if (path.name, node.name) in {("geometry.py", owner), ("cli.py", "model_checks")}
             for sub in ast.walk(node)
         }
         reads += [
             f"{path.name}:{sub.lineno} {sub.attr}"
             for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute)
-            and sub.attr in ("christoffel_jac", "potential_grad_jac")
-            and id(sub) not in owned
+            and sub.attr in owners
+            and (id(sub), sub.attr) not in owned
         ]
-    assert not reads, f"model Jacobian read outside geometry.drift: {', '.join(reads)}"
+    assert not reads, f"model Jacobian read outside its geometry owner: {', '.join(reads)}"
 
 
 def test_only_the_process_entry_touches_the_collector():

@@ -1,9 +1,10 @@
 """Stacked evaluation of the pointwise formulas: the packed state field, the
-drift and its pullback, the running cost, the restricted energy, the
-constraint residual and the discrete interval terms each take a stack of
-points and return, row by row, exactly (bitwise) what one point at a time
-returns.  The pullback and the packed state-costate field are also checked
-against the forms built from the drift's full Jacobians."""
+drift and its pullback, the frame derivative and its pullback, the running
+cost, the restricted energy, the constraint residual and the discrete
+interval terms each take a stack of points and return, row by row, exactly
+(bitwise) what one point at a time returns.  The pullbacks and the packed
+state-costate field are also checked against the forms built from full
+Jacobians (the frame derivative against np.tensordot of rho_jac)."""
 from __future__ import annotations
 
 import dataclasses
@@ -17,6 +18,7 @@ from nhtrack.geometry import (
     constraint_residual,
     drift,
     dynamics_rhs,
+    frame_derivative,
     restricted_energy,
     state_difference,
 )
@@ -265,11 +267,11 @@ def _dense_field_model(n, k, seed):
     )
 
 
+DENSE_FIELD_MODELS = [_dense_field_model(3, 2, 22), _dense_field_model(5, 3, 23)]
+
+
 @pytest.mark.parametrize("lead", [(), (25, 11)], ids=["1-D", "25x11"])
-@pytest.mark.parametrize(
-    "model", [_dense_field_model(3, 2, 22), _dense_field_model(5, 3, 23)] + MODELS,
-    **ids,
-)
+@pytest.mark.parametrize("model", DENSE_FIELD_MODELS + MODELS, **ids)
 def test_packed_field_matches_the_jacobian_form(model, lead):
     """The pullback field equals the one built from the drift's Jacobians
     within 1e-13 relative, each block apart, on segmented stacks whose
@@ -287,6 +289,46 @@ def test_packed_field_matches_the_jacobian_form(model, lead):
     for block_new, block_old in zip(_split(new, n, k), _split(old, n, k)):
         scale = np.max(np.abs(block_old))
         assert np.max(np.abs(block_new - block_old)) <= 1e-13 * scale
+
+
+def _frame_derivative_by_tensordot(model, q, v):
+    """R[j, i] = sum_A rho_jac[j, A, i] v^A, one point at a time by
+    np.tensordot: the reference form for geometry.frame_derivative."""
+    lead = v.shape[:-1]
+    out = np.empty(lead + (model.n, model.n))
+    for idx in np.ndindex(*lead):
+        out[idx] = np.tensordot(model.rho_jac(q[idx]), v[idx], axes=([1], [0]))
+    return out
+
+
+@pytest.mark.parametrize("lead", [(7,), (25, 11)], ids=["N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_FIELD_MODELS + MODELS, **ids)
+def test_frame_derivative_on_stacks_equals_rows(model, lead):
+    """The interval constraint and the packed shooting field take R and its
+    pullback w R of whole stacks, and need each row bitwise equal to the
+    same row alone."""
+    q, v = _points(model, lead, 26)
+    w = np.random.default_rng(27).normal(size=lead + (model.n,))
+    _assert_rows(frame_derivative(model, q, v), lead,
+                 lambda idx: frame_derivative(model, q[idx], v[idx]))
+    _assert_rows(frame_derivative(model, q, v, w), lead,
+                 lambda idx: frame_derivative(model, q[idx], v[idx], w[idx]))
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (25, 11)], ids=["1-D", "N", "25x11"])
+@pytest.mark.parametrize("model", DENSE_FIELD_MODELS, **ids)
+def test_frame_derivative_matches_the_tensordot_form(model, lead):
+    """R and w R equal the tensordot form and w times it within 1e-13 of
+    their largest entry, on a frame whose every sum has k (for R) or n k
+    (for w R) nonzero terms."""
+    q, v = _points(model, lead, 28)
+    w = np.random.default_rng(29).normal(size=lead + (model.n,))
+    old = _frame_derivative_by_tensordot(model, q, v)
+    pairs = [(frame_derivative(model, q, v), old),
+             (frame_derivative(model, q, v, w), np.vecmat(w, old))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lead", LEADS, **lead_ids)
