@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import itertools
 import math
 import sys
@@ -48,13 +49,14 @@ from .problem import (
     TrackingProblem,
     running_cost,
 )
-from .systems import available_systems, resolve_system
+from .systems import SleighParams, available_systems, resolve_system
 
 if typing.TYPE_CHECKING:
     from .pmp import ShootingSettings
     from .varint import DelSettings, DiscreteTrajectory
 
-METHODS = ("pmp-shooting", "variational")
+# method -> the name of its route's settings type (nhtrack._ROUTES)
+SETTINGS = {"pmp-shooting": "ShootingSettings", "variational": "DelSettings"}
 
 
 def _route(name: str):
@@ -159,7 +161,11 @@ REFERENCE_VECTORS = {
     "analytic": ("q_base", "q_slope", "v_base", "v_slope"),
     "rollout": ("rollout_q", "rollout_v"),
 }
-CHOICES = {"reference": tuple(REFERENCE_VECTORS), "method": METHODS}
+CHOICES = {"reference": tuple(REFERENCE_VECTORS), "method": tuple(SETTINGS)}
+# a [system], [problem] or [solver] key sets the field of its name of the
+# record its section builds (_fields), except these, which cli reads itself
+CLI_KEYS = ("preset", "reference", "method", "steps", "rollout_q", "rollout_v",
+            "rollout_step", "initial_q", "initial_v")
 
 
 def _parse_value(key: str, raw: str, hint):
@@ -240,8 +246,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig(**{name: _parse_block(parser, name) for name in SECTIONS})
     _refuse_set(cfg, _unread(cfg))
     solver = cfg.solver
-    defaults = _route("ShootingSettings" if solver.method == "pmp-shooting"
-                      else "DelSettings")
+    defaults = _route(SETTINGS[solver.method])
     cfg = cfg._replace(solver=solver._replace(**{
         key: getattr(defaults, key) for key in ("newton_tol", "max_iters")
         if getattr(solver, key) is None
@@ -250,8 +255,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("variational solver needs an explicit steps count")
     if not 1 <= cfg.output.precision <= 17:
         raise ConfigError(f"precision must be in [1, 17], got {cfg.output.precision}")
-    if cfg.problem.rollout_step <= 0:
-        raise ConfigError(f"rollout_step must be positive, got {cfg.problem.rollout_step}")
     if cfg.compare.pmp_steps is not None and cfg.compare.pmp_steps <= 0:
         raise ConfigError(f"pmp_steps must be positive, got {cfg.compare.pmp_steps}")
     return cfg
@@ -263,6 +266,7 @@ def _unread(cfg: ExperimentConfig) -> dict[tuple[str, str], str]:
     -> "continuation none".  parse_config refuses such a key set away from
     its default, and config_text leaves it out."""
     problem, solver = cfg.problem, cfg.solver
+    settings_type = _route(SETTINGS[solver.method])
     rules = [
         ("problem", f"reference {problem.reference}",
          REFERENCE_VECTORS["rollout"] + ("rollout_step",)
@@ -272,8 +276,8 @@ def _unread(cfg: ExperimentConfig) -> dict[tuple[str, str], str]:
         # after the ladder's rule: on the variational route the method is
         # what leaves continuation_stages unread
         ("solver", f"method {solver.method}",
-         ("psi_variant", "enforce_first_interval") if solver.method == "pmp-shooting"
-         else ("continuation", "continuation_stages")),
+         [key for key in SolverBlock._fields
+          if key not in CLI_KEYS and key not in _fields(settings_type, solver)]),
         ("compare", "pmp no", () if cfg.compare.pmp else ("pmp_steps",)),
     ]
     return {(section, key): setting
@@ -320,13 +324,16 @@ def config_text(cfg: ExperimentConfig) -> str:
 # config -> library objects
 
 
+def _fields(record, block, **given) -> dict:
+    """The keyword arguments of the dataclass record: each of its fields
+    that block has a key of, or that is given here (given wins)."""
+    values = {**block._asdict(), **given}
+    return {f.name: values[f.name] for f in dataclasses.fields(record)
+            if f.name in values}
+
+
 def build_model(cfg: ExperimentConfig) -> SystemModel:
-    return resolve_system(
-        cfg.system.preset,
-        mass_m=cfg.system.mass_m,
-        inertia_J=cfg.system.inertia_J,
-        offset_a=cfg.system.offset_a,
-    )
+    return resolve_system(cfg.system.preset, **_fields(SleighParams, cfg.system))
 
 
 def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
@@ -340,10 +347,7 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
                 f"got {got}"
             )
     if blk.reference == "analytic":
-        reference = AnalyticReference(
-            q_base=blk.q_base, q_slope=blk.q_slope,
-            v_base=blk.v_base, v_slope=blk.v_slope,
-        )
+        reference = AnalyticReference(**_fields(AnalyticReference, blk))
     else:
         try:
             reference = RolloutReference(
@@ -355,16 +359,12 @@ def build_problem(cfg: ExperimentConfig, model: SystemModel) -> TrackingProblem:
         except (IntegrationError, ValueError) as exc:
             keys = f"horizon_T = {blk.horizon_T}, rollout_step = {blk.rollout_step}"
             raise ConfigError(f"rollout reference ({keys}): {exc}") from exc
-    return TrackingProblem(
-        reference=reference,
-        horizon_T=blk.horizon_T,
-        epsilon=blk.epsilon,
-        omega=blk.omega,
+    # [problem] reference names the kind of sampler; the problem's
+    # reference field is the sampler built from it
+    return TrackingProblem(**_fields(
+        TrackingProblem, blk, reference=reference,
         initial_state=AdmissibleState(q=blk.initial_q, v=blk.initial_v),
-        lambda0=blk.lambda0,
-        terminal_mode=blk.terminal_mode,
-        state_weight=blk.state_weight,
-    )
+    ))
 
 
 def _build(cfg: ExperimentConfig) -> tuple[
@@ -373,12 +373,11 @@ def _build(cfg: ExperimentConfig) -> tuple[
     """Model, problem, solver settings and grid of a config.
 
     The grid spans the horizon in `steps` intervals (None when steps is
-    unset).  A value the library rejects while building them or at the
-    solver's entry checks, such as a negative omega, a zero
-    continuation_stages, an unknown psi_variant, a rollout reference that
-    overflows or a Mayer problem on the variational route, becomes a
-    ConfigError, and so does one they cannot be built from (an
-    ArithmeticError, such as a horizon_T whose grid count overflows).
+    unset).  A value the library rejects (ValueError) or cannot build from
+    (ArithmeticError) while building them or at the solver's entry checks,
+    such as a negative omega, a grid of more than ode.MAX_STEPS steps, a
+    rollout reference that overflows or a Mayer problem on the variational
+    route, becomes a ConfigError.
     """
     blk = cfg.solver
     try:
@@ -386,22 +385,11 @@ def _build(cfg: ExperimentConfig) -> tuple[
         problem = build_problem(cfg, model)
         grid = (None if blk.steps is None
                 else TimeGrid(0.0, problem.horizon_T, blk.steps))
+        settings_type = _route(SETTINGS[blk.method])
+        settings = settings_type(**_fields(settings_type, blk, inner_grid=grid))
         if blk.method == "pmp-shooting":
-            settings = _route("ShootingSettings")(
-                newton_tol=blk.newton_tol,
-                max_iters=blk.max_iters,
-                inner_grid=grid,
-                continuation=blk.continuation,
-                continuation_stages=blk.continuation_stages,
-            )
             _route("check_shooting")(problem, settings)
         else:
-            settings = _route("DelSettings")(
-                newton_tol=blk.newton_tol,
-                max_iters=blk.max_iters,
-                psi_variant=blk.psi_variant,
-                enforce_first_interval=blk.enforce_first_interval,
-            )
             _route("check_del")(problem, grid)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -440,6 +428,12 @@ def _solver_failure(
     report_lines += ["[convergence]", f"solver failure: {exc}", "exit code: 2"]
     _write_report(out_dir, report_lines)
     return 2
+
+
+def _report_head(command: str, cfg: ExperimentConfig, *lines: str) -> list[str]:
+    """command's report from its title, with lines, to its configuration echo."""
+    return [f"nhtrack {command} report", f"system: {cfg.system.preset}", *lines,
+            "", "[configuration echo]", config_text(cfg).rstrip(), ""]
 
 
 def _iteration_log(report) -> list[str]:
@@ -533,15 +527,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         + ([f"mu{i + 1}" for i in range(kr)] if method == "pmp-shooting" else [])
     )
     diag_header = ["t", "cost", "action", "energy", "constraint_residual"]
-    report_lines = [
-        "nhtrack run report",
-        f"system: {cfg.system.preset}",
-        f"method: {method}",
-        "",
-        "[configuration echo]",
-        config_text(cfg).rstrip(),
-        "",
-    ]
+    report_lines = _report_head("run", cfg, f"method: {method}")
     terminal = problem.reference(problem.horizon_T)
     route = _shooting_route if method == "pmp-shooting" else _del_route
     try:
@@ -663,11 +649,17 @@ def _cross_method_settings(
     """Shooting settings of compare's cross-method check: pmp_steps
     intervals (unset: the shooting solver's default grid, h = 0.01) and no
     continuation; the segmented solve reaches the pinned endpoint of
-    compare's variational problem from a zero costate."""
+    compare's variational problem from a zero costate.  A grid that cannot
+    be built is a ConfigError naming pmp_steps."""
     steps = cfg.compare.pmp_steps
-    return _route("ShootingSettings")(
-        inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps)
-    )
+    try:
+        settings = _route("ShootingSettings")(
+            inner_grid=None if steps is None else TimeGrid(0.0, problem.horizon_T, steps)
+        )
+        _route("check_shooting")(problem, settings)
+    except ValueError as exc:
+        raise ConfigError(f"cross-method shooting (pmp_steps = {steps}): {exc}") from exc
+    return settings
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -677,57 +669,46 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.solver.method != "variational":
         raise ConfigError("compare needs a variational solver config")
     model, problem, settings, grid = _build(cfg)
+    try:
+        grids = (grid, TimeGrid(0.0, problem.horizon_T, 2 * grid.steps))
+    except ValueError as exc:
+        raise ConfigError(f"compare's solve at 2 * steps: {exc}") from exc
     pmp_settings = _cross_method_settings(cfg, problem) if cfg.compare.pmp else None
     out_dir.mkdir(parents=True, exist_ok=True)
     precision = cfg.output.precision
     n, kr = model.n, model.rank
     first = 0 if settings.enforce_first_interval else 1
-    report_lines = [
-        "nhtrack compare report",
-        f"system: {cfg.system.preset}",
-        "",
-        "[configuration echo]",
-        config_text(cfg).rstrip(),
-        "",
+    report_lines = _report_head("compare", cfg) + [
         "[comparison]",
         "re-integration: RK4 at "
         + " and ".join(
-            f"h/{_substeps(problem.horizon_T / steps)} (N = {steps})"
-            for steps in (grid.steps, 2 * grid.steps)
+            f"h/{_substeps(problem.horizon_T / g.steps)} (N = {g.steps})" for g in grids
         )
         + f" from node {first}, piecewise-constant per-interval controls",
     ]
 
-    header = (
-        ["t"]
-        + [f"q{i + 1}_solve" for i in range(n)]
-        + [f"v{i + 1}_solve" for i in range(kr)]
-        + ["energy_solve"]
-        + [f"q{i + 1}_reint" for i in range(n)]
-        + [f"v{i + 1}_reint" for i in range(kr)]
-        + ["energy_reint"]
-    )
-    base_steps = grid.steps
-    results = {}
+    header = ["t"] + [
+        column for series in ("solve", "reint")
+        for column in [f"q{i + 1}_{series}" for i in range(n)]
+        + [f"v{i + 1}_{series}" for i in range(kr)] + [f"energy_{series}"]
+    ]
+    results = []
     all_converged = True
     try:
         coarse = None
-        for steps in (base_steps, 2 * base_steps):
+        for g in grids:
             # the 2N solve starts from the prolonged N solution when that
             # converged, else from the straight line
-            traj, report = _route("solve_del")(
-                model, problem, TimeGrid(0.0, problem.horizon_T, steps), settings,
-                coarse=coarse,
-            )
-            results[steps] = traj
+            traj, report = _route("solve_del")(model, problem, g, settings, coarse=coarse)
+            results.append(traj)
             all_converged = all_converged and report.converged
             coarse = traj if report.converged else None
             report_lines.append(
-                f"solve at N = {steps}: converged "
+                f"solve at N = {g.steps}: converged "
                 f"{'yes' if report.converged else 'no'} in {report.iterations} "
                 f"iterations, residual {report.residual_norm:.6e}"
             )
-        traj, traj2 = results[base_steps], results[2 * base_steps]
+        traj, traj2 = results
         reint, reint2 = _reintegrate_from_first_enforced(model, traj, traj2)
         disc_h = _endpoint_discrepancy(model, traj, reint)
         disc_h2 = _endpoint_discrepancy(model, traj2, reint2)
@@ -745,8 +726,8 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     ])
     _write_csv(out_dir / "compare.csv", header, rows, precision)
     report_lines += [
-        f"endpoint discrepancy at N = {base_steps}: {disc_h:.6e}",
-        f"endpoint discrepancy at N = {2 * base_steps}: {disc_h2:.6e}",
+        f"endpoint discrepancy at N = {g.steps}: {disc:.6e}"
+        for g, disc in zip(grids, (disc_h, disc_h2))
     ]
     if disc_h2 > 0:
         report_lines.append(f"h-halving discrepancy ratio: {disc_h / disc_h2:.6f}")

@@ -22,6 +22,9 @@ import numpy as np
 Array = np.ndarray
 VectorField = Callable[[float, Array], Array]
 
+# the most steps of a TimeGrid, so of any flow or solve on one
+MAX_STEPS = 10**6
+
 
 class IntegrationError(ArithmeticError):
     """A stage evaluation produced a non-finite value.
@@ -60,8 +63,8 @@ class TimeGrid:
             raise ValueError(
                 f"TimeGrid.steps must be an integer, got {self.steps!r}"
             ) from None
-        if self.steps <= 0:
-            raise ValueError(f"TimeGrid.steps must be positive, got {self.steps}")
+        if not 0 < self.steps <= MAX_STEPS:
+            raise ValueError(f"TimeGrid.steps must be in 1..{MAX_STEPS}, got {self.steps}")
         if not self.tf > self.t0:
             raise ValueError(
                 f"TimeGrid requires tf > t0, got t0={self.t0}, tf={self.tf}"

@@ -55,7 +55,7 @@ from .geometry import (
     frame_derivative,
     state_difference,
 )
-from .ode import IntegrationError, TimeGrid, rk4_step
+from .ode import MAX_STEPS, IntegrationError, TimeGrid, rk4_step
 from .problem import (
     FD_STEP,
     ConvergenceReport,
@@ -299,8 +299,9 @@ def pmp_rhs(
 def _resolve_grid(problem: TrackingProblem, settings: ShootingSettings) -> TimeGrid:
     grid = settings.inner_grid
     if grid is None:  # default: h of about 0.01
-        if not np.isfinite(steps := problem.horizon_T / 0.01):
-            raise ValueError(f"horizon_T = {problem.horizon_T:g} overflows the default grid")
+        if (steps := problem.horizon_T / 0.01) > MAX_STEPS:  # inf included
+            raise ValueError(f"horizon_T = {problem.horizon_T:g} needs {steps:.6g} "
+                             f"steps on the default grid, more than {MAX_STEPS}")
         grid = TimeGrid(0.0, problem.horizon_T, max(1, round(steps)))
     _check_span(grid, problem, "inner_grid")
     return grid
@@ -331,30 +332,24 @@ def _flow(
     flow runs on its own clock from starts: one start time, or an array of
     them that broadcasts against y0.shape[:-1] (the segments of a grid:
     shape (M, 1) against (M, rows)).  h is one step, or an array of steps
-    shaped like starts (each segment its own step); rk4_step then steps the
-    local time in units of steps, on the field scaled by h.  Either way
-    rk4_step sees a scalar local time from 0 and rhs the absolute times.
+    shaped like starts (each segment its own step).  rk4_step steps a
+    scalar local time from 0.0 in units of steps, on the field scaled by
+    h, and rhs sees the absolute times.
     The series has shape (steps + 1,) + y0.shape.  Any one diverging row
     fails the whole stacked flow with a FlowDivergedError at the earliest
     absolute time at which a row went non-finite or past 1e12.
     """
     ys = np.empty((steps + 1,) + y0.shape)
     ys[0] = y0
-    if np.ndim(h):
-        dt, scale = 1.0, np.expand_dims(h, -1)
+    scale = np.expand_dims(h, -1)
 
-        def field(s: float, y: Array) -> Array:
-            return scale * rhs(starts + s * h, y)
-    else:
-        dt = h
-
-        def field(tau: float, y: Array) -> Array:
-            return rhs(starts + tau, y)
+    def field(s: float, y: Array) -> Array:
+        return scale * rhs(starts + s * h, y)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             try:
-                y_next = rk4_step(field, j * dt, ys[j], dt)
+                y_next = rk4_step(field, float(j), ys[j], 1.0)
             except IntegrationError as exc:
                 raise FlowDivergedError(_earliest(starts + j * h, exc.rows)) from exc
             bounded = np.abs(y_next) <= 1e12  # False on inf and nan too

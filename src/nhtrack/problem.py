@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .geometry import AdmissibleState, SystemModel, _state_field, state_difference
-from .ode import TimeGrid, integrate
+from .ode import MAX_STEPS, TimeGrid, integrate
 
 Array = np.ndarray
 
@@ -36,8 +36,6 @@ Array = np.ndarray
 # build at this step and one at half of it agree within 1e-12 at every node
 # and interval midpoint (tests/test_cli.py checks this).
 ROLLOUT_STEP = 1e-2
-# the most RK4 steps a rollout reference takes, refused before allocating
-MAX_ROLLOUT_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ class RolloutReference:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         self.horizon = float(horizon)
-        if (steps := self.horizon / float(step)) > MAX_ROLLOUT_STEPS:
-            raise ValueError(f"horizon / step = {steps:.6g} exceeds {MAX_ROLLOUT_STEPS}")
+        if (steps := self.horizon / float(step)) > MAX_STEPS:
+            raise ValueError(f"horizon / step = {steps:.6g} exceeds {MAX_STEPS}")
         self.model = model
         self.start = start
         f = _state_field(model, np.zeros(model.rank))

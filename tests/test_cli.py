@@ -37,7 +37,8 @@ from nhtrack.pmp import (
     ShootingSettings,
     SingularJacobianError,
 )
-from nhtrack.systems import particle_model, resolve_system
+from nhtrack.problem import AnalyticReference, TrackingProblem
+from nhtrack.systems import SleighParams, particle_model, resolve_system
 from nhtrack.ode import IntegrationError
 from nhtrack.varint import DelSettings, DiscreteTrajectory, RegularityError
 
@@ -380,6 +381,23 @@ class TestParsing:
         keys = set(SolverBlock._fields) | {"inner_grid"}
         fields = {f.name for f in dataclasses.fields(settings)}
         assert fields <= keys, sorted(fields - keys)
+
+    @pytest.mark.parametrize("section, records", [
+        ("system", [SleighParams]),
+        ("problem", [AnalyticReference, TrackingProblem]),
+        ("solver", [ShootingSettings, DelSettings]),
+    ])
+    def test_a_config_key_sets_the_library_field_of_its_name(self, section, records):
+        """cli builds each record from the keys named like its fields, so a
+        key that is neither such a field nor one that cli reads itself
+        (cli.CLI_KEYS) would be accepted and never read, as a renamed
+        library field with a default would leave its key."""
+        fields = {f.name for record in records for f in dataclasses.fields(record)}
+        keys = set(cli.SECTIONS[section]._fields)
+        unread = keys - set(cli.CLI_KEYS) - fields
+        assert not unread, sorted(unread)
+        known = {key for block in cli.SECTIONS.values() for key in block._fields}
+        assert set(cli.CLI_KEYS) <= known
 
     @pytest.mark.parametrize(
         "old, new",
@@ -1242,6 +1260,7 @@ SLEIGH_HORIZON = ("sleigh-paper51", [("horizon_T = 5.0\n", "horizon_T = 1e308\n"
                   "horizon_T")
 SLEIGH_OFFSET = ("sleigh-paper51", [("offset_a = 0.2\n", "offset_a = 1e308\n")],
                  "offset_a")
+SLEIGH_STEPS = ("sleigh-paper51", [("steps = 50\n", "steps = 1000000000\n")], "steps")
 
 
 @pytest.mark.parametrize("command, stem, edits, key", [
@@ -1259,12 +1278,34 @@ SLEIGH_OFFSET = ("sleigh-paper51", [("offset_a = 0.2\n", "offset_a = 1e308\n")],
     pytest.param("run", "sleigh-paper51", [("rollout_step = 0.01\n",
                                             "rollout_step = 1e-12\n")],
                  "rollout_step", id="run-sleigh-rollout-step"),
+    # solver grids above ode.MAX_STEPS: the given one on either route, the
+    # 2N one of compare, the cross-method one and the shooting default
+    pytest.param("run", "particle-case2", [("steps = 400\n", "steps = 1000000000\n")],
+                 "steps", id="run-particle-steps"),
+    pytest.param("run", *SLEIGH_STEPS, id="run-sleigh-steps"),
+    pytest.param("compare", *SLEIGH_STEPS, id="compare-sleigh-steps"),
+    pytest.param("compare", "sleigh-paper51", [("steps = 50\n", "steps = 600000\n")],
+                 "steps", id="compare-sleigh-doubled-steps"),
+    pytest.param("compare", "sleigh-paper51", [
+        ("precision = 17\n",
+         "precision = 17\n[compare]\npmp = yes\npmp_steps = 1000000000\n"),
+    ], "pmp_steps", id="compare-sleigh-pmp-steps"),
+    pytest.param("run", "particle-case2", [("horizon_T = 4.0\n", "horizon_T = 1e7\n"),
+                                           ("steps = 400\n", "")],
+                 "horizon_T", id="run-particle-default-grid"),
+    pytest.param("compare", "particle-case2", [
+        ("horizon_T = 4.0\n", "horizon_T = 1e5\n"),
+        ("terminal_mode = mayer\n", "terminal_mode = hard\n"),
+        ("method = pmp-shooting\n", "method = variational\n"),
+        ("precision = 17\n", "precision = 17\n[compare]\npmp = yes\n"),
+    ], "horizon_T", id="compare-particle-pmp-default-grid"),
 ])
 def test_build_time_overflow_exits_one(tmp_path, command, stem, edits, key):
     """A value the model, problem or grid cannot be built from (a count or
-    parameter that overflows, or a rollout grid too large to allocate) is a
-    config error: one Error: line naming the key, exit code 1, no traceback
-    and no artifact directory."""
+    parameter that overflows, a rollout grid too large to allocate, or a
+    solver grid of more than ode.MAX_STEPS steps) is a config error: one
+    Error: line naming the key, exit code 1, no traceback and no artifact
+    directory."""
     path = _bundled_with(tmp_path, stem, *edits)
     result = invoke([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
@@ -1444,7 +1485,8 @@ def test_nonpositive_rollout_step_is_an_error_naming_the_key(tmp_path, value):
     errors = [line for line in result.output.splitlines()
               if line.startswith("Error:")]
     assert errors == [
-        f"Error: {path}: rollout_step must be positive, got {float(value)}"
+        f"Error: {path}: rollout reference (horizon_T = 5.0, rollout_step = "
+        f"{float(value)}): step must be positive and finite, got {float(value)}"
     ]
     assert not (tmp_path / "out").exists()
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhtrack.ode import IntegrationError, TimeGrid, integrate, rk4_step
+from nhtrack.ode import MAX_STEPS, IntegrationError, TimeGrid, integrate, rk4_step
 
 
 def test_grid_rejects_bad_parameters():
@@ -32,6 +32,15 @@ def test_grid_rejects_a_steps_count_that_is_no_integer(steps):
     """TimeGrid(0.0, 1.0, 2.5).times() ran past tf, to 1.2."""
     with pytest.raises(ValueError, match="TimeGrid.steps must be an integer"):
         TimeGrid(0.0, 1.0, steps)
+
+
+def test_grid_refuses_more_steps_than_the_bound():
+    """A grid of 10^9 steps was built, and a solve on it then allocated
+    arrays of that length; the count is refused before anything is."""
+    assert TimeGrid(0.0, 1.0, MAX_STEPS).steps == MAX_STEPS
+    message = rf"TimeGrid.steps must be in 1\.\.{MAX_STEPS}, got"
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(0.0, 1.0, MAX_STEPS + 1)
 
 
 def test_grid_takes_a_numpy_integer_steps_count_as_an_int():

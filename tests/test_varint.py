@@ -992,6 +992,20 @@ class TestNewtonJacobian:
         assert delta.shape == x.shape
         assert np.linalg.norm(dense @ delta + r) <= 1e-10 * np.linalg.norm(r)
 
+    def test_a_zero_border_is_a_singular_schur_complement(self, monkeypatch):
+        """With interval 0 enforced, a Jacobian whose lambda^0 border is
+        zero leaves the w x w Schur complement singular: the correction
+        raises the RegularityError that says so, not numpy's LinAlgError."""
+        ws = newton_workspace("particle", True, 6)
+        x = ws.initial_guess()
+        r, nodes = ws.evaluate(x)
+        diag, upper, col = ws.jacobian_blocks(*nodes)
+        monkeypatch.setattr(
+            ws, "jacobian_blocks", lambda *nodes: (diag, upper, np.zeros_like(col))
+        )
+        with pytest.raises(RegularityError, match="singular first-interval Schur"):
+            ws.correction(x, r, nodes)
+
     def test_kernel_calls_per_jacobian_do_not_grow_with_the_grid(self):
         """The interval Hessians of a whole grid come from stacked kernel
         calls: model.rho runs 2n + 1 times at N = 8 and at N = 16, once per
